@@ -7,7 +7,8 @@ Subcommands:
     fit <csv>        log-linear decay-rate fit on a trajectory column
 
 Exit codes: 0 ok, 1 usage or config error, 2 blow-up detected, 3 numerical
-failure (failed step or failed verification case).
+failure (failed initial potential solve, failed step or failed verification
+case).
 """
 
 from __future__ import annotations

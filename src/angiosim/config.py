@@ -60,7 +60,6 @@ _BASE_DEFAULTS = {
     "solver.blowup_threshold": "1e6",
     "solver.record_every": "10",
     "solver.elliptic_tolerance": "1e-10",
-    "solver.elliptic_max_iterations": "auto",
     "init.profile": "cosine_bump",
     "init.base": "1.0",
     "init.amplitude": "0.2",
@@ -237,8 +236,6 @@ def _build_scenario(kv, path) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
-    raw_iter, _ = kv["solver.elliptic_max_iterations"]
-    max_iter = None if raw_iter == "auto" else _want_int(kv, "solver.elliptic_max_iterations", minimum=1)
     scheme, scheme_ln = kv["solver.flux_scheme"]
     try:
         solver = SolverConfig(
@@ -250,7 +247,6 @@ def _build_scenario(kv, path) -> ScenarioConfig:
             record_every=_want_int(kv, "solver.record_every", minimum=1),
             elliptic=EllipticConfig(
                 tolerance=_want_float(kv, "solver.elliptic_tolerance", positive=True),
-                max_iterations=max_iter,
             ),
         )
     except ValueError as exc:

@@ -12,12 +12,13 @@ with zero-flux boundaries. One step splits as:
      velocity (chi grad v - xi1 grad w for u; -xi2 grad w for v), plus the
      explicit logistic term for u and the +u source for v;
   2. implicit backward-Euler diffusion: (I - dt lap) u and
-     ((1+dt) I - dt d lap) v -- the -v decay rides the implicit solve;
-  3. a fresh potential solve for w from the updated u, warm-started from the
-     previous w.
+     ((1+dt) I - dt d lap) v -- the -v decay rides the implicit solve. Both
+     operators are diagonal in the DCT-II basis (see elliptic), so each
+     solve is one transform pair with a per-mode multiplier;
+  3. a fresh potential solve for w from the updated u.
 
-The explicit fluxes telescope and the implicit operators annihilate
-constants, so per step, exactly up to solver round-off:
+The explicit fluxes telescope and the implicit multipliers are exactly 1 and
+1/(1+dt) on the constant mode, so per step, exactly up to transform round-off:
     int u(k+1) - int u(k) = dt (a int u(k) - mu int u(k)^(theta+1))
     (1+dt) int v(k+1) = int v(k) + dt int u(k).
 Upwinding keeps u > 0, v >= 0 whenever dt respects stable_dt; the `central`
@@ -30,10 +31,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .elliptic import EllipticConfig, EllipticSolveError, solve_neumann_poisson
+from .elliptic import (
+    EllipticConfig,
+    EllipticSolveError,
+    neumann_eigenvalues,
+    solve_neumann_poisson,
+    spectral_apply,
+)
 from .functionals import DiagnosticsRecord, diagnostics_record
 from .grid import (
     FLOAT_FMT,
@@ -41,7 +46,6 @@ from .grid import (
     Grid,
     divergence_arrays,
     gradient_arrays,
-    neumann_laplacian_matrix,
 )
 
 __all__ = [
@@ -241,21 +245,21 @@ def stable_dt(state: SimState, p: ModelParams, cfg: SolverConfig) -> float:
 
 
 class Stepper:
-    """Holds the per-run factorized implicit operators and advances one dt.
+    """Holds the per-run implicit multipliers and advances one dt.
 
-    The implicit matrices depend only on (grid, dt, d); building them once per
-    run keeps the per-step cost at two triangular solves plus the warm-started
-    potential solve.
+    The implicit operators depend only on (grid, dt, d). In the DCT-II basis
+    they are the per-mode multipliers 1/(1 + dt lambda) for u and
+    1/(1 + dt + dt d lambda) for v, built once per run, so a step costs
+    three transform pairs: two diffusions and the potential solve.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, cfg: SolverConfig):
         self.grid = grid
         self.p = p
         self.cfg = cfg
-        lap = neumann_laplacian_matrix(grid)
-        eye = sp.identity(grid.n_cells, format="csr")
-        self._lu_u = splu((eye - cfg.dt * lap).tocsc())
-        self._lu_v = splu(((1.0 + cfg.dt) * eye - cfg.dt * p.d * lap).tocsc())
+        lam = neumann_eigenvalues(grid)
+        self._mult_u = 1.0 / (1.0 + cfg.dt * lam)
+        self._mult_v = 1.0 / (1.0 + cfg.dt + cfg.dt * p.d * lam)
 
     def _advect(self, carrier: np.ndarray, speeds) -> np.ndarray:
         """div(speed * face value) with upwind or centered face values."""
@@ -290,8 +294,8 @@ class Stepper:
         u_star = u - cfg.dt * self._advect(u, a_u) + cfg.dt * react
         v_star = v - cfg.dt * self._advect(v, a_v) + cfg.dt * u
 
-        u_new = self._lu_u.solve(u_star.ravel()).reshape(grid.cells)
-        v_new = self._lu_v.solve(v_star.ravel()).reshape(grid.cells)
+        u_new = spectral_apply(u_star, self._mult_u)
+        v_new = spectral_apply(v_star, self._mult_v)
 
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
             # hand the non-finite state back; run() classifies it as blow-up
@@ -301,9 +305,7 @@ class Stepper:
                 Field(grid, v_new, validate=False),
                 Field(grid, np.zeros(grid.n_cells), validate=False),
             )
-        w_new, _res, _it = solve_neumann_poisson(
-            grid, u_new - u_new.mean(), cfg.elliptic, x0=state.w.shaped()
-        )
+        w_new, _res, _it = solve_neumann_poisson(grid, u_new - u_new.mean(), cfg.elliptic)
         return SimState(
             state.t + cfg.dt, Field(grid, u_new), Field(grid, v_new), Field(grid, w_new)
         )

@@ -1,177 +1,77 @@
-"""Singular Neumann potential solve and the associated spectral constants.
+"""Zero-flux Laplacian solves in the DCT-II basis, and the spectral constants.
 
-The potential w satisfies -lap w = u - mean(u) with zero normal flux and the
-zero-mean gauge int w = 0. The discrete operator is symmetric positive
-semidefinite with kernel = constants, so the solve runs conjugate gradients
-restricted to the zero-mean subspace: iterate and residual are re-projected
-every iteration (chosen over pinning one cell, which would break symmetry and
-the exact gauge). A factorized (I - lap) preconditioner keeps the iteration
-count near-constant in the mesh size; convergence is declared on the true
-relative L2 residual ||lap w + (u - mean u)|| / ||u - mean u||, recomputed
-outside the recurrence before accepting.
-
-spectral_info computes the smallest nonzero eigenvalue of -lap by inverse
-power iteration on the same subspace; its inverse square root is the sharp
-zero-mean Poincare constant of the discrete operator.
+On a uniform cell-centred box with mirror ghosts the orthonormal DCT-II diagonalizes
+the 3/5-point zero-flux Laplacian: -lap has eigenvalue sum_k (4/h_k^2) sin^2(pi j_k / 2n_k)
+on mode j, exactly 0 on the constant mode. A solve is one transform pair with a per-mode
+multiplier; the potential's is 1/lambda, with 0 on the constant mode for the gauge int w = 0.
 """
-from __future__ import annotations
-
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.fft import dctn, idctn
 
-from .grid import Field, Grid, laplacian_array, neumann_laplacian_matrix
-
-__all__ = ["EllipticConfig", "SpectralInfo", "EllipticSolveError", "solve_w", "spectral_info"]
-
-RESIDUAL_FLOOR = 1e-30  # guards the relative residual when rhs is ~zero
+from .grid import Field, Grid, laplacian_array
 
 
 @dataclass(frozen=True)
 class EllipticConfig:
-    """tolerance: relative residual target; max_iterations: None = 10 * cells."""
-
-    tolerance: float = 1e-10
-    max_iterations: int | None = None
+    tolerance: float = 1e-10  # accepted relative residual of the potential solve
 
     def __post_init__(self):
         if not (0.0 < self.tolerance <= 1e-4):
             raise ValueError(f"tolerance must be in (0, 1e-4], got {self.tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-    def iteration_cap(self, grid: Grid) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 10 * grid.n_cells
 
 
-@dataclass(frozen=True)
-class SpectralInfo:
-    lambda1: float
-    poincare_cp: float
+SpectralInfo = namedtuple("SpectralInfo", "lambda1 poincare_cp")
 
 
 class EllipticSolveError(RuntimeError):
-    def __init__(self, message, achieved_residual, iterations):
-        super().__init__(
-            f"{message} (relative residual {achieved_residual:.3e} after {iterations} iterations)"
-        )
+    def __init__(self, message, achieved_residual):
+        super().__init__(f"{message} (relative residual {achieved_residual:.3e})")
         self.achieved_residual = achieved_residual
-        self.iterations = iterations
 
 
-def _project(arr: np.ndarray) -> None:
-    arr -= arr.mean()
+def neumann_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of -lap per DCT-II mode, shaped like the grid."""
+    axes = [(4.0 / (h * h)) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+            for n, h in zip(grid.cells, grid.spacing)]
+    return axes[0] if grid.dim == 1 else np.add.outer(axes[0], axes[1])
 
 
-_SHIFT_LU_CACHE: dict = {}
+def spectral_apply(vals: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Apply the operator with the given per-mode multiplier to a shaped array."""
+    coeffs = dctn(vals, type=2, norm="ortho") * multiplier
+    return idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
 
 
-def _shifted_inverse(grid: Grid):
-    """Apply (I - lap)^-1, the CG preconditioner, via a cached factorization.
-
-    The unit shift makes the operator definite while staying spectrally within
-    a factor (lambda1 + 1)/lambda1 of -lap on the zero-mean subspace, so the
-    preconditioned iteration converges in a near-constant handful of steps.
-    (I - lap) maps zero-mean vectors to zero-mean vectors, hence its inverse
-    keeps iterates in the solvable complement.
-    """
-    key = (grid.cells, grid.spacing)
-    lu = _SHIFT_LU_CACHE.get(key)
-    if lu is None:
-        mat = sp.identity(grid.n_cells, format="csr") - neumann_laplacian_matrix(grid)
-        lu = splu(mat.tocsc())
-        _SHIFT_LU_CACHE[key] = lu
-    cells = grid.cells
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        z = lu.solve(r.ravel()).reshape(cells)
-        _project(z)
-        return z
-
-    return apply
+@functools.lru_cache(maxsize=8)
+def _pseudo_inverse(grid: Grid) -> np.ndarray:
+    lam = neumann_eigenvalues(grid)
+    mult = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+    mult.flags.writeable = False
+    return mult
 
 
-def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, cfg: EllipticConfig, x0=None):
-    """Solve -lap w = rhs on the zero-mean subspace.
-
-    rhs is a shaped array; it is projected to zero mean first (the system is
-    only solvable there). Returns (w shaped array, relative residual,
-    iterations). Mean-projected CG: x, r live in the zero-mean subspace and
-    are re-projected each iteration to cancel round-off drift.
-    """
-    spacing = grid.spacing
-    b = np.array(rhs, dtype=np.float64)
-    _project(b)
-    bnorm = math.sqrt(float(np.sum(b * b)))
-    if bnorm == 0.0:
+def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, cfg: EllipticConfig):
+    """-lap w = rhs - mean(rhs), int w = 0 -> (w, relative residual, transform pairs).
+    w is accepted only on the recomputed true residual; a miss raises at once."""
+    b = np.asarray(rhs, dtype=np.float64) - np.mean(rhs)
+    if not np.any(b):
         return np.zeros_like(b), 0.0, 0
-
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        _project(x)
-        r = b + laplacian_array(x, spacing)
-        _project(r)
-
-    solve_shift = _shifted_inverse(grid)
-    tol_abs = cfg.tolerance * bnorm
-    it = 0
-    cap = cfg.iteration_cap(grid)
-    while True:
-        # inner PCG cycle; aim below target since the recurrence residual
-        # drifts from the true one near round-off
-        z = solve_shift(r)
-        p = z.copy()
-        rs = float(np.sum(r * r))
-        rz = float(np.sum(r * z))
-        stalled = False
-        while math.sqrt(rs) > 0.5 * tol_abs and it < cap:
-            ap = -laplacian_array(p, spacing)
-            denom = float(np.sum(p * ap))
-            if denom <= 0.0 or rz <= 0.0:
-                stalled = True  # search directions numerically exhausted
-                break
-            alpha = rz / denom
-            x += alpha * p
-            r -= alpha * ap
-            _project(x)
-            _project(r)
-            z = solve_shift(r)
-            rz_new = float(np.sum(r * z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-            rs = float(np.sum(r * r))
-            it += 1
-        # accept only on the recomputed true residual
-        r = b + laplacian_array(x, spacing)
-        _project(r)
-        res = math.sqrt(float(np.sum(r * r))) / bnorm
-        if res <= cfg.tolerance:
-            return x, res, it
-        if stalled:
-            raise EllipticSolveError("potential solve stagnated", res, it)
-        if it >= cap:
-            raise EllipticSolveError("potential solve did not converge", res, it)
+    w = spectral_apply(b, _pseudo_inverse(grid))
+    w -= w.mean()
+    res = elliptic_residual(b, w, grid)
+    if res > cfg.tolerance:
+        raise EllipticSolveError(f"potential solve missed tolerance {cfg.tolerance:.1e}", res)
+    return w, res, 1
 
 
-def solve_w(u: Field, cfg: EllipticConfig = EllipticConfig(), x0: Field | None = None) -> Field:
-    """Potential of the cell-density deviation: -lap w = u - mean(u), int w = 0.
-
-    x0 warm-starts the iteration (same arithmetic path, better initial guess);
-    callers stepping in time pass the previous potential.
-    """
-    grid = u.grid
-    rhs = u.shaped() - float(u.values.mean())
-    guess = x0.shaped() if x0 is not None else None
-    w, _res, _it = solve_neumann_poisson(grid, rhs, cfg, x0=guess)
-    return Field(grid, w)
+def solve_w(u: Field, cfg: EllipticConfig = EllipticConfig()) -> Field:
+    """Potential of the cell-density deviation: -lap w = u - mean(u), int w = 0."""
+    return Field(u.grid, solve_neumann_poisson(u.grid, u.shaped(), cfg)[0])
 
 
 def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> float:
@@ -179,38 +79,11 @@ def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> flo
     rhs = u_vals.reshape(grid.cells) - float(u_vals.mean())
     r = laplacian_array(w_vals.reshape(grid.cells), grid.spacing) + rhs
     r -= r.mean()  # zero in exact arithmetic; kills the round-off constant
-    num = math.sqrt(float(np.sum(r * r)))
-    den = max(math.sqrt(float(np.sum(rhs * rhs))), RESIDUAL_FLOOR)
-    return num / den
+    return math.sqrt(float(np.sum(r * r)) / max(float(np.sum(rhs * rhs)), 1e-60))  # rhs ~ 0 guard
 
 
-def spectral_info(grid: Grid, cfg: EllipticConfig = EllipticConfig()) -> SpectralInfo:
-    """Smallest nonzero eigenvalue of -lap and the sharp Poincare constant.
-
-    Inverse power iteration restricted to zero-mean vectors; each inverse
-    apply is one projected-CG solve. The start vector is a tilted coordinate
-    ramp, which overlaps the lowest mode on any box (degenerate lowest pairs
-    are fine: any vector in the eigenspace yields the same eigenvalue).
-    """
-    coords = grid.cell_coordinates()
-    y = np.array(coords[0], dtype=np.float64)
-    if grid.dim == 2:
-        y = y + 0.3737 * coords[1]
-    y = y.reshape(grid.cells)
-    _project(y)
-    y /= math.sqrt(float(np.sum(y * y)))
-
-    lam = 0.0
-    x0 = None
-    for _ in range(100):
-        z, _res, _it = solve_neumann_poisson(grid, y, cfg, x0=x0)
-        znorm = math.sqrt(float(np.sum(z * z)))
-        z /= znorm
-        az = -laplacian_array(z, grid.spacing)
-        lam = float(np.sum(z * az))
-        eig_res = math.sqrt(float(np.sum((az - lam * z) ** 2)))
-        if eig_res <= 1e-8 * lam:
-            return SpectralInfo(lam, lam ** -0.5)
-        x0 = z / lam  # warm start: z is near the eigvector, A^-1 z ~= z/lam
-        y = z
-    raise EllipticSolveError("inverse iteration did not converge", eig_res / lam, 100)
+def spectral_info(grid: Grid) -> SpectralInfo:
+    """lambda1 = min_k (4/h_k^2) sin^2(pi/2n_k) and the sharp Poincare constant."""
+    lam = min(4.0 / (h * h) * math.sin(math.pi / (2 * n)) ** 2
+              for n, h in zip(grid.cells, grid.spacing))
+    return SpectralInfo(lam, lam ** -0.5)

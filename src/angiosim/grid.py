@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -30,7 +29,6 @@ __all__ = [
     "integrate",
     "mean",
     "lp_norm",
-    "neumann_laplacian_matrix",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -215,23 +213,6 @@ def divergence(flux: FaceFlux) -> Field:
     return Field(
         g, divergence_arrays(flux.axis_fluxes, g.spacing, g.cells)
     )
-
-
-def neumann_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """Sparse matrix form of `laplacian` (flattened ordering), for callers
-    that factorize or shift the operator."""
-    mats = []
-    for n, h in zip(grid.cells, grid.spacing):
-        main = -2.0 * np.ones(n)
-        main[0] = -1.0  # mirror ghost: boundary row loses one neighbor
-        main[-1] = -1.0
-        off = np.ones(n - 1)
-        mats.append(sp.diags([off, main, off], [-1, 0, 1]) / (h * h))
-    if grid.dim == 1:
-        return mats[0].tocsr()
-    eye0 = sp.identity(grid.cells[0])
-    eye1 = sp.identity(grid.cells[1])
-    return (sp.kron(mats[0], eye1) + sp.kron(eye0, mats[1])).tocsr()
 
 
 def integrate(f: Field) -> float:

@@ -2,7 +2,7 @@
 
 Everything here is deterministic for a fixed config and seed: output files
 carry no timestamps, floats serialize at 17 significant digits, sweep rows
-are emitted in lexicographic axis order regardless of worker scheduling.
+are emitted in axis declaration order regardless of worker scheduling.
 
 Exit codes (shared with the CLI): 0 success, 1 usage/config error, 2 blow-up
 detected, 3 numerical failure (stability violation or solver breakdown).
@@ -13,12 +13,13 @@ import concurrent.futures
 import itertools
 import math
 import os
+import sys
 
 import numpy as np
 
 from .config import ScenarioConfig, SweepSpec, scenario_with_overrides
 from .dynamics import Trajectory, make_initial, run, write_trajectory_csv
-from .elliptic import elliptic_residual, solve_w, spectral_info
+from .elliptic import EllipticSolveError, elliptic_residual, solve_w, spectral_info
 from .functionals import (
     TRAJECTORY_COLUMNS,
     entropy_sandwich_check,
@@ -178,8 +179,12 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Run one scenario, write trajectory/thresholds/summary files, map the
     termination reason onto the exit code."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    initial = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic)
-    spec = spectral_info(cfg.grid, cfg.solver.elliptic)
+    try:
+        initial = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic)
+    except EllipticSolveError as exc:
+        print(f"numerical failure in the initial potential solve: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    spec = spectral_info(cfg.grid)
     traj = run(initial, cfg.params, cfg.solver)
 
     write_trajectory_csv(traj, os.path.join(cfg.out_dir, "trajectory.csv"))
@@ -218,7 +223,7 @@ def _sweep_row(args):
         try:
             idx = TRAJECTORY_COLUMNS.index(fit_column)
             series = [(r.t, r.csv_values()[idx]) for r in traj.records]
-            fit = fit_decay_rate(series, _default_window(series))
+            fit = fit_decay_rate(series, cfg.fit_window or _default_window(series))
             row["fitted_rate"] = fit.rate
             row["fitted_r_squared"] = fit.r_squared
         except ValueError:

@@ -96,6 +96,7 @@ def test_fit_window_pair(tmp_path):
     ("", "missing required key 'preset'"),
     ("preset = bogus\n", "unknown preset"),
     ("preset = custom\nwhatever = 3\n", "unknown key"),
+    ("preset = custom\nsolver.elliptic_max_iterations = 5\n", "unknown key"),
     ("preset = custom\nseed = 1\nseed = 2\n", "duplicate key"),
     ("preset = custom\njust words\n", "expected 'key = value'"),
     ("preset = custom\nsolver.dt = fast\n", "not a number"),
@@ -233,6 +234,23 @@ def test_cli_run_step_failure_exit_code(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "f"), "--quiet"]) == 3
 
 
+def test_cli_run_initial_solve_failure_exit_code(tmp_path):
+    # at 16384 cells the potential's float64 residual (about 1e-8) misses
+    # the 1e-10 gate already in the initial state
+    cfg = write_cfg(tmp_path, """
+        preset = custom
+        grid.cells = 16384
+        solver.t_end = 0.01
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-m", "angiosim.cli", "run", cfg, "--out", str(tmp_path / "fine")],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "relative residual" in lines[0]
+
+
 def test_cli_run_config_error_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "preset = custom\nparams.d = 0\n")
     assert main(["run", cfg]) == 1
@@ -280,6 +298,35 @@ def test_cli_sweep_seed_override(tmp_path):
     assert a != (tmp_path / "s8" / "sweep.csv").read_bytes()
     assert b"error" in a.splitlines()[0]
     assert all(row.endswith(b",") for row in a.splitlines()[1:])
+
+
+def test_cli_sweep_honours_fit_window(tmp_path):
+    base = textwrap.dedent("""
+        preset = custom
+        grid.cells = 32
+        solver.dt = 0.001
+        solver.t_end = 0.05
+        solver.record_every = 1
+        init.profile = random_positive
+        init.amplitude = 0.3
+    """)
+    window = "fit.window_start = 0.01\nfit.window_end = 0.03\n"
+    run_cfg = write_cfg(tmp_path, base + window, name="run.cfg")
+    sweep_cfg = write_cfg(tmp_path, base + window + "sweep.params.chi = 0.5\n", name="sweep.cfg")
+    auto_cfg = write_cfg(tmp_path, base + "sweep.params.chi = 0.5\n", name="auto.cfg")
+    assert main(["run", run_cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    assert main(["sweep", sweep_cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    assert main(["sweep", auto_cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    summary = dict(line.split(" = ", 1)
+                   for line in (tmp_path / "r" / "summary.txt").read_text().splitlines())
+
+    def sweep_rate(tag):
+        header, row = (tmp_path / tag / "sweep.csv").read_text().splitlines()
+        return dict(zip(header.split(","), row.split(",")))["fitted_rate"]
+
+    assert summary["fitted_window"] == "0.01:0.029999999999999999"
+    assert sweep_rate("s") == summary["fitted_rate"]
+    assert sweep_rate("a") != summary["fitted_rate"]  # the window matters here
 
 
 def test_cli_sweep_on_plain_config_fails(tmp_path, capsys):
@@ -355,6 +402,15 @@ def test_cli_fit_missing_file(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # installed entry point
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, angiosim.cli; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def test_console_script_usage_error():
     proc = subprocess.run([sys.executable, "-m", "angiosim.cli", "run", "/no/such.cfg"],

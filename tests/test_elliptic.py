@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+from angiosim.dynamics import ModelParams, SimState, SolverConfig, Stepper
 from angiosim.elliptic import (
     EllipticConfig,
     EllipticSolveError,
     elliptic_residual,
+    neumann_eigenvalues,
     solve_neumann_poisson,
     solve_w,
     spectral_info,
@@ -35,11 +39,6 @@ def test_config_validation():
         EllipticConfig(tolerance=0.1)
     with pytest.raises(ValueError, match="tolerance"):
         EllipticConfig(tolerance=0.0)
-    with pytest.raises(ValueError, match="max_iterations"):
-        EllipticConfig(max_iterations=0)
-    g = build_grid(1, 1.0, 64)
-    assert EllipticConfig().iteration_cap(g) == 640
-    assert EllipticConfig(max_iterations=7).iteration_cap(g) == 7
 
 
 def test_cosine_mode_has_explicit_potential():
@@ -80,23 +79,16 @@ def test_solve_is_linear():
     assert np.max(np.abs(w_combo.values - w_sum)) <= 1e-8
 
 
-def test_warm_start_agrees_with_cold_start():
+def test_missed_tolerance_raises_at_once_with_residual():
+    # a 1e-17 tolerance is below float64's reach: the single transform pair
+    # misses, and the error reports exactly the residual that pair achieved
     g = build_grid(1, 1.0, 128)
-    u = random_positive_field(g, 9)
-    cold = solve_w(u, CFG)
-    nudged = Field(g, u.values * 1.001)
-    warm = solve_w(nudged, CFG, x0=cold)
-    again = solve_w(nudged, CFG)
-    assert np.max(np.abs(warm.values - again.values)) <= 1e-9
-
-
-def test_iteration_cap_raises_with_achieved_residual():
-    g = build_grid(1, 1.0, 128)
-    u = random_positive_field(g, 5)
-    with pytest.raises(EllipticSolveError) as err:
-        solve_w(u, EllipticConfig(max_iterations=2))
-    assert err.value.achieved_residual > 1e-10
-    assert err.value.iterations <= 2
+    rhs = random_positive_field(g, 5).values
+    _w, achieved, passes = solve_neumann_poisson(g, rhs, EllipticConfig(tolerance=1e-4))
+    assert passes == 1
+    with pytest.raises(EllipticSolveError, match="relative residual") as err:
+        solve_neumann_poisson(g, rhs, EllipticConfig(tolerance=1e-17))
+    assert err.value.achieved_residual == achieved > 1e-17
 
 
 def test_zero_rhs_short_circuits():
@@ -110,9 +102,9 @@ def test_zero_rhs_short_circuits():
 
 def test_lambda1_interval_matches_continuum_and_dispersion():
     g = build_grid(1, 1.0, 256)
-    info = spectral_info(g, CFG)
+    info = spectral_info(g)
     assert abs(info.lambda1 - np.pi**2) / np.pi**2 <= 1e-3
-    # the iteration should land on the discrete eigenvalue, not the continuum
+    # the closed form is the discrete eigenvalue, not the continuum one
     n, h = 256, 1.0 / 256
     discrete = 2.0 / h**2 * (1.0 - np.cos(np.pi * h))
     assert abs(info.lambda1 - discrete) / discrete <= 1e-6
@@ -121,13 +113,13 @@ def test_lambda1_interval_matches_continuum_and_dispersion():
 
 def test_lambda1_rectangle_longest_axis_mode():
     g = build_grid(2, [1.0, 2.0], [32, 64])
-    info = spectral_info(g, CFG)
+    info = spectral_info(g)
     assert abs(info.lambda1 - (np.pi / 2.0) ** 2) / (np.pi / 2.0) ** 2 <= 2e-3
 
 
 def test_lambda1_square_degenerate_pair():
     g = build_grid(2, 1.0, (48, 48))
-    info = spectral_info(g, CFG)
+    info = spectral_info(g)
     assert abs(info.lambda1 - np.pi**2) / np.pi**2 <= 2e-3
 
 
@@ -135,7 +127,7 @@ def test_discrete_poincare_on_random_fields():
     # ||f||_2 <= (cp + 3h) ||grad f||_2 for zero-mean f; 500 draws
     for dim, cells, n_draws, seed in ((1, 128, 250, 10), (2, (32, 32), 250, 11)):
         g = build_grid(dim, 1.0, cells)
-        info = spectral_info(g, CFG)
+        info = spectral_info(g)
         bound = info.poincare_cp + 3.0 * g.max_spacing
         rng = np.random.default_rng(seed)
         for _ in range(n_draws):
@@ -150,7 +142,7 @@ def test_discrete_poincare_on_random_fields():
 def test_potential_gradient_and_laplacian_bounds():
     # ||grad w|| <= C_p ||u - b|| and ||lap w|| <= ||u - b|| for b = mean, 1
     g = build_grid(1, 1.0, 128)
-    info = spectral_info(g, CFG)
+    info = spectral_info(g)
     cp = info.poincare_cp + 3.0 * g.max_spacing
     for seed in range(6):
         u = random_positive_field(g, 100 + seed)
@@ -162,3 +154,79 @@ def test_potential_gradient_and_laplacian_bounds():
             dev = lp_norm(Field(g, u.values - b), 2)
             assert gw <= cp * dev * (1.0 + 1e-9) + 1e-12
             assert lw <= dev * (1.0 + 1e-9) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the DCT-II operator against an assembled sparse matrix
+
+def neumann_laplacian_matrix(grid):
+    """Sparse matrix form of `laplacian` (flattened row-major ordering)."""
+    mats = []
+    for n, h in zip(grid.cells, grid.spacing):
+        main = -2.0 * np.ones(n)
+        main[0] = -1.0  # mirror ghost: boundary row loses one neighbor
+        main[-1] = -1.0
+        off = np.ones(n - 1)
+        mats.append(sp.diags([off, main, off], [-1, 0, 1]) / (h * h))
+    if grid.dim == 1:
+        return mats[0].tocsc()
+    eye0 = sp.identity(grid.cells[0])
+    eye1 = sp.identity(grid.cells[1])
+    return (sp.kron(mats[0], eye1) + sp.kron(eye0, mats[1])).tocsc()
+
+
+ORACLE_GRIDS = [
+    build_grid(1, 1.0, 4),
+    build_grid(1, 1.0, 7),
+    build_grid(2, (1.0, 2.0), (5, 7)),
+]
+
+
+@pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+def test_eigenvalues_match_matrix_spectrum(g):
+    lap = neumann_laplacian_matrix(g).toarray()
+    dense = np.sort(np.linalg.eigvalsh(-lap))
+    lam = neumann_eigenvalues(g)
+    assert lam.shape == g.cells and lam.flat[0] == 0.0
+    assert np.allclose(np.sort(lam.ravel()), dense, rtol=0.0, atol=1e-12 * dense[-1])
+    assert spectral_info(g).lambda1 == pytest.approx(dense[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+def test_potential_solve_matches_sparse_oracle(g):
+    u = random_positive_field(g, 21)
+    rhs = u.values - u.values.mean()
+    # -lap + (1/N) 11^T is nonsingular and maps zero-mean w to -lap w
+    oracle = spsolve(sp.csc_matrix(-neumann_laplacian_matrix(g).toarray() + 1.0 / g.n_cells), rhs)
+    w = solve_w(u, CFG)
+    assert np.max(np.abs(w.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert elliptic_residual(u.values, w.values, g) <= 1e-12
+    assert abs(integrate(w)) <= 1e-14 * max(1.0, lp_norm(w, math.inf))
+
+
+@pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+def test_implicit_diffusions_match_sparse_oracle(g):
+    # with every coupling and the reaction off, one step is exactly
+    # u1 = (I - dt lap)^-1 u0 and v1 = ((1+dt) I - dt d lap)^-1 (v0 + dt u0)
+    dt, d = 0.05, 0.7
+    p = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=d, a=0.0, mu=0.0, theta=1.0, n_dim=g.dim)
+    u0 = random_positive_field(g, 31)
+    v0 = random_positive_field(g, 32)
+    state = SimState(0.0, u0, v0, solve_w(u0, CFG))
+    out = Stepper(g, p, SolverConfig(dt=dt, t_end=1.0)).step(state)
+
+    lap = neumann_laplacian_matrix(g)
+    eye = sp.identity(g.n_cells, format="csc")
+    u_ref = spsolve((eye - dt * lap).tocsc(), u0.values)
+    v_ref = spsolve(((1.0 + dt) * eye - dt * d * lap).tocsc(), v0.values + dt * u0.values)
+    assert np.max(np.abs(out.u.values - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    assert np.max(np.abs(out.v.values - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+
+
+def test_zero_mode_multipliers_are_exact():
+    dt = 0.013
+    for g in ORACLE_GRIDS:
+        p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=2.5, a=0.0, mu=0.0, theta=1.0, n_dim=g.dim)
+        stepper = Stepper(g, p, SolverConfig(dt=dt, t_end=1.0))
+        assert stepper._mult_u.flat[0] == 1.0
+        assert stepper._mult_v.flat[0] == 1.0 / (1.0 + dt)
