@@ -55,8 +55,8 @@ from .dynamics import (
     Trajectory,
     make_initial,
     run,
+    run_ensemble,
     stable_dt,
-    step,
     write_trajectory_csv,
 )
 from .thresholds import (

@@ -7,8 +7,8 @@ Subcommands:
     fit <csv>        log-linear decay-rate fit on a trajectory column
 
 Exit codes: 0 ok, 1 usage or config error, 2 blow-up detected, 3 numerical
-failure (failed initial potential solve, failed step or failed verification
-case).
+failure (invalid initial state, failed initial potential solve, failed step or
+failed verification case).
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 if args.seed < 0:
                     raise ConfigError("--seed must be >= 0")
-                spec.base_keys["seed"] = (str(args.seed), 0)
-                spec = replace(spec, base=replace(
-                    spec.base, seed=args.seed,
-                    initial=replace(spec.base.initial, seed=args.seed)))
+                spec = replace(
+                    spec, base_keys={**spec.base_keys, "seed": (str(args.seed), 0)},
+                    base=replace(spec.base, seed=args.seed,
+                                 initial=replace(spec.base.initial, seed=args.seed)))
             out_dir = args.out if args.out is not None else spec.base.out_dir
             return run_sweep(spec, out_dir, quiet=args.quiet)
 

@@ -108,7 +108,7 @@ _PRESET_OVERRIDES = {
     "custom": {},
 }
 
-_SWEEP_DEFAULTS = {"sweep.max_parallel": "1", "sweep.max_points": "256"}
+_SWEEP_DEFAULTS = {"sweep.max_points": "256"}
 
 _KNOWN_KEYS = {"preset", *_BASE_DEFAULTS}
 
@@ -133,7 +133,6 @@ class ScenarioConfig:
 class SweepSpec:
     base: ScenarioConfig
     axes: tuple[tuple[str, tuple[float, ...]], ...]
-    max_parallel: int = 1
     max_points: int = 256
     base_keys: dict = field(default_factory=dict, compare=False)
 
@@ -342,7 +341,6 @@ def parse_sweep(path) -> SweepSpec:
     """Parse a sweep file: a scenario plus sweep.<param> = v1, v2, ... axes."""
     kv = _read_kv(path)
     axes = []
-    max_parallel = int(_SWEEP_DEFAULTS["sweep.max_parallel"])
     max_points = int(_SWEEP_DEFAULTS["sweep.max_points"])
     scenario_kv = {}
     for key, (raw, ln) in kv.items():
@@ -351,7 +349,9 @@ def parse_sweep(path) -> SweepSpec:
             continue
         target = key[len("sweep."):]
         if target == "max_parallel":
-            max_parallel = _want_int(kv, key, minimum=1)
+            # accepted for older configs and ignored: a sweep runs as batched
+            # ensembles in one process
+            _want_int(kv, key, minimum=1)
         elif target == "max_points":
             max_points = _want_int(kv, key, minimum=1)
         elif target.startswith(_SWEEPABLE_PREFIXES) and target in _KNOWN_KEYS:
@@ -369,7 +369,7 @@ def parse_sweep(path) -> SweepSpec:
             f"{path}: sweep has {n_points} points, above the cap {max_points}"
         )
     base = _build_scenario(dict(scenario_kv), path)
-    return SweepSpec(base, tuple(axes), max_parallel, max_points, dict(scenario_kv))
+    return SweepSpec(base, tuple(axes), max_points, dict(scenario_kv))
 
 
 def scenario_with_overrides(base_keys: dict, overrides: dict[str, float], path="<sweep>") -> ScenarioConfig:

@@ -24,17 +24,25 @@ The explicit fluxes telescope and the implicit multipliers are exactly 1 and
 Upwinding keeps u > 0, v >= 0 whenever dt respects stable_dt; the `central`
 flux scheme trades that guarantee for second-order spatial accuracy and is
 meant for smooth short-time order studies only.
+
+There is one time loop, run_ensemble. It advances B members that share a grid
+and a SolverConfig as (B, *cells) arrays, with the model parameters as
+per-member columns, so a sweep steps all its points together. Every operation
+is row by row, so each member's trajectory is byte-identical to a run of its
+own; run is the B = 1 case.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import (
     EllipticConfig,
     EllipticSolveError,
+    grid_axes,
+    grid_mean,
     neumann_eigenvalues,
     solve_neumann_poisson,
     spectral_apply,
@@ -58,8 +66,8 @@ __all__ = [
     "Stepper",
     "make_initial",
     "stable_dt",
-    "step",
     "run",
+    "run_ensemble",
     "write_trajectory_csv",
 ]
 
@@ -165,7 +173,12 @@ class Trajectory:
 
 
 class StepFailure(RuntimeError):
-    pass
+    """Members of a batch that could not take a step: reasons maps each one's
+    batch row to why."""
+
+    def __init__(self, reasons: dict[int, str]):
+        super().__init__("; ".join(reasons.values()))
+        self.reasons = reasons
 
 
 def _profile_values(grid: Grid, profile: str, base: float, amp: float, rng) -> np.ndarray:
@@ -216,60 +229,87 @@ def make_initial(grid: Grid, spec: InitialSpec, elliptic: EllipticConfig = Ellip
     return SimState(0.0, u, Field(grid, v_vals), Field(grid, w_arr))
 
 
-def _face_speeds(state: SimState, p: ModelParams):
-    """Per-axis interior-face transport speeds for u and v (shaped arrays)."""
-    spacing = state.u.grid.spacing
-    gv = gradient_arrays(state.v.shaped(), spacing)
-    gw = gradient_arrays(state.w.shaped(), spacing)
-    a_u = [p.chi * a - p.xi1 * b for a, b in zip(gv, gw)]
-    a_v = [-p.xi2 * b for b in gw]
+def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2):
+    """Per-axis interior-face transport speeds for u and v of a batch; the
+    couplings are (B, 1[, 1]) columns."""
+    gv = gradient_arrays(v, grid.spacing)
+    gw = gradient_arrays(w, grid.spacing)
+    a_u = [chi * a - xi1 * b for a, b in zip(gv, gw)]
+    a_v = [-xi2 * b for b in gw]
     return a_u, a_v
 
 
-def stable_dt(state: SimState, p: ModelParams, cfg: SolverConfig) -> float:
-    """cfl_safety * min(face CFL per axis, reaction bound, factor-source bound).
+def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> np.ndarray:
+    """Per member: cfl_safety * min(face CFL per axis, reaction bound, factor-source bound).
 
-    Face CFL is h / max|speed| per axis over both transported species; the
-    reaction bound 1/(a + mu ||u||_inf^theta + 1) keeps the explicit logistic
-    update positive; the factor-source bound is 1.
+    u is a (B, *cells) batch, params holds one ModelParams per member and
+    speeds are the batch's face speeds from _face_speeds. Face CFL is
+    h / max|speed| per axis over both transported species; the reaction bound
+    1/(a + mu ||u||_inf^theta + 1) keeps the explicit logistic update positive;
+    the factor-source bound is 1.
     """
-    a_u, a_v = _face_speeds(state, p)
-    bound = 1.0  # v-source bound
-    umax = float(np.max(state.u.values))
-    bound = min(bound, 1.0 / (p.a + p.mu * max(umax, 0.0) ** p.theta + 1.0))
-    for k, h in enumerate(state.u.grid.spacing):
-        smax = max(float(np.max(np.abs(a_u[k]))), float(np.max(np.abs(a_v[k]))))
-        if smax > 0.0:
-            bound = min(bound, h / smax)
+    axes = grid_axes(grid)
+    # reaction bound in float arithmetic, member by member, capped by the v-source bound
+    bound = np.array([
+        min(1.0, 1.0 / (p.a + p.mu * max(umax, 0.0) ** p.theta + 1.0))
+        for p, umax in zip(params, u.max(axis=axes).tolist())
+    ])
+    for h, a_u, a_v in zip(grid.spacing, *speeds):
+        smax = np.maximum(np.abs(a_u).max(axis=axes), np.abs(a_v).max(axis=axes))
+        cfl = np.divide(h, smax, out=np.full_like(smax, np.inf), where=smax > 0.0)
+        bound = np.minimum(bound, cfl)
     return cfg.cfl_safety * bound
 
 
 class Stepper:
-    """Holds the per-run implicit multipliers and advances one dt.
+    """Advances a batch of B members that share a grid and a SolverConfig.
 
-    The implicit operators depend only on (grid, dt, d). In the DCT-II basis
-    they are the per-mode multipliers 1/(1 + dt lambda) for u and
-    1/(1 + dt + dt d lambda) for v, built once per run, so a step costs
-    three transform pairs: two diffusions and the potential solve.
+    The state is three (B, *cells) arrays u, v, w, and each member has its own
+    ModelParams, held as (B, 1[, 1]) columns. The implicit operators are
+    diagonal in the DCT-II basis: u takes the shared multiplier
+    1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda). A step
+    costs three batched transform pairs: two diffusions and the potential
+    solve. Every operation is row by row, so a member gets the same numbers
+    whatever else is in the batch.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, cfg: SolverConfig):
+    def __init__(self, grid: Grid, params, cfg: SolverConfig):
         self.grid = grid
-        self.p = p
         self.cfg = cfg
-        lam = neumann_eigenvalues(grid)
-        self._mult_u = 1.0 / (1.0 + cfg.dt * lam)
-        self._mult_v = 1.0 / (1.0 + cfg.dt + cfg.dt * p.d * lam)
+        self._lam = neumann_eigenvalues(grid)
+        self._mult_u = 1.0 / (1.0 + cfg.dt * self._lam)
+        self._set_params(params)
+
+    def _set_params(self, params):
+        self.params = tuple(params)
+        column = (len(self.params),) + (1,) * self.grid.dim
+        names = ("chi", "xi1", "xi2", "a", "mu")
+        cols = [[getattr(p, name) for p in self.params] for name in names]
+        self._cols = np.array(cols).reshape((5,) + column)
+        d = np.array([p.d for p in self.params]).reshape(column)
+        self._mult_v = 1.0 / (1.0 + self.cfg.dt + self.cfg.dt * d * self._lam)
+        # members with a logistic term, by exponent: u^theta keeps a scalar
+        # exponent, as for a member on its own
+        growth = {}
+        for row, p in enumerate(self.params):
+            if p.a or p.mu:
+                growth.setdefault(p.theta, []).append(row)
+        self._growth = [(rows, theta) for theta, rows in growth.items()]
+
+    def keep(self, rows):
+        """Keep only the members in the given batch rows, in that order."""
+        self._set_params([self.params[r] for r in rows])
 
     def _advect(self, carrier: np.ndarray, speeds) -> np.ndarray:
         """div(speed * face value) with upwind or centered face values."""
         grid = self.grid
+        lead = carrier.ndim - grid.dim
         fluxes = []
         for k, a in enumerate(speeds):
-            lo = [slice(None)] * grid.dim
-            hi = [slice(None)] * grid.dim
-            lo[k] = slice(0, -1)
-            hi[k] = slice(1, None)
+            lo = [slice(None)] * carrier.ndim
+            hi = [slice(None)] * carrier.ndim
+            lo[lead + k] = slice(0, -1)
+            hi[lead + k] = slice(1, None)
             c_lo = carrier[tuple(lo)]
             c_hi = carrier[tuple(hi)]
             if self.cfg.flux_scheme == "upwind":
@@ -277,92 +317,166 @@ class Stepper:
             else:
                 face = 0.5 * (c_lo + c_hi)
             fluxes.append(a * face)
-        return divergence_arrays(fluxes, grid.spacing, grid.cells)
+        return divergence_arrays(fluxes, grid.spacing, carrier.shape)
 
-    def step(self, state: SimState) -> SimState:
-        p, cfg, grid = self.p, self.cfg, self.grid
-        bound = stable_dt(state, p, cfg)
-        if cfg.dt > bound:
-            raise StepFailure(
-                f"dt={cfg.dt:.3e} exceeds stability bound {bound:.3e} at t={state.t:.6g}"
-            )
-        u = state.u.shaped()
-        v = state.v.shaped()
-        a_u, a_v = _face_speeds(state, p)
+    def _reaction(self, u: np.ndarray):
+        """u (a - mu u^theta) per member; exactly 0 for members without growth."""
+        if not self._growth:
+            return 0.0
+        a, mu = self._cols[3], self._cols[4]
+        if len(self._growth) == 1 and len(self._growth[0][0]) == len(u):
+            theta = self._growth[0][1]
+            return u * (a - mu * u ** theta)
+        react = np.zeros_like(u)
+        for rows, theta in self._growth:
+            ur = u[rows]
+            react[rows] = ur * (a[rows] - mu[rows] * ur ** theta)
+        return react
 
-        react = u * (p.a - p.mu * u ** p.theta) if (p.a or p.mu) else 0.0
-        u_star = u - cfg.dt * self._advect(u, a_u) + cfg.dt * react
+    def _transport(self, t: float, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+        """Stability check, explicit advection and reaction, implicit diffusion."""
+        cfg, grid = self.cfg, self.grid
+        a_u, a_v = speeds = _face_speeds(grid, v, w, *self._cols[:3])
+        bound = stable_dt(grid, u, speeds, self.params, cfg)
+        unstable = np.flatnonzero(cfg.dt > bound)
+        if unstable.size:
+            raise StepFailure({
+                int(r): f"dt={cfg.dt:.3e} exceeds stability bound {bound[r]:.3e} at t={t:.6g}"
+                for r in unstable
+            })
+        u_star = u - cfg.dt * self._advect(u, a_u) + cfg.dt * self._reaction(u)
         v_star = v - cfg.dt * self._advect(v, a_v) + cfg.dt * u
+        axes = grid_axes(grid)
+        return (spectral_apply(u_star, self._mult_u, axes),
+                spectral_apply(v_star, self._mult_v, axes))
 
-        u_new = spectral_apply(u_star, self._mult_u)
-        v_new = spectral_apply(v_star, self._mult_v)
+    def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """w solved from each member's u; 0 for members gone non-finite, which
+        the caller classifies as blown up."""
+        axes = grid_axes(self.grid)
+        finite = np.isfinite(u).all(axis=axes) & np.isfinite(v).all(axis=axes)
+        if not finite.all():  # a zero row solves to w = 0
+            u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
+        try:
+            w, _res, _it = solve_neumann_poisson(
+                self.grid, u - grid_mean(u, self.grid), self.cfg.elliptic)
+        except EllipticSolveError as exc:
+            missed = np.flatnonzero(exc.residuals > exc.tolerance)
+            raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc
+        return w
 
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-            # hand the non-finite state back; run() classifies it as blow-up
-            return SimState(
-                state.t + cfg.dt,
-                Field(grid, u_new, validate=False),
-                Field(grid, v_new, validate=False),
-                Field(grid, np.zeros(grid.n_cells), validate=False),
-            )
-        w_new, _res, _it = solve_neumann_poisson(grid, u_new - u_new.mean(), cfg.elliptic)
-        return SimState(
-            state.t + cfg.dt, Field(grid, u_new), Field(grid, v_new), Field(grid, w_new)
-        )
+    def step(self, t: float, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+        """Advance every member one dt from time t -> new (u, v, w) batch.
+
+        Raises StepFailure naming the rows that exceed their stability bound
+        or miss the potential-solve tolerance; the other rows are unaffected,
+        and the caller steps them again without the failed ones.
+        """
+        u_new, v_new = self._transport(t, u, v, w)
+        return u_new, v_new, self._potential(u_new, v_new)
 
 
-def step(state: SimState, p: ModelParams, cfg: SolverConfig) -> SimState:
-    """Advance one dt (one-shot; run() reuses a Stepper for whole runs)."""
-    return Stepper(state.u.grid, p, cfg).step(state)
+def _member_state(grid: Grid, t: float, batch, row: int, validate: bool = True) -> SimState:
+    """One row of a (u, v, w) batch as a SimState; validate=False keeps a
+    non-finite blow-up."""
+    return SimState(t, *(Field(grid, a[row], validate=validate) for a in batch))
+
+
+def _ended_rows(u: np.ndarray, v: np.ndarray, axes, t: float, cfg: SolverConfig) -> dict:
+    """Rows that blew up (non-finite, or ||u||_inf above threshold) or, under
+    upwinding, lost positivity -> {row: (termination reason, detail)}."""
+    ended = {}
+    extremes = (a.tolist() for a in (u.max(axis=axes), u.min(axis=axes),
+                                     v.max(axis=axes), v.min(axis=axes)))
+    # max and min propagate nan and reach any inf, so they tell finiteness too
+    for row, (umax, umin, vmax, vmin) in enumerate(zip(*extremes)):
+        if not all(map(math.isfinite, (umax, umin, vmax, vmin))) \
+                or max(umax, -umin) > cfg.blowup_threshold:
+            ended[row] = ("blowup_detected",
+                          f"||u||_inf beyond {cfg.blowup_threshold:g} at t={t:.6g}")
+        elif cfg.flux_scheme == "upwind" and (umin <= 0.0 or vmin < 0.0):
+            ended[row] = ("step_failure", f"positivity lost at t={t:.6g} (min u {umin:.3e})")
+    return ended
+
+
+def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Trajectory]:
+    """Integrate B members that share a grid, a start time and cfg to t_end
+    as one batch, with diagnostics every record_every steps.
+
+    Member b starts from initials[b] with params[b] and gets exactly the
+    Trajectory it would get alone: its termination_reason is "completed",
+    "blowup_detected" (||u||_inf above threshold or non-finite values; the
+    offending partial state is kept), or "step_failure" (stability violation,
+    solver breakdown or lost positivity; diagnostics up to the failure are
+    kept). A member that stops leaves the batch and the rest carry on.
+    on_record, if given, is called as on_record(b, state) with each recorded
+    SimState.
+    """
+    grid, t = initials[0].u.grid, initials[0].t
+    if any(s.u.grid != grid or s.t != t for s in initials):
+        raise ValueError("ensemble members must share a grid and a start time")
+    axes = grid_axes(grid)
+    n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-9))
+    u0_means = [float(s.u.values.mean()) for s in initials]
+    records: list[list[DiagnosticsRecord]] = [[] for _ in initials]
+    trajectories: list[Trajectory | None] = [None] * len(initials)
+    members = list(range(len(initials)))  # the member held in each batch row
+    stepper = Stepper(grid, params, cfg)
+
+    def record(b, state):
+        records[b].append(diagnostics_record(state, params[b], u0_means[b]))
+        if on_record is not None:
+            on_record(b, state)
+
+    def leave(ended, t, batch):
+        """Close the trajectories of the ended rows; return the batch of the rest."""
+        nonlocal members
+        for row, (reason, detail) in ended.items():
+            b = members[row]
+            finite = bool(np.isfinite(batch[0][row]).all() and np.isfinite(batch[1][row]).all())
+            trajectories[b] = Trajectory(
+                records[b], _member_state(grid, t, batch, row, finite), reason, detail)
+        kept = [row for row in range(len(members)) if row not in ended]
+        members = [members[row] for row in kept]
+        if kept:
+            stepper.keep(kept)
+        return tuple(a[kept] for a in batch)
+
+    for b, state in enumerate(initials):
+        record(b, state)
+    batch = tuple(np.stack([getattr(s, name).shaped() for s in initials]) for name in "uvw")
+    for k in range(1, n_steps + 1):
+        stepped = None
+        while members and stepped is None:
+            try:
+                stepped = stepper.step(t, *batch)
+            except StepFailure as exc:
+                batch = leave({row: ("step_failure", why) for row, why in exc.reasons.items()},
+                              t, batch)
+        if not members:
+            break
+        t = k * cfg.dt  # exact time grid, no float drift
+        batch = stepped
+        ended = _ended_rows(batch[0], batch[1], axes, t, cfg)
+        if ended:
+            batch = leave(ended, t, batch)
+            if not members:
+                break
+        if k % cfg.record_every == 0 or k == n_steps:
+            for row, b in enumerate(members):
+                state = _member_state(grid, t, batch, row)
+                record(b, state)
+                if k == n_steps:
+                    trajectories[b] = Trajectory(records[b], state, "completed")
+    return trajectories
 
 
 def run(initial: SimState, p: ModelParams, cfg: SolverConfig, on_record=None) -> Trajectory:
-    """Integrate to t_end with diagnostics every record_every steps.
-
-    Returns a Trajectory whose termination_reason is "completed",
-    "blowup_detected" (||u||_inf above threshold or non-finite values; the
-    offending partial state is kept), or "step_failure" (stability violation
-    or solver breakdown; diagnostics up to the failure are kept).
-    on_record, if given, is called with each recorded SimState.
-    """
-    grid = initial.u.grid
-    u0_mean = float(initial.u.values.mean())
-    stepper = Stepper(grid, p, cfg)
-    n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-9))
-
-    def record(state):
-        rec = diagnostics_record(state, p, u0_mean)
-        records.append(rec)
-        if on_record is not None:
-            on_record(state)
-
-    records: list[DiagnosticsRecord] = []
-    record(initial)
-    state = initial
-    for k in range(1, n_steps + 1):
-        try:
-            state = stepper.step(state)
-        except (StepFailure, EllipticSolveError) as exc:
-            return Trajectory(records, state, "step_failure", str(exc))
-        state = replace(state, t=k * cfg.dt)  # exact time grid, no float drift
-        bad = not np.all(np.isfinite(state.u.values)) \
-            or not np.all(np.isfinite(state.v.values)) \
-            or float(np.max(np.abs(state.u.values))) > cfg.blowup_threshold
-        if bad:
-            return Trajectory(
-                records, state, "blowup_detected",
-                f"||u||_inf beyond {cfg.blowup_threshold:g} at t={state.t:.6g}",
-            )
-        if cfg.flux_scheme == "upwind" and (
-            state.u.values.min() <= 0.0 or state.v.values.min() < 0.0
-        ):
-            return Trajectory(
-                records, state, "step_failure",
-                f"positivity lost at t={state.t:.6g} (min u {state.u.values.min():.3e})",
-            )
-        if k % cfg.record_every == 0 or k == n_steps:
-            record(state)
-    return Trajectory(records, state, "completed")
+    """Integrate one member to t_end: run_ensemble with B = 1 (see there for
+    the termination reasons). on_record, if given, is called with each
+    recorded SimState."""
+    hook = None if on_record is None else (lambda _b, state: on_record(state))
+    return run_ensemble([initial], [p], cfg, hook)[0]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

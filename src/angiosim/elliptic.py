@@ -4,6 +4,8 @@ On a uniform cell-centred box with mirror ghosts the orthonormal DCT-II diagonal
 the 3/5-point zero-flux Laplacian: -lap has eigenvalue sum_k (4/h_k^2) sin^2(pi j_k / 2n_k)
 on mode j, exactly 0 on the constant mode. A solve is one transform pair with a per-mode
 multiplier; the potential's is 1/lambda, with 0 on the constant mode for the gauge int w = 0.
+Arrays are shaped like the grid or batched as (B, *cells): the transforms and reductions run
+over the trailing grid axes, so every member of a batch gets the same numbers as a single solve.
 """
 import functools
 import math
@@ -11,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dct, dctn, idct, idctn
 
 from .grid import Field, Grid, laplacian_array
 
@@ -29,9 +31,29 @@ SpectralInfo = namedtuple("SpectralInfo", "lambda1 poincare_cp")
 
 
 class EllipticSolveError(RuntimeError):
-    def __init__(self, message, achieved_residual):
-        super().__init__(f"{message} (relative residual {achieved_residual:.3e})")
-        self.achieved_residual = achieved_residual
+    """A potential solve missed its tolerance. residuals holds each member's relative
+    residual (one for an unbatched solve), achieved_residual the worst of them."""
+
+    def __init__(self, tolerance, residuals):
+        self.tolerance = tolerance
+        self.residuals = np.atleast_1d(residuals)
+        self.achieved_residual = float(self.residuals.max())
+        super().__init__(self.member_message(int(self.residuals.argmax())))
+
+    def member_message(self, row):
+        return (f"potential solve missed tolerance {self.tolerance:.1e} "
+                f"(relative residual {self.residuals[row]:.3e})")
+
+
+def grid_axes(grid: Grid) -> tuple[int, ...]:
+    """The trailing axes that hold the cells of a shaped or batched array."""
+    return tuple(range(-grid.dim, 0))
+
+
+def grid_mean(vals: np.ndarray, grid: Grid) -> np.ndarray:
+    """Mean over the grid axes, kept as length-1 axes. The same sum / n as
+    ndarray.mean, without its per-call overhead on small arrays."""
+    return np.add.reduce(vals, axis=grid_axes(grid), keepdims=True) / math.prod(grid.cells)
 
 
 def neumann_eigenvalues(grid: Grid) -> np.ndarray:
@@ -41,10 +63,13 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return axes[0] if grid.dim == 1 else np.add.outer(axes[0], axes[1])
 
 
-def spectral_apply(vals: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """Apply the operator with the given per-mode multiplier to a shaped array."""
-    coeffs = dctn(vals, type=2, norm="ortho") * multiplier
-    return idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
+def spectral_apply(vals: np.ndarray, multiplier: np.ndarray, axes) -> np.ndarray:
+    """Apply the operator with the given per-mode multiplier over the grid axes."""
+    if len(axes) == 1:  # same transform; dct skips dctn's n-d bookkeeping
+        coeffs = dct(vals, type=2, norm="ortho", axis=axes[0]) * multiplier
+        return idct(coeffs, type=2, norm="ortho", axis=axes[0], overwrite_x=True)
+    coeffs = dctn(vals, type=2, norm="ortho", axes=axes) * multiplier
+    return idctn(coeffs, type=2, norm="ortho", axes=axes, overwrite_x=True)
 
 
 @functools.lru_cache(maxsize=8)
@@ -56,17 +81,19 @@ def _pseudo_inverse(grid: Grid) -> np.ndarray:
 
 
 def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, cfg: EllipticConfig):
-    """-lap w = rhs - mean(rhs), int w = 0 -> (w, relative residual, transform pairs).
-    w is accepted only on the recomputed true residual; a miss raises at once."""
-    b = np.asarray(rhs, dtype=np.float64) - np.mean(rhs)
+    """-lap w = rhs - mean(rhs), int w = 0 -> (w, worst member's relative residual,
+    transform pairs). Each member is accepted only on its own recomputed true
+    residual; a miss raises at once with every member's residual."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    b = rhs - grid_mean(rhs, grid)
     if not np.any(b):
         return np.zeros_like(b), 0.0, 0
-    w = spectral_apply(b, _pseudo_inverse(grid))
-    w -= w.mean()
-    res = elliptic_residual(b, w, grid)
-    if res > cfg.tolerance:
-        raise EllipticSolveError(f"potential solve missed tolerance {cfg.tolerance:.1e}", res)
-    return w, res, 1
+    w = spectral_apply(b, _pseudo_inverse(grid), grid_axes(grid))
+    w -= grid_mean(w, grid)
+    res = _residuals(b, w, grid)
+    if np.any(res > cfg.tolerance):
+        raise EllipticSolveError(cfg.tolerance, res)
+    return w, float(np.max(res)), 1
 
 
 def solve_w(u: Field, cfg: EllipticConfig = EllipticConfig()) -> Field:
@@ -76,10 +103,17 @@ def solve_w(u: Field, cfg: EllipticConfig = EllipticConfig()) -> Field:
 
 def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> float:
     """Relative residual of -lap w = u - mean(u) (the solve_w oracle)."""
-    rhs = u_vals.reshape(grid.cells) - float(u_vals.mean())
-    r = laplacian_array(w_vals.reshape(grid.cells), grid.spacing) + rhs
-    r -= r.mean()  # zero in exact arithmetic; kills the round-off constant
-    return math.sqrt(float(np.sum(r * r)) / max(float(np.sum(rhs * rhs)), 1e-60))  # rhs ~ 0 guard
+    return float(_residuals(u_vals.reshape(grid.cells), w_vals.reshape(grid.cells), grid))
+
+
+def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
+    """elliptic_residual per member of shaped or batched arrays."""
+    axes = grid_axes(grid)
+    rhs = u - grid_mean(u, grid)
+    r = laplacian_array(w, grid.spacing) + rhs
+    r -= grid_mean(r, grid)  # zero in exact arithmetic; kills the round-off constant
+    rr = np.add.reduce(r * r, axis=axes)
+    return np.sqrt(rr / np.maximum(np.add.reduce(rhs * rhs, axis=axes), 1e-60))  # rhs ~ 0 guard
 
 
 def spectral_info(grid: Grid) -> SpectralInfo:

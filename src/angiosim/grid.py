@@ -60,11 +60,11 @@ class Grid:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def max_spacing(self) -> float:
@@ -162,16 +162,18 @@ class FaceFlux:
 
 
 # ---------------------------------------------------------------------------
-# array kernels (shaped arrays in, shaped arrays out; no Field wrapping)
+# array kernels (shaped arrays in, shaped arrays out; no Field wrapping). The
+# grid axes are the trailing ones, so a batch (B, *cells) works the same way.
 
 def laplacian_array(vals: np.ndarray, spacing) -> np.ndarray:
     # telescoped face-difference form; mirror ghosts make boundary fluxes zero
     out = np.zeros_like(vals)
+    lead = vals.ndim - len(spacing)
     for k, h in enumerate(spacing):
         lo = [slice(None)] * vals.ndim
         hi = [slice(None)] * vals.ndim
-        lo[k] = slice(None, -1)
-        hi[k] = slice(1, None)
+        lo[lead + k] = slice(None, -1)
+        hi[lead + k] = slice(1, None)
         lo, hi = tuple(lo), tuple(hi)
         d = (vals[hi] - vals[lo]) / (h * h)
         out[lo] += d
@@ -180,15 +182,16 @@ def laplacian_array(vals: np.ndarray, spacing) -> np.ndarray:
 
 
 def gradient_arrays(vals: np.ndarray, spacing) -> list[np.ndarray]:
-    return [np.diff(vals, axis=k) / h for k, h in enumerate(spacing)]
+    dim = len(spacing)
+    return [np.diff(vals, axis=k - dim) / h for k, h in enumerate(spacing)]
 
 
 def divergence_arrays(fluxes, spacing, shape) -> np.ndarray:
     out = np.zeros(shape)
+    dim = len(spacing)
     for k, (g, h) in enumerate(zip(fluxes, spacing)):
-        pad = [(0, 0)] * len(shape)
-        pad[k] = (1, 1)
-        out += np.diff(np.pad(g, pad), axis=k) / h
+        # the boundary faces carry zero flux
+        out += np.diff(g, axis=k - dim, prepend=0.0, append=0.0) / h
     return out
 
 

@@ -1,15 +1,16 @@
 """Scenario driver, sweep driver, verification battery, and rate-fit tool.
 
 Everything here is deterministic for a fixed config and seed: output files
-carry no timestamps, floats serialize at 17 significant digits, sweep rows
-are emitted in axis declaration order regardless of worker scheduling.
+carry no timestamps, floats serialize at 17 significant digits. A sweep runs
+in this one process: its points step together as batched ensembles, and its
+rows are emitted in axis declaration order.
 
 Exit codes (shared with the CLI): 0 success, 1 usage/config error, 2 blow-up
-detected, 3 numerical failure (stability violation or solver breakdown).
+detected, 3 numerical failure (invalid initial state, stability violation or
+solver breakdown).
 """
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import ScenarioConfig, SweepSpec, scenario_with_overrides
-from .dynamics import Trajectory, make_initial, run, write_trajectory_csv
+from .dynamics import Trajectory, make_initial, run, run_ensemble, write_trajectory_csv
 from .elliptic import EllipticSolveError, elliptic_residual, solve_w, spectral_info
 from .functionals import (
     TRAJECTORY_COLUMNS,
@@ -51,6 +52,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BLOWUP = 2
 EXIT_NUMERICAL = 3
+
+# Cells one sweep ensemble holds at most, so that a batch's step temporaries
+# stay about the size of one 256 x 256 run's however many points a sweep has.
+_ENSEMBLE_CELLS = 256 * 256
 
 
 def _fmt(v) -> str:
@@ -184,6 +189,9 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     except EllipticSolveError as exc:
         print(f"numerical failure in the initial potential solve: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"numerical failure in the initial state: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     spec = spectral_info(cfg.grid)
     traj = run(initial, cfg.params, cfg.solver)
 
@@ -208,53 +216,81 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def _sweep_row(args):
-    base_keys, overrides, fit_column = args
+def _sweep_row(overrides: dict, fit_column: str, cfg, outcome) -> dict:
+    """The CSV row of one sweep point, from its Trajectory or from the
+    exception that stopped it (failures stay in-row, never abort the sweep)."""
     row = {f"sweep:{k}": v for k, v in overrides.items()}
+    row.update(termination="error", terminal_linf_u=math.nan, terminal_l2_u_dev=math.nan,
+               terminal_mass_u=math.nan, fitted_rate=math.nan, fitted_r_squared=math.nan,
+               error="")
+    if isinstance(outcome, Exception):
+        row["error"] = str(outcome).replace(",", ";").replace("\n", " ")
+        return row
+    last = outcome.records[-1]
+    row["termination"] = outcome.termination_reason
+    row["terminal_linf_u"] = last.linf_u
+    row["terminal_l2_u_dev"] = last.l2_u_dev
+    row["terminal_mass_u"] = last.mass_u
     try:
-        cfg = scenario_with_overrides(base_keys, overrides)
-        initial = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic)
-        traj = run(initial, cfg.params, cfg.solver)
-        last = traj.records[-1]
-        row["termination"] = traj.termination_reason
-        row["terminal_linf_u"] = last.linf_u
-        row["terminal_l2_u_dev"] = last.l2_u_dev
-        row["terminal_mass_u"] = last.mass_u
-        try:
-            idx = TRAJECTORY_COLUMNS.index(fit_column)
-            series = [(r.t, r.csv_values()[idx]) for r in traj.records]
-            fit = fit_decay_rate(series, cfg.fit_window or _default_window(series))
-            row["fitted_rate"] = fit.rate
-            row["fitted_r_squared"] = fit.r_squared
-        except ValueError:
-            row["fitted_rate"] = math.nan
-            row["fitted_r_squared"] = math.nan
-        row["error"] = ""
-    except Exception as exc:  # failures stay in-row, never abort the sweep
-        row.setdefault("termination", "error")
-        row.setdefault("terminal_linf_u", math.nan)
-        row.setdefault("terminal_l2_u_dev", math.nan)
-        row.setdefault("terminal_mass_u", math.nan)
-        row.setdefault("fitted_rate", math.nan)
-        row.setdefault("fitted_r_squared", math.nan)
-        row["error"] = str(exc).replace(",", ";").replace("\n", " ")
+        idx = TRAJECTORY_COLUMNS.index(fit_column)
+        series = [(r.t, r.csv_values()[idx]) for r in outcome.records]
+        fit = fit_decay_rate(series, cfg.fit_window or _default_window(series))
+        row["fitted_rate"] = fit.rate
+        row["fitted_r_squared"] = fit.r_squared
+    except ValueError:
+        pass  # no fit: the rate columns stay nan
     return row
 
 
+def _ensemble_outcomes(cfgs, solver) -> list:
+    """Integrate points that share a grid and a SolverConfig as one ensemble
+    -> per point its Trajectory, or the exception that stopped it."""
+    outcomes, initials, started = [], [], []
+    for j, cfg in enumerate(cfgs):
+        try:
+            initials.append(make_initial(cfg.grid, cfg.initial, solver.elliptic))
+            started.append(j)
+            outcomes.append(None)
+        except Exception as exc:  # failures stay in-row, never abort the sweep
+            outcomes.append(exc)
+    if started:
+        try:
+            trajs = run_ensemble(initials, [cfgs[j].params for j in started], solver)
+        except Exception as exc:
+            trajs = [exc] * len(started)
+        for j, traj in zip(started, trajs):
+            outcomes[j] = traj
+    return outcomes
+
+
 def run_sweep(spec: SweepSpec, out_dir: str, quiet: bool = False) -> int:
-    """Cartesian sweep; one CSV row per point in axis declaration order."""
+    """Cartesian sweep; one CSV row per point in axis declaration order.
+
+    Points that share a grid and a SolverConfig step together as one batched
+    ensemble in this process, at most _ENSEMBLE_CELLS cells at a time; every
+    row is byte-identical to a run of its point on its own.
+    """
     os.makedirs(out_dir, exist_ok=True)
     names = [name for name, _ in spec.axes]
-    combos = list(itertools.product(*(vals for _, vals in spec.axes)))
-    jobs = [
-        (spec.base_keys, dict(zip(names, combo)), spec.base.fit_column)
-        for combo in combos
-    ]
-    if spec.max_parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.max_parallel) as ex:
-            rows = list(ex.map(_sweep_row, jobs))
-    else:
-        rows = [_sweep_row(job) for job in jobs]
+    points = [dict(zip(names, combo))
+              for combo in itertools.product(*(vals for _, vals in spec.axes))]
+    fit_column = spec.base.fit_column
+    rows = [None] * len(points)
+    groups = {}
+    for i, overrides in enumerate(points):
+        try:
+            cfg = scenario_with_overrides(spec.base_keys, overrides)
+        except Exception as exc:  # failures stay in-row, never abort the sweep
+            rows[i] = _sweep_row(overrides, fit_column, None, exc)
+            continue
+        groups.setdefault((cfg.grid, cfg.solver), []).append((i, cfg))
+    for (grid, solver), members in groups.items():
+        size = max(1, _ENSEMBLE_CELLS // grid.n_cells)
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            outcomes = _ensemble_outcomes([cfg for _, cfg in chunk], solver)
+            for (i, cfg), outcome in zip(chunk, outcomes):
+                rows[i] = _sweep_row(points[i], fit_column, cfg, outcome)
 
     columns = [f"sweep:{n}" for n in names] + [
         "termination", "terminal_linf_u", "terminal_l2_u_dev", "terminal_mass_u",

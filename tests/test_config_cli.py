@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from angiosim import harness
 from angiosim.cli import main
 from angiosim.config import (
     ConfigError,
@@ -144,7 +145,6 @@ def test_all_bundled_presets_parse(tmp_path):
 def test_sweep_axes_and_defaults(tmp_path):
     spec = parse_sweep(write_cfg(tmp_path, FAST_SWEEP))
     assert spec.axes == (("params.d", (1.0, 2.0)),)
-    assert spec.max_parallel == 1
     assert spec.max_points == 256
     assert spec.base.grid.n_cells == 32
 
@@ -251,6 +251,21 @@ def test_cli_run_initial_solve_failure_exit_code(tmp_path):
     assert len(lines) == 1 and "relative residual" in lines[0]
 
 
+def test_cli_run_nonpositive_initial_u_exit_code(tmp_path):
+    # a cosine bump of amplitude 1.5 on base 1 dips below zero
+    cfg = write_cfg(tmp_path, """
+        preset = custom
+        init.amplitude = 1.5
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-m", "angiosim.cli", "run", cfg, "--out", str(tmp_path / "neg")],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "strictly positive" in lines[0]
+
+
 def test_cli_run_config_error_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "preset = custom\nparams.d = 0\n")
     assert main(["run", cfg]) == 1
@@ -298,6 +313,49 @@ def test_cli_sweep_seed_override(tmp_path):
     assert a != (tmp_path / "s8" / "sweep.csv").read_bytes()
     assert b"error" in a.splitlines()[0]
     assert all(row.endswith(b",") for row in a.splitlines()[1:])
+
+
+def test_cli_sweep_seed_leaves_parsed_spec_unchanged(tmp_path, monkeypatch):
+    import angiosim.cli as cli
+
+    parsed = []
+
+    def keep(path):
+        parsed.append(parse_sweep(path))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_sweep", keep)
+    cfg = write_cfg(tmp_path, FAST_SWEEP + "seed = 4\n")
+    assert main(["sweep", cfg, "--out", str(tmp_path / "s"), "--seed", "9", "--quiet"]) == 0
+    assert parsed[0].base_keys["seed"][0] == "4"
+    assert parsed[0].base.seed == 4
+
+
+def test_cli_sweep_groups_by_solver_in_declaration_order(tmp_path, monkeypatch):
+    # chi is declared first, so the two dt groups interleave in the output
+    base = FAST_SWEEP.replace("sweep.params.d = 1.0, 2.0",
+                              "sweep.params.chi = 0.0, 0.5\nsweep.solver.dt = 0.005, 0.0025")
+    cfg = write_cfg(tmp_path, base)
+    for tag in ("a", "b"):
+        assert main(["sweep", cfg, "--out", str(tmp_path / tag), "--quiet"]) == 0
+    blob = (tmp_path / "a" / "sweep.csv").read_bytes()
+    assert blob == (tmp_path / "b" / "sweep.csv").read_bytes()
+    # a 32-cell cap splits each group into batches of one; the rows stay the same
+    monkeypatch.setattr(harness, "_ENSEMBLE_CELLS", 32)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "split"), "--quiet"]) == 0
+    assert blob == (tmp_path / "split" / "sweep.csv").read_bytes()
+    header, *rows = blob.decode().splitlines()
+    assert header.startswith("sweep:params.chi,sweep:solver.dt,")
+    assert [tuple(map(float, r.split(",")[:2])) for r in rows] == \
+        [(0.0, 0.005), (0.0, 0.0025), (0.5, 0.005), (0.5, 0.0025)]
+    # each row is the row of its point swept on its own
+    for i, row in enumerate(rows):
+        chi, dt = row.split(",")[:2]
+        single = base.replace("sweep.params.chi = 0.0, 0.5", f"sweep.params.chi = {chi}")
+        single = single.replace("sweep.solver.dt = 0.005, 0.0025", f"sweep.solver.dt = {dt}")
+        one = write_cfg(tmp_path, single, name=f"one{i}.cfg")
+        assert main(["sweep", one, "--out", str(tmp_path / f"one{i}"), "--quiet"]) == 0
+        assert (tmp_path / f"one{i}" / "sweep.csv").read_text().splitlines()[1] == row
 
 
 def test_cli_sweep_honours_fit_window(tmp_path):
@@ -404,12 +462,19 @@ def test_cli_fit_missing_file(tmp_path, capsys):
 # installed entry point
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.fft itself loads concurrent.futures (through numpy.testing), so
+    # the process-pool modules are blocked before angiosim is imported: an
+    # import of either from angiosim then fails
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, angiosim.cli; print('scipy.sparse' in sys.modules)"],
+         "import sys, scipy.fft\n"
+         "print('multiprocessing' in sys.modules)\n"
+         "sys.modules.update(dict.fromkeys(('concurrent.futures', 'multiprocessing')))\n"
+         "import angiosim.cli\n"
+         "print('scipy.sparse' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_console_script_usage_error():

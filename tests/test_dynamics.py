@@ -1,8 +1,12 @@
+import itertools
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from angiosim.config import parse_config, parse_sweep, scenario_with_overrides
 from angiosim.dynamics import (
     InitialSpec,
     ModelParams,
@@ -10,13 +14,14 @@ from angiosim.dynamics import (
     SolverConfig,
     StepFailure,
     Stepper,
+    _face_speeds,
     make_initial,
     run,
+    run_ensemble,
     stable_dt,
-    step,
     write_trajectory_csv,
 )
-from angiosim.elliptic import EllipticConfig, solve_w
+from angiosim.elliptic import EllipticConfig, solve_neumann_poisson, solve_w
 from angiosim.functionals import TRAJECTORY_COLUMNS, mass_balance_residual
 from angiosim.grid import Field, build_grid
 
@@ -35,6 +40,40 @@ def params(**kw):
 def constant_state(grid, c):
     u = Field(grid, np.full(grid.n_cells, c))
     return SimState(0.0, u, u, Field(grid, np.zeros(grid.n_cells)))
+
+
+def one_member(state):
+    """state's (u, v, w) as a batch of one."""
+    return tuple(f.shaped()[np.newaxis] for f in (state.u, state.v, state.w))
+
+
+def member_bound(state, p, cfg):
+    """stable_dt of a one-member batch holding state."""
+    g = state.u.grid
+    u, v, w = one_member(state)
+    col = (1,) + (1,) * g.dim
+    speeds = _face_speeds(g, v, w, *(np.full(col, c) for c in (p.chi, p.xi1, p.xi2)))
+    bound = stable_dt(g, u, speeds, [p], cfg)
+    assert bound.shape == (1,)
+    return bound[0]
+
+
+def one_step(state, p, cfg):
+    """One Stepper step of state as a batch of one."""
+    g = state.u.grid
+    u, v, w = Stepper(g, [p], cfg).step(state.t, *one_member(state))
+    return SimState(state.t + cfg.dt, Field(g, u[0]), Field(g, v[0]), Field(g, w[0]))
+
+
+def assert_same_trajectory(a, b):
+    """Byte equality of records, termination and terminal state."""
+    assert (a.termination_reason, a.failure_detail) == (b.termination_reason, b.failure_detail)
+    assert len(a.records) == len(b.records)
+    rows = [np.array([r.csv_values() for r in t.records]).tobytes() for t in (a, b)]
+    assert rows[0] == rows[1]
+    assert a.terminal.t == b.terminal.t
+    for name in "uvw":
+        assert getattr(a.terminal, name).values.tobytes() == getattr(b.terminal, name).values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +158,8 @@ def test_make_initial_random_positive_seeded():
 
 def test_stable_dt_quiescent_state():
     st = constant_state(build_grid(1, 1.0, 64), 1.0)
-    assert stable_dt(st, OFF, SolverConfig(dt=0.01, t_end=1.0)) == 0.5
-    assert stable_dt(st, OFF, SolverConfig(dt=0.01, t_end=1.0, cfl_safety=1.0)) == 1.0
+    assert member_bound(st, OFF, SolverConfig(dt=0.01, t_end=1.0)) == 0.5
+    assert member_bound(st, OFF, SolverConfig(dt=0.01, t_end=1.0, cfl_safety=1.0)) == 1.0
 
 
 def test_stable_dt_advective_bound():
@@ -131,18 +170,18 @@ def test_stable_dt_advective_bound():
     st = SimState(0.0, u, v, Field(g, np.zeros(100)))
     p = params(chi=1.0, xi1=0.0, xi2=0.0)
     cfg = SolverConfig(dt=1e-4, t_end=1.0, cfl_safety=1.0)
-    assert stable_dt(st, p, cfg) == pytest.approx(0.005, rel=1e-12)
+    assert member_bound(st, p, cfg) == pytest.approx(0.005, rel=1e-12)
     g2 = build_grid(1, 1.0, 200)
     v2 = Field(g2, 2.0 * g2.axis_centers(0))
     st2 = SimState(0.0, Field(g2, np.ones(200)), v2, Field(g2, np.zeros(200)))
-    assert stable_dt(st2, p, cfg) == pytest.approx(0.0025, rel=1e-12)
+    assert member_bound(st2, p, cfg) == pytest.approx(0.0025, rel=1e-12)
 
 
 def test_stable_dt_reaction_bound():
     st = constant_state(build_grid(1, 1.0, 64), 2.0)
     p = params(a=1.0, mu=1.0, theta=1.0)
     cfg = SolverConfig(dt=1e-4, t_end=1.0, cfl_safety=1.0)
-    assert stable_dt(st, p, cfg) == pytest.approx(1.0 / 4.0, rel=1e-12)
+    assert member_bound(st, p, cfg) == pytest.approx(1.0 / 4.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +190,7 @@ def test_stable_dt_reaction_bound():
 def test_constant_state_is_steady():
     g = build_grid(1, 1.0, 64)
     st = constant_state(g, 1.7)
-    out = step(st, COUPLED, SolverConfig(dt=0.01, t_end=1.0))
+    out = one_step(st, COUPLED, SolverConfig(dt=0.01, t_end=1.0))
     assert np.max(np.abs(out.u.values - 1.7)) <= 1e-13
     assert np.max(np.abs(out.v.values - 1.7)) <= 1e-13
     assert np.max(np.abs(out.w.values)) <= 1e-13
@@ -162,7 +201,7 @@ def test_carrying_state_is_fixed_point():
     b = (p.a / p.mu) ** (1.0 / p.theta)
     g = build_grid(1, 1.0, 64)
     st = constant_state(g, b)
-    out = step(st, p, SolverConfig(dt=0.01, t_end=1.0))
+    out = one_step(st, p, SolverConfig(dt=0.01, t_end=1.0))
     assert np.max(np.abs(out.u.values - b)) <= 1e-10
     assert np.max(np.abs(out.v.values - b)) <= 1e-10
 
@@ -179,22 +218,12 @@ def test_spatially_constant_logistic_tracks_ode():
     assert np.max(traj.terminal.u.values) - np.min(traj.terminal.u.values) <= 1e-13
 
 
-def test_one_shot_step_matches_stepper():
-    g = build_grid(1, 1.0, 64)
-    st = make_initial(g, InitialSpec(amplitude=0.3))
-    cfg = SolverConfig(dt=0.002, t_end=1.0)
-    a = step(st, COUPLED, cfg)
-    b = Stepper(g, COUPLED, cfg).step(st)
-    assert np.array_equal(a.u.values, b.u.values)
-    assert np.array_equal(a.v.values, b.v.values)
-    assert np.array_equal(a.w.values, b.w.values)
-
-
 def test_step_rejects_unstable_dt():
     g = build_grid(1, 1.0, 64)
     st = make_initial(g, InitialSpec(amplitude=0.3))
-    with pytest.raises(StepFailure, match="stability bound"):
-        step(st, COUPLED, SolverConfig(dt=0.9, t_end=1.0))
+    with pytest.raises(StepFailure, match="stability bound") as err:
+        one_step(st, COUPLED, SolverConfig(dt=0.9, t_end=1.0))
+    assert list(err.value.reasons) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +358,55 @@ def test_trajectory_csv_layout(tmp_path):
     first = dict(zip(TRAJECTORY_COLUMNS, lines[1].split(",")))
     assert float(first["t"]) == 0.0
     assert float(first["mass_u"]) == pytest.approx(traj.records[0].mass_u, rel=1e-16)
+
+
+# ---------------------------------------------------------------------------
+# ensembles: every member gets the trajectory of a run of its own
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_ensemble_of_shipped_sweep_matches_standalone_runs():
+    spec = parse_sweep(CONFIGS / "sweep_chi_mu.cfg")
+    names = [name for name, _ in spec.axes]
+    cfgs = [scenario_with_overrides(spec.base_keys, {**dict(zip(names, combo)), "solver.t_end": 0.2})
+            for combo in itertools.product(*(vals for _, vals in spec.axes))]
+    assert len(cfgs) == 9 and len({c.solver for c in cfgs}) == 1
+    initials = [make_initial(c.grid, c.initial, c.solver.elliptic) for c in cfgs]
+    batch = run_ensemble(initials, [c.params for c in cfgs], cfgs[0].solver)
+    for c, initial, traj in zip(cfgs, initials, batch):
+        assert traj.termination_reason == "completed"
+        assert_same_trajectory(traj, run(initial, c.params, c.solver))
+
+
+def test_ensemble_isolates_failing_members():
+    probe = parse_config(CONFIGS / "blowup_probe.cfg")
+    cfg = replace(probe.solver, t_end=1.0)
+    params = [probe.params,                           # grows past the threshold
+              replace(probe.params, chi=20.0),        # dt above its stability bound
+              replace(probe.params, a=1.0, mu=1.0)]   # calm logistic member
+    initial = make_initial(probe.grid, probe.initial)
+    batch = run_ensemble([initial] * 3, params, cfg)
+    assert [t.termination_reason for t in batch] == \
+        ["blowup_detected", "step_failure", "completed"]
+    assert "stability bound" in batch[1].failure_detail
+    for p, traj in zip(params, batch):
+        assert_same_trajectory(traj, run(initial, p, cfg))
+
+
+def test_stepper_names_only_the_member_that_misses_the_potential_gate():
+    g = build_grid(1, 1.0, 128)
+    members = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.4, seed=s))
+               for s in (1, 2)]
+    batch = tuple(np.concatenate(a) for a in zip(*map(one_member, members)))
+    cfg = SolverConfig(dt=2e-5, t_end=1.0)
+    u1, _v1, _w1 = Stepper(g, [COUPLED] * 2, cfg).step(0.0, *batch)
+    residuals = [solve_neumann_poisson(g, u - u.mean(), EllipticConfig())[1] for u in u1]
+    lo, hi = np.argsort(residuals)
+    tol = 0.5 * (residuals[lo] + residuals[hi])
+    assert residuals[lo] < tol < residuals[hi]
+    tight = replace(cfg, elliptic=EllipticConfig(tolerance=tol))
+    with pytest.raises(StepFailure) as err:
+        Stepper(g, [COUPLED] * 2, tight).step(0.0, *batch)
+    assert list(err.value.reasons) == [hi]
+    assert "missed tolerance" in err.value.reasons[hi]

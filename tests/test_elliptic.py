@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from angiosim.dynamics import ModelParams, SimState, SolverConfig, Stepper
+from angiosim.dynamics import ModelParams, SolverConfig, Stepper
 from angiosim.elliptic import (
     EllipticConfig,
     EllipticSolveError,
@@ -89,6 +89,28 @@ def test_missed_tolerance_raises_at_once_with_residual():
     with pytest.raises(EllipticSolveError, match="relative residual") as err:
         solve_neumann_poisson(g, rhs, EllipticConfig(tolerance=1e-17))
     assert err.value.achieved_residual == achieved > 1e-17
+
+
+@pytest.mark.parametrize("g", [build_grid(1, 1.0, 128), build_grid(2, (1.0, 2.0), (12, 20))],
+                         ids=["128", "12x20"])
+def test_batched_solve_matches_single_solves_and_gates_each_member(g):
+    # each member of a (B, *cells) batch gets the bits of its own solve, and
+    # the gate reports every member's residual
+    members = [random_positive_field(g, seed).shaped() for seed in (6, 7, 8)]
+    members[1] = np.full(g.cells, 1.5)  # a member with zero right-hand side
+    w, worst, passes = solve_neumann_poisson(g, np.stack(members), CFG)
+    singles = [solve_neumann_poisson(g, m, CFG) for m in members]
+    assert passes == 1 and worst == max(res for _w, res, _p in singles)
+    for wb, (ws, _res, _p) in zip(w, singles):
+        assert wb.tobytes() == ws.tobytes()
+    tol = 0.5 * (singles[0][1] + singles[2][1])  # between the two nonzero members
+    lo, hi = sorted((0, 2), key=lambda i: singles[i][1])
+    assert singles[lo][1] < tol < singles[hi][1]
+    with pytest.raises(EllipticSolveError) as err:
+        solve_neumann_poisson(g, np.stack(members), EllipticConfig(tolerance=tol))
+    assert list(err.value.residuals) == [singles[i][1] for i in range(3)]
+    assert err.value.achieved_residual == singles[hi][1]
+    assert "%.3e" % singles[lo][1] in err.value.member_message(lo)
 
 
 def test_zero_rhs_short_circuits():
@@ -212,21 +234,21 @@ def test_implicit_diffusions_match_sparse_oracle(g):
     p = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=d, a=0.0, mu=0.0, theta=1.0, n_dim=g.dim)
     u0 = random_positive_field(g, 31)
     v0 = random_positive_field(g, 32)
-    state = SimState(0.0, u0, v0, solve_w(u0, CFG))
-    out = Stepper(g, p, SolverConfig(dt=dt, t_end=1.0)).step(state)
+    batch = (f.shaped()[np.newaxis] for f in (u0, v0, solve_w(u0, CFG)))
+    u1, v1, _w1 = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0)).step(0.0, *batch)
 
     lap = neumann_laplacian_matrix(g)
     eye = sp.identity(g.n_cells, format="csc")
     u_ref = spsolve((eye - dt * lap).tocsc(), u0.values)
     v_ref = spsolve(((1.0 + dt) * eye - dt * d * lap).tocsc(), v0.values + dt * u0.values)
-    assert np.max(np.abs(out.u.values - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
-    assert np.max(np.abs(out.v.values - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+    assert np.max(np.abs(u1[0].ravel() - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    assert np.max(np.abs(v1[0].ravel() - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
 
 
 def test_zero_mode_multipliers_are_exact():
     dt = 0.013
     for g in ORACLE_GRIDS:
         p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=2.5, a=0.0, mu=0.0, theta=1.0, n_dim=g.dim)
-        stepper = Stepper(g, p, SolverConfig(dt=dt, t_end=1.0))
+        stepper = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0))
         assert stepper._mult_u.flat[0] == 1.0
         assert stepper._mult_v.flat[0] == 1.0 / (1.0 + dt)
