@@ -6,6 +6,14 @@ on mode j, exactly 0 on the constant mode. A solve is one transform pair with a 
 multiplier; the potential's is 1/lambda, with 0 on the constant mode for the gauge int w = 0.
 Arrays are shaped like the grid or batched as (B, *cells): the transforms and reductions run
 over the trailing grid axes, so every member of a batch gets the same numbers as a single solve.
+
+The transform pair has two paths, chosen by the grid's dimension. On 1D grids it is one
+numpy.fft real FFT pair with Makhoul's even/odd reordering (J. Makhoul, IEEE TASSP 28,
+1980). numpy.fft imports in milliseconds and scipy.fft in about a third of a second, which
+would be most of a short 1D run's or sweep's start-up. On 2D grids it is scipy.fft's
+dctn/idctn, imported by the first 2D transform: there a numpy.fft pair is 1.7x slower or
+more at 256 x 256, its FFTs along the leading grid axis being strided, and the steps
+outweigh the import.
 """
 import functools
 import math
@@ -13,7 +21,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, dctn, idct, idctn
 
 from .grid import Field, Grid, laplacian_array
 
@@ -64,12 +71,51 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
 
 
 def spectral_apply(vals: np.ndarray, multiplier: np.ndarray, axes) -> np.ndarray:
-    """Apply the operator with the given per-mode multiplier over the grid axes."""
-    if len(axes) == 1:  # same transform; dct skips dctn's n-d bookkeeping
-        coeffs = dct(vals, type=2, norm="ortho", axis=axes[0]) * multiplier
-        return idct(coeffs, type=2, norm="ortho", axis=axes[0], overwrite_x=True)
+    """Apply the operator with the given per-mode multiplier over the trailing grid axes."""
+    if len(axes) == 1:
+        return _spectral_apply_1d(vals, multiplier)
+    from scipy.fft import dctn, idctn
+
     coeffs = dctn(vals, type=2, norm="ortho", axes=axes) * multiplier
     return idctn(coeffs, type=2, norm="ortho", axes=axes, overwrite_x=True)
+
+
+@functools.lru_cache(maxsize=8)
+def _makhoul_plan(n: int):
+    """For n points and each half-spectrum mode k: the multiplier indices (k, n - k mod n),
+    interleaved like a complex array's real and imaginary parts, and exp(-+ i pi k / 2n)."""
+    k = np.arange(n // 2 + 1)
+    twiddle = np.exp(0.5j * np.pi / n * k)
+    plan = (np.stack((k, -k % n), axis=-1).ravel(), twiddle.conj(), twiddle)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def _spectral_apply_1d(vals: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """DCT-II, multiply, inverse DCT-II over the last axis through one real FFT pair.
+
+    With the last axis reordered to x[0::2], x[1::2][::-1] and V = rfft of that,
+    Z_k = exp(-i pi k / 2n) V_k = X_k - i X_{n-k} on the half spectrum, X being the
+    unnormalised DCT-II (X_n = 0). Scaling Re Z_k by m_k and Im Z_k by m_{n-k}
+    (m_n = m_0) and rotating back gives the reordered output's spectrum,
+    (m_k + m_{n-k})/2 V_k + (m_k - m_{n-k})/2 exp(i pi k / n) conj(V_k).
+    No normalisation constants enter, and the output is C-contiguous: a fancy
+    index would hand back another memory layout, and np.add.reduce over it
+    would sum in another order.
+    """
+    n = vals.shape[-1]
+    half = (n + 1) // 2
+    pairs, down, up = _makhoul_plan(n)
+    z = np.fft.rfft(np.concatenate((vals[..., ::2], vals[..., 1::2][..., ::-1]), axis=-1))
+    z *= down
+    z.view(np.float64)[...] *= multiplier[..., pairs]
+    z *= up
+    r = np.fft.irfft(z, n)
+    out = np.empty(r.shape)
+    out[..., ::2] = r[..., :half]
+    out[..., 1::2] = r[..., :half - 1:-1]
+    return out
 
 
 @functools.lru_cache(maxsize=8)

@@ -13,6 +13,7 @@ parts with no boundary term).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,16 +166,22 @@ class FaceFlux:
 # array kernels (shaped arrays in, shaped arrays out; no Field wrapping). The
 # grid axes are the trailing ones, so a batch (B, *cells) works the same way.
 
+def _along(ndim: int, axis: int, sl: slice) -> tuple:
+    """Index tuple applying sl to one axis of an ndim array."""
+    idx = [slice(None)] * ndim
+    idx[axis] = sl
+    return tuple(idx)
+
+
+_HI, _LO = slice(1, None), slice(None, -1)
+
+
 def laplacian_array(vals: np.ndarray, spacing) -> np.ndarray:
     # telescoped face-difference form; mirror ghosts make boundary fluxes zero
     out = np.zeros_like(vals)
     lead = vals.ndim - len(spacing)
     for k, h in enumerate(spacing):
-        lo = [slice(None)] * vals.ndim
-        hi = [slice(None)] * vals.ndim
-        lo[lead + k] = slice(None, -1)
-        hi[lead + k] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
+        lo, hi = _along(vals.ndim, lead + k, _LO), _along(vals.ndim, lead + k, _HI)
         d = (vals[hi] - vals[lo]) / (h * h)
         out[lo] += d
         out[hi] -= d
@@ -182,16 +189,24 @@ def laplacian_array(vals: np.ndarray, spacing) -> np.ndarray:
 
 
 def gradient_arrays(vals: np.ndarray, spacing) -> list[np.ndarray]:
-    dim = len(spacing)
-    return [np.diff(vals, axis=k - dim) / h for k, h in enumerate(spacing)]
+    lead = vals.ndim - len(spacing)
+    return [(vals[_along(vals.ndim, lead + k, _HI)] - vals[_along(vals.ndim, lead + k, _LO)]) / h
+            for k, h in enumerate(spacing)]
 
 
 def divergence_arrays(fluxes, spacing, shape) -> np.ndarray:
     out = np.zeros(shape)
-    dim = len(spacing)
+    net = np.empty(shape)
+    lead = len(shape) - len(spacing)
     for k, (g, h) in enumerate(zip(fluxes, spacing)):
-        # the boundary faces carry zero flux
-        out += np.diff(g, axis=k - dim, prepend=0.0, append=0.0) / h
+        # the boundary faces carry zero flux: net = g[0], g[1:] - g[:-1], 0 - g[-1]
+        at = functools.partial(_along, len(shape), lead + k)
+        first, last = at(slice(None, 1)), at(slice(-1, None))
+        net[first] = g[first]
+        np.subtract(g[at(_HI)], g[at(_LO)], out=net[at(slice(1, -1))])
+        np.subtract(0.0, g[last], out=net[last])
+        net /= h
+        out += net
     return out
 
 

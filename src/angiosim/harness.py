@@ -53,6 +53,10 @@ EXIT_USAGE = 1
 EXIT_BLOWUP = 2
 EXIT_NUMERICAL = 3
 
+# A run that blows up overflows on its way past blowup_threshold; that is
+# reported as its termination reason, so numpy's warnings would only repeat it.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
 # Cells one sweep ensemble holds at most, so that a batch's step temporaries
 # stay about the size of one 256 x 256 run's however many points a sweep has.
 _ENSEMBLE_CELLS = 256 * 256
@@ -180,6 +184,7 @@ def _verdict_lines(cfg: ScenarioConfig, traj: Trajectory, rep: ThresholdReport, 
     return lines
 
 
+@_QUIET_OVERFLOW
 def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Run one scenario, write trajectory/thresholds/summary files, map the
     termination reason onto the exit code."""
@@ -263,6 +268,7 @@ def _ensemble_outcomes(cfgs, solver) -> list:
     return outcomes
 
 
+@_QUIET_OVERFLOW
 def run_sweep(spec: SweepSpec, out_dir: str, quiet: bool = False) -> int:
     """Cartesian sweep; one CSV row per point in axis declaration order.
 

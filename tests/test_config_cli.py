@@ -266,6 +266,37 @@ def test_cli_run_nonpositive_initial_u_exit_code(tmp_path):
     assert len(lines) == 1 and "strictly positive" in lines[0]
 
 
+BLOWUP_RUN = """
+    preset = custom
+    grid.cells = 16
+    params.a = 1000
+    params.mu = 0
+    params.chi = 0
+    params.xi1 = 0
+    params.xi2 = 0
+    solver.dt = 0.0004
+    solver.t_end = 1
+    solver.blowup_threshold = 1e308
+"""
+
+
+def test_cli_blowup_exits_2_without_runtime_warnings(tmp_path):
+    # u' = 1000 u overflows float64 well before t_end; the overflow is the
+    # blow-up verdict, so numpy must not also warn about it on stderr
+    cases = (("run", BLOWUP_RUN, 2), ("sweep", BLOWUP_RUN + "sweep.params.d = 1.0, 2.0\n", 0))
+    for command, text, code in cases:
+        cfg = write_cfg(tmp_path, text, f"{command}.cfg")
+        proc = subprocess.run(
+            [sys.executable, "-m", "angiosim.cli", command, cfg,
+             "--out", str(tmp_path / command), "--quiet"],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stderr == ""
+    assert "termination = blowup_detected" in (tmp_path / "run" / "summary.txt").read_text()
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["blowup_detected"] * 2
+
+
 def test_cli_run_config_error_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "preset = custom\nparams.d = 0\n")
     assert main(["run", cfg]) == 1
@@ -461,20 +492,35 @@ def test_cli_fit_missing_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # installed entry point
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.fft itself loads concurrent.futures (through numpy.testing), so
-    # the process-pool modules are blocked before angiosim is imported: an
-    # import of either from angiosim then fails
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, scipy.fft\n"
-         "print('multiprocessing' in sys.modules)\n"
-         "sys.modules.update(dict.fromkeys(('concurrent.futures', 'multiprocessing')))\n"
-         "import angiosim.cli\n"
-         "print('scipy.sparse' in sys.modules)"],
-        capture_output=True, text=True)
+def test_1d_run_and_sweep_leave_scipy_unloaded(tmp_path):
+    # 1D transforms go through numpy.fft; scipy.fft, which itself loads
+    # concurrent.futures, is imported by the first 2D transform only
+    run_cfg = write_cfg(tmp_path, FAST_RUN, "run.cfg")
+    sweep_cfg = write_cfg(tmp_path, FAST_SWEEP, "sweep.cfg")
+    cfg_2d = write_cfg(tmp_path, """
+        preset = custom
+        grid.dim = 2
+        grid.cells = 8
+        solver.dt = 0.001
+        solver.t_end = 0.005
+    """, "run2d.cfg")
+    out = str(tmp_path)
+    script = textwrap.dedent(f"""
+        import sys
+        def unwanted():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                          or m in ("concurrent.futures", "multiprocessing"))
+        from angiosim.cli import main
+        print(unwanted())
+        print(main(["run", {run_cfg!r}, "--out", {out!r} + "/r1", "--quiet"]))
+        print(main(["sweep", {sweep_cfg!r}, "--out", {out!r} + "/s1", "--quiet"]))
+        print(unwanted())
+        print(main(["run", {cfg_2d!r}, "--out", {out!r} + "/r2", "--quiet"]))
+        print("scipy.fft" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.splitlines() == ["[]", "0", "0", "[]", "0", "True"]
 
 
 def test_console_script_usage_error():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dct, idct
 from scipy.sparse.linalg import spsolve
 
 from angiosim.dynamics import ModelParams, SolverConfig, Stepper
@@ -13,6 +14,7 @@ from angiosim.elliptic import (
     neumann_eigenvalues,
     solve_neumann_poisson,
     solve_w,
+    spectral_apply,
     spectral_info,
 )
 from angiosim.grid import (
@@ -252,3 +254,40 @@ def test_zero_mode_multipliers_are_exact():
         stepper = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0))
         assert stepper._mult_u.flat[0] == 1.0
         assert stepper._mult_v.flat[0] == 1.0 / (1.0 + dt)
+
+
+# ---------------------------------------------------------------------------
+# the 1D transform pair (numpy.fft, Makhoul reordering) against scipy.fft
+
+MAKHOUL_SIZES = [4, 5, 7, 8, 128, 129]
+
+
+@pytest.mark.parametrize("n", MAKHOUL_SIZES)
+def test_1d_operator_matches_scipy_dct(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n))
+    per_member = rng.uniform(0.1, 2.0, (3, n))
+    for mult in (per_member[0], per_member):  # shared and per-member multipliers
+        oracle = idct(dct(x, type=2, norm="ortho") * mult, type=2, norm="ortho")
+        y = spectral_apply(x, mult, (-1,))
+        assert y.flags.c_contiguous
+        assert np.max(np.abs(y - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        for b in range(3):
+            row = spectral_apply(x[b], mult if mult.ndim == 1 else mult[b], (-1,))
+            assert y[b].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("n", MAKHOUL_SIZES)
+def test_1d_zero_mode_multipliers_keep_mass_laws(n):
+    # sum(u1) = sum(u*) through 1/(1 + dt lam), (1+dt) sum(v1) = sum(v*) through
+    # 1/(1 + dt + dt d lam)
+    dt = 0.013
+    g = build_grid(1, 1.0, n)
+    p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=2.5, a=0.0, mu=0.0, theta=1.0, n_dim=1)
+    stepper = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0))
+    x = np.stack([random_positive_field(g, seed).shaped() for seed in (n, n + 1)])
+    mass = x.sum(axis=-1)
+    u1 = spectral_apply(x, stepper._mult_u, (-1,)).sum(axis=-1)
+    v1 = spectral_apply(x, stepper._mult_v, (-1,)).sum(axis=-1)
+    assert np.all(np.abs(u1 - mass) <= 1e-13 * mass)
+    assert np.all(np.abs((1.0 + dt) * v1 - mass) <= 1e-13 * mass)

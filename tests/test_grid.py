@@ -7,6 +7,8 @@ from angiosim.grid import (
     Field,
     build_grid,
     divergence,
+    divergence_arrays,
+    gradient_arrays,
     gradient_faces,
     grad_norm_arrays,
     integrate,
@@ -160,6 +162,22 @@ def test_divergence_integral_telescopes():
     arbitrary = type(flux)(g, tuple(rng.normal(size=a.shape) for a in flux.axis_fluxes))
     total = integrate(divergence(arbitrary))
     assert abs(total) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, spacing", [((16,), (0.1,)), ((3, 16), (0.1,)),
+                                            ((6, 9), (0.3, 0.2)), ((3, 6, 9), (0.3, 0.2))])
+def test_slice_kernels_match_diff_formula_bit_for_bit(shape, spacing):
+    # the np.diff forms the slice kernels replace, on plain and batched arrays
+    rng = np.random.default_rng(len(shape))
+    vals = rng.normal(size=shape)
+    dim = len(spacing)
+    grads = [np.diff(vals, axis=k - dim) / h for k, h in enumerate(spacing)]
+    div = np.zeros(shape)
+    for k, (g, h) in enumerate(zip(grads, spacing)):
+        div += np.diff(g, axis=k - dim, prepend=0.0, append=0.0) / h
+    got = gradient_arrays(vals, spacing)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in grads]
+    assert divergence_arrays(grads, spacing, shape).tobytes() == div.tobytes()
 
 
 # ---------------------------------------------------------------------------
