@@ -13,8 +13,9 @@ with zero-flux boundaries. One step splits as:
      explicit logistic term for u and the +u source for v;
   2. implicit backward-Euler diffusion: (I - dt lap) u and
      ((1+dt) I - dt d lap) v -- the -v decay rides the implicit solve. Both
-     operators are diagonal in the DCT-II basis (see elliptic), so each
-     solve is one transform pair with a per-mode multiplier;
+     operators are diagonal in the DCT-II basis (see elliptic), so the two
+     solves share one transform pair: u and v are stacked, each row with its
+     own per-mode multiplier;
   3. a fresh potential solve for w from the updated u.
 
 The explicit fluxes telescope and the implicit multipliers are exactly 1 and
@@ -47,7 +48,7 @@ from .elliptic import (
     solve_neumann_poisson,
     spectral_apply,
 )
-from .functionals import DiagnosticsRecord, diagnostics_record
+from .functionals import DiagnosticsRecord, diagnostics_batch
 from .grid import (
     FLOAT_FMT,
     Field,
@@ -268,9 +269,10 @@ class Stepper:
     ModelParams, held as (B, 1[, 1]) columns. The implicit operators are
     diagonal in the DCT-II basis: u takes the shared multiplier
     1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda). A step
-    costs three batched transform pairs: two diffusions and the potential
-    solve. Every operation is row by row, so a member gets the same numbers
-    whatever else is in the batch.
+    costs two batched transform pairs: one for both diffusions, with u and v
+    stacked as (2B, *cells), and one for the potential solve. Every operation
+    is row by row, so a member gets the same numbers whatever else is in the
+    batch.
     """
 
     def __init__(self, grid: Grid, params, cfg: SolverConfig):
@@ -278,6 +280,11 @@ class Stepper:
         self.cfg = cfg
         self._lam = neumann_eigenvalues(grid)
         self._mult_u = 1.0 / (1.0 + cfg.dt * self._lam)
+        # the lower and upper cells of each axis's interior faces
+        self._faces = []
+        for k in range(grid.dim):
+            rest = (slice(None),) * (grid.dim - 1 - k)
+            self._faces.append(((..., slice(0, -1)) + rest, (..., slice(1, None)) + rest))
         self._set_params(params)
 
     def _set_params(self, params):
@@ -287,7 +294,13 @@ class Stepper:
         cols = [[getattr(p, name) for p in self.params] for name in names]
         self._cols = np.array(cols).reshape((5,) + column)
         d = np.array([p.d for p in self.params]).reshape(column)
-        self._mult_v = 1.0 / (1.0 + self.cfg.dt + self.cfg.dt * d * self._lam)
+        # the diffusion multipliers of the stacked (u, v) batch, row by row;
+        # _mult_u and _mult_v are views of it
+        n = len(self.params)
+        self._mult_uv = np.empty((2 * n,) + self.grid.cells)
+        self._mult_uv[:n] = self._mult_u
+        self._mult_uv[n:] = 1.0 / (1.0 + self.cfg.dt + self.cfg.dt * d * self._lam)
+        self._mult_u, self._mult_v = self._mult_uv[0], self._mult_uv[n:]
         # members with a logistic term, by exponent: u^theta keeps a scalar
         # exponent, as for a member on its own
         growth = {}
@@ -302,22 +315,16 @@ class Stepper:
 
     def _advect(self, carrier: np.ndarray, speeds) -> np.ndarray:
         """div(speed * face value) with upwind or centered face values."""
-        grid = self.grid
-        lead = carrier.ndim - grid.dim
         fluxes = []
-        for k, a in enumerate(speeds):
-            lo = [slice(None)] * carrier.ndim
-            hi = [slice(None)] * carrier.ndim
-            lo[lead + k] = slice(0, -1)
-            hi[lead + k] = slice(1, None)
-            c_lo = carrier[tuple(lo)]
-            c_hi = carrier[tuple(hi)]
+        for (lo, hi), a in zip(self._faces, speeds):
+            c_lo = carrier[lo]
+            c_hi = carrier[hi]
             if self.cfg.flux_scheme == "upwind":
                 face = np.where(a > 0.0, c_lo, c_hi)
             else:
                 face = 0.5 * (c_lo + c_hi)
             fluxes.append(a * face)
-        return divergence_arrays(fluxes, grid.spacing, carrier.shape)
+        return divergence_arrays(fluxes, self.grid.spacing, carrier.shape)
 
     def _reaction(self, u: np.ndarray):
         """u (a - mu u^theta) per member; exactly 0 for members without growth."""
@@ -344,11 +351,12 @@ class Stepper:
                 int(r): f"dt={cfg.dt:.3e} exceeds stability bound {bound[r]:.3e} at t={t:.6g}"
                 for r in unstable
             })
-        u_star = u - cfg.dt * self._advect(u, a_u) + cfg.dt * self._reaction(u)
-        v_star = v - cfg.dt * self._advect(v, a_v) + cfg.dt * u
-        axes = grid_axes(grid)
-        return (spectral_apply(u_star, self._mult_u, axes),
-                spectral_apply(v_star, self._mult_v, axes))
+        stacked = np.concatenate((
+            u - cfg.dt * self._advect(u, a_u) + cfg.dt * self._reaction(u),
+            v - cfg.dt * self._advect(v, a_v) + cfg.dt * u,
+        ))
+        out = spectral_apply(stacked, self._mult_uv, grid_axes(grid))
+        return out[:len(u)], out[len(u):]
 
     def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """w solved from each member's u; 0 for members gone non-finite, which
@@ -409,8 +417,11 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     offending partial state is kept), or "step_failure" (stability violation,
     solver breakdown or lost positivity; diagnostics up to the failure are
     kept). A member that stops leaves the batch and the rest carry on.
-    on_record, if given, is called as on_record(b, state) with each recorded
-    SimState.
+
+    The records come straight from the batch arrays (diagnostics_batch).
+    A SimState is built only for a member's terminal state and, when
+    on_record is given, for each record: on_record(b, state) is then called
+    with each recorded SimState, the initial one included.
     """
     grid, t = initials[0].u.grid, initials[0].t
     if any(s.u.grid != grid or s.t != t for s in initials):
@@ -423,10 +434,10 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     members = list(range(len(initials)))  # the member held in each batch row
     stepper = Stepper(grid, params, cfg)
 
-    def record(b, state):
-        records[b].append(diagnostics_record(state, params[b], u0_means[b]))
-        if on_record is not None:
-            on_record(b, state)
+    def record(t, batch):
+        rows = diagnostics_batch(t, *batch, grid, stepper.params, [u0_means[b] for b in members])
+        for b, rec in zip(members, rows):
+            records[b].append(rec)
 
     def leave(ended, t, batch):
         """Close the trajectories of the ended rows; return the batch of the rest."""
@@ -442,9 +453,11 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
             stepper.keep(kept)
         return tuple(a[kept] for a in batch)
 
-    for b, state in enumerate(initials):
-        record(b, state)
     batch = tuple(np.stack([getattr(s, name).shaped() for s in initials]) for name in "uvw")
+    record(t, batch)
+    if on_record is not None:
+        for b, state in enumerate(initials):
+            on_record(b, state)
     for k in range(1, n_steps + 1):
         stepped = None
         while members and stepped is None:
@@ -463,11 +476,14 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
             if not members:
                 break
         if k % cfg.record_every == 0 or k == n_steps:
-            for row, b in enumerate(members):
-                state = _member_state(grid, t, batch, row)
-                record(b, state)
-                if k == n_steps:
-                    trajectories[b] = Trajectory(records[b], state, "completed")
+            record(t, batch)
+            if on_record is not None or k == n_steps:
+                for row, b in enumerate(members):
+                    state = _member_state(grid, t, batch, row)
+                    if on_record is not None:
+                        on_record(b, state)
+                    if k == n_steps:
+                        trajectories[b] = Trajectory(records[b], state, "completed")
     return trajectories
 
 

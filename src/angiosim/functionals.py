@@ -15,13 +15,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .elliptic import elliptic_residual
+from .elliptic import _residuals
 from .grid import (
     Field,
     Grid,
     grad_norm_arrays,
     gradient_arrays,
-    integrate,
     lp_norm,
     mean,
 )
@@ -40,6 +39,7 @@ __all__ = [
     "fit_decay_rate",
     "CosineTestFunction",
     "verify_interpolation_inequalities",
+    "diagnostics_batch",
     "diagnostics_record",
 ]
 
@@ -352,52 +352,107 @@ def verify_interpolation_inequalities(test_id: int, p: float, grid: Grid):
 # ---------------------------------------------------------------------------
 # per-state diagnostics
 
+def _rows(arr: np.ndarray, rows: list[int], n: int) -> np.ndarray:
+    """arr restricted to the given batch rows; all n rows is arr itself."""
+    return arr if len(rows) == n else arr[rows]
+
+
+def _row_sums(arr: np.ndarray) -> list[float]:
+    return np.add.reduce(arr.reshape(len(arr), -1), axis=-1).tolist()
+
+
+def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[DiagnosticsRecord]:
+    """The diagnostics row of every member of a (B, *cells) batch at time t.
+
+    Member b has ModelParams params[b] and initial mean u0_means[b]; see
+    diagnostics_record for what each column holds. The array work runs once
+    for the batch, or for the rows a column applies to (int u^(theta+1) per
+    exponent, as the stepper's reaction), and the scalar arithmetic runs per
+    member in Python floats. Every reduction sums one member's C-contiguous
+    row, in the order the flat values of a lone member sum, so each row is
+    byte-identical to the record of its member alone.
+    """
+    u, v, w = (np.ascontiguousarray(a) for a in (u, v, w))
+    n, m, vol = len(params), grid.n_cells, grid.cell_volume
+    fu, fv = u.reshape(n, m), v.reshape(n, m)
+    targets = [(p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0
+               for p, u0 in zip(params, u0_means)]
+    column = np.array(targets).reshape(n, 1)
+    sum_u, sum_v = _row_sums(fu), _row_sums(fv)
+    min_u, min_v = fu.min(axis=-1).tolist(), fv.min(axis=-1).tolist()
+    linf_u, linf_v = (np.abs(f).max(axis=-1).tolist() for f in (fu, fv))
+    dev_u, dev_v = (_row_sums(np.abs(f - column) ** 2.0) for f in (fu, fv))
+    grad_v = [_row_sums(g * g) for g in gradient_arrays(v, grid.spacing)]
+    grad_w = [np.abs(g).reshape(n, -1).max(axis=-1).tolist()
+              for g in gradient_arrays(w, grid.spacing)]
+    # recomputed rather than taken from the step's solve: that one centres the
+    # right-hand side twice, and its last bits differ from this definition
+    residual = _residuals(u, w, grid).tolist()
+
+    # F1 on growth-free members, F2 on logistic ones, where u > 0
+    ent = [math.nan] * n
+    f1_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a == 0.0 and p.mu == 0.0]
+    if f1_rows:
+        ubar = [sum_u[b] / m for b in f1_rows]
+        z = _rows(fu, f1_rows, n) / np.array(ubar).reshape(-1, 1) - 1.0
+        for b, mean_b, s in zip(f1_rows, ubar, _row_sums((1.0 + z) * np.log1p(z) - z)):
+            ent[b] = mean_b * s * vol
+    f2_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a > 0.0 and p.mu > 0.0]
+    vdev = [0.0] * n
+    if f2_rows:
+        carry = _rows(column, f2_rows, n)
+        z = _rows(fu, f2_rows, n) / carry - 1.0
+        d = _rows(fv, f2_rows, n) - carry
+        for b, s, sv in zip(f2_rows, _row_sums(z - np.log1p(z)), _row_sums(d * d)):
+            ent[b] = targets[b] * s * vol
+            vdev[b] = sv * vol
+    mass_theta = [0.0] * n
+    exponents = {}
+    for b, p in enumerate(params):
+        if p.mu > 0.0:
+            exponents.setdefault(p.theta, []).append(b)
+    for theta, rows in exponents.items():
+        for b, s in zip(rows, _row_sums(_rows(fu, rows, n) ** (theta + 1.0))):
+            mass_theta[b] = s * vol
+
+    records = []
+    for b, p in enumerate(params):
+        s = 0.0
+        for axis_sums in grad_v:
+            s += axis_sums[b]
+        l2_grad_v = math.sqrt(s * vol)
+        f1 = f2 = math.nan
+        if b in f1_rows:
+            f1 = ent[b] + 0.5 * p.chi * l2_grad_v ** 2
+        elif b in f2_rows:
+            f2 = ent[b] + (targets[b] * p.chi ** 2 / (2.0 * p.d)) * vdev[b]
+        records.append(DiagnosticsRecord(
+            t=t,
+            mass_u=sum_u[b] * vol,
+            mass_v=sum_v[b] * vol,
+            linf_u=linf_u[b],
+            linf_v=linf_v[b],
+            l2_u_dev=(dev_u[b] * vol) ** 0.5,
+            l2_v_dev=(dev_v[b] * vol) ** 0.5,
+            l2_grad_v=l2_grad_v,
+            linf_grad_w=max(axis_max[b] for axis_max in grad_w),
+            F1=f1,
+            F2=f2,
+            elliptic_residual=residual[b],
+            min_u=min_u[b],
+            min_v=min_v[b],
+            mass_u_theta=mass_theta[b],
+        ))
+    return records
+
+
 def diagnostics_record(state, p, u0_mean: float) -> DiagnosticsRecord:
-    """Assemble the per-record diagnostics row.
+    """The diagnostics row of one state: diagnostics_batch with one member.
 
     Deviation target is the logistic carrying state b = (a/mu)^(1/theta) when
     a, mu > 0, otherwise the (conserved) initial mean. F1 is recorded on
     growth-free runs, F2 on logistic runs; either is nan when its positivity
     precondition fails (possible under the central flux scheme).
     """
-    u, v, w = state.u, state.v, state.w
-    grid = u.grid
-    if p.a > 0.0 and p.mu > 0.0:
-        target = (p.a / p.mu) ** (1.0 / p.theta)
-    else:
-        target = u0_mean
-    min_u = float(u.values.min())
-    min_v = float(v.values.min())
-
-    f1 = math.nan
-    f2 = math.nan
-    if min_u > 0.0:
-        if p.a == 0.0 and p.mu == 0.0:
-            f1 = lyap_F1(state, p.chi)
-        elif p.a > 0.0 and p.mu > 0.0:
-            f2 = lyap_F2(state, p)
-
-    w_grads = gradient_arrays(w.shaped(), grid.spacing)
-    linf_grad_w = max((float(np.max(np.abs(g))) if g.size else 0.0) for g in w_grads)
-    if p.mu > 0.0:
-        mass_u_theta = float(np.sum(u.values ** (p.theta + 1.0)) * grid.cell_volume)
-    else:
-        mass_u_theta = 0.0
-
-    return DiagnosticsRecord(
-        t=state.t,
-        mass_u=integrate(u),
-        mass_v=integrate(v),
-        linf_u=lp_norm(u, math.inf),
-        linf_v=lp_norm(v, math.inf),
-        l2_u_dev=lp_norm(Field(grid, u.values - target, validate=False), 2),
-        l2_v_dev=lp_norm(Field(grid, v.values - target, validate=False), 2),
-        l2_grad_v=grad_l2(v),
-        linf_grad_w=linf_grad_w,
-        F1=f1,
-        F2=f2,
-        elliptic_residual=elliptic_residual(u.values, w.values, grid),
-        min_u=min_u,
-        min_v=min_v,
-        mass_u_theta=mass_u_theta,
-    )
+    batch = (f.shaped()[np.newaxis] for f in (state.u, state.v, state.w))
+    return diagnostics_batch(state.t, *batch, state.u.grid, [p], [u0_mean])[0]

@@ -21,9 +21,16 @@ from angiosim.dynamics import (
     stable_dt,
     write_trajectory_csv,
 )
-from angiosim.elliptic import EllipticConfig, solve_neumann_poisson, solve_w
-from angiosim.functionals import TRAJECTORY_COLUMNS, mass_balance_residual
-from angiosim.grid import Field, build_grid
+from angiosim.elliptic import (
+    EllipticConfig,
+    grid_axes,
+    neumann_eigenvalues,
+    solve_neumann_poisson,
+    solve_w,
+    spectral_apply,
+)
+from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record, mass_balance_residual
+from angiosim.grid import Field, build_grid, divergence_arrays
 
 LOGISTIC_U1 = 2.0 / (2.0 - math.exp(-1.0))  # u' = u(1-u), u(0) = 2, at t = 1
 
@@ -410,3 +417,85 @@ def test_stepper_names_only_the_member_that_misses_the_potential_gate():
         Stepper(g, [COUPLED] * 2, tight).step(0.0, *batch)
     assert list(err.value.reasons) == [hi]
     assert "missed tolerance" in err.value.reasons[hi]
+
+
+def test_run_ensemble_builds_fields_only_for_terminal_states_and_hooks(monkeypatch):
+    built = []
+    field_init = Field.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        field_init(self, *args, **kwargs)
+
+    g = build_grid(1, 1.0, 32)
+    initials = [make_initial(g, InitialSpec(amplitude=a)) for a in (0.1, 0.2)]
+    members = [COUPLED, params(a=1.0, mu=1.0)]
+    cfg = SolverConfig(dt=1e-3, t_end=0.02, record_every=5)  # records at steps 0, 5, ..., 20
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    plain = run_ensemble(initials, members, cfg)
+    assert len(built) == 3 * 2  # the terminal states only
+    del built[:]
+    seen = []
+    hooked = run_ensemble(initials, members, cfg, lambda b, state: seen.append((b, state)))
+    assert len(built) == 3 * 2 * 4  # every record after the initial one
+    monkeypatch.undo()
+
+    assert [b for b, _ in seen] == [0, 1] * 5
+    for b, (p, traj) in enumerate(zip(members, hooked)):
+        assert_same_trajectory(traj, plain[b])
+        states = [state for who, state in seen if who == b]
+        assert states[0] is initials[b] and states[-1] is traj.terminal
+        u0_mean = float(initials[b].u.values.mean())
+        for state, rec in zip(states, traj.records, strict=True):
+            assert state.t == rec.t
+            again = diagnostics_record(state, p, u0_mean)
+            assert np.array(again.csv_values()).tobytes() == np.array(rec.csv_values()).tobytes()
+
+
+def separate_diffusions_step(stepper, u, v, w):
+    """A step with the u and v diffusions as two transform pairs and the face
+    slices indexed per call."""
+    cfg, g = stepper.cfg, stepper.grid
+    a_u, a_v = _face_speeds(g, v, w, *stepper._cols[:3])
+
+    def advect(c, speeds):
+        fluxes = []
+        for k, a in enumerate(speeds):
+            lo, hi = [slice(None)] * c.ndim, [slice(None)] * c.ndim
+            lo[1 + k], hi[1 + k] = slice(0, -1), slice(1, None)
+            c_lo, c_hi = c[tuple(lo)], c[tuple(hi)]
+            if cfg.flux_scheme == "upwind":
+                face = np.where(a > 0.0, c_lo, c_hi)
+            else:
+                face = 0.5 * (c_lo + c_hi)
+            fluxes.append(a * face)
+        return divergence_arrays(fluxes, g.spacing, c.shape)
+
+    lam = neumann_eigenvalues(g)
+    d = np.array([p.d for p in stepper.params]).reshape((-1,) + (1,) * g.dim)
+    u_star = u - cfg.dt * advect(u, a_u) + cfg.dt * stepper._reaction(u)
+    v_star = v - cfg.dt * advect(v, a_v) + cfg.dt * u
+    u_new = spectral_apply(u_star, 1.0 / (1.0 + cfg.dt * lam), grid_axes(g))
+    v_new = spectral_apply(v_star, 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam), grid_axes(g))
+    return u_new, v_new, stepper._potential(u_new, v_new)
+
+
+@pytest.mark.parametrize("flux_scheme", ["upwind", "central"])
+@pytest.mark.parametrize("dim, cells, n_members", [(1, 128, 9), (2, (12, 20), 3)])
+def test_stacked_diffusion_step_matches_separate_transforms(flux_scheme, dim, cells, n_members):
+    g = build_grid(dim, (1.0, 1.5)[:dim], cells)
+    kinds = [dict(), dict(a=1.0, mu=1.0), dict(a=1.0, mu=0.5, theta=2.0)]
+    members = [params(chi=0.25 * (1 + j % 4), d=0.5 + 0.5 * j, n_dim=dim, **kinds[j % 3])
+               for j in range(n_members)]
+    initials = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=j))
+                for j in range(n_members)]
+    batch = tuple(np.stack([getattr(s, name).shaped() for s in initials]) for name in "uvw")
+    stepper = Stepper(g, members, SolverConfig(dt=2e-5, t_end=1.0, flux_scheme=flux_scheme))
+    for rows in (range(n_members), [n_members - 1, 0]):  # all members, then after keep
+        if len(rows) < n_members:
+            stepper.keep(rows)
+            batch = tuple(a[rows] for a in batch)
+        expected = separate_diffusions_step(stepper, *batch)
+        stepped = stepper.step(0.0, *batch)
+        for got, want in zip(stepped, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angiosim.dynamics import ModelParams, SimState
-from angiosim.elliptic import EllipticConfig, solve_w
+from angiosim.elliptic import EllipticConfig, elliptic_residual, solve_neumann_poisson, solve_w
 from angiosim.functionals import (
     TRAJECTORY_COLUMNS,
     CosineTestFunction,
     DiagnosticsRecord,
     InequalityCheck,
+    diagnostics_batch,
     diagnostics_record,
     entropy_sandwich_check,
     fit_decay_rate,
@@ -20,7 +23,7 @@ from angiosim.functionals import (
     relative_entropy,
     verify_interpolation_inequalities,
 )
-from angiosim.grid import Field, build_grid
+from angiosim.grid import Field, build_grid, gradient_arrays, integrate, lp_norm
 
 # high-resolution quadrature oracle for int (1+cos(pi x)/2) ln(1+cos(pi x)/2)
 ENTROPY_COS_HALF = 0.0646381320204874430
@@ -314,3 +317,111 @@ def test_csv_values_align_with_column_names():
     assert len(vals) == len(TRAJECTORY_COLUMNS)
     assert vals[0] == 1.25
     assert vals[TRAJECTORY_COLUMNS.index("mass_u")] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# batched diagnostics: every row is the record of its member alone
+
+def reference_record(state, p, u0_mean):
+    """A lone member's record, column by column from the Field-level functionals."""
+    u, v, w = state.u, state.v, state.w
+    grid = u.grid
+    target = (p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0_mean
+    min_u = float(u.values.min())
+    f1 = f2 = math.nan
+    if min_u > 0.0 and p.a == 0.0 and p.mu == 0.0:
+        f1 = lyap_F1(state, p.chi)
+    elif min_u > 0.0 and p.a > 0.0 and p.mu > 0.0:
+        f2 = lyap_F2(state, p)
+    mass_u_theta = 0.0
+    if p.mu > 0.0:
+        mass_u_theta = float(np.sum(u.values ** (p.theta + 1.0)) * grid.cell_volume)
+    return DiagnosticsRecord(
+        t=state.t,
+        mass_u=integrate(u),
+        mass_v=integrate(v),
+        linf_u=lp_norm(u, math.inf),
+        linf_v=lp_norm(v, math.inf),
+        l2_u_dev=lp_norm(Field(grid, u.values - target, validate=False), 2),
+        l2_v_dev=lp_norm(Field(grid, v.values - target, validate=False), 2),
+        l2_grad_v=grad_l2(v),
+        linf_grad_w=max(float(np.max(np.abs(g)))
+                        for g in gradient_arrays(w.shaped(), grid.spacing)),
+        F1=f1,
+        F2=f2,
+        elliptic_residual=elliptic_residual(u.values, w.values, grid),
+        min_u=min_u,
+        min_v=float(v.values.min()),
+        mass_u_theta=mass_u_theta,
+    )
+
+
+def record_bytes(rec):
+    return np.array(rec.csv_values() + [rec.mass_u_theta]).tobytes()
+
+
+MEMBER_KINDS = {
+    "growth_free": dict(a=0.0, mu=0.0, theta=1.0),       # F1
+    "logistic_theta1": dict(a=1.0, mu=2.0, theta=1.0),   # F2
+    "logistic_theta2": dict(a=1.5, mu=0.5, theta=2.0),   # F2
+    "growth_only": dict(a=1.0, mu=0.0, theta=1.0),       # neither; mass_u_theta = 0
+    "damping_only": dict(a=0.0, mu=1.0, theta=1.5),      # neither; int u^2.5
+}
+
+
+def random_member(grid, kind, nonpositive, seed):
+    """(state, params, u0_mean); nonpositive puts a u <= 0 cell in, as the
+    central flux scheme can."""
+    rng = np.random.default_rng(seed)
+    u = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, grid.n_cells)
+    if nonpositive:
+        u[rng.integers(grid.n_cells)] = -0.1 * rng.uniform()
+    v = 0.5 + 0.4 * rng.uniform(-1.0, 1.0, grid.n_cells)
+    w, _res, _it = solve_neumann_poisson(grid, u.reshape(grid.cells) - u.mean(), EllipticConfig())
+    state = SimState(0.375, Field(grid, u), Field(grid, v), Field(grid, w))
+    # with chi = 0, F1 and F2 are the entropy alone, and keep its last bits
+    chi = 0.0 if rng.uniform() < 0.5 else rng.uniform(0.0, 2.0)
+    p = ModelParams(chi=chi, xi1=1.0, xi2=1.0, d=rng.uniform(0.5, 3.0),
+                    n_dim=grid.dim, **MEMBER_KINDS[kind])
+    return state, p, float(rng.uniform(0.5, 1.5))
+
+
+def assert_batch_matches_lone_members(grid, members):
+    """-> the batch's records, checked row by row against each member alone."""
+    states, ps, u0s = zip(*members)
+    batch = (np.stack([getattr(s, name).shaped() for s in states]) for name in "uvw")
+    with np.errstate(invalid="ignore"):  # u <= 0 to a fractional power is nan either way
+        rows = diagnostics_batch(0.375, *batch, grid, ps, u0s)
+        assert len(rows) == len(members)
+        for row, state, p, u0 in zip(rows, states, ps, u0s):
+            expected = record_bytes(reference_record(state, p, u0))
+            assert record_bytes(diagnostics_record(state, p, u0)) == expected
+            assert record_bytes(row) == expected
+    return rows
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 50), (2, (12, 20))])
+def test_diagnostics_batch_of_every_member_kind(dim, cells):
+    grid = build_grid(dim, (1.0, 1.5)[:dim], cells)
+    kinds = list(MEMBER_KINDS) * 3 + ["growth_free", "logistic_theta2"]
+    nonpositive = [False] * (len(kinds) - 2) + [True] * 2
+    members = [random_member(grid, kind, nonpos, seed)
+               for seed, (kind, nonpos) in enumerate(zip(kinds, nonpositive))]
+    rows = assert_batch_matches_lone_members(grid, members)
+    for rec, kind, nonpos in zip(rows, kinds, nonpositive):
+        assert math.isnan(rec.F1) != (kind == "growth_free" and not nonpos)
+        assert math.isnan(rec.F2) != (kind.startswith("logistic") and not nonpos)
+        assert (rec.mass_u_theta == 0.0) == (MEMBER_KINDS[kind]["mu"] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data())
+def test_diagnostics_batch_rows_match_lone_members(dim, data):
+    cells = tuple(data.draw(st.integers(4, 64), label=f"cells[{k}]") for k in range(dim))
+    grid = build_grid(dim, (1.0, 1.5)[:dim], cells)
+    kinds = data.draw(st.lists(st.sampled_from(sorted(MEMBER_KINDS)), min_size=1, max_size=5),
+                      label="kinds")
+    members = [random_member(grid, kind, data.draw(st.booleans(), label="nonpositive"),
+                             data.draw(st.integers(0, 2**32 - 1), label="seed"))
+               for kind in kinds]
+    assert_batch_matches_lone_members(grid, members)
