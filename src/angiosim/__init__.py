@@ -12,10 +12,10 @@ from .grid import (
     Field,
     Grid,
     build_grid,
-    divergence,
-    gradient_faces,
+    divergence_arrays,
+    gradient_arrays,
     integrate,
-    laplacian,
+    laplacian_array,
     lp_norm,
     mean,
     read_field_csv,

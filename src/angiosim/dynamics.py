@@ -54,6 +54,7 @@ from .grid import (
     Field,
     Grid,
     divergence_arrays,
+    face_slices,
     gradient_arrays,
 )
 
@@ -280,11 +281,6 @@ class Stepper:
         self.cfg = cfg
         self._lam = neumann_eigenvalues(grid)
         self._mult_u = 1.0 / (1.0 + cfg.dt * self._lam)
-        # the lower and upper cells of each axis's interior faces
-        self._faces = []
-        for k in range(grid.dim):
-            rest = (slice(None),) * (grid.dim - 1 - k)
-            self._faces.append(((..., slice(0, -1)) + rest, (..., slice(1, None)) + rest))
         self._set_params(params)
 
     def _set_params(self, params):
@@ -316,7 +312,7 @@ class Stepper:
     def _advect(self, carrier: np.ndarray, speeds) -> np.ndarray:
         """div(speed * face value) with upwind or centered face values."""
         fluxes = []
-        for (lo, hi), a in zip(self._faces, speeds):
+        for (lo, hi), a in zip(face_slices(self.grid.dim), speeds):
             c_lo = carrier[lo]
             c_hi = carrier[hi]
             if self.cfg.flux_scheme == "upwind":

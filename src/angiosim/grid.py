@@ -2,14 +2,15 @@
 
 Cells are uniform intervals (1D) or axis-aligned rectangles (2D), values live
 at cell centers, fluxes live on faces. Boundary faces always carry zero flux
-(mirror ghost cells), which makes divergence(gradient_faces(f)) telescope: the
-integral of any divergence vanishes to round-off, so the discrete conservation
-identities downstream hold exactly rather than to truncation order.
+(mirror ghost cells), which makes divergence_arrays(gradient_arrays(f))
+telescope: the integral of any divergence vanishes to round-off, so the
+discrete conservation identities downstream hold exactly rather than to
+truncation order.
 
 Quadrature is midpoint: integrate(f) = sum(values) * cell_volume. Face-norm
 quadrature assigns each interior face one cell volume, which makes
-<-laplacian(f), f> equal grad-norm squared exactly (discrete integration by
-parts with no boundary term).
+<-laplacian_array(f), f> equal grad-norm squared exactly (discrete integration
+by parts with no boundary term).
 """
 from __future__ import annotations
 
@@ -22,11 +23,11 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "FaceFlux",
     "build_grid",
-    "laplacian",
-    "gradient_faces",
-    "divergence",
+    "face_slices",
+    "laplacian_array",
+    "gradient_arrays",
+    "divergence_arrays",
     "integrate",
     "mean",
     "lp_norm",
@@ -135,53 +136,26 @@ class Field:
         return self.values.reshape(self.grid.cells)
 
 
-@dataclass(frozen=True)
-class FaceFlux:
-    """Interior-face normal fluxes, one array per axis.
-
-    Axis k array has the cell shape with axis k shortened by one; boundary
-    faces are implicitly zero (never stored).
-    """
-
-    grid: Grid
-    axis_fluxes: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.axis_fluxes) != self.grid.dim:
-            raise ValueError("one flux array per axis required")
-        fluxes = []
-        for k, arr in enumerate(self.axis_fluxes):
-            want = list(self.grid.cells)
-            want[k] -= 1
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != tuple(want):
-                raise ValueError(
-                    f"axis {k} flux shape {arr.shape}, expected {tuple(want)}"
-                )
-            fluxes.append(arr)
-        object.__setattr__(self, "axis_fluxes", tuple(fluxes))
-
-
 # ---------------------------------------------------------------------------
 # array kernels (shaped arrays in, shaped arrays out; no Field wrapping). The
 # grid axes are the trailing ones, so a batch (B, *cells) works the same way.
 
-def _along(ndim: int, axis: int, sl: slice) -> tuple:
-    """Index tuple applying sl to one axis of an ndim array."""
-    idx = [slice(None)] * ndim
-    idx[axis] = sl
-    return tuple(idx)
-
-
-_HI, _LO = slice(1, None), slice(None, -1)
+@functools.lru_cache(maxsize=None)
+def face_slices(dim: int) -> tuple:
+    """Per grid axis, the (lo, hi) index tuples of the cells below and above
+    its interior faces, anchored on the trailing axes."""
+    out = []
+    for k in range(dim):
+        rest = (slice(None),) * (dim - 1 - k)
+        out.append(((..., slice(0, -1)) + rest, (..., slice(1, None)) + rest))
+    return tuple(out)
 
 
 def laplacian_array(vals: np.ndarray, spacing) -> np.ndarray:
+    """Second-order zero-flux Laplacian (3/5-point stencil, mirror ghosts)."""
     # telescoped face-difference form; mirror ghosts make boundary fluxes zero
     out = np.zeros_like(vals)
-    lead = vals.ndim - len(spacing)
-    for k, h in enumerate(spacing):
-        lo, hi = _along(vals.ndim, lead + k, _LO), _along(vals.ndim, lead + k, _HI)
+    for (lo, hi), h in zip(face_slices(len(spacing)), spacing):
         d = (vals[hi] - vals[lo]) / (h * h)
         out[lo] += d
         out[hi] -= d
@@ -189,48 +163,23 @@ def laplacian_array(vals: np.ndarray, spacing) -> np.ndarray:
 
 
 def gradient_arrays(vals: np.ndarray, spacing) -> list[np.ndarray]:
-    lead = vals.ndim - len(spacing)
-    return [(vals[_along(vals.ndim, lead + k, _HI)] - vals[_along(vals.ndim, lead + k, _LO)]) / h
-            for k, h in enumerate(spacing)]
+    """Centered normal derivative on the interior faces, one array per axis."""
+    return [(vals[hi] - vals[lo]) / h
+            for (lo, hi), h in zip(face_slices(len(spacing)), spacing)]
 
 
 def divergence_arrays(fluxes, spacing, shape) -> np.ndarray:
+    """Discrete divergence of interior-face fluxes; boundary faces carry zero."""
     out = np.zeros(shape)
     net = np.empty(shape)
-    lead = len(shape) - len(spacing)
-    for k, (g, h) in enumerate(zip(fluxes, spacing)):
-        # the boundary faces carry zero flux: net = g[0], g[1:] - g[:-1], 0 - g[-1]
-        at = functools.partial(_along, len(shape), lead + k)
-        first, last = at(slice(None, 1)), at(slice(-1, None))
-        net[first] = g[first]
-        np.subtract(g[at(_HI)], g[at(_LO)], out=net[at(slice(1, -1))])
-        np.subtract(0.0, g[last], out=net[last])
+    for (lo, hi), g, h in zip(face_slices(len(spacing)), fluxes, spacing):
+        # net = g[0], g[1:] - g[:-1], 0 - g[-1] along the axis
+        net.fill(0.0)
+        net[lo] = g
+        net[hi] -= g
         net /= h
         out += net
     return out
-
-
-# ---------------------------------------------------------------------------
-# public operators
-
-def laplacian(f: Field) -> Field:
-    """Second-order zero-flux Laplacian (3/5-point stencil, mirror ghosts)."""
-    return Field(f.grid, laplacian_array(f.shaped(), f.grid.spacing))
-
-
-def gradient_faces(f: Field) -> FaceFlux:
-    """Centered normal derivative on each interior face."""
-    return FaceFlux(
-        f.grid, tuple(gradient_arrays(f.shaped(), f.grid.spacing))
-    )
-
-
-def divergence(flux: FaceFlux) -> Field:
-    """Per-cell net outflux divided by cell volume (boundary faces zero)."""
-    g = flux.grid
-    return Field(
-        g, divergence_arrays(flux.axis_fluxes, g.spacing, g.cells)
-    )
 
 
 def integrate(f: Field) -> float:
@@ -250,13 +199,6 @@ def lp_norm(f: Field, p) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     s = float(np.sum(np.abs(f.values) ** p) * f.grid.cell_volume)
     return s ** (1.0 / p)
-
-
-def grad_norm_arrays(fluxes, cell_volume) -> float:
-    s = 0.0
-    for g in fluxes:
-        s += float(np.sum(g * g))
-    return math.sqrt(s * cell_volume)
 
 
 # ---------------------------------------------------------------------------

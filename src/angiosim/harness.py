@@ -89,6 +89,18 @@ def _default_window(series) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _fit_column(recs, column: str, window):
+    """Decay fit of one trajectory column over window, or over the default
+    window when window is None. Returns (window, RateFit); raises KeyError for
+    an unknown column and ValueError when the fit fails."""
+    if column not in TRAJECTORY_COLUMNS:
+        raise KeyError(column)
+    idx = TRAJECTORY_COLUMNS.index(column)
+    series = [(r.t, r.csv_values()[idx]) for r in recs]
+    window = window or _default_window(series)
+    return window, fit_decay_rate(series, window)
+
+
 def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> ThresholdReport:
     p = cfg.params
     vals = {}
@@ -167,20 +179,17 @@ def _verdict_lines(cfg: ScenarioConfig, traj: Trajectory, rep: ThresholdReport, 
         lines.append(("sigma", rep.sigma))
 
     try:
-        idx = TRAJECTORY_COLUMNS.index(cfg.fit_column)
-    except ValueError:
+        window, fit = _fit_column(recs, cfg.fit_column, cfg.fit_window)
+    except KeyError:
         lines.append(("fit_error", f"unknown column {cfg.fit_column}"))
         return lines
-    series = [(r.t, r.csv_values()[idx]) for r in recs]
-    window = cfg.fit_window or _default_window(series)
-    try:
-        fit = fit_decay_rate(series, window)
-        lines.append(("fitted_column", cfg.fit_column))
-        lines.append(("fitted_window", f"{_fmt(window[0])}:{_fmt(window[1])}"))
-        lines.append(("fitted_rate", fit.rate))
-        lines.append(("fitted_r_squared", fit.r_squared))
     except ValueError as exc:
         lines.append(("fit_error", str(exc)))
+        return lines
+    lines.append(("fitted_column", cfg.fit_column))
+    lines.append(("fitted_window", f"{_fmt(window[0])}:{_fmt(window[1])}"))
+    lines.append(("fitted_rate", fit.rate))
+    lines.append(("fitted_r_squared", fit.r_squared))
     return lines
 
 
@@ -237,12 +246,10 @@ def _sweep_row(overrides: dict, fit_column: str, cfg, outcome) -> dict:
     row["terminal_l2_u_dev"] = last.l2_u_dev
     row["terminal_mass_u"] = last.mass_u
     try:
-        idx = TRAJECTORY_COLUMNS.index(fit_column)
-        series = [(r.t, r.csv_values()[idx]) for r in outcome.records]
-        fit = fit_decay_rate(series, cfg.fit_window or _default_window(series))
+        _, fit = _fit_column(outcome.records, fit_column, cfg.fit_window)
         row["fitted_rate"] = fit.rate
         row["fitted_r_squared"] = fit.r_squared
-    except ValueError:
+    except (KeyError, ValueError):
         pass  # no fit: the rate columns stay nan
     return row
 

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from angiosim.functionals import grad_l2
 from angiosim.grid import (
     Field,
     build_grid,
-    divergence,
     divergence_arrays,
     gradient_arrays,
-    gradient_faces,
-    grad_norm_arrays,
     integrate,
-    laplacian,
+    laplacian_array,
     lp_norm,
     mean,
     read_field_csv,
@@ -32,6 +30,15 @@ def cosine_field(grid, amp=1.0, base=0.0):
 def random_field(grid, seed=0, lo=0.5, hi=2.0):
     rng = np.random.default_rng(seed)
     return Field(grid, rng.uniform(lo, hi, grid.n_cells))
+
+
+def lap(f):
+    """laplacian_array of a Field, as a Field."""
+    return Field(f.grid, laplacian_array(f.shaped(), f.grid.spacing))
+
+
+def grad(f):
+    return gradient_arrays(f.shaped(), f.grid.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +87,11 @@ def test_field_values_frozen():
         f.values[0] = 2.0
 
 
-def test_faceflux_shape_checked():
+def test_gradient_arrays_face_shapes():
+    # one array per axis, that axis one shorter: the interior faces only
     g = build_grid(2, 1.0, (4, 6))
-    f = random_field(g, 1)
-    flux = gradient_faces(f)
-    assert flux.axis_fluxes[0].shape == (3, 6)
-    assert flux.axis_fluxes[1].shape == (4, 5)
+    flux = grad(random_field(g, 1))
+    assert [a.shape for a in flux] == [(3, 6), (4, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +99,14 @@ def test_faceflux_shape_checked():
 
 def test_laplacian_of_constant_is_zero():
     g = build_grid(2, 1.0, (8, 8))
-    out = laplacian(Field(g, np.full(64, 3.7)))
+    out = lap(Field(g, np.full(64, 3.7)))
     assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_laplacian_cosine_eigenmode_1d():
     g = build_grid(1, 2.0, 256)
     f = cosine_field(g)
-    out = laplacian(f)
+    out = lap(f)
     lam = (np.pi / 2.0) ** 2
     rel = np.max(np.abs(out.values + lam * f.values)) / lam
     assert rel <= 1e-3
@@ -110,7 +116,7 @@ def test_laplacian_cosine_eigenmode_2d():
     g = build_grid(2, 1.0, (64, 64))
     f = cosine_field(g)
     lam = 2.0 * np.pi**2
-    rel = np.max(np.abs(laplacian(f).values + lam * f.values)) / lam
+    rel = np.max(np.abs(lap(f).values + lam * f.values)) / lam
     assert rel <= 1e-3
 
 
@@ -118,7 +124,7 @@ def test_laplacian_integral_vanishes():
     for dim, cells in ((1, 128), (2, (16, 24))):
         g = build_grid(dim, 1.0, cells)
         f = random_field(g, seed=dim)
-        total = integrate(laplacian(f))
+        total = integrate(lap(f))
         assert abs(total) <= 1e-12 * g.n_cells * lp_norm(f, math.inf)
 
 
@@ -127,40 +133,39 @@ def test_laplacian_integral_vanishes():
 
 def test_gradient_of_constant_is_zero():
     g = build_grid(1, 1.0, 16)
-    flux = gradient_faces(Field(g, np.full(16, 2.0)))
-    assert np.max(np.abs(flux.axis_fluxes[0])) == 0.0
+    flux = grad(Field(g, np.full(16, 2.0)))
+    assert np.max(np.abs(flux[0])) == 0.0
 
 
 def test_gradient_of_linear_ramp_is_one():
     g = build_grid(1, 1.0, 16)
-    flux = gradient_faces(Field(g, g.axis_centers(0)))
-    assert np.allclose(flux.axis_fluxes[0], 1.0, atol=1e-14)
+    flux = grad(Field(g, g.axis_centers(0)))
+    assert np.allclose(flux[0], 1.0, atol=1e-14)
 
 
 def test_gradient_cosine_matches_analytic_faces():
     g = build_grid(1, 1.0, 256)
     h = g.spacing[0]
     faces = (np.arange(1, 256)) * h
-    flux = gradient_faces(cosine_field(g))
+    flux = grad(cosine_field(g))
     exact = -np.pi * np.sin(np.pi * faces)
-    assert np.max(np.abs(flux.axis_fluxes[0] - exact)) <= 10 * h**2
+    assert np.max(np.abs(flux[0] - exact)) <= 10 * h**2
 
 
 def test_divergence_of_gradient_is_laplacian():
     for dim, cells in ((1, 64), (2, (12, 20))):
         g = build_grid(dim, 1.5, cells)
         f = random_field(g, seed=dim + 5)
-        a = divergence(gradient_faces(f)).values
-        b = laplacian(f).values
+        a = divergence_arrays(grad(f), g.spacing, g.cells).ravel()
+        b = lap(f).values
         assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(b)))
 
 
 def test_divergence_integral_telescopes():
     g = build_grid(2, 1.0, (8, 8))
     rng = np.random.default_rng(7)
-    flux = gradient_faces(random_field(g, 11))
-    arbitrary = type(flux)(g, tuple(rng.normal(size=a.shape) for a in flux.axis_fluxes))
-    total = integrate(divergence(arbitrary))
+    arbitrary = [rng.normal(size=a.shape) for a in grad(random_field(g, 11))]
+    total = integrate(Field(g, divergence_arrays(arbitrary, g.spacing, g.cells)))
     assert abs(total) <= 1e-12
 
 
@@ -171,13 +176,34 @@ def test_slice_kernels_match_diff_formula_bit_for_bit(shape, spacing):
     rng = np.random.default_rng(len(shape))
     vals = rng.normal(size=shape)
     dim = len(spacing)
+
+    def padded(a, axis, before, after):
+        width = [(0, 0)] * a.ndim
+        width[axis] = (before, after)
+        return np.pad(a, width)
+
     grads = [np.diff(vals, axis=k - dim) / h for k, h in enumerate(spacing)]
     div = np.zeros(shape)
+    lap = np.zeros(shape)
     for k, (g, h) in enumerate(zip(grads, spacing)):
         div += np.diff(g, axis=k - dim, prepend=0.0, append=0.0) / h
+        d = np.diff(vals, axis=k - dim) / (h * h)
+        lap += padded(d, k - dim, 0, 1)
+        lap -= padded(d, k - dim, 1, 0)
     got = gradient_arrays(vals, spacing)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in grads]
     assert divergence_arrays(grads, spacing, shape).tobytes() == div.tobytes()
+    assert laplacian_array(vals, spacing).tobytes() == lap.tobytes()
+    # a batch row is byte-equal to that row on its own, as ensemble members
+    # must be to standalone runs
+    batch = shape[0] if len(shape) > dim else 0
+    for b in range(batch):
+        row = vals[b]
+        assert ([a.tobytes() for a in gradient_arrays(row, spacing)]
+                == [a[b].tobytes() for a in got])
+        assert (divergence_arrays([g[b] for g in grads], spacing, row.shape).tobytes()
+                == div[b].tobytes())
+        assert laplacian_array(row, spacing).tobytes() == lap[b].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +252,8 @@ def test_laplacian_is_symmetric():
     g = build_grid(2, 1.0, (10, 14))
     f = random_field(g, 21)
     q = random_field(g, 22)
-    lhs = np.dot(laplacian(f).values, q.values)
-    rhs = np.dot(f.values, laplacian(q).values)
+    lhs = np.dot(lap(f).values, q.values)
+    rhs = np.dot(f.values, lap(q).values)
     scale = np.max(np.abs(f.values)) * np.max(np.abs(q.values)) * g.n_cells
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -236,15 +262,15 @@ def test_laplacian_negative_semidefinite():
     for seed in range(5):
         g = build_grid(1, 1.0, 64)
         f = random_field(g, seed, lo=-1.0, hi=1.0)
-        assert np.dot(laplacian(f).values, f.values) <= 1e-12
+        assert np.dot(lap(f).values, f.values) <= 1e-12
 
 
 def test_pairing_equals_face_gradient_norm():
     # discrete integration by parts: <-lap f, f> * vol == ||grad f||^2 exactly
     g = build_grid(2, 1.0, (12, 12))
     f = random_field(g, 31)
-    pairing = -np.dot(laplacian(f).values, f.values) * g.cell_volume
-    gn = grad_norm_arrays(gradient_faces(f).axis_fluxes, g.cell_volume)
+    pairing = -np.dot(lap(f).values, f.values) * g.cell_volume
+    gn = grad_l2(f)
     assert pairing == pytest.approx(gn * gn, rel=1e-12)
 
 
@@ -254,7 +280,7 @@ def test_laplacian_second_order_refinement():
     for n in (64, 128, 256):
         g = build_grid(1, 1.0, n)
         f = cosine_field(g)
-        err = laplacian(f).values + np.pi**2 * f.values
+        err = lap(f).values + np.pi**2 * f.values
         errs.append(np.max(np.abs(err)))
     assert 3.4 <= errs[0] / errs[1] <= 4.6
     assert 3.4 <= errs[1] / errs[2] <= 4.6
