@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, parse_config, parse_sweep
 from .harness import (
@@ -46,17 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario from a key=value config")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    p_run.add_argument("--quiet", action="store_true")
-
-    p_sweep = sub.add_parser("sweep", help="cartesian sweep from a config with sweep.* axes")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--out", help="output directory (overrides config)")
-    p_sweep.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    p_sweep.add_argument("--quiet", action="store_true")
+    for name, text in (("run", "run one scenario from a key=value config"),
+                       ("sweep", "cartesian sweep from a config with sweep.* axes")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config")
+        p.add_argument("--out", help="output directory (overrides the out key)")
+        p.add_argument("--seed", type=int, help="RNG seed (overrides the seed key)")
+        p.add_argument("--quiet", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run the built-in verification battery")
     p_verify.add_argument("--out", default="out")
@@ -80,28 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = parse_config(args.config)
-            if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError("--seed must be >= 0")
-                cfg = replace(cfg, seed=args.seed,
-                              initial=replace(cfg.initial, seed=args.seed))
-            if args.out is not None:
-                cfg = replace(cfg, out_dir=args.out)
-            return run_scenario(cfg, quiet=args.quiet)
-
-        if args.command == "sweep":
-            spec = parse_sweep(args.config)
-            if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError("--seed must be >= 0")
-                spec = replace(
-                    spec, base_keys={**spec.base_keys, "seed": (str(args.seed), 0)},
-                    base=replace(spec.base, seed=args.seed,
-                                 initial=replace(spec.base.initial, seed=args.seed)))
-            out_dir = args.out if args.out is not None else spec.base.out_dir
-            return run_sweep(spec, out_dir, quiet=args.quiet)
+        if args.command in ("run", "sweep"):
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
+            overrides = {key: val for key, val in (("seed", args.seed), ("out", args.out))
+                         if val is not None}
+            if args.command == "run":
+                return run_scenario(parse_config(args.config, overrides), quiet=args.quiet)
+            return run_sweep(parse_sweep(args.config, overrides), quiet=args.quiet)
 
         if args.command == "verify":
             return verify_suite(out_dir=args.out, quiet=args.quiet,

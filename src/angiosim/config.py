@@ -108,8 +108,6 @@ _PRESET_OVERRIDES = {
     "custom": {},
 }
 
-_SWEEP_DEFAULTS = {"sweep.max_points": "256"}
-
 _KNOWN_KEYS = {"preset", *_BASE_DEFAULTS}
 
 # keys a sweep may vary (numeric scenario knobs)
@@ -119,7 +117,6 @@ _SWEEPABLE_PREFIXES = ("params.", "solver.", "init.")
 @dataclass(frozen=True)
 class ScenarioConfig:
     preset: str
-    seed: int
     out_dir: str
     grid: Grid
     params: ModelParams
@@ -137,8 +134,9 @@ class SweepSpec:
     base_keys: dict = field(default_factory=dict, compare=False)
 
 
-def _read_kv(path):
-    """File -> {key: (raw value, line number)}; duplicate keys rejected."""
+def _read_kv(path, overrides=None):
+    """File -> {key: (raw value, line number)}; duplicate keys rejected. The
+    overrides {key: value} then replace or add keys (line number 0)."""
     table = {}
     try:
         with open(path) as fh:
@@ -157,6 +155,8 @@ def _read_kv(path):
         if key in table:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
         table[key] = (raw, ln)
+    for key, value in (overrides or {}).items():
+        table[key] = (str(value), 0)
     return table
 
 
@@ -281,7 +281,6 @@ def _build_scenario(kv, path) -> ScenarioConfig:
 
     cfg = ScenarioConfig(
         preset=preset,
-        seed=seed,
         out_dir=kv["out"][0],
         grid=grid,
         params=params,
@@ -326,9 +325,10 @@ def _check_preset_constraints(cfg: ScenarioConfig) -> None:
         )
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Parse a scenario file. Files with sweep.* keys need the sweep command."""
-    kv = _read_kv(path)
+def parse_config(path, overrides=None) -> ScenarioConfig:
+    """Parse a scenario file, with overrides {key: value} applied over its keys
+    before validation. Files with sweep.* keys need the sweep command."""
+    kv = _read_kv(path, overrides)
     sweep_keys = [k for k in kv if k.startswith("sweep.")]
     if sweep_keys:
         raise ConfigError(
@@ -337,11 +337,12 @@ def parse_config(path) -> ScenarioConfig:
     return _build_scenario(kv, path)
 
 
-def parse_sweep(path) -> SweepSpec:
-    """Parse a sweep file: a scenario plus sweep.<param> = v1, v2, ... axes."""
-    kv = _read_kv(path)
+def parse_sweep(path, overrides=None) -> SweepSpec:
+    """Parse a sweep file: a scenario plus sweep.<param> = v1, v2, ... axes.
+    overrides {key: value} apply over the file's keys, as in parse_config."""
+    kv = _read_kv(path, overrides)
     axes = []
-    max_points = int(_SWEEP_DEFAULTS["sweep.max_points"])
+    max_points = SweepSpec.max_points
     scenario_kv = {}
     for key, (raw, ln) in kv.items():
         if not key.startswith("sweep."):

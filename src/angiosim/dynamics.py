@@ -365,7 +365,7 @@ class Stepper:
             w, _res, _it = solve_neumann_poisson(
                 self.grid, u - grid_mean(u, self.grid), self.cfg.elliptic)
         except EllipticSolveError as exc:
-            missed = np.flatnonzero(exc.residuals > exc.tolerance)
+            missed = np.flatnonzero(~(exc.residuals <= exc.tolerance))
             raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc
         return w
 
@@ -419,11 +419,12 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     on_record is given, for each record: on_record(b, state) is then called
     with each recorded SimState, the initial one included.
     """
-    grid, t = initials[0].u.grid, initials[0].t
-    if any(s.u.grid != grid or s.t != t for s in initials):
+    grid, t0 = initials[0].u.grid, initials[0].t
+    if any(s.u.grid != grid or s.t != t0 for s in initials):
         raise ValueError("ensemble members must share a grid and a start time")
     axes = grid_axes(grid)
-    n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-9))
+    n_steps = max(1, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-9))
+    t = t0
     u0_means = [float(s.u.values.mean()) for s in initials]
     records: list[list[DiagnosticsRecord]] = [[] for _ in initials]
     trajectories: list[Trajectory | None] = [None] * len(initials)
@@ -464,7 +465,7 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
                               t, batch)
         if not members:
             break
-        t = k * cfg.dt  # exact time grid, no float drift
+        t = t0 + k * cfg.dt  # exact time grid, no float drift
         batch = stepped
         ended = _ended_rows(batch[0], batch[1], axes, t, cfg)
         if ended:

@@ -24,6 +24,16 @@ import numpy as np
 
 from .grid import Field, Grid, laplacian_array
 
+__all__ = [
+    "EllipticConfig",
+    "EllipticSolveError",
+    "SpectralInfo",
+    "solve_neumann_poisson",
+    "solve_w",
+    "elliptic_residual",
+    "spectral_info",
+]
+
 
 @dataclass(frozen=True)
 class EllipticConfig:
@@ -137,7 +147,7 @@ def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, cfg: EllipticConfig):
     w = spectral_apply(b, _pseudo_inverse(grid), grid_axes(grid))
     w -= grid_mean(w, grid)
     res = _residuals(b, w, grid)
-    if np.any(res > cfg.tolerance):
+    if not np.all(res <= cfg.tolerance):  # a nan residual fails too
         raise EllipticSolveError(cfg.tolerance, res)
     return w, float(np.max(res)), 1
 
@@ -158,8 +168,20 @@ def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
     rhs = u - grid_mean(u, grid)
     r = laplacian_array(w, grid.spacing) + rhs
     r -= grid_mean(r, grid)  # zero in exact arithmetic; kills the round-off constant
-    rr = np.add.reduce(r * r, axis=axes)
-    return np.sqrt(rr / np.maximum(np.add.reduce(rhs * rhs, axis=axes), 1e-60))  # rhs ~ 0 guard
+
+    def sumsq(a):
+        return np.add.reduce(a * a, axis=axes)
+
+    with np.errstate(over="ignore"):
+        rr, ss = sumsq(r), sumsq(rhs)
+        finite = np.isfinite(rr + ss)
+    if not finite.all():
+        # the squares overflow once |rhs| passes ~1e154: scale those members
+        # exactly, by the power of two that brings max|rhs| into [0.5, 1)
+        _, e = np.frexp(np.max(np.abs(rhs), axis=axes))
+        scale = np.ldexp(1.0, np.where(finite, 0, -e)).reshape(finite.shape + (1,) * grid.dim)
+        rr, ss = sumsq(r * scale), sumsq(rhs * scale)
+    return np.sqrt(rr / np.maximum(ss, 1e-60))  # rhs ~ 0 guard
 
 
 def spectral_info(grid: Grid) -> SpectralInfo:

@@ -25,6 +25,7 @@ from .grid import (
 )
 
 __all__ = [
+    "TRAJECTORY_COLUMNS",
     "DiagnosticsRecord",
     "RateFit",
     "InequalityCheck",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FLOAT_FMT",
     "Grid",
     "Field",
     "build_grid",
@@ -49,8 +50,6 @@ class Grid:
     cells : cell count per axis
     spacing : lengths[k] / cells[k]
     measure : domain volume (product of lengths)
-    convex_flag : intervals and rectangles are convex; overridable only to
-        evaluate structural bounds for notional non-convex domains
     """
 
     dim: int
@@ -58,7 +57,6 @@ class Grid:
     cells: tuple[int, ...]
     spacing: tuple[float, ...]
     measure: float
-    convex_flag: bool = True
 
     @property
     def n_cells(self) -> int:
@@ -86,7 +84,7 @@ class Grid:
         return (xx.ravel(), yy.ravel())
 
 
-def build_grid(dim, lengths, cells, convex_flag=True) -> Grid:
+def build_grid(dim, lengths, cells) -> Grid:
     """Validate and assemble a Grid. lengths/cells are scalars or per-axis."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -106,7 +104,7 @@ def build_grid(dim, lengths, cells, convex_flag=True) -> Grid:
         raise ValueError(f"need at least 4 cells per axis, got {cells}")
     spacing = tuple(l / c for l, c in zip(lengths, cells))
     measure = float(np.prod(lengths))
-    return Grid(dim, lengths, cells, spacing, measure, bool(convex_flag))
+    return Grid(dim, lengths, cells, spacing, measure)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ from .thresholds import (
     structural_gradw_bound,
 )
 
-__all__ = ["run_scenario", "run_sweep", "verify_suite", "fit_report"]
+__all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_BLOWUP", "EXIT_NUMERICAL",
+           "run_scenario", "run_sweep", "verify_suite", "fit_report"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,9 +115,7 @@ def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> Threshold
             vals["M1c"] = m1c
             if not math.isnan(m_mu):
                 vals["M_mu"] = m_mu
-            vals["gradw_bound"] = structural_gradw_bound(
-                p, vals["M0"], g, cfg.grid.convex_flag
-            )
+            vals["gradw_bound"] = structural_gradw_bound(p, vals["M0"], g)
         except ValueError:
             pass  # no gradient-bound branch applies; fields stay nan
 
@@ -132,8 +131,8 @@ def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> Threshold
     if p.a > 0.0 and p.mu > 0.0:
         vals["b"] = (p.a / p.mu) ** (1.0 / p.theta)
         vals["lambda_of_z"] = lambda_of_z(p, cp, A * A)
-        vals["mu_threshold"] = empirical_mu_threshold(traj, p, cp)
-        try:
+        try:  # both need theta >= 1; sigma also needs mu above its bracket
+            vals["mu_threshold"] = empirical_mu_threshold(traj, p, cp)
             vals["sigma"] = sigma_rate(p, cp, A)
         except ValueError:
             pass
@@ -276,13 +275,15 @@ def _ensemble_outcomes(cfgs, solver) -> list:
 
 
 @_QUIET_OVERFLOW
-def run_sweep(spec: SweepSpec, out_dir: str, quiet: bool = False) -> int:
-    """Cartesian sweep; one CSV row per point in axis declaration order.
+def run_sweep(spec: SweepSpec, quiet: bool = False) -> int:
+    """Cartesian sweep into spec.base.out_dir; one CSV row per point in axis
+    declaration order.
 
     Points that share a grid and a SolverConfig step together as one batched
     ensemble in this process, at most _ENSEMBLE_CELLS cells at a time; every
     row is byte-identical to a run of its point on its own.
     """
+    out_dir = spec.base.out_dir
     os.makedirs(out_dir, exist_ok=True)
     names = [name for name, _ in spec.axes]
     points = [dict(zip(names, combo))

@@ -43,14 +43,12 @@ __all__ = [
 class GenericConstants:
     """Unpinned positive multipliers in the structural bounds (defaults 1.0).
 
-    K1/K2 scale the sup-norm bounds, C0/c13 the intermediate ladder bounds,
-    xi0/mu0 the regime thresholds for the repulsion and damping branches.
+    K1/K2 scale the sup-norm bounds, xi0/mu0 the regime thresholds for the
+    repulsion and damping branches.
     """
 
     K1: float = 1.0
     K2: float = 1.0
-    C0: float = 1.0
-    c13: float = 1.0
     xi0: float = 1.0
     mu0: float = 1.0
 

@@ -50,7 +50,7 @@ def write_cfg(tmp_path, text, name="case.cfg"):
 def test_minimal_custom_config_gets_defaults(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "preset = custom\n"))
     assert cfg.preset == "custom"
-    assert cfg.seed == 0
+    assert cfg.initial.seed == 0
     assert cfg.out_dir == "out"
     assert cfg.grid.dim == 1 and cfg.grid.n_cells == 128
     assert cfg.params.chi == 0.5
@@ -58,6 +58,17 @@ def test_minimal_custom_config_gets_defaults(tmp_path):
     assert cfg.initial.profile == "cosine_bump"
     assert cfg.fit_column == "l2_u_dev"
     assert cfg.fit_window is None
+
+
+def test_overrides_apply_before_validation(tmp_path):
+    path = write_cfg(tmp_path, "preset = custom\nseed = 2\nout = a\n")
+    cfg = parse_config(path, {"seed": 7, "out": "b"})
+    assert (cfg.initial.seed, cfg.out_dir) == (7, "b")
+    with pytest.raises(ConfigError, match="params.d must be > 0"):
+        parse_config(path, {"params.d": 0})
+    spec = parse_sweep(write_cfg(tmp_path, FAST_SWEEP, "s.cfg"), {"seed": 7, "out": "b"})
+    assert (spec.base.initial.seed, spec.base.out_dir) == (7, "b")
+    assert (spec.base_keys["seed"], spec.base_keys["out"]) == (("7", 0), ("b", 0))
 
 
 def test_preset_defaults_and_overrides(tmp_path):
@@ -297,6 +308,31 @@ def test_cli_blowup_exits_2_without_runtime_warnings(tmp_path):
     assert [row.split(",")[1] for row in rows] == ["blowup_detected"] * 2
 
 
+def test_blowup_run_records_the_potential_residual_past_1e154(tmp_path):
+    # |u - mean u| beyond ~1e154 overflows the squares of the residual's
+    # norms; the recorded residual must stay the solve's true one
+    cfg = write_cfg(tmp_path, BLOWUP_RUN)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    header, *rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+    col = header.split(",").index("elliptic_residual")
+    linf = header.split(",").index("linf_u")
+    residuals = [float(row.split(",")[col]) for row in rows]
+    assert max(float(row.split(",")[linf]) for row in rows) > 1e170
+    assert all(0.0 < r < 1e-13 for r in residuals[1:])
+
+
+def test_cli_run_theta_below_one_reports_nan_thresholds(tmp_path, capsys):
+    # the parser accepts theta < 1, where the mu threshold and sigma are undefined
+    cfg = write_cfg(tmp_path, FAST_RUN + "params.a = 1\nparams.mu = 1\nparams.theta = 0.5\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = dict(line.split(" = ", 1)
+                   for line in (tmp_path / "o" / "summary.txt").read_text().splitlines())
+    assert summary["mu_threshold"] == "nan"
+    assert summary["mu_above_threshold"] == "no"
+    assert summary["sigma"] == "nan"
+
+
 def test_cli_run_config_error_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "preset = custom\nparams.d = 0\n")
     assert main(["run", cfg]) == 1
@@ -346,20 +382,31 @@ def test_cli_sweep_seed_override(tmp_path):
     assert all(row.endswith(b",") for row in a.splitlines()[1:])
 
 
-def test_cli_sweep_seed_leaves_parsed_spec_unchanged(tmp_path, monkeypatch):
+def test_cli_sweep_seed_reaches_base_keys_and_every_point(tmp_path, monkeypatch):
     import angiosim.cli as cli
 
-    parsed = []
+    parsed, points = [], []
 
-    def keep(path):
-        parsed.append(parse_sweep(path))
+    def keep(path, overrides=None):
+        parsed.append(parse_sweep(path, overrides))
         return parsed[-1]
 
+    def point(base_keys, overrides):
+        points.append(scenario_with_overrides(base_keys, overrides))
+        return points[-1]
+
     monkeypatch.setattr(cli, "parse_sweep", keep)
-    cfg = write_cfg(tmp_path, FAST_SWEEP + "seed = 4\n")
+    monkeypatch.setattr(harness, "scenario_with_overrides", point)
+    text = textwrap.dedent(FAST_SWEEP) + "seed = 4\n"
+    cfg = write_cfg(tmp_path, text)
     assert main(["sweep", cfg, "--out", str(tmp_path / "s"), "--seed", "9", "--quiet"]) == 0
-    assert parsed[0].base_keys["seed"][0] == "4"
-    assert parsed[0].base.seed == 4
+    assert parsed[0].base_keys["seed"] == ("9", 0)
+    assert parsed[0].base.initial.seed == 9
+    assert [pt.initial.seed for pt in points] == [9, 9]
+    assert [pt.out_dir for pt in points] == [str(tmp_path / "s")] * 2
+    assert (tmp_path / "s" / "sweep.csv").exists()
+    with open(cfg) as fh:
+        assert fh.read() == text
 
 
 def test_cli_sweep_groups_by_solver_in_declaration_order(tmp_path, monkeypatch):
@@ -416,6 +463,27 @@ def test_cli_sweep_honours_fit_window(tmp_path):
     assert summary["fitted_window"] == "0.01:0.029999999999999999"
     assert sweep_rate("s") == summary["fitted_rate"]
     assert sweep_rate("a") != summary["fitted_rate"]  # the window matters here
+
+
+def test_cli_sweep_keeps_failed_points_in_row(tmp_path):
+    base = """
+        preset = C2_logistic
+        grid.cells = 16
+        solver.t_end = 0.05
+        solver.record_every = 5
+    """
+    cfg = write_cfg(tmp_path, base + "sweep.params.mu = 0, 1\nsweep.init.amplitude = 0.2, 1.5\n")
+    assert main(["sweep", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    header, *rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [c["termination"] for c in cells] == ["error", "error", "completed", "error"]
+    assert "requires params.mu > 0" in cells[0]["error"]
+    assert "requires params.mu > 0" in cells[1]["error"]
+    assert "initial u must be strictly positive" in cells[3]["error"]
+    assert cells[2]["error"] == ""
+    one = write_cfg(tmp_path, base + "sweep.params.mu = 1\nsweep.init.amplitude = 0.2\n", "one.cfg")
+    assert main(["sweep", one, "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    assert (tmp_path / "one" / "sweep.csv").read_text().splitlines()[1] == rows[2]
 
 
 def test_cli_sweep_on_plain_config_fails(tmp_path, capsys):

@@ -14,6 +14,7 @@ from angiosim.dynamics import (
     SolverConfig,
     StepFailure,
     Stepper,
+    _ended_rows,
     _face_speeds,
     make_initial,
     run,
@@ -333,6 +334,67 @@ def test_run_detects_blowup_and_keeps_partial_records():
     assert traj.terminal.t < 5.0
     # growth rate 2: threshold 4 from max ~1.2 is reached near t = ln(4/1.2)/2
     assert traj.terminal.t == pytest.approx(math.log(4.0 / 1.2) / 2.0, abs=0.1)
+
+
+def test_restart_continues_the_clock_and_the_state():
+    # split at the record t = 0.04: the second leg starts its clock there
+    g = build_grid(1, 1.0, 64)
+    st = make_initial(g, InitialSpec(amplitude=0.3))
+    cfg = SolverConfig(dt=1e-3, t_end=0.1, record_every=20)
+    whole = run(st, COUPLED, cfg)
+    first = run(st, COUPLED, replace(cfg, t_end=0.04))
+    rest = run(first.terminal, COUPLED, cfg)
+    assert whole.termination_reason == rest.termination_reason == "completed"
+    for name in "uvw":
+        assert getattr(rest.terminal, name).values.tobytes() == \
+            getattr(whole.terminal, name).values.tobytes()
+    joined = first.records + rest.records[1:]
+    assert len(joined) == len(whole.records)
+    assert np.allclose([r.t for r in joined], [r.t for r in whole.records], rtol=0.0, atol=1e-15)
+    # l2_*_dev measure deviation from each leg's own starting mean
+    same = [i for i, c in enumerate(TRAJECTORY_COLUMNS) if c not in ("t", "l2_u_dev", "l2_v_dev")]
+    values = [np.array([r.csv_values() for r in recs])[:, same] for recs in (joined, whole.records)]
+    assert values[0].tobytes() == values[1].tobytes()
+
+
+@pytest.mark.parametrize("flux_scheme", ["upwind", "central"])
+def test_ended_rows_classifies_each_row(flux_scheme):
+    g = build_grid(1, 1.0, 8)
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, flux_scheme=flux_scheme, blowup_threshold=10.0)
+    u, v = np.ones((9, 8)), np.ones((9, 8))
+    u[1, 2] = 0.0        # u <= 0
+    v[2, 5] = -1e-3      # v < 0
+    u[3, 0] = np.nan
+    v[4, 7] = np.inf
+    u[5, 4] = -np.inf
+    u[6, 1] = 11.0       # beyond the threshold, either sign
+    u[7, 3] = -11.0
+    v[8, 6] = 0.0        # v = 0 is allowed
+    ended = _ended_rows(u, v, grid_axes(g), 0.5, cfg)
+    lost = {1, 2} if flux_scheme == "upwind" else set()
+    assert set(ended) == {3, 4, 5, 6, 7} | lost
+    for row, (reason, detail) in ended.items():
+        if row in lost:
+            assert reason == "step_failure" and "positivity lost at t=0.5" in detail
+        else:
+            assert reason == "blowup_detected" and "beyond 10 at t=0.5" in detail
+
+
+def test_stepper_zeroes_the_potential_of_a_non_finite_member():
+    g = build_grid(1, 1.0, 32)
+    members = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=s))
+               for s in (1, 2, 3)]
+    u, v, w = (np.concatenate(a) for a in zip(*map(one_member, members)))
+    u[1, 5] = np.inf
+    cfg = SolverConfig(dt=1e-3, t_end=1.0)
+    with np.errstate(invalid="ignore"):
+        stepped = Stepper(g, [COUPLED] * 3, cfg).step(0.0, u, v, w)
+    assert not np.isfinite(stepped[0][1]).all()
+    assert np.all(stepped[2][1] == 0.0)
+    for row in (0, 2):
+        lone = Stepper(g, [COUPLED], cfg).step(0.0, *one_member(members[row]))
+        for a, b in zip(stepped, lone):
+            assert a[row].tobytes() == b[0].tobytes()
 
 
 def test_central_scheme_runs_smooth_problems():

@@ -10,6 +10,7 @@ from angiosim.dynamics import ModelParams, SolverConfig, Stepper
 from angiosim.elliptic import (
     EllipticConfig,
     EllipticSolveError,
+    _residuals,
     elliptic_residual,
     neumann_eigenvalues,
     solve_neumann_poisson,
@@ -112,6 +113,36 @@ def test_batched_solve_matches_single_solves_and_gates_each_member(g):
     assert list(err.value.residuals) == [singles[i][1] for i in range(3)]
     assert err.value.achieved_residual == singles[hi][1]
     assert "%.3e" % singles[lo][1] in err.value.member_message(lo)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_fails_the_gate(bad):
+    g = build_grid(1, 1.0, 64)
+    rhs = random_positive_field(g, 9).values.copy()
+    rhs[3] = bad
+    good = random_positive_field(g, 10).values
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EllipticSolveError):
+            solve_neumann_poisson(g, rhs, CFG)
+        with pytest.raises(EllipticSolveError) as err:
+            solve_neumann_poisson(g, np.stack([good, rhs]), CFG)
+    assert err.value.residuals[0] <= CFG.tolerance
+    assert np.isnan(err.value.residuals[1])
+
+
+def test_residual_of_a_member_beyond_the_square_range():
+    # |rhs| ~ 1e160 overflows rhs * rhs; that member is rescaled by a power
+    # of two, and its neighbour keeps the bits of its lone residual
+    g = build_grid(1, 1.0, 128)
+    lone = random_positive_field(g, 11).values
+    u = np.stack([lone, 1e160 * random_positive_field(g, 12).values])
+    w, worst, _p = solve_neumann_poisson(g, u, CFG)
+    res = _residuals(u, w, g)
+    assert 0.0 < res[1] < 1e-13 and worst == res.max()
+    assert res[0] == elliptic_residual(lone, w[0], g)
+    # a power-of-two scale is exact: the residual is the unscaled one's
+    big = 2.0 ** 540
+    assert elliptic_residual(big * lone, big * w[0], g) == res[0]
 
 
 def test_zero_rhs_short_circuits():

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import types
 
 import angiosim
 
@@ -13,3 +14,13 @@ def test_every_module_export_resolves():
         mod = importlib.import_module(f"angiosim.{name}")
         missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
         assert missing == [], f"angiosim.{name}.__all__ names {missing}"
+
+
+def test_package_exports_are_the_modules_all_lists():
+    modules = ("grid", "elliptic", "functionals", "dynamics", "thresholds", "config", "harness")
+    declared = set()
+    for name in modules:
+        declared.update(importlib.import_module(f"angiosim.{name}").__all__)
+    public = {name for name, value in vars(angiosim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == declared
