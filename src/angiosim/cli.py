@@ -18,6 +18,7 @@ import sys
 
 from .config import ConfigError, parse_config, parse_sweep
 from .harness import (
+    EXIT_OK,
     EXIT_USAGE,
     fit_report,
     run_scenario,
@@ -66,14 +67,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a decay rate to a trajectory CSV column")
     p_fit.add_argument("csv")
     p_fit.add_argument("--column", required=True)
-    p_fit.add_argument("--window", required=True, metavar="t0:t1")
-    p_fit.add_argument("--quiet", action="store_true")
+    p_fit.add_argument("--window", metavar="t0:t1",
+                       help="fit window (default: the window run and sweep use)")
 
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors exit 2, the blow-up code here
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         if args.command in ("run", "sweep"):
             if args.seed is not None and args.seed < 0:
@@ -89,8 +93,8 @@ def main(argv=None) -> int:
                                 broken_tolerance=args.debug_broken_tolerance)
 
         if args.command == "fit":
-            return fit_report(args.csv, args.column,
-                              _parse_window(args.window), quiet=args.quiet)
+            window = None if args.window is None else _parse_window(args.window)
+            return fit_report(args.csv, args.column, window)
 
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

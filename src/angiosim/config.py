@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import InitialSpec, ModelParams, SolverConfig
-from .elliptic import EllipticConfig
+from .functionals import TRAJECTORY_COLUMNS
 from .grid import Grid, build_grid
 
 __all__ = [
@@ -155,9 +155,12 @@ def _read_kv(path, overrides=None):
         if key in table:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
         table[key] = (raw, ln)
-    for key, value in (overrides or {}).items():
-        table[key] = (str(value), 0)
-    return table
+    return _with_overrides(table, overrides or {})
+
+
+def _with_overrides(table, overrides):
+    """table with overrides {key: value} replacing or adding keys (line number 0)."""
+    return {**table, **{key: (str(value), 0) for key, value in overrides.items()}}
 
 
 def _want_float(kv, key, positive=False, nonnegative=False):
@@ -166,6 +169,8 @@ def _want_float(kv, key, positive=False, nonnegative=False):
         val = float(raw)
     except ValueError:
         raise ConfigError(f"line {ln}: {key} = {raw!r} is not a number") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"line {ln}: {key} must be finite, got {raw}")
     if positive and val <= 0:
         raise ConfigError(f"line {ln}: {key} must be > 0, got {raw}")
     if nonnegative and val < 0:
@@ -244,9 +249,7 @@ def _build_scenario(kv, path) -> ScenarioConfig:
             flux_scheme=scheme,
             blowup_threshold=_want_float(kv, "solver.blowup_threshold", positive=True),
             record_every=_want_int(kv, "solver.record_every", minimum=1),
-            elliptic=EllipticConfig(
-                tolerance=_want_float(kv, "solver.elliptic_tolerance", positive=True),
-            ),
+            elliptic_tolerance=_want_float(kv, "solver.elliptic_tolerance", positive=True),
         )
     except ValueError as exc:
         raise ConfigError(f"solver (near line {scheme_ln}): {exc}") from None
@@ -265,6 +268,11 @@ def _build_scenario(kv, path) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from None
+
+    fit_column, fit_ln = kv["fit.column"]
+    if fit_column not in TRAJECTORY_COLUMNS:
+        raise ConfigError(f"line {fit_ln}: fit.column = {fit_column!r} is not a trajectory "
+                          f"column; choose from {TRAJECTORY_COLUMNS}")
 
     ws_raw = kv["fit.window_start"][0]
     we_raw = kv["fit.window_end"][0]
@@ -286,7 +294,7 @@ def _build_scenario(kv, path) -> ScenarioConfig:
         params=params,
         solver=solver,
         initial=initial,
-        fit_column=kv["fit.column"][0],
+        fit_column=fit_column,
         fit_window=fit_window,
     )
     _check_preset_constraints(cfg)
@@ -359,6 +367,8 @@ def parse_sweep(path, overrides=None) -> SweepSpec:
             values = _want_list(kv, key, float)
             if not values:
                 raise ConfigError(f"line {ln}: empty sweep axis {key}")
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"line {ln}: sweep axis {key} = {raw!r} must be finite")
             axes.append((target, tuple(values)))
         else:
             raise ConfigError(f"line {ln}: {target!r} is not a sweepable key")
@@ -375,7 +385,4 @@ def parse_sweep(path, overrides=None) -> SweepSpec:
 
 def scenario_with_overrides(base_keys: dict, overrides: dict[str, float], path="<sweep>") -> ScenarioConfig:
     """Rebuild a scenario with swept values substituted (full revalidation)."""
-    kv = dict(base_keys)
-    for key, value in overrides.items():
-        kv[key] = (repr(float(value)), 0)
-    return _build_scenario(kv, path)
+    return _build_scenario(_with_overrides(base_keys, overrides), path)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (
-    EllipticConfig,
     EllipticSolveError,
     grid_axes,
     grid_mean,
@@ -48,7 +47,7 @@ from .elliptic import (
     solve_neumann_poisson,
     spectral_apply,
 )
-from .functionals import DiagnosticsRecord, diagnostics_batch
+from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
 from .grid import (
     FLOAT_FMT,
     Field,
@@ -83,7 +82,8 @@ class ModelParams:
     a/mu/theta: logistic growth, n_dim: dimension entering structural bounds.
 
     The analysis regime needs xi1, xi2 > 0; zero values are permitted for
-    oracle runs and flagged off_regime.
+    oracle runs and flagged off_regime. The numbers are held as numpy float64, so
+    formulas on them read inf past the float range where Python floats raise.
     """
 
     chi: float
@@ -96,13 +96,15 @@ class ModelParams:
     n_dim: int
 
     def __post_init__(self):
-        if self.chi < 0 or self.xi1 < 0 or self.xi2 < 0:
+        for name in ("chi", "xi1", "xi2", "d", "a", "mu", "theta"):
+            object.__setattr__(self, name, np.float64(getattr(self, name)))
+        if not (self.chi >= 0 and self.xi1 >= 0 and self.xi2 >= 0):  # nan fails too
             raise ValueError("couplings chi, xi1, xi2 must be >= 0")
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValueError(f"diffusivity d must be > 0, got {self.d}")
-        if self.a < 0 or self.mu < 0:
+        if not (self.a >= 0 and self.mu >= 0):
             raise ValueError("growth a and damping mu must be >= 0")
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError(f"damping exponent theta must be > 0, got {self.theta}")
         if self.n_dim < 1:
             raise ValueError("n_dim must be a positive integer")
@@ -131,19 +133,21 @@ class SolverConfig:
     flux_scheme: str = "upwind"
     blowup_threshold: float = 1e6
     record_every: int = 10
-    elliptic: EllipticConfig = EllipticConfig()
+    elliptic_tolerance: float = 1e-10  # accepted relative residual of the potential solve
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
+        if not (self.dt > 0 and self.t_end > 0):  # nan fails too
             raise ValueError("dt and t_end must be > 0")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.flux_scheme not in FLUX_SCHEMES:
             raise ValueError(f"flux_scheme must be one of {FLUX_SCHEMES}")
-        if self.blowup_threshold <= 0:
+        if not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be > 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not (0 < self.elliptic_tolerance <= 1e-4):
+            raise ValueError(f"elliptic_tolerance must be in (0, 1e-4], got {self.elliptic_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ def _profile_values(grid: Grid, profile: str, base: float, amp: float, rng) -> n
     return vals
 
 
-def make_initial(grid: Grid, spec: InitialSpec, elliptic: EllipticConfig = EllipticConfig()) -> SimState:
+def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> SimState:
     """Build the t=0 state: u > 0, v >= 0, w solved from u."""
     rng = np.random.default_rng(spec.seed)
     u_vals = _profile_values(grid, spec.profile, spec.base, spec.amplitude, rng)
@@ -226,7 +230,7 @@ def make_initial(grid: Grid, spec: InitialSpec, elliptic: EllipticConfig = Ellip
         raise ValueError(f"initial v must be nonnegative (min {v_vals.min():.3g})")
     u = Field(grid, u_vals)
     w_arr, _res, _it = solve_neumann_poisson(
-        grid, u_vals.reshape(grid.cells) - u_vals.mean(), elliptic
+        grid, u_vals.reshape(grid.cells) - u_vals.mean(), tolerance
     )
     return SimState(0.0, u, Field(grid, v_vals), Field(grid, w_arr))
 
@@ -363,7 +367,7 @@ class Stepper:
             u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
         try:
             w, _res, _it = solve_neumann_poisson(
-                self.grid, u - grid_mean(u, self.grid), self.cfg.elliptic)
+                self.grid, u - grid_mean(u, self.grid), self.cfg.elliptic_tolerance)
         except EllipticSolveError as exc:
             missed = np.flatnonzero(~(exc.residuals <= exc.tolerance))
             raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc
@@ -493,8 +497,6 @@ def run(initial: SimState, p: ModelParams, cfg: SolverConfig, on_record=None) ->
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    from .functionals import TRAJECTORY_COLUMNS
-
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for rec in traj.records:
         lines.append(",".join(FLOAT_FMT % v for v in rec.csv_values()))

@@ -18,14 +18,12 @@ outweigh the import.
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, Grid, laplacian_array
 
 __all__ = [
-    "EllipticConfig",
     "EllipticSolveError",
     "SpectralInfo",
     "solve_neumann_poisson",
@@ -33,15 +31,6 @@ __all__ = [
     "elliptic_residual",
     "spectral_info",
 ]
-
-
-@dataclass(frozen=True)
-class EllipticConfig:
-    tolerance: float = 1e-10  # accepted relative residual of the potential solve
-
-    def __post_init__(self):
-        if not (0.0 < self.tolerance <= 1e-4):
-            raise ValueError(f"tolerance must be in (0, 1e-4], got {self.tolerance}")
 
 
 SpectralInfo = namedtuple("SpectralInfo", "lambda1 poincare_cp")
@@ -136,25 +125,23 @@ def _pseudo_inverse(grid: Grid) -> np.ndarray:
     return mult
 
 
-def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, cfg: EllipticConfig):
+def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, tolerance: float):
     """-lap w = rhs - mean(rhs), int w = 0 -> (w, worst member's relative residual,
     transform pairs). Each member is accepted only on its own recomputed true
-    residual; a miss raises at once with every member's residual."""
+    residual, at most tolerance; a miss raises at once with every member's residual."""
     rhs = np.asarray(rhs, dtype=np.float64)
     b = rhs - grid_mean(rhs, grid)
-    if not np.any(b):
-        return np.zeros_like(b), 0.0, 0
     w = spectral_apply(b, _pseudo_inverse(grid), grid_axes(grid))
     w -= grid_mean(w, grid)
     res = _residuals(b, w, grid)
-    if not np.all(res <= cfg.tolerance):  # a nan residual fails too
-        raise EllipticSolveError(cfg.tolerance, res)
+    if not np.all(res <= tolerance):  # a nan residual fails too
+        raise EllipticSolveError(tolerance, res)
     return w, float(np.max(res)), 1
 
 
-def solve_w(u: Field, cfg: EllipticConfig = EllipticConfig()) -> Field:
+def solve_w(u: Field, tolerance: float = 1e-10) -> Field:
     """Potential of the cell-density deviation: -lap w = u - mean(u), int w = 0."""
-    return Field(u.grid, solve_neumann_poisson(u.grid, u.shaped(), cfg)[0])
+    return Field(u.grid, solve_neumann_poisson(u.grid, u.shaped(), tolerance)[0])
 
 
 def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> float:
@@ -168,20 +155,26 @@ def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
     rhs = u - grid_mean(u, grid)
     r = laplacian_array(w, grid.spacing) + rhs
     r -= grid_mean(r, grid)  # zero in exact arithmetic; kills the round-off constant
+    (ss, rr), _ = _sums_of_squares([rhs, r], axes)  # the ratio is free of the scale
+    return np.sqrt(rr / np.maximum(ss, 1e-60))  # rhs ~ 0 guard
 
+
+def _sums_of_squares(arrays, axes):
+    """Per-member sums of squares of equal-shaped arrays over axes -> (sums, e).
+    Members whose sums overflow (|values| past ~1e154) are summed scaled by 2**-e,
+    which brings their max|arrays[0]| into [0.5, 1); the rest keep e = 0 and their bits."""
     def sumsq(a):
         return np.add.reduce(a * a, axis=axes)
 
     with np.errstate(over="ignore"):
-        rr, ss = sumsq(r), sumsq(rhs)
-        finite = np.isfinite(rr + ss)
-    if not finite.all():
-        # the squares overflow once |rhs| passes ~1e154: scale those members
-        # exactly, by the power of two that brings max|rhs| into [0.5, 1)
-        _, e = np.frexp(np.max(np.abs(rhs), axis=axes))
-        scale = np.ldexp(1.0, np.where(finite, 0, -e)).reshape(finite.shape + (1,) * grid.dim)
-        rr, ss = sumsq(r * scale), sumsq(rhs * scale)
-    return np.sqrt(rr / np.maximum(ss, 1e-60))  # rhs ~ 0 guard
+        sums = [sumsq(a) for a in arrays]
+        finite = np.isfinite(sum(sums))
+    if finite.all():
+        return sums, np.zeros(finite.shape, dtype=int)
+    _, e = np.frexp(np.max(np.abs(arrays[0]), axis=axes))
+    e = np.where(finite, 0, e)
+    scale = np.ldexp(1.0, -e).reshape(finite.shape + (1,) * len(axes))
+    return [sumsq(a * scale) for a in arrays], e
 
 
 def spectral_info(grid: Grid) -> SpectralInfo:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _residuals
+from .elliptic import _residuals, _sums_of_squares
 from .grid import (
     Field,
     Grid,
@@ -157,19 +157,32 @@ def mass_balance_residual(traj, p) -> float:
     return worst
 
 
+def _default_window(arr: np.ndarray) -> tuple[float, float]:
+    """Fit window for a decaying (N, 2) array of (t, value) rows: skip the initial
+    transient, stop before the round-off plateau (values below 1e-11 of the start
+    carry no rate information), or fall back to the last half if < 10 samples remain."""
+    t, v = arr[:, 0], arr[:, 1]
+    t0, t1 = float(t[0]), float(t[-1])
+    below = np.flatnonzero((t > t0) & (v < v[0] * 1e-11)) if v[0] > 0.0 else ()
+    hi = float(t[below[0]]) if len(below) else t1
+    lo = t0 + (0.2 if len(below) else 0.1) * (hi - t0)
+    enough = np.count_nonzero((t >= lo) & (t <= hi)) >= 10
+    return (lo, hi) if enough else (t0 + 0.5 * (t1 - t0), t1)
+
+
 def fit_decay_rate(series, window=None) -> RateFit:
     """Least-squares exponential rate on (t, value) pairs inside [t0, t1].
 
     Fits log(value) = intercept - rate * t. Needs >= 10 samples in the
     window, all strictly positive (shrink the window to dodge the round-off
-    floor of deeply converged functionals). window=None fits the last half
-    of the series.
+    floor of deeply converged functionals). window=None fits over
+    _default_window, the window run, sweep and fit all default to.
     """
     arr = np.asarray(list(series), dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be (t, value) pairs")
     if window is None:
-        window = (arr[0, 0] + 0.5 * (arr[-1, 0] - arr[0, 0]), arr[-1, 0])
+        window = _default_window(arr)
     t0, t1 = float(window[0]), float(window[1])
     if not t0 < t1:
         raise ValueError(f"bad fit window ({t0}, {t1})")
@@ -363,6 +376,12 @@ def _row_sums(arr: np.ndarray) -> list[float]:
     return np.add.reduce(arr.reshape(len(arr), -1), axis=-1).tolist()
 
 
+def _l2_rows(arr: np.ndarray, vol: float) -> list[float]:
+    """L2 norm of each row of a (B, m) array, finite wherever the true norm is."""
+    (sums,), e = _sums_of_squares([arr], (-1,))
+    return np.ldexp([(s * vol) ** 0.5 for s in sums.tolist()], e).tolist()
+
+
 def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[DiagnosticsRecord]:
     """The diagnostics row of every member of a (B, *cells) batch at time t.
 
@@ -383,7 +402,7 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     sum_u, sum_v = _row_sums(fu), _row_sums(fv)
     min_u, min_v = fu.min(axis=-1).tolist(), fv.min(axis=-1).tolist()
     linf_u, linf_v = (np.abs(f).max(axis=-1).tolist() for f in (fu, fv))
-    dev_u, dev_v = (_row_sums(np.abs(f - column) ** 2.0) for f in (fu, fv))
+    l2_dev_u, l2_dev_v = (_l2_rows(f - column, vol) for f in (fu, fv))
     grad_v = [_row_sums(g * g) for g in gradient_arrays(v, grid.spacing)]
     grad_w = [np.abs(g).reshape(n, -1).max(axis=-1).tolist()
               for g in gradient_arrays(w, grid.spacing)]
@@ -434,8 +453,8 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
             mass_v=sum_v[b] * vol,
             linf_u=linf_u[b],
             linf_v=linf_v[b],
-            l2_u_dev=(dev_u[b] * vol) ** 0.5,
-            l2_v_dev=(dev_v[b] * vol) ** 0.5,
+            l2_u_dev=l2_dev_u[b],
+            l2_v_dev=l2_dev_v[b],
             l2_grad_v=l2_grad_v,
             linf_grad_w=max(axis_max[b] for axis_max in grad_w),
             F1=f1,

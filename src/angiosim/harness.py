@@ -22,7 +22,6 @@ from .config import ScenarioConfig, SweepSpec, scenario_with_overrides
 from .dynamics import Trajectory, make_initial, run, run_ensemble, write_trajectory_csv
 from .elliptic import EllipticSolveError, elliptic_residual, solve_w, spectral_info
 from .functionals import (
-    TRAJECTORY_COLUMNS,
     entropy_sandwich_check,
     fit_decay_rate,
     grad_l2,
@@ -33,6 +32,7 @@ from .grid import FLOAT_FMT, Field, build_grid, integrate, lp_norm
 from .thresholds import (
     GenericConstants,
     ThresholdReport,
+    _measured_sups,
     compute_m1,
     condition_presets,
     empirical_d0_check,
@@ -56,7 +56,8 @@ EXIT_NUMERICAL = 3
 
 # A run that blows up overflows on its way past blowup_threshold; that is
 # reported as its termination reason, so numpy's warnings would only repeat it.
-_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+# Bounds on extreme parameters read inf or nan for the same reason.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 # Cells one sweep ensemble holds at most, so that a batch's step temporaries
 # stay about the size of one 256 x 256 run's however many points a sweep has.
@@ -64,42 +65,17 @@ _ENSEMBLE_CELLS = 256 * 256
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "yes" if v else "no"
     if isinstance(v, float):
         return FLOAT_FMT % v
     return str(v)
 
 
-def _default_window(series) -> tuple[float, float]:
-    """Fit window for a decaying (t, value) series: skip the initial
-    transient, stop before the round-off plateau (values below 1e-11 of the
-    starting value carry no rate information)."""
-    t0 = series[0][0]
-    t1 = series[-1][0]
-    lo, hi = t0 + 0.1 * (t1 - t0), t1
-    if series[0][1] > 0.0:
-        floor = series[0][1] * 1e-11
-        for t, val in series:
-            if t > t0 and val < floor:
-                hi = t
-                lo = t0 + 0.2 * (hi - t0)
-                break
-    if sum(1 for t, _ in series if lo <= t <= hi) < 10:
-        return (t0 + 0.5 * (t1 - t0), t1)
-    return (lo, hi)
-
-
 def _fit_column(recs, column: str, window):
-    """Decay fit of one trajectory column over window, or over the default
-    window when window is None. Returns (window, RateFit); raises KeyError for
-    an unknown column and ValueError when the fit fails."""
-    if column not in TRAJECTORY_COLUMNS:
-        raise KeyError(column)
-    idx = TRAJECTORY_COLUMNS.index(column)
-    series = [(r.t, r.csv_values()[idx]) for r in recs]
-    window = window or _default_window(series)
-    return window, fit_decay_rate(series, window)
+    """Decay fit of one trajectory column over window (None: the default
+    window); raises ValueError when the fit fails."""
+    return fit_decay_rate([(r.t, getattr(r, column)) for r in recs], window)
 
 
 def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> ThresholdReport:
@@ -119,10 +95,8 @@ def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> Threshold
         except ValueError:
             pass  # no gradient-bound branch applies; fields stay nan
 
-    A = max(r.linf_v for r in traj.records)
-    B = max(r.linf_grad_w for r in traj.records)
-    vals["empirical_A"] = A
-    vals["empirical_B"] = B
+    A, B = _measured_sups(traj)
+    vals["empirical_A"], vals["empirical_B"] = A, B
 
     if p.a == 0.0 and p.mu == 0.0 and p.xi1 > 0.0:
         chk = empirical_d0_check(traj, p)
@@ -178,15 +152,12 @@ def _verdict_lines(cfg: ScenarioConfig, traj: Trajectory, rep: ThresholdReport, 
         lines.append(("sigma", rep.sigma))
 
     try:
-        window, fit = _fit_column(recs, cfg.fit_column, cfg.fit_window)
-    except KeyError:
-        lines.append(("fit_error", f"unknown column {cfg.fit_column}"))
-        return lines
+        fit = _fit_column(recs, cfg.fit_column, cfg.fit_window)
     except ValueError as exc:
         lines.append(("fit_error", str(exc)))
         return lines
     lines.append(("fitted_column", cfg.fit_column))
-    lines.append(("fitted_window", f"{_fmt(window[0])}:{_fmt(window[1])}"))
+    lines.append(("fitted_window", f"{_fmt(fit.window[0])}:{_fmt(fit.window[1])}"))
     lines.append(("fitted_rate", fit.rate))
     lines.append(("fitted_r_squared", fit.r_squared))
     return lines
@@ -198,11 +169,8 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     termination reason onto the exit code."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
-        initial = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic)
-    except EllipticSolveError as exc:
-        print(f"numerical failure in the initial potential solve: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+        initial = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic_tolerance)
+    except (EllipticSolveError, ValueError) as exc:
         print(f"numerical failure in the initial state: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     spec = spectral_info(cfg.grid)
@@ -229,7 +197,7 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def _sweep_row(overrides: dict, fit_column: str, cfg, outcome) -> dict:
+def _sweep_row(overrides: dict, cfg, outcome) -> dict:
     """The CSV row of one sweep point, from its Trajectory or from the
     exception that stopped it (failures stay in-row, never abort the sweep)."""
     row = {f"sweep:{k}": v for k, v in overrides.items()}
@@ -245,10 +213,10 @@ def _sweep_row(overrides: dict, fit_column: str, cfg, outcome) -> dict:
     row["terminal_l2_u_dev"] = last.l2_u_dev
     row["terminal_mass_u"] = last.mass_u
     try:
-        _, fit = _fit_column(outcome.records, fit_column, cfg.fit_window)
+        fit = _fit_column(outcome.records, cfg.fit_column, cfg.fit_window)
         row["fitted_rate"] = fit.rate
         row["fitted_r_squared"] = fit.r_squared
-    except (KeyError, ValueError):
+    except ValueError:
         pass  # no fit: the rate columns stay nan
     return row
 
@@ -259,7 +227,7 @@ def _ensemble_outcomes(cfgs, solver) -> list:
     outcomes, initials, started = [], [], []
     for j, cfg in enumerate(cfgs):
         try:
-            initials.append(make_initial(cfg.grid, cfg.initial, solver.elliptic))
+            initials.append(make_initial(cfg.grid, cfg.initial, solver.elliptic_tolerance))
             started.append(j)
             outcomes.append(None)
         except Exception as exc:  # failures stay in-row, never abort the sweep
@@ -288,14 +256,13 @@ def run_sweep(spec: SweepSpec, quiet: bool = False) -> int:
     names = [name for name, _ in spec.axes]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(vals for _, vals in spec.axes))]
-    fit_column = spec.base.fit_column
     rows = [None] * len(points)
     groups = {}
     for i, overrides in enumerate(points):
         try:
             cfg = scenario_with_overrides(spec.base_keys, overrides)
         except Exception as exc:  # failures stay in-row, never abort the sweep
-            rows[i] = _sweep_row(overrides, fit_column, None, exc)
+            rows[i] = _sweep_row(overrides, None, exc)
             continue
         groups.setdefault((cfg.grid, cfg.solver), []).append((i, cfg))
     for (grid, solver), members in groups.items():
@@ -304,7 +271,7 @@ def run_sweep(spec: SweepSpec, quiet: bool = False) -> int:
             chunk = members[start:start + size]
             outcomes = _ensemble_outcomes([cfg for _, cfg in chunk], solver)
             for (i, cfg), outcome in zip(chunk, outcomes):
-                rows[i] = _sweep_row(points[i], fit_column, cfg, outcome)
+                rows[i] = _sweep_row(points[i], cfg, outcome)
 
     columns = [f"sweep:{n}" for n in names] + [
         "termination", "terminal_linf_u", "terminal_l2_u_dev", "terminal_mass_u",
@@ -428,24 +395,24 @@ def verify_suite(out_dir: str = "out", quiet: bool = False, broken_tolerance: bo
     return EXIT_OK
 
 
-def fit_report(csv_path: str, column: str, window: tuple[float, float], quiet: bool = False) -> int:
-    """Fit an exponential rate to one trajectory CSV column."""
+def fit_report(csv_path: str, column: str, window: tuple[float, float] | None = None) -> int:
+    """Fit an exponential rate to one trajectory CSV column, over window or,
+    when it is None, over the default window run and sweep use."""
     try:
         with open(csv_path) as fh:
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
-        print(f"cannot read {csv_path}: {exc}")
+        print(f"cannot read {csv_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if column not in header:
-        print(f"column {column!r} not in {csv_path}; available: {', '.join(header)}")
+        print(f"column {column!r} not in {csv_path}; available: {', '.join(header)}",
+              file=sys.stderr)
         return EXIT_USAGE
-    t = data[:, header.index("t")]
-    v = data[:, header.index(column)]
     try:
-        fit = fit_decay_rate(np.stack([t, v], axis=1), window)
+        fit = fit_decay_rate(data[:, [header.index("t"), header.index(column)]], window)
     except ValueError as exc:
-        print(f"fit failed: {exc}")
+        print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"column = {column}")
     print(f"window = {_fmt(fit.window[0])}:{_fmt(fit.window[1])}")

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+import numpy as np
+
 from .grid import FLOAT_FMT
 
 __all__ = [
@@ -166,10 +168,10 @@ def m1c_value(p, M0: float, g: GenericConstants) -> tuple[float, float]:
     m_mu = (1.0 + p.xi1 * r + r) * (1.0 / p.mu) ** ((n + 1.0) / p.theta)
     if p.theta == 1.0:
         floor = mitosis_regime_floor(p.chi, n, g.mu0)
-        if p.mu > floor:
+        if p.mu >= floor:  # the paper's condition (2), as condition_presets reads it
             return m_mu, m_mu
         raise ValueError(
-            f"no gradient-bound branch applies: theta = 1 needs mu > {floor:.6g} "
+            f"no gradient-bound branch applies: theta = 1 needs mu >= {floor:.6g} "
             f"(mu = {p.mu})"
         )
     if p.theta > 1.0:
@@ -206,11 +208,12 @@ def lambda_of_z(p, cp: float, z: float) -> float:
 
 
 def _measured_sups(traj) -> tuple[float, float]:
+    """(sup ||v||_inf, sup ||grad w||_inf) as float64, overflow-safe like ModelParams."""
     if not traj.records:
         raise ValueError("empty trajectory")
     A = max(r.linf_v for r in traj.records)
     B = max(r.linf_grad_w for r in traj.records)
-    return A, B
+    return np.float64(A), np.float64(B)
 
 
 def empirical_mu_threshold(traj, p, cp: float) -> float:

@@ -1,8 +1,11 @@
+import math
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from angiosim import harness
 from angiosim.cli import main
@@ -117,10 +120,35 @@ def test_fit_window_pair(tmp_path):
     ("preset = custom\nfit.window_start = 1.0\n", "must be set together"),
     ("preset = custom\nfit.window_start = 5\nfit.window_end = 1\n", "start < end"),
     ("preset = custom\nsweep.params.chi = 1, 2\n", "use the 'sweep' subcommand"),
+    ("preset = custom\nfit.column = bogus\n", "line 2: fit.column = 'bogus' is not a trajectory"),
+    # non-finite numbers the parser let through before: they ended in a
+    # traceback, in exit 0, or in a blow-up or numerical-failure exit
+    *[(f"preset = custom\n{key} = {value}\n", f"line 2: {key} must be finite")
+      for key, value in [("solver.dt", "nan"), ("solver.t_end", "nan"), ("solver.t_end", "inf"),
+                         ("params.theta", "nan"), ("solver.blowup_threshold", "nan"),
+                         ("params.chi", "nan"), ("params.mu", "nan"), ("params.d", "inf"),
+                         ("init.base", "nan")]],
+    ("preset = custom\nfit.window_start = -inf\nfit.window_end = 1\n",
+     "line 2: fit.window_start must be finite"),
 ])
 def test_config_rejections(tmp_path, body, fragment):
     with pytest.raises(ConfigError, match=fragment.replace("'", ".")):
         parse_config(write_cfg(tmp_path, body))
+
+
+def test_non_finite_sweep_axis_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="line 2: sweep axis sweep.params.chi"):
+        parse_sweep(write_cfg(tmp_path, "preset = custom\nsweep.params.chi = 0.5, nan\n"))
+
+
+def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
+    cfg = write_cfg(tmp_path, "preset = custom\nsolver.t_end = inf\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "angiosim.cli", "run", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: ") and "line 2: solver.t_end must be finite" in line
 
 
 def test_error_carries_line_number(tmp_path):
@@ -321,6 +349,69 @@ def test_blowup_run_records_the_potential_residual_past_1e154(tmp_path):
     assert all(0.0 < r < 1e-13 for r in residuals[1:])
 
 
+GROWTH_PAST_1E300 = """
+    preset = custom
+    grid.cells = 16
+    params.a = 1
+    params.mu = 0
+    params.chi = 0
+    params.xi1 = 0
+    params.xi2 = 0
+    solver.dt = 0.25
+    solver.t_end = 800
+    solver.blowup_threshold = 1e308
+"""
+
+
+@pytest.mark.parametrize("text", [BLOWUP_RUN, GROWTH_PAST_1E300], ids=["blowup", "growth"])
+def test_deviation_norms_stay_finite_past_1e154(tmp_path, text):
+    # once |u - target| passes ~1.3e154 its square overflows; the recorded
+    # norms are taken at a power-of-two scale instead of reading inf
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    header, *rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+    cols = header.split(",")
+    table = [[float(x) for x in row.split(",")] for row in rows]
+    for name in ("l2_u_dev", "l2_v_dev"):
+        values = [rec[cols.index(name)] for rec in table]
+        assert all(math.isfinite(x) for x in values) and max(values) > 1e170
+
+
+@pytest.mark.parametrize("extra, field, value", [
+    ("params.a = 1\nparams.mu = 1\ninit.v_base = 1e200\n", "lambda_of_z", "inf"),
+    ("init.base = 1e200\ninit.amplitude = 1e199\n", "d0_check_value", "-inf"),
+], ids=["sup_v", "sup_grad_w"])
+def test_report_of_measured_sups_past_1e154(tmp_path, capsys, extra, field, value):
+    # the squares of the measured sups overflow; the report reads inf where
+    # Python's float power raised
+    cfg = write_cfg(tmp_path, "preset = custom\ngrid.cells = 16\nsolver.t_end = 0.05\n"
+                    "solver.blowup_threshold = 1e300\n" + extra)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert capsys.readouterr().err == ""
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "o" / "thresholds.txt").read_text().splitlines())
+    assert report[field] == value
+
+
+def test_cli_run_on_the_r2_floor_reports_its_bounds(tmp_path):
+    # the 1D floor max{1, chi^(10/6)} mu0 chi^(2/6) is 1 at chi = 1: a run on it
+    # is R2, and its gradient bounds are those of the R2 branch, not nan
+    cfg = write_cfg(tmp_path, """
+        preset = C2_logistic
+        params.chi = 1.0
+        params.mu = 1.0
+        grid.cells = 32
+        solver.t_end = 0.05
+    """)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    assert "regime = R2\n" in summary
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "o" / "thresholds.txt").read_text().splitlines())
+    for name in ("M1c", "M_mu", "gradw_bound"):
+        assert math.isfinite(float(report[name])), name
+
+
 def test_cli_run_theta_below_one_reports_nan_thresholds(tmp_path, capsys):
     # the parser accepts theta < 1, where the mu threshold and sigma are undefined
     cfg = write_cfg(tmp_path, FAST_RUN + "params.a = 1\nparams.mu = 1\nparams.theta = 0.5\n")
@@ -342,6 +433,29 @@ def test_cli_run_config_error_exit_code(tmp_path, capsys):
 def test_cli_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 1
     assert "absent.cfg" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_unknown_fit_column_before_stepping(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_RUN + "fit.column = bogus\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "line 9: fit.column = 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    sweep = write_cfg(tmp_path, FAST_SWEEP + "fit.column = bogus\n", "s.cfg")
+    assert main(["sweep", sweep, "--out", str(tmp_path / "s")]) == 1
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "x.cfg", "--fast"],
+                                  ["run", "x.cfg", "--seed", "abc"], ["fit", "x.csv"]])
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # argparse's own exit code, 2, is the blow-up code here
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):
@@ -541,9 +655,31 @@ def test_cli_fit_recovers_diffusive_rate(decay_csv, capsys):
     assert float(fields["r_squared"]) > 0.999
 
 
+@pytest.mark.parametrize("t_end", ["0.5", "4"], ids=["decaying", "plateau"])
+def test_cli_fit_default_window_reproduces_the_summary(tmp_path, t_end, capsys):
+    # fit without --window uses the run's own default window; at t_end = 4
+    # the column reaches the round-off plateau, where that window ends
+    cfg = write_cfg(tmp_path, f"""
+        preset = custom
+        grid.cells = 16
+        params.chi = 0.0
+        params.xi1 = 0.0
+        params.xi2 = 0.0
+        solver.t_end = {t_end}
+        solver.record_every = 5
+    """)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    summary = dict(line.split(" = ") for line in
+                   (tmp_path / "o" / "summary.txt").read_text().splitlines())
+    assert main(["fit", str(tmp_path / "o" / "trajectory.csv"), "--column", "l2_u_dev"]) == 0
+    fields = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert fields["window"] == summary["fitted_window"]
+    assert fields["rate"] == summary["fitted_rate"]
+
+
 def test_cli_fit_unknown_column(decay_csv, capsys):
     assert main(["fit", decay_csv, "--column", "no_such", "--window", "0:1"]) == 1
-    assert "available" in capsys.readouterr().out
+    assert "available" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("window", ["3", "5:1", "a:b"])
@@ -596,3 +732,51 @@ def test_console_script_usage_error():
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "such.cfg" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# every config the parser accepts ends in a documented exit code
+
+FLOAT_KEYS = ("params.chi", "params.xi1", "params.xi2", "params.d", "params.a",
+              "params.mu", "params.theta", "solver.cfl_safety", "solver.blowup_threshold",
+              "solver.elliptic_tolerance", "init.base", "init.amplitude",
+              "init.v_base", "init.v_amplitude")
+SPECIAL = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def values_for(key):
+    """Finite in-range numbers, 0, negatives, 1e308 and the non-finite values,
+    bounded so that no run takes more than 100 steps of the base dt = 0.005
+    (t_end <= 0.5) nor a smaller dt."""
+    if key == "solver.t_end":
+        return st.floats(1e-3, 0.5) | st.sampled_from(SPECIAL)
+    if key == "solver.dt":
+        return st.floats(0.005, 1e308) | st.sampled_from(SPECIAL)
+    return st.floats(-10.0, 10.0) | st.sampled_from(SPECIAL + [1e308])
+
+
+ENTRY = st.sampled_from(FLOAT_KEYS + ("solver.dt", "solver.t_end")).flatmap(
+    lambda key: st.tuples(st.just(key), values_for(key)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=st.lists(ENTRY, min_size=1, max_size=2, unique_by=lambda e: e[0]))
+@example(entries=[("solver.dt", math.nan)])
+@example(entries=[("solver.t_end", math.nan)])
+@example(entries=[("solver.t_end", math.inf)])
+@example(entries=[("params.theta", math.nan)])
+@example(entries=[("solver.blowup_threshold", math.nan)])
+@example(entries=[("params.chi", math.nan)])
+@example(entries=[("params.mu", math.nan)])
+@example(entries=[("params.d", math.inf)])
+@example(entries=[("init.base", math.nan)])
+@example(entries=[("params.chi", 1e308)])  # chi^2 and the floor's powers overflow
+@example(entries=[("params.mu", 3.26e-184)])  # so does (1/mu)^((n+1)/theta)
+def test_every_config_ends_in_a_documented_exit_code(tmp_path, entries, capsys):
+    body = "preset = custom\ngrid.cells = 16\nsolver.t_end = 0.05\nsolver.record_every = 5\n"
+    text = body + "".join(f"{key} = {value!r}\n" for key, value in entries)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) in (0, 1, 2, 3)
+    capsys.readouterr()

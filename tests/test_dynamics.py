@@ -23,7 +23,6 @@ from angiosim.dynamics import (
     write_trajectory_csv,
 )
 from angiosim.elliptic import (
-    EllipticConfig,
     grid_axes,
     neumann_eigenvalues,
     solve_neumann_poisson,
@@ -115,6 +114,19 @@ def test_solver_config_validation():
         SolverConfig(dt=0.01, t_end=1.0, flux_scheme="quick")
     with pytest.raises(ValueError, match="record_every"):
         SolverConfig(dt=0.01, t_end=1.0, record_every=0)
+
+
+@pytest.mark.parametrize("field", ["chi", "xi1", "xi2", "d", "a", "mu", "theta"])
+def test_model_params_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        params(**{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["dt", "t_end", "cfl_safety", "blowup_threshold",
+                                   "elliptic_tolerance"])
+def test_solver_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{"dt": 0.01, "t_end": 1.0, field: math.nan})
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +453,7 @@ def test_ensemble_of_shipped_sweep_matches_standalone_runs():
     cfgs = [scenario_with_overrides(spec.base_keys, {**dict(zip(names, combo)), "solver.t_end": 0.2})
             for combo in itertools.product(*(vals for _, vals in spec.axes))]
     assert len(cfgs) == 9 and len({c.solver for c in cfgs}) == 1
-    initials = [make_initial(c.grid, c.initial, c.solver.elliptic) for c in cfgs]
+    initials = [make_initial(c.grid, c.initial, c.solver.elliptic_tolerance) for c in cfgs]
     batch = run_ensemble(initials, [c.params for c in cfgs], cfgs[0].solver)
     for c, initial, traj in zip(cfgs, initials, batch):
         assert traj.termination_reason == "completed"
@@ -470,11 +482,11 @@ def test_stepper_names_only_the_member_that_misses_the_potential_gate():
     batch = tuple(np.concatenate(a) for a in zip(*map(one_member, members)))
     cfg = SolverConfig(dt=2e-5, t_end=1.0)
     u1, _v1, _w1 = Stepper(g, [COUPLED] * 2, cfg).step(0.0, *batch)
-    residuals = [solve_neumann_poisson(g, u - u.mean(), EllipticConfig())[1] for u in u1]
+    residuals = [solve_neumann_poisson(g, u - u.mean(), 1e-10)[1] for u in u1]
     lo, hi = np.argsort(residuals)
     tol = 0.5 * (residuals[lo] + residuals[hi])
     assert residuals[lo] < tol < residuals[hi]
-    tight = replace(cfg, elliptic=EllipticConfig(tolerance=tol))
+    tight = replace(cfg, elliptic_tolerance=tol)
     with pytest.raises(StepFailure) as err:
         Stepper(g, [COUPLED] * 2, tight).step(0.0, *batch)
     assert list(err.value.reasons) == [hi]

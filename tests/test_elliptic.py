@@ -8,7 +8,6 @@ from scipy.sparse.linalg import spsolve
 
 from angiosim.dynamics import ModelParams, SolverConfig, Stepper
 from angiosim.elliptic import (
-    EllipticConfig,
     EllipticSolveError,
     _residuals,
     elliptic_residual,
@@ -28,7 +27,7 @@ from angiosim.grid import (
     build_grid as bg,
 )
 
-CFG = EllipticConfig()
+TOL = 1e-10
 
 
 def random_positive_field(grid, seed):
@@ -37,10 +36,9 @@ def random_positive_field(grid, seed):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="tolerance"):
-        EllipticConfig(tolerance=0.1)
-    with pytest.raises(ValueError, match="tolerance"):
-        EllipticConfig(tolerance=0.0)
+    for bad in (0.1, 0.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(dt=0.01, t_end=1.0, elliptic_tolerance=bad)
 
 
 def test_cosine_mode_has_explicit_potential():
@@ -48,7 +46,7 @@ def test_cosine_mode_has_explicit_potential():
     g = build_grid(1, 1.0, 256)
     x = g.axis_centers(0)
     u = Field(g, 1.0 + np.cos(np.pi * x))
-    w = solve_w(u, CFG)
+    w = solve_w(u, TOL)
     exact = np.cos(np.pi * x) / np.pi**2
     rel = np.max(np.abs(w.values - exact)) / np.max(np.abs(exact))
     assert rel <= 1e-3
@@ -58,7 +56,7 @@ def test_cosine_mode_has_explicit_potential():
 
 def test_constant_density_gives_zero_potential():
     g = build_grid(2, 1.0, (16, 16))
-    w = solve_w(Field(g, np.full(256, 1.3)), CFG)
+    w = solve_w(Field(g, np.full(256, 1.3)), TOL)
     assert np.max(np.abs(w.values)) == 0.0
 
 
@@ -66,7 +64,7 @@ def test_random_density_residual_and_gauge():
     for dim, cells in ((1, 128), (2, (24, 24))):
         g = build_grid(dim, 1.0, cells)
         u = random_positive_field(g, seed=dim)
-        w = solve_w(u, CFG)
+        w = solve_w(u, TOL)
         assert elliptic_residual(u.values, w.values, g) <= 1e-10
         assert abs(integrate(w)) <= 1e-12 * max(1.0, lp_norm(w, math.inf))
 
@@ -76,8 +74,8 @@ def test_solve_is_linear():
     u1 = random_positive_field(g, 3)
     u2 = random_positive_field(g, 4)
     combo = Field(g, 2.0 * u1.values - 0.5 * u2.values)
-    w_combo = solve_w(combo, CFG)
-    w_sum = 2.0 * solve_w(u1, CFG).values - 0.5 * solve_w(u2, CFG).values
+    w_combo = solve_w(combo, TOL)
+    w_sum = 2.0 * solve_w(u1, TOL).values - 0.5 * solve_w(u2, TOL).values
     assert np.max(np.abs(w_combo.values - w_sum)) <= 1e-8
 
 
@@ -86,10 +84,10 @@ def test_missed_tolerance_raises_at_once_with_residual():
     # misses, and the error reports exactly the residual that pair achieved
     g = build_grid(1, 1.0, 128)
     rhs = random_positive_field(g, 5).values
-    _w, achieved, passes = solve_neumann_poisson(g, rhs, EllipticConfig(tolerance=1e-4))
+    _w, achieved, passes = solve_neumann_poisson(g, rhs, 1e-4)
     assert passes == 1
     with pytest.raises(EllipticSolveError, match="relative residual") as err:
-        solve_neumann_poisson(g, rhs, EllipticConfig(tolerance=1e-17))
+        solve_neumann_poisson(g, rhs, 1e-17)
     assert err.value.achieved_residual == achieved > 1e-17
 
 
@@ -100,8 +98,8 @@ def test_batched_solve_matches_single_solves_and_gates_each_member(g):
     # the gate reports every member's residual
     members = [random_positive_field(g, seed).shaped() for seed in (6, 7, 8)]
     members[1] = np.full(g.cells, 1.5)  # a member with zero right-hand side
-    w, worst, passes = solve_neumann_poisson(g, np.stack(members), CFG)
-    singles = [solve_neumann_poisson(g, m, CFG) for m in members]
+    w, worst, passes = solve_neumann_poisson(g, np.stack(members), TOL)
+    singles = [solve_neumann_poisson(g, m, TOL) for m in members]
     assert passes == 1 and worst == max(res for _w, res, _p in singles)
     for wb, (ws, _res, _p) in zip(w, singles):
         assert wb.tobytes() == ws.tobytes()
@@ -109,7 +107,7 @@ def test_batched_solve_matches_single_solves_and_gates_each_member(g):
     lo, hi = sorted((0, 2), key=lambda i: singles[i][1])
     assert singles[lo][1] < tol < singles[hi][1]
     with pytest.raises(EllipticSolveError) as err:
-        solve_neumann_poisson(g, np.stack(members), EllipticConfig(tolerance=tol))
+        solve_neumann_poisson(g, np.stack(members), tol)
     assert list(err.value.residuals) == [singles[i][1] for i in range(3)]
     assert err.value.achieved_residual == singles[hi][1]
     assert "%.3e" % singles[lo][1] in err.value.member_message(lo)
@@ -123,10 +121,10 @@ def test_non_finite_rhs_fails_the_gate(bad):
     good = random_positive_field(g, 10).values
     with np.errstate(invalid="ignore"):
         with pytest.raises(EllipticSolveError):
-            solve_neumann_poisson(g, rhs, CFG)
+            solve_neumann_poisson(g, rhs, TOL)
         with pytest.raises(EllipticSolveError) as err:
-            solve_neumann_poisson(g, np.stack([good, rhs]), CFG)
-    assert err.value.residuals[0] <= CFG.tolerance
+            solve_neumann_poisson(g, np.stack([good, rhs]), TOL)
+    assert err.value.residuals[0] <= TOL
     assert np.isnan(err.value.residuals[1])
 
 
@@ -136,7 +134,7 @@ def test_residual_of_a_member_beyond_the_square_range():
     g = build_grid(1, 1.0, 128)
     lone = random_positive_field(g, 11).values
     u = np.stack([lone, 1e160 * random_positive_field(g, 12).values])
-    w, worst, _p = solve_neumann_poisson(g, u, CFG)
+    w, worst, _p = solve_neumann_poisson(g, u, TOL)
     res = _residuals(u, w, g)
     assert 0.0 < res[1] < 1e-13 and worst == res.max()
     assert res[0] == elliptic_residual(lone, w[0], g)
@@ -145,10 +143,15 @@ def test_residual_of_a_member_beyond_the_square_range():
     assert elliptic_residual(big * lone, big * w[0], g) == res[0]
 
 
-def test_zero_rhs_short_circuits():
-    g = build_grid(1, 1.0, 64)
-    w, res, it = solve_neumann_poisson(g, np.zeros(g.cells), CFG)
-    assert np.all(w == 0.0) and res == 0.0 and it == 0
+@pytest.mark.parametrize("cells", [(128,), (7,), (12, 20)], ids=["128", "7", "12x20"])
+def test_zero_rhs_solves_to_positive_zero(cells):
+    # the general path needs no zero shortcut: its one transform pair maps a
+    # zero right-hand side to +0.0 everywhere, single and batched
+    g = build_grid(len(cells), (1.0,) * len(cells), cells)
+    for rhs in (np.zeros(g.cells), np.zeros((3, *g.cells))):
+        w, res, it = solve_neumann_poisson(g, rhs, TOL)
+        assert w.shape == rhs.shape and res == 0.0 and it == 1
+        assert np.all(w == 0.0) and not np.signbit(w).any()
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_potential_gradient_and_laplacian_bounds():
     cp = info.poincare_cp + 3.0 * g.max_spacing
     for seed in range(6):
         u = random_positive_field(g, 100 + seed)
-        w = solve_w(u, CFG)
+        w = solve_w(u, TOL)
         gw = grad_l2(w)
         lw = lp_norm(Field(g, laplacian_array(w.shaped(), g.spacing)), 2)
         for b in (float(u.values.mean()), 1.0):
@@ -252,7 +255,7 @@ def test_potential_solve_matches_sparse_oracle(g):
     rhs = u.values - u.values.mean()
     # -lap + (1/N) 11^T is nonsingular and maps zero-mean w to -lap w
     oracle = spsolve(sp.csc_matrix(-neumann_laplacian_matrix(g).toarray() + 1.0 / g.n_cells), rhs)
-    w = solve_w(u, CFG)
+    w = solve_w(u, TOL)
     assert np.max(np.abs(w.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     assert elliptic_residual(u.values, w.values, g) <= 1e-12
     assert abs(integrate(w)) <= 1e-14 * max(1.0, lp_norm(w, math.inf))
@@ -266,7 +269,7 @@ def test_implicit_diffusions_match_sparse_oracle(g):
     p = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=d, a=0.0, mu=0.0, theta=1.0, n_dim=g.dim)
     u0 = random_positive_field(g, 31)
     v0 = random_positive_field(g, 32)
-    batch = (f.shaped()[np.newaxis] for f in (u0, v0, solve_w(u0, CFG)))
+    batch = (f.shaped()[np.newaxis] for f in (u0, v0, solve_w(u0, TOL)))
     u1, v1, _w1 = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0)).step(0.0, *batch)
 
     lap = neumann_laplacian_matrix(g)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angiosim.dynamics import ModelParams, SimState
-from angiosim.elliptic import EllipticConfig, elliptic_residual, solve_neumann_poisson, solve_w
+from angiosim.elliptic import elliptic_residual, solve_neumann_poisson, solve_w
 from angiosim.functionals import (
     TRAJECTORY_COLUMNS,
     CosineTestFunction,
@@ -33,7 +33,7 @@ OFF = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=1.0, a=0.0, mu=0.0, theta=1.0, n_
 
 def constant_state(grid, c=1.5):
     u = Field(grid, np.full(grid.n_cells, c))
-    return SimState(0.0, u, u, solve_w(u, EllipticConfig()))
+    return SimState(0.0, u, u, solve_w(u))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_f1_chi_zero_reduces_to_entropy():
     x = g.axis_centers(0)
     u = Field(g, 1.0 + 0.3 * np.cos(np.pi * x))
     v = Field(g, 1.0 + 0.2 * np.cos(np.pi * x))
-    st = SimState(0.0, u, v, solve_w(u, EllipticConfig()))
+    st = SimState(0.0, u, v, solve_w(u))
     assert lyap_F1(st, chi=0.0) == relative_entropy(u)
     assert lyap_F1(st, chi=1.0) > relative_entropy(u)
 
@@ -125,7 +125,7 @@ def test_f2_chi_zero_drops_gradient_term():
     x = g.axis_centers(0)
     u = Field(g, 1.0 + 0.3 * np.cos(np.pi * x))
     v = Field(g, 2.0 + 0.2 * np.cos(np.pi * x))
-    st = SimState(0.0, u, v, solve_w(u, EllipticConfig()))
+    st = SimState(0.0, u, v, solve_w(u))
     p0 = ModelParams(chi=0.0, xi1=0.5, xi2=0.5, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=1)
     p1 = ModelParams(chi=1.0, xi1=0.5, xi2=0.5, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=1)
     assert lyap_F2(st, p1) > lyap_F2(st, p0) > 0.0
@@ -194,12 +194,20 @@ def test_fit_decay_rate_constant_series():
     assert fit.r_squared == 1.0  # zero residual on zero-variance data
 
 
-def test_fit_decay_rate_default_window_is_last_half():
+def test_fit_decay_rate_default_window_skips_the_transient():
+    # the default window, shared by run, sweep and fit: the first tenth is
+    # skipped, and a series that never reaches the round-off plateau runs to
+    # its end; one that does stops there, and a window of fewer than 10
+    # samples falls back to the last half
     t = np.linspace(0.0, 10.0, 201)
-    series = list(zip(t, np.exp(-0.7 * t)))
-    fit = fit_decay_rate(series)
-    assert fit.window == (5.0, 10.0)
+    fit = fit_decay_rate(list(zip(t, np.exp(-0.7 * t))))
+    assert fit.window == (1.0, 10.0)
     assert fit.rate == pytest.approx(0.7, abs=1e-9)
+    fit = fit_decay_rate(list(zip(t, np.exp(-5.0 * t))))
+    assert fit.window == pytest.approx((0.2 * 5.1, 5.1))  # e^-5t < 1e-11 from t = 5.1
+    assert fit.rate == pytest.approx(5.0, rel=1e-9)
+    fit = fit_decay_rate(list(zip(t, np.exp(-50.0 * t))))  # 9 samples up to t = 0.55
+    assert fit.window == (5.0, 10.0)
 
 
 def test_fit_decay_rate_rejects_nonpositive_and_short_windows():
@@ -377,7 +385,7 @@ def random_member(grid, kind, nonpositive, seed):
     if nonpositive:
         u[rng.integers(grid.n_cells)] = -0.1 * rng.uniform()
     v = 0.5 + 0.4 * rng.uniform(-1.0, 1.0, grid.n_cells)
-    w, _res, _it = solve_neumann_poisson(grid, u.reshape(grid.cells) - u.mean(), EllipticConfig())
+    w, _res, _it = solve_neumann_poisson(grid, u.reshape(grid.cells) - u.mean(), 1e-10)
     state = SimState(0.375, Field(grid, u), Field(grid, v), Field(grid, w))
     # with chi = 0, F1 and F2 are the entropy alone, and keep its last bits
     chi = 0.0 if rng.uniform() < 0.5 else rng.uniform(0.0, 2.0)
@@ -425,3 +433,17 @@ def test_diagnostics_batch_rows_match_lone_members(dim, data):
                              data.draw(st.integers(0, 2**32 - 1), label="seed"))
                for kind in kinds]
     assert_batch_matches_lone_members(grid, members)
+
+
+def test_deviation_norms_of_a_member_beyond_the_square_range():
+    # |u - target| ~ 2^540 ~ 3.6e162 overflows its square: that member's norms
+    # are taken at a power-of-two scale, so they are its unscaled twin's norms
+    # times 2^540 exactly, and its neighbour keeps the bits of its lone call
+    grid = build_grid(1, 1.0, 64)
+    lone, p, u0 = random_member(grid, "growth_only", False, 3)
+    big = 2.0 ** 540
+    batch = (np.stack([f.shaped(), big * f.shaped()]) for f in (lone.u, lone.v, lone.w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
+    assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))
+    assert far.l2_u_dev == big * near.l2_u_dev and far.l2_v_dev == big * near.l2_v_dev

@@ -350,6 +350,17 @@ def test_regime_open_cases():
     assert condition_presets(params(chi=1.0, xi1=0.5, theta=2.0, mu=0.0)) == "open"
 
 
+def test_bounds_past_the_float_range_read_inf():
+    # ModelParams holds float64, so chi^2 and (1/mu)^(1/theta) overflow to inf
+    # where Python floats would raise
+    p = params(chi=1e308, xi1=1.0, theta=2.0, mu=1.0, a=1.0)
+    with np.errstate(over="ignore"):
+        assert condition_presets(p) == "R3"
+        assert mitosis_regime_floor(p.chi, 1) == math.inf
+        assert lambda_of_z(p, 0.3, 1.0) == math.inf
+        assert compute_m1(1.0, params(mu=1e-300, theta=0.01, a=1.0), 1.0) == math.inf
+
+
 def test_regime_respects_xi0():
     p = params(chi=1.0, xi1=1.5, mu=0.0, theta=1.0)
     assert condition_presets(p) == "R1"
