@@ -8,6 +8,7 @@ preset defaults but still face the preset's constraints.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -197,6 +198,18 @@ def _want_list(kv, key, cast):
         raise ConfigError(f"line {ln}: {key} = {raw!r} is not a comma list") from None
 
 
+@contextlib.contextmanager
+def _reported_as(section):
+    """Re-raise a ValueError of the model's own checks as a ConfigError under section.
+    A ConfigError from a _want_* reader already names its key's line and passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def _build_scenario(kv, path) -> ScenarioConfig:
     if "preset" not in kv:
         raise ConfigError(f"{path}: missing required key 'preset' (one of {PRESETS})")
@@ -221,12 +234,15 @@ def _build_scenario(kv, path) -> ScenarioConfig:
         raise ConfigError(f"line {kv['grid.dim'][1]}: grid.dim must be 1 or 2")
     lengths = _want_list(kv, "grid.lengths", float)
     cells = _want_list(kv, "grid.cells", int)
-    try:
+    with _reported_as("grid"):
         grid = build_grid(dim, lengths, cells)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+    # the Laplacian divides by h * h and its eigenvalues scale as 4 / h^2
+    if not all(h * h > 0.0 and 0.0 < 4.0 / (h * h) < math.inf for h in grid.spacing):
+        raise ConfigError(
+            f"line {kv['grid.lengths'][1]}: grid.lengths = {kv['grid.lengths'][0]} gives cell "
+            f"spacings {grid.spacing}, outside the float range of 4/h^2 (about 1e-150 < h < 1e150)")
 
-    try:
+    with _reported_as("params"):
         params = ModelParams(
             chi=_want_float(kv, "params.chi", nonnegative=True),
             xi1=_want_float(kv, "params.xi1", nonnegative=True),
@@ -237,11 +253,9 @@ def _build_scenario(kv, path) -> ScenarioConfig:
             theta=_want_float(kv, "params.theta"),
             n_dim=dim,
         )
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from None
 
     scheme, scheme_ln = kv["solver.flux_scheme"]
-    try:
+    with _reported_as(f"solver (near line {scheme_ln})"):
         solver = SolverConfig(
             dt=_want_float(kv, "solver.dt", positive=True),
             t_end=_want_float(kv, "solver.t_end", positive=True),
@@ -251,12 +265,10 @@ def _build_scenario(kv, path) -> ScenarioConfig:
             record_every=_want_int(kv, "solver.record_every", minimum=1),
             elliptic_tolerance=_want_float(kv, "solver.elliptic_tolerance", positive=True),
         )
-    except ValueError as exc:
-        raise ConfigError(f"solver (near line {scheme_ln}): {exc}") from None
 
     seed = _want_int(kv, "seed", minimum=0)
 
-    try:
+    with _reported_as("init"):
         initial = InitialSpec(
             profile=kv["init.profile"][0],
             base=_want_float(kv, "init.base"),
@@ -266,8 +278,6 @@ def _build_scenario(kv, path) -> ScenarioConfig:
             v_base=(None if kv["init.v_base"][0] == "same" else _want_float(kv, "init.v_base")),
             v_amplitude=(None if kv["init.v_amplitude"][0] == "same" else _want_float(kv, "init.v_amplitude")),
         )
-    except ValueError as exc:
-        raise ConfigError(f"init: {exc}") from None
 
     fit_column, fit_ln = kv["fit.column"]
     if fit_column not in TRAJECTORY_COLUMNS:

@@ -41,11 +41,12 @@ import numpy as np
 
 from .elliptic import (
     EllipticSolveError,
+    apply_packed,
     grid_axes,
     grid_mean,
     neumann_eigenvalues,
+    pack_multiplier,
     solve_neumann_poisson,
-    spectral_apply,
 )
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
 from .grid import (
@@ -238,10 +239,13 @@ def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> Sim
 def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2):
     """Per-axis interior-face transport speeds for u and v of a batch; the
     couplings are (B, 1[, 1]) columns."""
-    gv = gradient_arrays(v, grid.spacing)
+    a_u = gradient_arrays(v, grid.spacing)
     gw = gradient_arrays(w, grid.spacing)
-    a_u = [chi * a - xi1 * b for a, b in zip(gv, gw)]
     a_v = [-xi2 * b for b in gw]
+    for a, b in zip(a_u, gw):  # chi grad v - xi1 grad w, in the gradients' own arrays
+        a *= chi
+        b *= xi1
+        a -= b
     return a_u, a_v
 
 
@@ -294,13 +298,14 @@ class Stepper:
         cols = [[getattr(p, name) for p in self.params] for name in names]
         self._cols = np.array(cols).reshape((5,) + column)
         d = np.array([p.d for p in self.params]).reshape(column)
-        # the diffusion multipliers of the stacked (u, v) batch, row by row;
-        # _mult_u and _mult_v are views of it
+        # the diffusion multipliers of the stacked (u, v) batch, row by row,
+        # packed once; _mult_u and _mult_v are views of the unpacked ones
         n = len(self.params)
-        self._mult_uv = np.empty((2 * n,) + self.grid.cells)
-        self._mult_uv[:n] = self._mult_u
-        self._mult_uv[n:] = 1.0 / (1.0 + self.cfg.dt + self.cfg.dt * d * self._lam)
-        self._mult_u, self._mult_v = self._mult_uv[0], self._mult_uv[n:]
+        mult_uv = np.empty((2 * n,) + self.grid.cells)
+        mult_uv[:n] = self._mult_u
+        mult_uv[n:] = 1.0 / (1.0 + self.cfg.dt + self.cfg.dt * d * self._lam)
+        self._mult_u, self._mult_v = mult_uv[0], mult_uv[n:]
+        self._packed_uv = pack_multiplier(mult_uv, self.grid.dim)
         # members with a logistic term, by exponent: u^theta keeps a scalar
         # exponent, as for a member on its own
         growth = {}
@@ -322,9 +327,18 @@ class Stepper:
             if self.cfg.flux_scheme == "upwind":
                 face = np.where(a > 0.0, c_lo, c_hi)
             else:
-                face = 0.5 * (c_lo + c_hi)
-            fluxes.append(a * face)
+                face = c_lo + c_hi
+                face *= 0.5
+            face *= a
+            fluxes.append(face)
         return divergence_arrays(fluxes, self.grid.spacing, carrier.shape)
+
+    def _explicit(self, out: np.ndarray, carrier: np.ndarray, speeds, source) -> None:
+        """out = carrier - dt div(speed * face value) + dt source."""
+        adv = self._advect(carrier, speeds)
+        adv *= self.cfg.dt
+        np.subtract(carrier, adv, out=out)
+        out += self.cfg.dt * source
 
     def _reaction(self, u: np.ndarray):
         """u (a - mu u^theta) per member; exactly 0 for members without growth."""
@@ -351,11 +365,14 @@ class Stepper:
                 int(r): f"dt={cfg.dt:.3e} exceeds stability bound {bound[r]:.3e} at t={t:.6g}"
                 for r in unstable
             })
-        stacked = np.concatenate((
-            u - cfg.dt * self._advect(u, a_u) + cfg.dt * self._reaction(u),
-            v - cfg.dt * self._advect(v, a_v) + cfg.dt * u,
-        ))
-        out = spectral_apply(stacked, self._mult_uv, grid_axes(grid))
+        # written in place: at 2D-256^2 each full-array temporary is half a
+        # megabyte, and a step with more of them live at once makes malloc
+        # return its heap top and fault it back in, about 1000 pages a step
+        n = len(u)
+        stacked = np.empty((2 * n,) + u.shape[1:])
+        self._explicit(stacked[:n], u, a_u, self._reaction(u))
+        self._explicit(stacked[n:], v, a_v, u)
+        out = apply_packed(stacked, self._packed_uv)
         return out[:len(u)], out[len(u):]
 
     def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -7,16 +7,16 @@ multiplier; the potential's is 1/lambda, with 0 on the constant mode for the gau
 Arrays are shaped like the grid or batched as (B, *cells): the transforms and reductions run
 over the trailing grid axes, so every member of a batch gets the same numbers as a single solve.
 
-The transform pair has two paths, chosen by the grid's dimension. On 1D grids it is one
-numpy.fft real FFT pair with Makhoul's even/odd reordering (J. Makhoul, IEEE TASSP 28,
-1980). numpy.fft imports in milliseconds and scipy.fft in about a third of a second, which
-would be most of a short 1D run's or sweep's start-up. On 2D grids it is scipy.fft's
-dctn/idctn, imported by the first 2D transform: there a numpy.fft pair is 1.7x slower or
-more at 256 x 256, its FFTs along the leading grid axis being strided, and the steps
-outweigh the import.
+The transform pair is one numpy.fft family: a real FFT pair with Makhoul's even/odd
+reordering of every grid axis (J. Makhoul, IEEE TASSP 28, 1980), in a 1D form over the
+last axis and a 2D form over the last two (_apply_1d, _apply_2d). A multiplier enters
+it packed once (pack_multiplier) into the real and imaginary parts of the twiddled half
+spectrum. numpy.fft imports in milliseconds and scipy.fft in about a third of a second,
+which would be most of a run's or a sweep's start-up.
 """
 import functools
 import math
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -70,13 +70,32 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
 
 
 def spectral_apply(vals: np.ndarray, multiplier: np.ndarray, axes) -> np.ndarray:
-    """Apply the operator with the given per-mode multiplier over the trailing grid axes."""
-    if len(axes) == 1:
-        return _spectral_apply_1d(vals, multiplier)
-    from scipy.fft import dctn, idctn
+    """Apply the operator with the given per-mode multiplier over the trailing grid axes.
+    Packs the multiplier on every call: a multiplier that is applied again should be
+    packed once with pack_multiplier and applied with apply_packed."""
+    return apply_packed(vals, pack_multiplier(multiplier, len(axes)))
 
-    coeffs = dctn(vals, type=2, norm="ortho", axes=axes) * multiplier
-    return idctn(coeffs, type=2, norm="ortho", axes=axes, overwrite_x=True)
+
+def pack_multiplier(multiplier: np.ndarray, dim: int) -> tuple:
+    """A per-mode multiplier, shaped like the grid or (B, *cells) with a row per member,
+    in the form the transform pair applies: (p,) on 1D grids and (p, q) on 2D grids,
+    on the float view of the twiddled half spectrum (see _apply_1d and _apply_2d).
+    The arrays are read-only."""
+    if dim == 1:
+        pairs, _down, _up = _makhoul_plan(multiplier.shape[-1])
+        packed = (multiplier[..., pairs],)
+    else:
+        packed = _pack_2d(multiplier)
+    for arr in packed:
+        arr.flags.writeable = False
+    return packed
+
+
+def apply_packed(vals: np.ndarray, packed: tuple) -> np.ndarray:
+    """DCT-II, multiply by a pack_multiplier multiplier, inverse DCT-II over the trailing
+    grid axes. The output is C-contiguous: a fancy index would hand back another memory
+    layout, and np.add.reduce over it would sum in another order."""
+    return _apply_1d(vals, *packed) if len(packed) == 1 else _apply_2d(vals, *packed)
 
 
 @functools.lru_cache(maxsize=8)
@@ -91,24 +110,21 @@ def _makhoul_plan(n: int):
     return plan
 
 
-def _spectral_apply_1d(vals: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """DCT-II, multiply, inverse DCT-II over the last axis through one real FFT pair.
+def _apply_1d(vals: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """apply_packed over the last axis, through one real FFT pair.
 
     With the last axis reordered to x[0::2], x[1::2][::-1] and V = rfft of that,
     Z_k = exp(-i pi k / 2n) V_k = X_k - i X_{n-k} on the half spectrum, X being the
     unnormalised DCT-II (X_n = 0). Scaling Re Z_k by m_k and Im Z_k by m_{n-k}
-    (m_n = m_0) and rotating back gives the reordered output's spectrum,
-    (m_k + m_{n-k})/2 V_k + (m_k - m_{n-k})/2 exp(i pi k / n) conj(V_k).
-    No normalisation constants enter, and the output is C-contiguous: a fancy
-    index would hand back another memory layout, and np.add.reduce over it
-    would sum in another order.
+    (m_n = m_0), which p holds interleaved, and rotating back gives the reordered
+    output's spectrum. No normalisation constants enter.
     """
     n = vals.shape[-1]
     half = (n + 1) // 2
-    pairs, down, up = _makhoul_plan(n)
+    _pairs, down, up = _makhoul_plan(n)
     z = np.fft.rfft(np.concatenate((vals[..., ::2], vals[..., 1::2][..., ::-1]), axis=-1))
     z *= down
-    z.view(np.float64)[...] *= multiplier[..., pairs]
+    z.view(np.float64)[...] *= p
     z *= up
     r = np.fft.irfft(z, n)
     out = np.empty(r.shape)
@@ -117,12 +133,114 @@ def _spectral_apply_1d(vals: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reorder_slices(n: int):
+    """(reordered, original) index pairs of Makhoul's reordering of one axis:
+    the even points in order, then the odd ones backwards."""
+    half = (n + 1) // 2
+    return ((slice(None, half), slice(None, None, 2)),
+            (slice(half, None), slice(n - 1 - n % 2, None, -2)))
+
+
 @functools.lru_cache(maxsize=8)
-def _pseudo_inverse(grid: Grid) -> np.ndarray:
+def _makhoul_plan_2d(n1: int, n2: int):
+    """For an n1 x n2 grid: the reordering's four quadrants as (reordered, original)
+    index pairs of strided slices, and exp(-+ i pi (k1 / 2n1 + k2 / 2n2)) on the
+    half spectrum."""
+    quadrants = tuple(((a, b), (c, d))
+                      for a, c in _reorder_slices(n1) for b, d in _reorder_slices(n2))
+    up = np.multiply.outer(np.exp(0.5j * np.pi / n1 * np.arange(n1)),
+                           np.exp(0.5j * np.pi / n2 * np.arange(n2 // 2 + 1)))
+    down = up.conj()
+    for arr in (up, down):
+        arr.flags.writeable = False
+    return quadrants, down, up
+
+
+def _pack_2d(m: np.ndarray):
+    """(p, q) of a 2D multiplier, shaped (..., n1, n2 // 2 + 1, 2) and (..., n1 - 1,
+    n2 // 2 + 1, 2): on row k1 >= 1, with indices mod n,
+    p = ((M(k1,k2) + M(-k1,-k2))/2, (M(-k1,k2) + M(k1,-k2))/2) and
+    q = ((M(-k1,-k2) - M(k1,k2))/2, (M(k1,-k2) - M(-k1,k2))/2);
+    on row 0, p = (M(0,k2), M(0,-k2)) and there is no q row."""
+    n1, n2 = m.shape[-2:]
+    k2 = np.arange(n2 // 2 + 1)
+    flip1 = -np.arange(n1) % n1
+    at = m[..., :, k2]                  # M(k1, k2)
+    at_neg2 = m[..., :, -k2 % n2]       # M(k1, -k2)
+    at_neg1 = at[..., flip1, :]         # M(-k1, k2)
+    at_neg = at_neg2[..., flip1, :]     # M(-k1, -k2)
+    p = np.stack(((at + at_neg) / 2, (at_neg1 + at_neg2) / 2), axis=-1)
+    p[..., 0, :, 0] = at[..., 0, :]
+    p[..., 0, :, 1] = at_neg2[..., 0, :]
+    q = np.stack(((at_neg - at) / 2, (at_neg2 - at_neg1) / 2), axis=-1)[..., 1:, :, :]
+    return p, np.ascontiguousarray(q)
+
+
+def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """apply_packed over the last two axes, through one real 2D FFT pair.
+
+    With both axes reordered as in _apply_1d and V = fft(rfft(v), axis=-2),
+    Z = exp(-i pi k1 / 2n1) exp(-i pi k2 / 2n2) V on the half spectrum is
+    Z(k1,k2) = X(k1,k2) - X(n1-k1,n2-k2) - i (X(n1-k1,k2) + X(k1,n2-k2)), X being the
+    unnormalised 2D DCT-II (X = 0 at index n). Z and Z'(k1, .) = Z(n1-k1, .) determine
+    the four X's of a mode quartet, so on the float view the output's Z is
+    p (Re Z, Im Z) + q (Im Z', Re Z'). Row 0 pairs with the mode index n1, where X is
+    0, not with FFT row 0 again: Z(0,k2) = X(0,k2) - i X(0,n2-k2) as in 1D, and p alone
+    scales Re Z by M(0,k2) and Im Z by M(0,-k2).
+    Each member runs on its own in this thread's reused buffers (_workspace), so a batch
+    row gets the bytes of a single call. The FFTs write in place (out=), and the
+    reorderings are strided slice copies, which cost tens of times less than a fancy index.
+    """
+    n1, n2 = vals.shape[-2:]
+    quadrants, down, up = _makhoul_plan_2d(n1, n2)
+    out = np.empty(vals.shape)
+    batch = vals.shape[:-2]
+    p = np.broadcast_to(p, batch + p.shape[-3:])
+    q = np.broadcast_to(q, batch + q.shape[-3:])
+    v, z, t = _workspace(n1, n2)
+    zf = z.view(np.float64).reshape(z.shape + (2,))
+    tc = t.view(np.complex128)[..., 0]
+    for row in np.ndindex(batch):
+        x = vals[row]
+        for reordered, original in quadrants:
+            v[reordered] = x[original]
+        np.fft.rfft(v, out=z)
+        np.fft.fft(z, axis=0, out=z)
+        z *= down
+        np.conjugate(z[:0:-1], out=tc)  # i conj(Z') = (Im Z', Re Z'), rows 1..n1-1
+        tc *= 1j
+        t *= q[row]
+        zf *= p[row]
+        zf[1:] += t
+        z *= up
+        np.fft.ifft(z, axis=0, out=z)
+        np.fft.irfft(z, n2, out=v)
+        y = out[row]
+        for reordered, original in quadrants:
+            y[original] = v[reordered]
+    return out
+
+
+_local = threading.local()
+
+
+def _workspace(n1: int, n2: int):
+    """This thread's buffers for one n1 x n2 member of a 2D pair: the reordered grid,
+    the half spectrum and the q term. They are reused from call to call, since each
+    fresh half-megabyte array at 256 x 256 costs a hundred-odd page faults."""
+    if getattr(_local, "key", None) != (n1, n2):
+        _local.key = (n1, n2)
+        _local.buffers = (np.empty((n1, n2)), np.empty((n1, n2 // 2 + 1), np.complex128),
+                          np.empty((n1 - 1, n2 // 2 + 1, 2)))
+    return _local.buffers
+
+
+@functools.lru_cache(maxsize=8)
+def _pseudo_inverse(grid: Grid) -> tuple:
+    """The packed multiplier of the potential solve: 1/lambda, 0 on the constant mode."""
     lam = neumann_eigenvalues(grid)
     mult = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    mult.flags.writeable = False
-    return mult
+    return pack_multiplier(mult, grid.dim)
 
 
 def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, tolerance: float):
@@ -131,7 +249,7 @@ def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, tolerance: float):
     residual, at most tolerance; a miss raises at once with every member's residual."""
     rhs = np.asarray(rhs, dtype=np.float64)
     b = rhs - grid_mean(rhs, grid)
-    w = spectral_apply(b, _pseudo_inverse(grid), grid_axes(grid))
+    w = apply_packed(b, _pseudo_inverse(grid))
     w -= grid_mean(w, grid)
     res = _residuals(b, w, grid)
     if not np.all(res <= tolerance):  # a nan residual fails too
@@ -160,9 +278,10 @@ def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _sums_of_squares(arrays, axes):
-    """Per-member sums of squares of equal-shaped arrays over axes -> (sums, e).
-    Members whose sums overflow (|values| past ~1e154) are summed scaled by 2**-e,
-    which brings their max|arrays[0]| into [0.5, 1); the rest keep e = 0 and their bits."""
+    """Per-member sums of squares of arrays over axes -> (sums, e), each array
+    reducing to the same member shape. Members whose sums overflow (|values| past
+    ~1e154) are summed scaled by 2**-e, which brings their largest |value| over all
+    the arrays into [0.5, 1); the rest keep e = 0 and their bits."""
     def sumsq(a):
         return np.add.reduce(a * a, axis=axes)
 
@@ -171,7 +290,7 @@ def _sums_of_squares(arrays, axes):
         finite = np.isfinite(sum(sums))
     if finite.all():
         return sums, np.zeros(finite.shape, dtype=int)
-    _, e = np.frexp(np.max(np.abs(arrays[0]), axis=axes))
+    _, e = np.frexp(np.max([np.max(np.abs(a), axis=axes) for a in arrays], axis=0))
     e = np.where(finite, 0, e)
     scale = np.ldexp(1.0, -e).reshape(finite.shape + (1,) * len(axes))
     return [sumsq(a * scale) for a in arrays], e

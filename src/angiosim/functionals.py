@@ -403,7 +403,10 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     min_u, min_v = fu.min(axis=-1).tolist(), fv.min(axis=-1).tolist()
     linf_u, linf_v = (np.abs(f).max(axis=-1).tolist() for f in (fu, fv))
     l2_dev_u, l2_dev_v = (_l2_rows(f - column, vol) for f in (fu, fv))
-    grad_v = [_row_sums(g * g) for g in gradient_arrays(v, grid.spacing)]
+    # per axis, scaled by 2**-grad_e where the squares overflow
+    grad_sums, grad_e = _sums_of_squares(
+        [g.reshape(n, -1) for g in gradient_arrays(v, grid.spacing)], (-1,))
+    grad_v, grad_e = [a.tolist() for a in grad_sums], grad_e.tolist()
     grad_w = [np.abs(g).reshape(n, -1).max(axis=-1).tolist()
               for g in gradient_arrays(w, grid.spacing)]
     # recomputed rather than taken from the step's solve: that one centres the
@@ -441,10 +444,11 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
         s = 0.0
         for axis_sums in grad_v:
             s += axis_sums[b]
-        l2_grad_v = math.sqrt(s * vol)
+        l2_grad_v = float(np.ldexp(math.sqrt(s * vol), grad_e[b]))  # inf past the range
         f1 = f2 = math.nan
         if b in f1_rows:
-            f1 = ent[b] + 0.5 * p.chi * l2_grad_v ** 2
+            # numpy's power, the same libm pow as Python's, reads inf where Python's raises
+            f1 = ent[b] + 0.5 * p.chi * np.float64(l2_grad_v) ** 2
         elif b in f2_rows:
             f2 = ent[b] + (targets[b] * p.chi ** 2 / (2.0 * p.d)) * vdev[b]
         records.append(DiagnosticsRecord(

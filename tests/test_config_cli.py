@@ -151,6 +151,34 @@ def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
     assert line.startswith("config error: ") and "line 2: solver.t_end must be finite" in line
 
 
+@pytest.mark.parametrize("body, message", [
+    ("preset = custom\n\nsolver.t_end = inf\n", "line 3: solver.t_end must be finite, got inf"),
+    ("preset = custom\nparams.chi = -1\n", "line 2: params.chi must be >= 0, got -1"),
+    ("preset = custom\nparams.d = x\n", "line 2: params.d = 'x' is not a number"),
+    # the model classes' own checks carry their section's name, once
+    ("preset = custom\nsolver.cfl_safety = 2\n",
+     "solver (near line 0): cfl_safety must be in (0, 1], got 2.0"),
+    ("preset = custom\ngrid.cells = 2\n", "grid: need at least 4 cells per axis, got (2,)"),
+])
+def test_config_error_names_its_key_once(tmp_path, body, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_cfg(tmp_path, body))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lengths", ["1e160", "1e-160", "1.0, 1e-160"])
+def test_cli_run_rejects_spacings_beyond_the_float_range(tmp_path, lengths):
+    # 4/h^2 must be finite and positive, or the Laplacian reads 0 or inf
+    dim = lengths.count(",") + 1
+    cfg = write_cfg(tmp_path, f"preset = custom\ngrid.dim = {dim}\ngrid.lengths = {lengths}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "angiosim.cli", "run", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"config error: line 3: grid.lengths = {lengths} gives cell spacings")
+
+
 def test_error_carries_line_number(tmp_path):
     path = write_cfg(tmp_path, "preset = custom\n\nmystery.key = 1\n")
     with pytest.raises(ConfigError, match="line 3"):
@@ -696,9 +724,9 @@ def test_cli_fit_missing_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # installed entry point
 
-def test_1d_run_and_sweep_leave_scipy_unloaded(tmp_path):
-    # 1D transforms go through numpy.fft; scipy.fft, which itself loads
-    # concurrent.futures, is imported by the first 2D transform only
+def test_runs_and_sweeps_leave_scipy_unloaded(tmp_path):
+    # every transform goes through numpy.fft, in 1D and 2D alike; scipy.fft
+    # would itself load concurrent.futures
     run_cfg = write_cfg(tmp_path, FAST_RUN, "run.cfg")
     sweep_cfg = write_cfg(tmp_path, FAST_SWEEP, "sweep.cfg")
     cfg_2d = write_cfg(tmp_path, """
@@ -720,11 +748,12 @@ def test_1d_run_and_sweep_leave_scipy_unloaded(tmp_path):
         print(main(["sweep", {sweep_cfg!r}, "--out", {out!r} + "/s1", "--quiet"]))
         print(unwanted())
         print(main(["run", {cfg_2d!r}, "--out", {out!r} + "/r2", "--quiet"]))
-        print("scipy.fft" in sys.modules)
+        print(main(["verify", "--out", {out!r} + "/v", "--quiet"]))
+        print(unwanted())
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0", "0", "[]", "0", "True"]
+    assert proc.stdout.splitlines() == ["[]", "0", "0", "[]", "0", "0", "[]"]
 
 
 def test_console_script_usage_error():

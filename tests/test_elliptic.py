@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.fft import dct, idct
+from scipy.fft import dct, dctn, idct, idctn
 from scipy.sparse.linalg import spsolve
 
 from angiosim.dynamics import ModelParams, SolverConfig, Stepper
@@ -322,5 +322,41 @@ def test_1d_zero_mode_multipliers_keep_mass_laws(n):
     mass = x.sum(axis=-1)
     u1 = spectral_apply(x, stepper._mult_u, (-1,)).sum(axis=-1)
     v1 = spectral_apply(x, stepper._mult_v, (-1,)).sum(axis=-1)
+    assert np.all(np.abs(u1 - mass) <= 1e-13 * mass)
+    assert np.all(np.abs((1.0 + dt) * v1 - mass) <= 1e-13 * mass)
+
+
+# ---------------------------------------------------------------------------
+# the 2D transform pair (numpy.fft, Makhoul reordering of both axes) against scipy.fft
+
+MAKHOUL_SHAPES_2D = [(4, 6), (5, 7), (7, 12), (6, 5), (8, 8), (9, 9), (256, 256)]
+
+
+@pytest.mark.parametrize("shape", MAKHOUL_SHAPES_2D)
+def test_2d_operator_matches_scipy_dctn(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal((3,) + shape)
+    per_member = rng.uniform(0.1, 2.0, (3,) + shape)
+    for mult in (per_member[0], per_member):  # shared and per-member multipliers
+        oracle = idctn(dctn(x, type=2, norm="ortho", axes=(-2, -1)) * mult,
+                       type=2, norm="ortho", axes=(-2, -1))
+        y = spectral_apply(x, mult, (-2, -1))
+        assert y.flags.c_contiguous
+        assert np.max(np.abs(y - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        for b in range(3):
+            row = spectral_apply(x[b], mult if mult.ndim == 2 else mult[b], (-2, -1))
+            assert y[b].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("shape", MAKHOUL_SHAPES_2D[:-1])
+def test_2d_zero_mode_multipliers_keep_mass_laws(shape):
+    dt = 0.013
+    g = build_grid(2, (1.0, 1.5), shape)
+    p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=2.5, a=0.0, mu=0.0, theta=1.0, n_dim=2)
+    stepper = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0))
+    x = np.stack([random_positive_field(g, seed).shaped() for seed in (7, 8)])
+    mass = x.sum(axis=(-2, -1))
+    u1 = spectral_apply(x, stepper._mult_u, (-2, -1)).sum(axis=(-2, -1))
+    v1 = spectral_apply(x, stepper._mult_v, (-2, -1)).sum(axis=(-2, -1))
     assert np.all(np.abs(u1 - mass) <= 1e-13 * mass)
     assert np.all(np.abs((1.0 + dt) * v1 - mass) <= 1e-13 * mass)

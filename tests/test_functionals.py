@@ -447,3 +447,17 @@ def test_deviation_norms_of_a_member_beyond_the_square_range():
         near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
     assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))
     assert far.l2_u_dev == big * near.l2_u_dev and far.l2_v_dev == big * near.l2_v_dev
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_norm_of_a_member_beyond_the_square_range(dim):
+    # |grad v| ~ 2^540 overflows its square: l2_grad_v is taken at a
+    # power-of-two scale over all axes, so it is the twin's times 2^540 exactly
+    grid = build_grid(dim, (1.0, 1.5)[:dim], (64, 48)[:dim])
+    lone, p, u0 = random_member(grid, "growth_free", False, 5)
+    big = 2.0 ** 540
+    batch = (np.stack([f.shaped(), big * f.shaped()]) for f in (lone.u, lone.v, lone.w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
+    assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))
+    assert math.isfinite(far.l2_grad_v) and far.l2_grad_v == big * near.l2_grad_v
