@@ -333,6 +333,22 @@ def test_cli_run_nonpositive_initial_u_exit_code(tmp_path):
     assert len(lines) == 1 and "strictly positive" in lines[0]
 
 
+def test_cli_run_non_finite_initial_state_exit_code(tmp_path):
+    # base + amplitude overflows to inf at the bump's peak
+    cfg = write_cfg(tmp_path, """
+        preset = custom
+        init.profile = gaussian_bump
+        init.base = 1e308
+        init.amplitude = 1e308
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-m", "angiosim.cli", "run", cfg, "--out", str(tmp_path / "inf")],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure in the initial state: ")
+
+
 BLOWUP_RUN = """
     preset = custom
     grid.cells = 16
