@@ -1,6 +1,7 @@
 """Time integration of the coupled cell/factor/potential system.
 
-State (u, v, w): cell density u, diffusible factor v, repulsive potential w.
+State (u, v, w): cell density u, diffusible factor v, repulsive potential w,
+held by a SimState as read-only arrays shaped like the grid's cells.
 
     u_t = lap u - chi div(u grad v) + xi1 div(u grad w) + u (a - mu u^theta)
     v_t = d lap v + xi2 div(v grad w) + u - v
@@ -51,7 +52,6 @@ from .elliptic import (
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
 from .grid import (
     FLOAT_FMT,
-    Field,
     Grid,
     divergence_arrays,
     face_slices,
@@ -115,15 +115,25 @@ class ModelParams:
         return self.xi1 == 0.0 or self.xi2 == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimState:
-    """Snapshot at time t. Invariants maintained by the upwind stepper:
-    u > 0, v >= 0, int w = 0 and w solves the potential equation for u."""
+    """Snapshot at time t: u, v, w as read-only float64 copies of the given
+    arrays, each shaped like grid.cells. Invariants maintained by the upwind
+    stepper: u > 0, v >= 0, int w = 0 and w solves the potential equation for u."""
 
     t: float
-    u: Field
-    v: Field
-    w: Field
+    grid: Grid
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        for name in "uvw":
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.shape != self.grid.cells:
+                raise ValueError(f"{name} has shape {arr.shape}, not the grid's {self.grid.cells}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -229,11 +239,13 @@ def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> Sim
         )
     if v_vals.min() < 0.0:
         raise ValueError(f"initial v must be nonnegative (min {v_vals.min():.3g})")
-    u = Field(grid, u_vals)
-    w_arr, _res, _it = solve_neumann_poisson(
+    # the run checks only the states it steps to, so overflow is caught here
+    if not (np.isfinite(u_vals).all() and np.isfinite(v_vals).all()):
+        raise ValueError("initial u and v must be finite; base + amplitude overflows float64")
+    w, _res, _it = solve_neumann_poisson(
         grid, u_vals.reshape(grid.cells) - u_vals.mean(), tolerance
     )
-    return SimState(0.0, u, Field(grid, v_vals), Field(grid, w_arr))
+    return SimState(0.0, grid, u_vals.reshape(grid.cells), v_vals.reshape(grid.cells), w)
 
 
 def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2):
@@ -401,10 +413,9 @@ class Stepper:
         return u_new, v_new, self._potential(u_new, v_new)
 
 
-def _member_state(grid: Grid, t: float, batch, row: int, validate: bool = True) -> SimState:
-    """One row of a (u, v, w) batch as a SimState; validate=False keeps a
-    non-finite blow-up."""
-    return SimState(t, *(Field(grid, a[row], validate=validate) for a in batch))
+def _member_state(grid: Grid, t: float, batch, row: int) -> SimState:
+    """One row of a (u, v, w) batch as a SimState."""
+    return SimState(t, grid, *(a[row] for a in batch))
 
 
 def _ended_rows(u: np.ndarray, v: np.ndarray, axes, t: float, cfg: SolverConfig) -> dict:
@@ -440,13 +451,13 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     on_record is given, for each record: on_record(b, state) is then called
     with each recorded SimState, the initial one included.
     """
-    grid, t0 = initials[0].u.grid, initials[0].t
-    if any(s.u.grid != grid or s.t != t0 for s in initials):
+    grid, t0 = initials[0].grid, initials[0].t
+    if any(s.grid != grid or s.t != t0 for s in initials):
         raise ValueError("ensemble members must share a grid and a start time")
     axes = grid_axes(grid)
     n_steps = max(1, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-9))
     t = t0
-    u0_means = [float(s.u.values.mean()) for s in initials]
+    u0_means = [float(s.u.mean()) for s in initials]
     records: list[list[DiagnosticsRecord]] = [[] for _ in initials]
     trajectories: list[Trajectory | None] = [None] * len(initials)
     members = list(range(len(initials)))  # the member held in each batch row
@@ -462,16 +473,15 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         nonlocal members
         for row, (reason, detail) in ended.items():
             b = members[row]
-            finite = bool(np.isfinite(batch[0][row]).all() and np.isfinite(batch[1][row]).all())
             trajectories[b] = Trajectory(
-                records[b], _member_state(grid, t, batch, row, finite), reason, detail)
+                records[b], _member_state(grid, t, batch, row), reason, detail)
         kept = [row for row in range(len(members)) if row not in ended]
         members = [members[row] for row in kept]
         if kept:
             stepper.keep(kept)
         return tuple(a[kept] for a in batch)
 
-    batch = tuple(np.stack([getattr(s, name).shaped() for s in initials]) for name in "uvw")
+    batch = tuple(np.stack([getattr(s, name) for s in initials]) for name in "uvw")
     record(t, batch)
     if on_record is not None:
         for b, state in enumerate(initials):

@@ -69,13 +69,6 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return axes[0] if grid.dim == 1 else np.add.outer(axes[0], axes[1])
 
 
-def spectral_apply(vals: np.ndarray, multiplier: np.ndarray, axes) -> np.ndarray:
-    """Apply the operator with the given per-mode multiplier over the trailing grid axes.
-    Packs the multiplier on every call: a multiplier that is applied again should be
-    packed once with pack_multiplier and applied with apply_packed."""
-    return apply_packed(vals, pack_multiplier(multiplier, len(axes)))
-
-
 def pack_multiplier(multiplier: np.ndarray, dim: int) -> tuple:
     """A per-mode multiplier, shaped like the grid or (B, *cells) with a row per member,
     in the form the transform pair applies: (p,) on 1D grids and (p, q) on 2D grids,

@@ -1,5 +1,12 @@
 """Diagnostics: entropies, Lyapunov functionals, decay fits, inequality checks.
 
+diagnostics_batch reads the trajectory columns straight off a run's
+(B, *cells) state arrays. The Lyapunov functionals it records are
+    F1 = int u log(u/ubar) + (chi/2) ||grad v||^2              (a = mu = 0)
+    F2 = int (u - b - b log(u/b)) + (b chi^2 / 2d) int (v - b)^2   (a, mu > 0)
+with b = (a/mu)^(1/theta) the logistic carrying state. The entropy helpers
+that take a grid.Field serve the verification battery.
+
 Entropy-like integrands are evaluated in shifted form so every term is
 nonnegative and the quadrature never cancels: u*log(u/ubar) integrates to the
 same value as u*log(u/ubar) - (u - ubar) because the linear part integrates to
@@ -32,10 +39,7 @@ __all__ = [
     "INEQUALITY_NAMES",
     "relative_entropy",
     "entropy_sandwich_check",
-    "lyap_F1",
-    "lyap_F2",
     "grad_l2",
-    "mass_balance_residual",
     "fit_decay_rate",
     "CosineTestFunction",
     "verify_interpolation_inequalities",
@@ -43,8 +47,7 @@ __all__ = [
     "diagnostics_record",
 ]
 
-# trajectory CSV schema; mass_u_theta is in-memory only (record-level mass
-# balance needs int u^(theta+1) which the serialized schema does not carry)
+# trajectory CSV schema, one column per DiagnosticsRecord field
 TRAJECTORY_COLUMNS = (
     "t", "mass_u", "mass_v", "linf_u", "linf_v", "l2_u_dev", "l2_v_dev",
     "l2_grad_v", "linf_grad_w", "F1", "F2", "elliptic_residual",
@@ -68,7 +71,6 @@ class DiagnosticsRecord:
     elliptic_residual: float
     min_u: float
     min_v: float
-    mass_u_theta: float = 0.0
 
     def csv_values(self):
         return [getattr(self, name) for name in TRAJECTORY_COLUMNS]
@@ -116,45 +118,6 @@ def grad_l2(f: Field) -> float:
     for g in gradient_arrays(f.shaped(), f.grid.spacing):
         s += float(np.sum(g * g))
     return math.sqrt(s * f.grid.cell_volume)
-
-
-def lyap_F1(state, chi: float) -> float:
-    """Entropy energy for growth-free runs: int u log(u/ubar) + (chi/2)||grad v||^2."""
-    return relative_entropy(state.u) + 0.5 * chi * grad_l2(state.v) ** 2
-
-
-def lyap_F2(state, p) -> float:
-    """Equilibrium entropy for logistic runs, centered on b = (a/mu)^(1/theta).
-
-    int (u - b - b log(u/b)) + (b chi^2 / 2d) int (v - b)^2; needs a, mu > 0.
-    """
-    if p.a <= 0.0 or p.mu <= 0.0:
-        raise ValueError("F2 requires a > 0 and mu > 0 (carrying state b degenerate)")
-    b = (p.a / p.mu) ** (1.0 / p.theta)
-    uvals = state.u.values
-    if uvals.min() <= 0.0:
-        raise ValueError("F2 needs a strictly positive cell density")
-    z = uvals / b - 1.0
-    vol = state.u.grid.cell_volume
-    ent = float(b * np.sum(z - np.log1p(z)) * vol)
-    vdev = state.v.values - b
-    return ent + (b * p.chi ** 2 / (2.0 * p.d)) * float(np.sum(vdev * vdev) * vol)
-
-
-def mass_balance_residual(traj, p) -> float:
-    """Max over consecutive records of the discrete mass-law defect for u.
-
-    |mass_u(k+1) - mass_u(k) - dt_k * (a * mass_u(k) - mu * int u^(theta+1)(k))|,
-    with the right side evaluated at the earlier record (the explicit stage of
-    the scheme). Single-record trajectories return 0.
-    """
-    recs = traj.records
-    worst = 0.0
-    for r0, r1 in zip(recs, recs[1:]):
-        dt = r1.t - r0.t
-        rhs = p.a * r0.mass_u - p.mu * r0.mass_u_theta
-        worst = max(worst, abs(r1.mass_u - r0.mass_u - dt * rhs))
-    return worst
 
 
 def _default_window(arr: np.ndarray) -> tuple[float, float]:
@@ -387,9 +350,8 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
 
     Member b has ModelParams params[b] and initial mean u0_means[b]; see
     diagnostics_record for what each column holds. The array work runs once
-    for the batch, or for the rows a column applies to (int u^(theta+1) per
-    exponent, as the stepper's reaction), and the scalar arithmetic runs per
-    member in Python floats. Every reduction sums one member's C-contiguous
+    for the batch, or for the rows a column applies to (F1 or F2), and the
+    scalar arithmetic runs per member in Python floats. Every reduction sums one member's C-contiguous
     row, in the order the flat values of a lone member sum, so each row is
     byte-identical to the record of its member alone.
     """
@@ -430,15 +392,6 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
         for b, s, sv in zip(f2_rows, _row_sums(z - np.log1p(z)), _row_sums(d * d)):
             ent[b] = targets[b] * s * vol
             vdev[b] = sv * vol
-    mass_theta = [0.0] * n
-    exponents = {}
-    for b, p in enumerate(params):
-        if p.mu > 0.0:
-            exponents.setdefault(p.theta, []).append(b)
-    for theta, rows in exponents.items():
-        for b, s in zip(rows, _row_sums(_rows(fu, rows, n) ** (theta + 1.0))):
-            mass_theta[b] = s * vol
-
     records = []
     for b, p in enumerate(params):
         s = 0.0
@@ -466,18 +419,17 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
             elliptic_residual=residual[b],
             min_u=min_u[b],
             min_v=min_v[b],
-            mass_u_theta=mass_theta[b],
         ))
     return records
 
 
 def diagnostics_record(state, p, u0_mean: float) -> DiagnosticsRecord:
-    """The diagnostics row of one state: diagnostics_batch with one member.
+    """The diagnostics row of one SimState: diagnostics_batch with one member.
 
     Deviation target is the logistic carrying state b = (a/mu)^(1/theta) when
     a, mu > 0, otherwise the (conserved) initial mean. F1 is recorded on
     growth-free runs, F2 on logistic runs; either is nan when its positivity
     precondition fails (possible under the central flux scheme).
     """
-    batch = (f.shaped()[np.newaxis] for f in (state.u, state.v, state.w))
-    return diagnostics_batch(state.t, *batch, state.u.grid, [p], [u0_mean])[0]
+    batch = (a[np.newaxis] for a in (state.u, state.v, state.w))
+    return diagnostics_batch(state.t, *batch, state.grid, [p], [u0_mean])[0]

@@ -11,6 +11,10 @@ Quadrature is midpoint: integrate(f) = sum(values) * cell_volume. Face-norm
 quadrature assigns each interior face one cell volume, which makes
 <-laplacian_array(f), f> equal grad-norm squared exactly (discrete integration
 by parts with no boundary term).
+
+The kernels take arrays shaped like grid.cells, or batches (B, *cells); a
+simulation state is three such arrays. Field, a flat finite-checked wrapper,
+serves the verification battery's quadratures (integrate, mean, lp_norm).
 """
 from __future__ import annotations
 
@@ -32,8 +36,6 @@ __all__ = [
     "integrate",
     "mean",
     "lp_norm",
-    "write_field_csv",
-    "read_field_csv",
 ]
 
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
@@ -109,15 +111,12 @@ def build_grid(dim, lengths, cells) -> Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """One scalar value per cell, flat row-major, immutable after build.
-
-    validate=False skips the finiteness check: that path is reserved for
-    states a run has already flagged as blown up.
-    """
+    """One finite scalar value per cell, flat row-major, immutable after build.
+    The verification battery's functionals take Fields; a SimState holds
+    shaped arrays instead."""
 
     grid: Grid
     values: np.ndarray
-    validate: bool = True
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64).ravel()
@@ -125,7 +124,7 @@ class Field:
             raise ValueError(
                 f"expected {self.grid.n_cells} values, got {vals.size}"
             )
-        if self.validate and not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -198,36 +197,3 @@ def lp_norm(f: Field, p) -> float:
     s = float(np.sum(np.abs(f.values) ** p) * f.grid.cell_volume)
     return s ** (1.0 / p)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def _grid_header(grid: Grid) -> str:
-    lengths = ",".join(FLOAT_FMT % l for l in grid.lengths)
-    cells = ",".join(str(c) for c in grid.cells)
-    return f"# grid dim={grid.dim} lengths={lengths} cells={cells}"
-
-
-def write_field_csv(f: Field, path) -> None:
-    cols = "index," + ("x" if f.grid.dim == 1 else "x,y") + ",value"
-    coords = f.grid.cell_coordinates()
-    lines = [_grid_header(f.grid), cols]
-    for i, v in enumerate(f.values):
-        xy = ",".join(FLOAT_FMT % c[i] for c in coords)
-        lines.append(f"{i},{xy},{FLOAT_FMT % v}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_field_csv(path) -> Field:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# grid "):
-            raise ValueError(f"{path}: missing grid header line")
-        meta = dict(tok.split("=", 1) for tok in header[7:].split())
-        dim = int(meta["dim"])
-        lengths = [float(t) for t in meta["lengths"].split(",")]
-        cells = [int(t) for t in meta["cells"].split(",")]
-        fh.readline()  # column names
-        values = [float(line.rstrip("\n").split(",")[-1]) for line in fh if line.strip()]
-    return Field(build_grid(dim, lengths, cells), np.array(values))

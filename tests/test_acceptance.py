@@ -24,11 +24,11 @@ from angiosim.elliptic import elliptic_residual, solve_w, spectral_info
 from angiosim.functionals import (
     entropy_sandwich_check,
     fit_decay_rate,
-    mass_balance_residual,
     relative_entropy,
     verify_interpolation_inequalities,
 )
 from angiosim.grid import Field, build_grid, integrate, lp_norm
+from oracles import mass_balance_residual, u_power_integral
 from angiosim.thresholds import (
     empirical_d0_check,
     empirical_mu_threshold,
@@ -76,9 +76,11 @@ def mass_run():
     # coupled growth-free run for the exact mass law, every step recorded
     g = build_grid(1, 1.0, 128)
     p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.0, a=0.0, mu=0.0, theta=1.0, n_dim=1)
+    powers = []
     traj, elapsed = timed_run(
-        smooth_initial(g), p, SolverConfig(dt=1e-3, t_end=10.0, record_every=1))
-    return Timed(traj, elapsed, params=p)
+        smooth_initial(g), p, SolverConfig(dt=1e-3, t_end=10.0, record_every=1),
+        on_record=lambda state: powers.append(u_power_integral(state, p.theta)))
+    return Timed(traj, elapsed, params=p, powers=powers)
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +110,11 @@ def c1_run():
     g = build_grid(1, 1.0, 128)
     p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=2.0, a=0.0, mu=0.0, theta=1.0, n_dim=1)
     st = smooth_initial(g, v_const=0.5)
-    u0_mean = float(st.u.values.mean())
+    u0_mean = float(st.u.mean())
     l1_series = []
 
     def collect(state):
-        dev = Field(state.u.grid, np.abs(state.u.values - u0_mean), validate=False)
+        dev = Field(state.grid, np.abs(state.u - u0_mean))
         l1_series.append((state.t, integrate(dev)))
 
     traj, elapsed = timed_run(
@@ -139,8 +141,8 @@ def chi_zero_run():
     st = smooth_initial(g, v_const=0.5)
     traj, elapsed = timed_run(st, p, SolverConfig(dt=5e-3, t_end=50.0, record_every=10))
     return Timed(traj, elapsed,
-                 u0_linf=float(np.max(np.abs(st.u.values))),
-                 u0_mean=float(st.u.values.mean()))
+                 u0_linf=float(np.max(np.abs(st.u))),
+                 u0_mean=float(st.u.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,8 @@ def test_criterion_02_poincare_eigenvalue():
 
 def test_criterion_03_exact_mass_law(mass_run):
     mass0 = mass_run.traj.records[0].mass_u
-    worst = mass_balance_residual(mass_run.traj, mass_run.extras["params"])
+    worst = mass_balance_residual(mass_run.traj.records, mass_run.extras["powers"],
+                                  mass_run.extras["params"])
     ok = worst <= 1e-10 * mass0 and mass_run.elapsed < 10.0
     check(3, ok, f"per-step mass residual {worst:.2e} <= 1e-10*mass0={1e-10 * mass0:.1e}, "
                  f"T=10 at dt=1e-3, {mass_run.elapsed:.1f}s")
@@ -187,7 +190,7 @@ def test_criterion_04_logistic_mass_ode():
     st = make_initial(g, InitialSpec(profile="constant", base=2.0))
     dt = 1e-3
     traj, _ = timed_run(st, p, SolverConfig(dt=dt, t_end=1.0, record_every=1000))
-    u1 = float(traj.terminal.u.values[0])
+    u1 = float(traj.terminal.u[0])
     err = abs(u1 - LOGISTIC_U1)
     elapsed = time.perf_counter() - t0
     ok = err <= 5.0 * dt and elapsed < 1.0
@@ -278,7 +281,7 @@ def test_criterion_10_growth_free_convergence(c1_run):
     slack = 1e-8 * f1[0][1]
     monotone = all(later <= earlier + slack
                    for (_, earlier), (_, later) in zip(f1, f1[1:]))
-    linf_dev = float(np.max(np.abs(traj.terminal.u.values - u0_mean)))
+    linf_dev = float(np.max(np.abs(traj.terminal.u - u0_mean)))
     fit = fit_decay_rate(c1_run.extras["l1_series"], (0.5, 2.0))
     ok = (chk.passes and chk.check_value > 0.0 and monotone
           and linf_dev < 1e-3 and fit.rate > 0.0 and fit.r_squared >= 0.95
@@ -297,8 +300,8 @@ def test_criterion_11_logistic_convergence(c2_run):
     margin_ok = p.mu >= 1.5 * mu_thr
     A = max(r.linf_v for r in traj.records)
     sigma = sigma_rate(p, cp, A)
-    u_dev = float(np.max(np.abs(traj.terminal.u.values - b)))
-    v_dev = float(np.max(np.abs(traj.terminal.v.values - b)))
+    u_dev = float(np.max(np.abs(traj.terminal.u - b)))
+    v_dev = float(np.max(np.abs(traj.terminal.v - b)))
     f2 = [(r.t, r.F2) for r in traj.records if not math.isnan(r.F2)]
     fit = fit_decay_rate(f2, (4.0, 14.0))
     ok = (margin_ok and u_dev < 1e-3 and v_dev < 1e-3
@@ -312,7 +315,7 @@ def test_criterion_12_no_attraction_corollary(chi_zero_run):
     traj = chi_zero_run.traj
     sup_linf = max(r.linf_u for r in traj.records)
     cap = 2.0 * chi_zero_run.extras["u0_linf"]
-    linf_dev = float(np.max(np.abs(traj.terminal.u.values - chi_zero_run.extras["u0_mean"])))
+    linf_dev = float(np.max(np.abs(traj.terminal.u - chi_zero_run.extras["u0_mean"])))
     ok = sup_linf <= cap and linf_dev < 1e-3 and chi_zero_run.elapsed < 120.0
     check(12, ok, f"sup_t |u|_inf={sup_linf:.5f} <= 2|u0|_inf={cap:.2f} over T=50, "
                   f"|u-mean|_inf(T)={linf_dev:.1e} < 1e-3, {chi_zero_run.elapsed:.1f}s")
@@ -327,7 +330,7 @@ def test_criterion_13_convergence_orders():
         st = smooth_initial(g)
         traj, _ = timed_run(st, p, SolverConfig(
             dt=dt, t_end=t_end, record_every=10 ** 9, flux_scheme=scheme))
-        return traj.terminal.u.values
+        return traj.terminal.u
 
     def restrict(fine):  # cell-average restriction onto the coarser grid
         return 0.5 * (fine[0::2] + fine[1::2])

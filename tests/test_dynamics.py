@@ -23,14 +23,15 @@ from angiosim.dynamics import (
     write_trajectory_csv,
 )
 from angiosim.elliptic import (
+    apply_packed,
     grid_axes,
     neumann_eigenvalues,
+    pack_multiplier,
     solve_neumann_poisson,
-    solve_w,
-    spectral_apply,
 )
-from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record, mass_balance_residual
+from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record
 from angiosim.grid import Field, build_grid, divergence_arrays
+from oracles import mass_balance_residual, u_power_integral
 
 LOGISTIC_U1 = 2.0 / (2.0 - math.exp(-1.0))  # u' = u(1-u), u(0) = 2, at t = 1
 
@@ -45,18 +46,18 @@ def params(**kw):
 
 
 def constant_state(grid, c):
-    u = Field(grid, np.full(grid.n_cells, c))
-    return SimState(0.0, u, u, Field(grid, np.zeros(grid.n_cells)))
+    u = np.full(grid.cells, c)
+    return SimState(0.0, grid, u, u, np.zeros(grid.cells))
 
 
 def one_member(state):
     """state's (u, v, w) as a batch of one."""
-    return tuple(f.shaped()[np.newaxis] for f in (state.u, state.v, state.w))
+    return tuple(a[np.newaxis] for a in (state.u, state.v, state.w))
 
 
 def member_bound(state, p, cfg):
     """stable_dt of a one-member batch holding state."""
-    g = state.u.grid
+    g = state.grid
     u, v, w = one_member(state)
     col = (1,) + (1,) * g.dim
     speeds = _face_speeds(g, v, w, *(np.full(col, c) for c in (p.chi, p.xi1, p.xi2)))
@@ -67,9 +68,9 @@ def member_bound(state, p, cfg):
 
 def one_step(state, p, cfg):
     """One Stepper step of state as a batch of one."""
-    g = state.u.grid
+    g = state.grid
     u, v, w = Stepper(g, [p], cfg).step(state.t, *one_member(state))
-    return SimState(state.t + cfg.dt, Field(g, u[0]), Field(g, v[0]), Field(g, w[0]))
+    return SimState(state.t + cfg.dt, g, u[0], v[0], w[0])
 
 
 def assert_same_trajectory(a, b):
@@ -80,7 +81,7 @@ def assert_same_trajectory(a, b):
     assert rows[0] == rows[1]
     assert a.terminal.t == b.terminal.t
     for name in "uvw":
-        assert getattr(a.terminal, name).values.tobytes() == getattr(b.terminal, name).values.tobytes()
+        assert getattr(a.terminal, name).tobytes() == getattr(b.terminal, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +136,16 @@ def test_solver_config_rejects_nan(field):
 def test_make_initial_constant_profile():
     g = build_grid(1, 1.0, 64)
     st = make_initial(g, InitialSpec(profile="constant", base=1.0))
-    assert np.all(st.u.values == 1.0)
-    assert np.all(st.v.values == 1.0)
-    assert np.all(st.w.values == 0.0)
+    assert np.all(st.u == 1.0)
+    assert np.all(st.v == 1.0)
+    assert np.all(st.w == 0.0)
 
 
 def test_make_initial_cosine_bump_bounds():
     g = build_grid(1, 1.0, 64)
     st = make_initial(g, InitialSpec(profile="cosine_bump", base=1.0, amplitude=0.5))
-    assert st.u.values.min() == pytest.approx(0.5, abs=1e-3)
-    assert st.u.values.min() > 0.0
+    assert st.u.min() == pytest.approx(0.5, abs=1e-3)
+    assert st.u.min() > 0.0
 
 
 def test_make_initial_rejects_nonpositive_u():
@@ -156,19 +157,19 @@ def test_make_initial_rejects_nonpositive_u():
 def test_make_initial_v_settings_default_to_u_settings():
     g = build_grid(1, 1.0, 64)
     st = make_initial(g, InitialSpec(profile="cosine_bump", base=1.0, amplitude=0.2))
-    assert np.array_equal(st.u.values, st.v.values)
+    assert np.array_equal(st.u, st.v)
     st2 = make_initial(
         g, InitialSpec(profile="cosine_bump", base=1.0, amplitude=0.2,
                        v_profile="constant", v_base=0.25, v_amplitude=0.0))
-    assert np.all(st2.v.values == 0.25)
+    assert np.all(st2.v == 0.25)
 
 
 def test_make_initial_random_positive_seeded():
     g = build_grid(2, 1.0, (8, 8))
     a = make_initial(g, InitialSpec(profile="random_positive", seed=3, amplitude=0.4))
     b = make_initial(g, InitialSpec(profile="random_positive", seed=3, amplitude=0.4))
-    assert np.array_equal(a.u.values, b.u.values)
-    assert a.u.values.min() > 0.0
+    assert np.array_equal(a.u, b.u)
+    assert a.u.min() > 0.0
     with pytest.raises(ValueError, match="unknown profile"):
         InitialSpec(profile="bumps")
 
@@ -185,15 +186,12 @@ def test_stable_dt_quiescent_state():
 def test_stable_dt_advective_bound():
     # v = 2x with chi = 1 gives face speed exactly 2; h = 0.01
     g = build_grid(1, 1.0, 100)
-    u = Field(g, np.ones(100))
-    v = Field(g, 2.0 * g.axis_centers(0))
-    st = SimState(0.0, u, v, Field(g, np.zeros(100)))
+    st = SimState(0.0, g, np.ones(100), 2.0 * g.axis_centers(0), np.zeros(100))
     p = params(chi=1.0, xi1=0.0, xi2=0.0)
     cfg = SolverConfig(dt=1e-4, t_end=1.0, cfl_safety=1.0)
     assert member_bound(st, p, cfg) == pytest.approx(0.005, rel=1e-12)
     g2 = build_grid(1, 1.0, 200)
-    v2 = Field(g2, 2.0 * g2.axis_centers(0))
-    st2 = SimState(0.0, Field(g2, np.ones(200)), v2, Field(g2, np.zeros(200)))
+    st2 = SimState(0.0, g2, np.ones(200), 2.0 * g2.axis_centers(0), np.zeros(200))
     assert member_bound(st2, p, cfg) == pytest.approx(0.0025, rel=1e-12)
 
 
@@ -211,9 +209,9 @@ def test_constant_state_is_steady():
     g = build_grid(1, 1.0, 64)
     st = constant_state(g, 1.7)
     out = one_step(st, COUPLED, SolverConfig(dt=0.01, t_end=1.0))
-    assert np.max(np.abs(out.u.values - 1.7)) <= 1e-13
-    assert np.max(np.abs(out.v.values - 1.7)) <= 1e-13
-    assert np.max(np.abs(out.w.values)) <= 1e-13
+    assert np.max(np.abs(out.u - 1.7)) <= 1e-13
+    assert np.max(np.abs(out.v - 1.7)) <= 1e-13
+    assert np.max(np.abs(out.w)) <= 1e-13
 
 
 def test_carrying_state_is_fixed_point():
@@ -222,8 +220,8 @@ def test_carrying_state_is_fixed_point():
     g = build_grid(1, 1.0, 64)
     st = constant_state(g, b)
     out = one_step(st, p, SolverConfig(dt=0.01, t_end=1.0))
-    assert np.max(np.abs(out.u.values - b)) <= 1e-10
-    assert np.max(np.abs(out.v.values - b)) <= 1e-10
+    assert np.max(np.abs(out.u - b)) <= 1e-10
+    assert np.max(np.abs(out.v - b)) <= 1e-10
 
 
 def test_spatially_constant_logistic_tracks_ode():
@@ -233,9 +231,9 @@ def test_spatially_constant_logistic_tracks_ode():
     cfg = SolverConfig(dt=dt, t_end=1.0, record_every=1000)
     traj = run(constant_state(g, 2.0), p, cfg)
     assert traj.termination_reason == "completed"
-    u1 = float(traj.terminal.u.values[0])
+    u1 = float(traj.terminal.u[0])
     assert abs(u1 - LOGISTIC_U1) <= 5.0 * dt
-    assert np.max(traj.terminal.u.values) - np.min(traj.terminal.u.values) <= 1e-13
+    assert np.max(traj.terminal.u) - np.min(traj.terminal.u) <= 1e-13
 
 
 def test_step_rejects_unstable_dt():
@@ -253,10 +251,11 @@ def test_exact_mass_conservation_per_step():
     g = build_grid(1, 1.0, 128)
     st = make_initial(g, InitialSpec(profile="random_positive", amplitude=0.4, seed=2))
     cfg = SolverConfig(dt=5e-5, t_end=0.002, record_every=1)
-    traj = run(st, COUPLED, cfg)
+    powers = []
+    traj = run(st, COUPLED, cfg, lambda state: powers.append(u_power_integral(state, 1.0)))
     assert traj.termination_reason == "completed"
     m0 = traj.records[0].mass_u
-    assert mass_balance_residual(traj, COUPLED) <= 1e-13 * m0
+    assert mass_balance_residual(traj.records, powers, COUPLED) <= 1e-13 * m0
 
 
 def test_exact_logistic_mass_law_per_step():
@@ -264,9 +263,10 @@ def test_exact_logistic_mass_law_per_step():
     g = build_grid(1, 1.0, 128)
     st = make_initial(g, InitialSpec(amplitude=0.3))
     cfg = SolverConfig(dt=1e-3, t_end=0.05, record_every=1)
-    traj = run(st, p, cfg)
+    powers = []
+    traj = run(st, p, cfg, lambda state: powers.append(u_power_integral(state, p.theta)))
     assert traj.termination_reason == "completed"
-    assert mass_balance_residual(traj, p) <= 1e-13 * traj.records[0].mass_u
+    assert mass_balance_residual(traj.records, powers, p) <= 1e-13 * traj.records[0].mass_u
 
 
 def test_exact_factor_mass_law_per_step():
@@ -358,8 +358,7 @@ def test_restart_continues_the_clock_and_the_state():
     rest = run(first.terminal, COUPLED, cfg)
     assert whole.termination_reason == rest.termination_reason == "completed"
     for name in "uvw":
-        assert getattr(rest.terminal, name).values.tobytes() == \
-            getattr(whole.terminal, name).values.tobytes()
+        assert getattr(rest.terminal, name).tobytes() == getattr(whole.terminal, name).tobytes()
     joined = first.records + rest.records[1:]
     assert len(joined) == len(whole.records)
     assert np.allclose([r.t for r in joined], [r.t for r in whole.records], rtol=0.0, atol=1e-15)
@@ -493,7 +492,7 @@ def test_stepper_names_only_the_member_that_misses_the_potential_gate():
     assert "missed tolerance" in err.value.reasons[hi]
 
 
-def test_run_ensemble_builds_fields_only_for_terminal_states_and_hooks(monkeypatch):
+def test_make_initial_run_and_run_ensemble_build_no_field(monkeypatch):
     built = []
     field_init = Field.__init__
 
@@ -501,29 +500,56 @@ def test_run_ensemble_builds_fields_only_for_terminal_states_and_hooks(monkeypat
         built.append(1)
         field_init(self, *args, **kwargs)
 
+    monkeypatch.setattr(Field, "__init__", counting_init)
     g = build_grid(1, 1.0, 32)
     initials = [make_initial(g, InitialSpec(amplitude=a)) for a in (0.1, 0.2)]
     members = [COUPLED, params(a=1.0, mu=1.0)]
     cfg = SolverConfig(dt=1e-3, t_end=0.02, record_every=5)  # records at steps 0, 5, ..., 20
-    monkeypatch.setattr(Field, "__init__", counting_init)
     plain = run_ensemble(initials, members, cfg)
-    assert len(built) == 3 * 2  # the terminal states only
-    del built[:]
     seen = []
     hooked = run_ensemble(initials, members, cfg, lambda b, state: seen.append((b, state)))
-    assert len(built) == 3 * 2 * 4  # every record after the initial one
+    alone = run(initials[0], members[0], cfg, lambda state: None)
+    assert built == []
     monkeypatch.undo()
 
+    assert_same_trajectory(alone, plain[0])
     assert [b for b, _ in seen] == [0, 1] * 5
     for b, (p, traj) in enumerate(zip(members, hooked)):
         assert_same_trajectory(traj, plain[b])
         states = [state for who, state in seen if who == b]
         assert states[0] is initials[b] and states[-1] is traj.terminal
-        u0_mean = float(initials[b].u.values.mean())
+        u0_mean = float(initials[b].u.mean())
         for state, rec in zip(states, traj.records, strict=True):
             assert state.t == rec.t
             again = diagnostics_record(state, p, u0_mean)
             assert np.array(again.csv_values()).tobytes() == np.array(rec.csv_values()).tobytes()
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 16), (2, (6, 10))])
+def test_sim_state_holds_read_only_arrays_shaped_like_the_grid(dim, cells):
+    g = build_grid(dim, 1.0, cells)
+    flat = np.ones(g.n_cells)
+    u = flat.reshape(g.cells)
+    st = SimState(0.5, g, u, 2 * u, np.zeros(g.cells))
+    for name in "uvw":
+        arr = getattr(st, name)
+        assert arr.shape == g.cells and arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[(0,) * dim] = 3.0
+    u[(0,) * dim] = 5.0  # the state holds copies
+    assert st.u[(0,) * dim] == 1.0
+    terminal = run(st, COUPLED, SolverConfig(dt=1e-3, t_end=0.002)).terminal
+    assert not terminal.u.flags.writeable and terminal.u.shape == g.cells
+
+
+def test_sim_state_rejects_a_wrongly_shaped_array():
+    g = build_grid(2, 1.0, (6, 10))
+    good = np.ones(g.cells)
+    for bad in (np.ones(g.n_cells), np.ones((10, 6)), np.ones((1, 6, 10))):
+        with pytest.raises(ValueError, match="shape"):
+            SimState(0.0, g, good, good, bad)
+    with pytest.raises(ValueError, match="shape"):
+        SimState(0.0, build_grid(1, 1.0, 8), np.ones(7), np.ones(8), np.ones(8))
 
 
 def separate_diffusions_step(stepper, u, v, w):
@@ -549,8 +575,8 @@ def separate_diffusions_step(stepper, u, v, w):
     d = np.array([p.d for p in stepper.params]).reshape((-1,) + (1,) * g.dim)
     u_star = u - cfg.dt * advect(u, a_u) + cfg.dt * stepper._reaction(u)
     v_star = v - cfg.dt * advect(v, a_v) + cfg.dt * u
-    u_new = spectral_apply(u_star, 1.0 / (1.0 + cfg.dt * lam), grid_axes(g))
-    v_new = spectral_apply(v_star, 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam), grid_axes(g))
+    u_new = apply_packed(u_star, pack_multiplier(1.0 / (1.0 + cfg.dt * lam), g.dim))
+    v_new = apply_packed(v_star, pack_multiplier(1.0 / (1.0 + cfg.dt + cfg.dt * d * lam), g.dim))
     return u_new, v_new, stepper._potential(u_new, v_new)
 
 
@@ -563,7 +589,7 @@ def test_stacked_diffusion_step_matches_separate_transforms(flux_scheme, dim, ce
                for j in range(n_members)]
     initials = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=j))
                 for j in range(n_members)]
-    batch = tuple(np.stack([getattr(s, name).shaped() for s in initials]) for name in "uvw")
+    batch = tuple(np.stack([getattr(s, name) for s in initials]) for name in "uvw")
     stepper = Stepper(g, members, SolverConfig(dt=2e-5, t_end=1.0, flux_scheme=flux_scheme))
     for rows in (range(n_members), [n_members - 1, 0]):  # all members, then after keep
         if len(rows) < n_members:

@@ -17,13 +17,11 @@ from angiosim.functionals import (
     entropy_sandwich_check,
     fit_decay_rate,
     grad_l2,
-    lyap_F1,
-    lyap_F2,
-    mass_balance_residual,
     relative_entropy,
     verify_interpolation_inequalities,
 )
 from angiosim.grid import Field, build_grid, gradient_arrays, integrate, lp_norm
+from oracles import lyap_F1, lyap_F2, mass_balance_residual, u_power_integral
 
 # high-resolution quadrature oracle for int (1+cos(pi x)/2) ln(1+cos(pi x)/2)
 ENTROPY_COS_HALF = 0.0646381320204874430
@@ -31,9 +29,14 @@ ENTROPY_COS_HALF = 0.0646381320204874430
 OFF = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=1.0, a=0.0, mu=0.0, theta=1.0, n_dim=1)
 
 
+def state_of(u, v):
+    """The t = 0 SimState of Fields u and v, with w solved from u."""
+    return SimState(0.0, u.grid, u.shaped(), v.shaped(), solve_w(u).shaped())
+
+
 def constant_state(grid, c=1.5):
     u = Field(grid, np.full(grid.n_cells, c))
-    return SimState(0.0, u, u, solve_w(u))
+    return state_of(u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +111,7 @@ def test_f1_chi_zero_reduces_to_entropy():
     x = g.axis_centers(0)
     u = Field(g, 1.0 + 0.3 * np.cos(np.pi * x))
     v = Field(g, 1.0 + 0.2 * np.cos(np.pi * x))
-    st = SimState(0.0, u, v, solve_w(u))
+    st = state_of(u, v)
     assert lyap_F1(st, chi=0.0) == relative_entropy(u)
     assert lyap_F1(st, chi=1.0) > relative_entropy(u)
 
@@ -125,7 +128,7 @@ def test_f2_chi_zero_drops_gradient_term():
     x = g.axis_centers(0)
     u = Field(g, 1.0 + 0.3 * np.cos(np.pi * x))
     v = Field(g, 2.0 + 0.2 * np.cos(np.pi * x))
-    st = SimState(0.0, u, v, solve_w(u))
+    st = state_of(u, v)
     p0 = ModelParams(chi=0.0, xi1=0.5, xi2=0.5, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=1)
     p1 = ModelParams(chi=1.0, xi1=0.5, xi2=0.5, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=1)
     assert lyap_F2(st, p1) > lyap_F2(st, p0) > 0.0
@@ -150,32 +153,27 @@ def test_grad_l2_examples():
 # ---------------------------------------------------------------------------
 # mass balance and rate fits
 
-def _record(t, mass, mass_theta=0.0):
+def _record(t, mass):
     return DiagnosticsRecord(
         t=t, mass_u=mass, mass_v=1.0, linf_u=1.0, linf_v=1.0,
         l2_u_dev=0.0, l2_v_dev=0.0, l2_grad_v=0.0, linf_grad_w=0.0,
         F1=math.nan, F2=math.nan, elliptic_residual=0.0,
-        min_u=1.0, min_v=1.0, mass_u_theta=mass_theta,
+        min_u=1.0, min_v=1.0,
     )
 
 
-class _FakeTraj:
-    def __init__(self, records):
-        self.records = records
-
-
 def test_mass_balance_residual_single_record_is_zero():
-    assert mass_balance_residual(_FakeTraj([_record(0.0, 2.0)]), OFF) == 0.0
+    assert mass_balance_residual([_record(0.0, 2.0)], [0.0], OFF) == 0.0
 
 
 def test_mass_balance_residual_detects_defect():
     p = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=1.0, a=1.0, mu=0.5, theta=1.0, n_dim=1)
-    recs = [_record(0.0, 2.0, mass_theta=4.0)]
-    # exact law: mass(dt) = mass + dt*(a*mass - mu*mass_theta) = 2 + 0.1*(2-2)
-    recs.append(_record(0.1, 2.0, mass_theta=4.0))
-    assert mass_balance_residual(_FakeTraj(recs), p) == 0.0
-    recs[1] = _record(0.1, 2.013, mass_theta=4.0)
-    assert mass_balance_residual(_FakeTraj(recs), p) == pytest.approx(0.013)
+    recs = [_record(0.0, 2.0)]
+    # exact law: mass(dt) = mass + dt*(a*mass - mu*int u^2) = 2 + 0.1*(2-2)
+    recs.append(_record(0.1, 2.0))
+    assert mass_balance_residual(recs, [4.0, 4.0], p) == 0.0
+    recs[1] = _record(0.1, 2.013)
+    assert mass_balance_residual(recs, [4.0, 4.0], p) == pytest.approx(0.013)
 
 
 def test_fit_decay_rate_exact_exponential():
@@ -316,7 +314,7 @@ def test_diagnostics_record_logistic_targets_b():
     assert rec.l2_u_dev == 0.0
     assert rec.F2 == 0.0
     assert math.isnan(rec.F1)
-    assert rec.mass_u_theta == pytest.approx(8.0, abs=1e-12)
+    assert u_power_integral(st, p.theta) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_csv_values_align_with_column_names():
@@ -332,48 +330,44 @@ def test_csv_values_align_with_column_names():
 
 def reference_record(state, p, u0_mean):
     """A lone member's record, column by column from the Field-level functionals."""
-    u, v, w = state.u, state.v, state.w
-    grid = u.grid
+    grid = state.grid
+    u, v = Field(grid, state.u), Field(grid, state.v)
     target = (p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0_mean
-    min_u = float(u.values.min())
+    min_u = float(state.u.min())
     f1 = f2 = math.nan
     if min_u > 0.0 and p.a == 0.0 and p.mu == 0.0:
         f1 = lyap_F1(state, p.chi)
     elif min_u > 0.0 and p.a > 0.0 and p.mu > 0.0:
         f2 = lyap_F2(state, p)
-    mass_u_theta = 0.0
-    if p.mu > 0.0:
-        mass_u_theta = float(np.sum(u.values ** (p.theta + 1.0)) * grid.cell_volume)
     return DiagnosticsRecord(
         t=state.t,
         mass_u=integrate(u),
         mass_v=integrate(v),
         linf_u=lp_norm(u, math.inf),
         linf_v=lp_norm(v, math.inf),
-        l2_u_dev=lp_norm(Field(grid, u.values - target, validate=False), 2),
-        l2_v_dev=lp_norm(Field(grid, v.values - target, validate=False), 2),
+        l2_u_dev=lp_norm(Field(grid, state.u - target), 2),
+        l2_v_dev=lp_norm(Field(grid, state.v - target), 2),
         l2_grad_v=grad_l2(v),
         linf_grad_w=max(float(np.max(np.abs(g)))
-                        for g in gradient_arrays(w.shaped(), grid.spacing)),
+                        for g in gradient_arrays(state.w, grid.spacing)),
         F1=f1,
         F2=f2,
-        elliptic_residual=elliptic_residual(u.values, w.values, grid),
+        elliptic_residual=elliptic_residual(state.u, state.w, grid),
         min_u=min_u,
-        min_v=float(v.values.min()),
-        mass_u_theta=mass_u_theta,
+        min_v=float(state.v.min()),
     )
 
 
 def record_bytes(rec):
-    return np.array(rec.csv_values() + [rec.mass_u_theta]).tobytes()
+    return np.array(rec.csv_values()).tobytes()
 
 
 MEMBER_KINDS = {
     "growth_free": dict(a=0.0, mu=0.0, theta=1.0),       # F1
     "logistic_theta1": dict(a=1.0, mu=2.0, theta=1.0),   # F2
     "logistic_theta2": dict(a=1.5, mu=0.5, theta=2.0),   # F2
-    "growth_only": dict(a=1.0, mu=0.0, theta=1.0),       # neither; mass_u_theta = 0
-    "damping_only": dict(a=0.0, mu=1.0, theta=1.5),      # neither; int u^2.5
+    "growth_only": dict(a=1.0, mu=0.0, theta=1.0),       # neither
+    "damping_only": dict(a=0.0, mu=1.0, theta=1.5),      # neither
 }
 
 
@@ -386,7 +380,7 @@ def random_member(grid, kind, nonpositive, seed):
         u[rng.integers(grid.n_cells)] = -0.1 * rng.uniform()
     v = 0.5 + 0.4 * rng.uniform(-1.0, 1.0, grid.n_cells)
     w, _res, _it = solve_neumann_poisson(grid, u.reshape(grid.cells) - u.mean(), 1e-10)
-    state = SimState(0.375, Field(grid, u), Field(grid, v), Field(grid, w))
+    state = SimState(0.375, grid, u.reshape(grid.cells), v.reshape(grid.cells), w)
     # with chi = 0, F1 and F2 are the entropy alone, and keep its last bits
     chi = 0.0 if rng.uniform() < 0.5 else rng.uniform(0.0, 2.0)
     p = ModelParams(chi=chi, xi1=1.0, xi2=1.0, d=rng.uniform(0.5, 3.0),
@@ -397,7 +391,7 @@ def random_member(grid, kind, nonpositive, seed):
 def assert_batch_matches_lone_members(grid, members):
     """-> the batch's records, checked row by row against each member alone."""
     states, ps, u0s = zip(*members)
-    batch = (np.stack([getattr(s, name).shaped() for s in states]) for name in "uvw")
+    batch = (np.stack([getattr(s, name) for s in states]) for name in "uvw")
     with np.errstate(invalid="ignore"):  # u <= 0 to a fractional power is nan either way
         rows = diagnostics_batch(0.375, *batch, grid, ps, u0s)
         assert len(rows) == len(members)
@@ -419,7 +413,6 @@ def test_diagnostics_batch_of_every_member_kind(dim, cells):
     for rec, kind, nonpos in zip(rows, kinds, nonpositive):
         assert math.isnan(rec.F1) != (kind == "growth_free" and not nonpos)
         assert math.isnan(rec.F2) != (kind.startswith("logistic") and not nonpos)
-        assert (rec.mass_u_theta == 0.0) == (MEMBER_KINDS[kind]["mu"] == 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -442,7 +435,7 @@ def test_deviation_norms_of_a_member_beyond_the_square_range():
     grid = build_grid(1, 1.0, 64)
     lone, p, u0 = random_member(grid, "growth_only", False, 3)
     big = 2.0 ** 540
-    batch = (np.stack([f.shaped(), big * f.shaped()]) for f in (lone.u, lone.v, lone.w))
+    batch = (np.stack([a, big * a]) for a in (lone.u, lone.v, lone.w))
     with np.errstate(over="ignore", invalid="ignore"):
         near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
     assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))
@@ -456,7 +449,7 @@ def test_gradient_norm_of_a_member_beyond_the_square_range(dim):
     grid = build_grid(dim, (1.0, 1.5)[:dim], (64, 48)[:dim])
     lone, p, u0 = random_member(grid, "growth_free", False, 5)
     big = 2.0 ** 540
-    batch = (np.stack([f.shaped(), big * f.shaped()]) for f in (lone.u, lone.v, lone.w))
+    batch = (np.stack([a, big * a]) for a in (lone.u, lone.v, lone.w))
     with np.errstate(over="ignore", invalid="ignore"):
         near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
     assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))

@@ -13,8 +13,6 @@ from angiosim.grid import (
     laplacian_array,
     lp_norm,
     mean,
-    read_field_csv,
-    write_field_csv,
 )
 
 
@@ -285,35 +283,3 @@ def test_laplacian_second_order_refinement():
     assert 3.4 <= errs[0] / errs[1] <= 4.6
     assert 3.4 <= errs[1] / errs[2] <= 4.6
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_field_csv_round_trip_1d(tmp_path):
-    g = build_grid(1, 1.0, 32)
-    f = random_field(g, 42)
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    back = read_field_csv(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-
-
-def test_field_csv_round_trip_2d(tmp_path):
-    g = build_grid(2, [1.0, 2.0], [6, 8])
-    f = random_field(g, 43)
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    head = path.read_text().splitlines()
-    assert head[0] == "# grid dim=2 lengths=1,2 cells=6,8"
-    assert head[1] == "index,x,y,value"
-    back = read_field_csv(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-
-
-def test_read_field_csv_rejects_missing_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("index,x,value\n0,0.5,1.0\n")
-    with pytest.raises(ValueError, match="grid header"):
-        read_field_csv(path)
