@@ -199,15 +199,19 @@ def _want_list(kv, key, cast):
 
 
 @contextlib.contextmanager
-def _reported_as(section):
-    """Re-raise a ValueError of the model's own checks as a ConfigError under section.
-    A ConfigError from a _want_* reader already names its key's line and passes unchanged."""
+def _reported_as(section, kv):
+    """Re-raise a ValueError of the model's own checks as a ConfigError. A message
+    that opens with a field name reads as the key section.name at that key's line;
+    any other is put under section. A ConfigError from a _want_* reader already
+    names its key's line and passes unchanged."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        key = f"{section}.{str(exc).split(' ', 1)[0]}"
+        where = f"line {kv[key][1]}: {section}." if key in kv else f"{section}: "
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _build_scenario(kv, path) -> ScenarioConfig:
@@ -234,7 +238,7 @@ def _build_scenario(kv, path) -> ScenarioConfig:
         raise ConfigError(f"line {kv['grid.dim'][1]}: grid.dim must be 1 or 2")
     lengths = _want_list(kv, "grid.lengths", float)
     cells = _want_list(kv, "grid.cells", int)
-    with _reported_as("grid"):
+    with _reported_as("grid", kv):
         grid = build_grid(dim, lengths, cells)
     # the Laplacian divides by h * h and its eigenvalues scale as 4 / h^2
     if not all(h * h > 0.0 and 0.0 < 4.0 / (h * h) < math.inf for h in grid.spacing):
@@ -242,7 +246,7 @@ def _build_scenario(kv, path) -> ScenarioConfig:
             f"line {kv['grid.lengths'][1]}: grid.lengths = {kv['grid.lengths'][0]} gives cell "
             f"spacings {grid.spacing}, outside the float range of 4/h^2 (about 1e-150 < h < 1e150)")
 
-    with _reported_as("params"):
+    with _reported_as("params", kv):
         params = ModelParams(
             chi=_want_float(kv, "params.chi", nonnegative=True),
             xi1=_want_float(kv, "params.xi1", nonnegative=True),
@@ -254,13 +258,12 @@ def _build_scenario(kv, path) -> ScenarioConfig:
             n_dim=dim,
         )
 
-    scheme, scheme_ln = kv["solver.flux_scheme"]
-    with _reported_as(f"solver (near line {scheme_ln})"):
+    with _reported_as("solver", kv):
         solver = SolverConfig(
             dt=_want_float(kv, "solver.dt", positive=True),
             t_end=_want_float(kv, "solver.t_end", positive=True),
             cfl_safety=_want_float(kv, "solver.cfl_safety", positive=True),
-            flux_scheme=scheme,
+            flux_scheme=kv["solver.flux_scheme"][0],
             blowup_threshold=_want_float(kv, "solver.blowup_threshold", positive=True),
             record_every=_want_int(kv, "solver.record_every", minimum=1),
             elliptic_tolerance=_want_float(kv, "solver.elliptic_tolerance", positive=True),
@@ -268,7 +271,7 @@ def _build_scenario(kv, path) -> ScenarioConfig:
 
     seed = _want_int(kv, "seed", minimum=0)
 
-    with _reported_as("init"):
+    with _reported_as("init", kv):
         initial = InitialSpec(
             profile=kv["init.profile"][0],
             base=_want_float(kv, "init.base"),

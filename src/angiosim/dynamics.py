@@ -106,7 +106,7 @@ class ModelParams:
         if not (self.a >= 0 and self.mu >= 0):
             raise ValueError("growth a and damping mu must be >= 0")
         if not self.theta > 0:
-            raise ValueError(f"damping exponent theta must be > 0, got {self.theta}")
+            raise ValueError(f"theta must be > 0 (the damping exponent), got {self.theta}")
         if self.n_dim < 1:
             raise ValueError("n_dim must be a positive integer")
 
@@ -152,7 +152,7 @@ class SolverConfig:
         if not (0 < self.cfl_safety <= 1):
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.flux_scheme not in FLUX_SCHEMES:
-            raise ValueError(f"flux_scheme must be one of {FLUX_SCHEMES}")
+            raise ValueError(f"flux_scheme must be one of {FLUX_SCHEMES}, got {self.flux_scheme!r}")
         if not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be > 0")
         if self.record_every < 1:

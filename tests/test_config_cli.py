@@ -155,9 +155,16 @@ def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
     ("preset = custom\n\nsolver.t_end = inf\n", "line 3: solver.t_end must be finite, got inf"),
     ("preset = custom\nparams.chi = -1\n", "line 2: params.chi must be >= 0, got -1"),
     ("preset = custom\nparams.d = x\n", "line 2: params.d = 'x' is not a number"),
-    # the model classes' own checks carry their section's name, once
+    # the model classes' own checks name the key at fault, at its own line
     ("preset = custom\nsolver.cfl_safety = 2\n",
-     "solver (near line 0): cfl_safety must be in (0, 1], got 2.0"),
+     "line 2: solver.cfl_safety must be in (0, 1], got 2.0"),
+    ("preset = custom\nsolver.dt = 0.001\nsolver.flux_scheme = quick\n",
+     "line 3: solver.flux_scheme must be one of ('upwind', 'central'), got 'quick'"),
+    ("preset = custom\nsolver.flux_scheme = central\n\nsolver.elliptic_tolerance = 0.1\n",
+     "line 4: solver.elliptic_tolerance must be in (0, 1e-4], got 0.1"),
+    ("preset = custom\n# damping\nparams.theta = -1\n",
+     "line 3: params.theta must be > 0 (the damping exponent), got -1.0"),
+    # a check of no single key keeps its section's name
     ("preset = custom\ngrid.cells = 2\n", "grid: need at least 4 cells per axis, got (2,)"),
 ])
 def test_config_error_names_its_key_once(tmp_path, body, message):
