@@ -122,11 +122,12 @@ def grad_l2(f: Field) -> float:
 
 def _default_window(arr: np.ndarray) -> tuple[float, float]:
     """Fit window for a decaying (N, 2) array of (t, value) rows: skip the initial
-    transient, stop before the round-off plateau (values below 1e-11 of the start
-    carry no rate information), or fall back to the last half if < 10 samples remain."""
+    transient, stop before the round-off plateau, or fall back to the last half if
+    < 10 samples remain. The plateau starts where values drop below 1e-8 of the start:
+    nearer round-off, a trajectory change in the last bits moves the fitted rate."""
     t, v = arr[:, 0], arr[:, 1]
     t0, t1 = float(t[0]), float(t[-1])
-    below = np.flatnonzero((t > t0) & (v < v[0] * 1e-11)) if v[0] > 0.0 else ()
+    below = np.flatnonzero((t > t0) & (v < v[0] * 1e-8)) if v[0] > 0.0 else ()
     hi = float(t[below[0]]) if len(below) else t1
     lo = t0 + (0.2 if len(below) else 0.1) * (hi - t0)
     enough = np.count_nonzero((t >= lo) & (t <= hi)) >= 10

@@ -7,12 +7,15 @@ captures stdout of passing tests). Long runs are shared through module-scoped
 fixtures; every timed criterion also checks its wall-clock budget.
 """
 import math
+import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from angiosim.cli import main
+from angiosim.config import parse_config
 from angiosim.dynamics import (
     InitialSpec,
     ModelParams,
@@ -28,12 +31,12 @@ from angiosim.functionals import (
     verify_interpolation_inequalities,
 )
 from angiosim.grid import Field, build_grid, integrate, lp_norm
-from oracles import mass_balance_residual, u_power_integral
 from angiosim.thresholds import (
     empirical_d0_check,
     empirical_mu_threshold,
     sigma_rate,
 )
+from oracles import mass_balance_residual, u_power_integral
 
 LOGISTIC_U1 = 2.0 / (2.0 - math.exp(-1.0))  # u' = u(1-u), u(0) = 2, at t = 1
 PI2 = math.pi ** 2
@@ -374,3 +377,53 @@ def test_criterion_14_byte_identical_reruns(tmp_path):
     ok = blobs[0] == blobs[1]
     check(14, ok, "same config and seed give byte-identical trajectory, "
                   "threshold, and summary files across runs")
+
+
+# ---------------------------------------------------------------------------
+# the bundled configs' verdicts
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def record_rows(records):
+    return np.array([r.csv_values() for r in records]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def bundled_columns(c1_run, c2_run, chi_zero_run, heat_run):
+    """Each bundled run config's fitted (t, value) column. Four of them are the
+    criteria's shared runs, checked against their config over the first records."""
+    shared = {"c1_no_mitosis": c1_run, "c2_logistic": c2_run,
+              "chi_zero": chi_zero_run, "heat_oracle": heat_run}
+    columns = {}
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        if path.stem.startswith("sweep"):
+            continue
+        cfg = parse_config(path)
+        initial = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic_tolerance)
+        if path.stem in shared:
+            records = shared[path.stem].traj.records
+            head = replace(cfg.solver, t_end=2 * cfg.solver.record_every * cfg.solver.dt)
+            first = run(initial, cfg.params, head).records
+            assert record_rows(first) == record_rows(records[:len(first)])
+        else:
+            records = run(initial, cfg.params, cfg.solver).records
+        columns[path.stem] = np.array([(r.t, getattr(r, cfg.fit_column)) for r in records])
+    return columns
+
+
+def test_fitted_rates_of_bundled_configs_ignore_round_off(bundled_columns):
+    # the default window stops where the column drops below 1e-8 of its start,
+    # clear of the round-off plateau: noise of 1e-12 of the column's scale
+    # moves no fitted rate by 1e-5 relative
+    assert set(bundled_columns) == {"blowup_probe", "c1_no_mitosis", "c2_logistic",
+                                    "chi_zero", "heat_oracle", "r3_strong_damping"}
+    rng = np.random.default_rng(12)
+    for name, column in bundled_columns.items():
+        rate = fit_decay_rate(column).rate
+        scale = np.max(np.abs(column[:, 1]))
+        for _ in range(20):
+            noisy = column.copy()
+            noisy[:, 1] += 1e-12 * scale * rng.uniform(-1.0, 1.0, len(column))
+            move = abs(fit_decay_rate(noisy).rate - rate) / abs(rate)
+            assert move < 1e-5, f"{name}: fitted rate moved {move:.2e} relative"

@@ -202,9 +202,9 @@ def test_fit_decay_rate_default_window_skips_the_transient():
     assert fit.window == (1.0, 10.0)
     assert fit.rate == pytest.approx(0.7, abs=1e-9)
     fit = fit_decay_rate(list(zip(t, np.exp(-5.0 * t))))
-    assert fit.window == pytest.approx((0.2 * 5.1, 5.1))  # e^-5t < 1e-11 from t = 5.1
+    assert fit.window == pytest.approx((0.2 * 3.7, 3.7))  # e^-5t < 1e-8 from t = 3.7
     assert fit.rate == pytest.approx(5.0, rel=1e-9)
-    fit = fit_decay_rate(list(zip(t, np.exp(-50.0 * t))))  # 9 samples up to t = 0.55
+    fit = fit_decay_rate(list(zip(t, np.exp(-50.0 * t))))  # 7 samples up to t = 0.4
     assert fit.window == (5.0, 10.0)
 
 
