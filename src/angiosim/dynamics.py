@@ -175,10 +175,10 @@ class InitialSpec:
 
     def __post_init__(self):
         if self.profile not in INITIAL_PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}; use {INITIAL_PROFILES}")
+            raise ValueError(f"profile must be one of {INITIAL_PROFILES}, got {self.profile!r}")
         vp = self.v_profile if self.v_profile is not None else self.profile
         if vp not in INITIAL_PROFILES:
-            raise ValueError(f"unknown v_profile {vp!r}; use {INITIAL_PROFILES}")
+            raise ValueError(f"v_profile must be one of {INITIAL_PROFILES}, got {vp!r}")
 
 
 @dataclass

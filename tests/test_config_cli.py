@@ -164,7 +164,10 @@ def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
      "line 4: solver.elliptic_tolerance must be in (0, 1e-4], got 0.1"),
     ("preset = custom\n# damping\nparams.theta = -1\n",
      "line 3: params.theta must be > 0 (the damping exponent), got -1.0"),
-    # a check of no single key keeps its section's name
+    ("preset = custom\ninit.v_profile = bumps\n",
+     "line 2: init.v_profile must be one of "
+     "('constant', 'cosine_bump', 'gaussian_bump', 'random_positive'), got 'bumps'"),
+    # grid checks inside build_grid keep their section's name
     ("preset = custom\ngrid.cells = 2\n", "grid: need at least 4 cells per axis, got (2,)"),
 ])
 def test_config_error_names_its_key_once(tmp_path, body, message):

@@ -170,7 +170,7 @@ def test_make_initial_random_positive_seeded():
     b = make_initial(g, InitialSpec(profile="random_positive", seed=3, amplitude=0.4))
     assert np.array_equal(a.u, b.u)
     assert a.u.min() > 0.0
-    with pytest.raises(ValueError, match="unknown profile"):
+    with pytest.raises(ValueError, match="profile must be one of"):
         InitialSpec(profile="bumps")
 
 
