@@ -352,9 +352,9 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     Member b has ModelParams params[b] and initial mean u0_means[b]; see
     diagnostics_record for what each column holds. The array work runs once
     for the batch, or for the rows a column applies to (F1 or F2), and the
-    scalar arithmetic runs per member in Python floats. Every reduction sums one member's C-contiguous
-    row, in the order the flat values of a lone member sum, so each row is
-    byte-identical to the record of its member alone.
+    scalar arithmetic runs per member in Python floats. Every reduction sums
+    one member's C-contiguous row, in the order the flat values of a lone
+    member sum, so each row is byte-identical to the record of its member alone.
     """
     u, v, w = (np.ascontiguousarray(a) for a in (u, v, w))
     n, m, vol = len(params), grid.n_cells, grid.cell_volume

@@ -196,4 +196,3 @@ def lp_norm(f: Field, p) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     s = float(np.sum(np.abs(f.values) ** p) * f.grid.cell_volume)
     return s ** (1.0 / p)
-

@@ -282,4 +282,3 @@ def test_laplacian_second_order_refinement():
         errs.append(np.max(np.abs(err)))
     assert 3.4 <= errs[0] / errs[1] <= 4.6
     assert 3.4 <= errs[1] / errs[2] <= 4.6
-
