@@ -133,6 +133,7 @@ class SweepSpec:
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     max_points: int = 256
     base_keys: dict = field(default_factory=dict, compare=False)
+    axis_lines: dict = field(default_factory=dict, compare=False)  # swept key -> its axis's line
 
 
 def _read_kv(path, overrides=None):
@@ -159,9 +160,11 @@ def _read_kv(path, overrides=None):
     return _with_overrides(table, overrides or {})
 
 
-def _with_overrides(table, overrides):
-    """table with overrides {key: value} replacing or adding keys (line number 0)."""
-    return {**table, **{key: (str(value), 0) for key, value in overrides.items()}}
+def _with_overrides(table, overrides, lines=None):
+    """table with overrides {key: value} replacing or adding keys, at the line
+    lines {key: line number} gives them (0 when it gives none)."""
+    lines = lines or {}
+    return {**table, **{key: (str(value), lines.get(key, 0)) for key, value in overrides.items()}}
 
 
 def _want_float(kv, key, positive=False, nonnegative=False):
@@ -362,7 +365,7 @@ def parse_sweep(path, overrides=None) -> SweepSpec:
     """Parse a sweep file: a scenario plus sweep.<param> = v1, v2, ... axes.
     overrides {key: value} apply over the file's keys, as in parse_config."""
     kv = _read_kv(path, overrides)
-    axes = []
+    axes, axis_lines = [], {}
     max_points = SweepSpec.max_points
     scenario_kv = {}
     for key, (raw, ln) in kv.items():
@@ -383,6 +386,7 @@ def parse_sweep(path, overrides=None) -> SweepSpec:
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"line {ln}: sweep axis {key} = {raw!r} must be finite")
             axes.append((target, tuple(values)))
+            axis_lines[target] = ln
         else:
             raise ConfigError(f"line {ln}: {target!r} is not a sweepable key")
     if not axes:
@@ -393,9 +397,12 @@ def parse_sweep(path, overrides=None) -> SweepSpec:
             f"{path}: sweep has {n_points} points, above the cap {max_points}"
         )
     base = _build_scenario(dict(scenario_kv), path)
-    return SweepSpec(base, tuple(axes), max_points, dict(scenario_kv))
+    return SweepSpec(base, tuple(axes), max_points, dict(scenario_kv), axis_lines)
 
 
-def scenario_with_overrides(base_keys: dict, overrides: dict[str, float], path="<sweep>") -> ScenarioConfig:
-    """Rebuild a scenario with swept values substituted (full revalidation)."""
-    return _build_scenario(_with_overrides(base_keys, overrides), path)
+def scenario_with_overrides(base_keys: dict, overrides: dict[str, float], path="<sweep>",
+                            lines=None) -> ScenarioConfig:
+    """Rebuild a scenario with swept values substituted (full revalidation). An error
+    in a swept value names the line lines {key: line number} gives it, such as a
+    SweepSpec's axis_lines, and line 0 without one."""
+    return _build_scenario(_with_overrides(base_keys, overrides, lines), path)

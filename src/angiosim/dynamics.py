@@ -50,13 +50,7 @@ from .elliptic import (
     solve_neumann_poisson,
 )
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
-from .grid import (
-    FLOAT_FMT,
-    Grid,
-    divergence_arrays,
-    face_slices,
-    gradient_arrays,
-)
+from .grid import FLOAT_FMT, Grid, divergence_arrays, face_slices
 
 __all__ = [
     "ModelParams",
@@ -242,23 +236,32 @@ def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> Sim
     # the run checks only the states it steps to, so overflow is caught here
     if not (np.isfinite(u_vals).all() and np.isfinite(v_vals).all()):
         raise ValueError("initial u and v must be finite; base + amplitude overflows float64")
-    w, _res, _it = solve_neumann_poisson(
-        grid, u_vals.reshape(grid.cells) - u_vals.mean(), tolerance
-    )
-    return SimState(0.0, grid, u_vals.reshape(grid.cells), v_vals.reshape(grid.cells), w)
+    u = u_vals.reshape(grid.cells)
+    # the potential solve centres u on its mean, which would read inf or nan
+    if not np.isfinite(grid_mean(u, grid)).all():
+        raise ValueError(f"the initial u sums past the float64 range over its {grid.n_cells} "
+                         "cells; lower init.base")
+    w, _res, _it = solve_neumann_poisson(grid, u, tolerance)
+    return SimState(0.0, grid, u, v_vals.reshape(grid.cells), w)
 
 
-def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2):
+def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2, out=None):
     """Per-axis interior-face transport speeds for u and v of a batch; the
-    couplings are (B, 1[, 1]) columns."""
-    a_u = gradient_arrays(v, grid.spacing)
-    gw = gradient_arrays(w, grid.spacing)
-    a_v = [-xi2 * b for b in gw]
-    for a, b in zip(a_u, gw):  # chi grad v - xi1 grad w, in the gradients' own arrays
-        a *= chi
-        b *= xi1
-        a -= b
-    return a_u, a_v
+    couplings are (B, 1[, 1]) columns. out, if given, is (u's speeds, v's
+    speeds, scratch), each a list with an array shaped like each axis's faces,
+    and receives them; the speeds are fresh arrays otherwise."""
+    slices = face_slices(grid.dim)
+    if out is None:
+        out = tuple([np.empty(w[lo].shape) for lo, _hi in slices] for _ in range(3))
+    for (lo, hi), h, a_u, a_v, scratch in zip(slices, grid.spacing, *out):
+        np.subtract(w[hi], w[lo], out=a_v)  # grad w
+        a_v /= h
+        np.subtract(v[hi], v[lo], out=a_u)  # chi grad v - xi1 grad w
+        a_u /= h
+        a_u *= chi
+        a_u -= np.multiply(a_v, xi1, out=scratch)
+        a_v *= -xi2
+    return out[0], out[1]
 
 
 def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> np.ndarray:
@@ -277,10 +280,42 @@ def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> n
         for p, umax in zip(params, u.max(axis=axes).tolist())
     ])
     for h, a_u, a_v in zip(grid.spacing, *speeds):
-        smax = np.maximum(np.abs(a_u).max(axis=axes), np.abs(a_v).max(axis=axes))
+        # max |speed| as max(max, -min), with no |speed| array
+        smax = np.maximum(np.maximum(a_u.max(axis=axes), -a_u.min(axis=axes)),
+                          np.maximum(a_v.max(axis=axes), -a_v.min(axis=axes)))
         cfl = np.divide(h, smax, out=np.full_like(smax, np.inf), where=smax > 0.0)
         bound = np.minimum(bound, cfl)
     return cfg.cfl_safety * bound
+
+
+class _Buffers:
+    """The work arrays of a step of a (B, *cells) batch, reused from step to step
+    and shared by the step's phases. At 2D-256^2 a fresh full-grid temporary is half
+    a megabyte, and a step that makes a dozen of them faults hundreds of pages back
+    in. A step's outputs are never among them.
+
+    - speeds: u's and v's face speeds per grid axis, each in a block the size of the
+      batch, so that a block whose speeds are used up can hold a batch array (spare);
+    - face and mask: one axis's face values or fluxes, and the upwind sign;
+    - stacked: the (2B, *cells) explicit update of u and v. Until it is written, v's
+      half holds the net flux of u's advection and then the reaction; once the
+      diffusion pair has read it, its halves hold the potential's centred u and
+      residual.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        dim = len(shape) - 1
+        faces = [shape[:1 + k] + (shape[1 + k] - 1,) + shape[2 + k:] for k in range(dim)]
+        blocks = np.empty((2, dim, math.prod(shape)))
+        self.speeds = [[block[:math.prod(f)].reshape(f) for block, f in zip(species, faces)]
+                       for species in blocks]
+        self.spare = blocks[0, 0].reshape(shape)
+        size = max(map(math.prod, faces))
+        face, mask = np.empty(size), np.empty(size, dtype=bool)
+        self.face = [face[:math.prod(f)].reshape(f) for f in faces]
+        self.mask = [mask[:math.prod(f)].reshape(f) for f in faces]
+        self.stacked = np.empty((2 * shape[0],) + shape[1:])
 
 
 class Stepper:
@@ -293,7 +328,8 @@ class Stepper:
     costs two batched transform pairs: one for both diffusions, with u and v
     stacked as (2B, *cells), and one for the potential solve. Every operation
     is row by row, so a member gets the same numbers whatever else is in the
-    batch.
+    batch. The work arrays (_Buffers) are kept for the batch's shape; a step
+    allocates only the arrays it returns.
     """
 
     def __init__(self, grid: Grid, params, cfg: SolverConfig):
@@ -305,6 +341,7 @@ class Stepper:
 
     def _set_params(self, params):
         self.params = tuple(params)
+        self._buffers = None
         column = (len(self.params),) + (1,) * self.grid.dim
         names = ("chi", "xi1", "xi2", "a", "mu")
         cols = [[getattr(p, name) for p in self.params] for name in names]
@@ -330,37 +367,49 @@ class Stepper:
         """Keep only the members in the given batch rows, in that order."""
         self._set_params([self.params[r] for r in rows])
 
-    def _advect(self, carrier: np.ndarray, speeds) -> np.ndarray:
-        """div(speed * face value) with upwind or centered face values."""
-        fluxes = []
-        for (lo, hi), a in zip(face_slices(self.grid.dim), speeds):
-            c_lo = carrier[lo]
-            c_hi = carrier[hi]
+    def _work(self, shape) -> _Buffers:
+        """The work arrays for a batch of this shape, built on first use."""
+        if self._buffers is None or self._buffers.shape != shape:
+            self._buffers = _Buffers(shape)
+        return self._buffers
+
+    def _fluxes(self, carrier: np.ndarray, speeds):
+        """Per grid axis, speed * upwind or centred face value, each written into
+        the one face array when it is asked for."""
+        buf = self._buffers
+        for (lo, hi), a, face, mask in zip(face_slices(self.grid.dim), speeds, buf.face, buf.mask):
             if self.cfg.flux_scheme == "upwind":
-                face = np.where(a > 0.0, c_lo, c_hi)
+                np.greater(a, 0.0, out=mask)
+                np.copyto(face, carrier[hi])
+                np.copyto(face, carrier[lo], where=mask)
             else:
-                face = c_lo + c_hi
+                np.add(carrier[lo], carrier[hi], out=face)
                 face *= 0.5
             face *= a
-            fluxes.append(face)
-        return divergence_arrays(fluxes, self.grid.spacing, carrier.shape)
+            yield face
 
-    def _explicit(self, out: np.ndarray, carrier: np.ndarray, speeds, source) -> None:
-        """out = carrier - dt div(speed * face value) + dt source."""
-        adv = self._advect(carrier, speeds)
-        adv *= self.cfg.dt
-        np.subtract(carrier, adv, out=out)
-        out += self.cfg.dt * source
+    def _advect(self, out: np.ndarray, carrier: np.ndarray, speeds, net: np.ndarray) -> None:
+        """out = carrier - dt div(speed * face value), the divergence built in out
+        itself; net is a free array shaped like out."""
+        divergence_arrays(self._fluxes(carrier, speeds), self.grid.spacing, out.shape, out, net)
+        out *= self.cfg.dt
+        np.subtract(carrier, out, out=out)
 
-    def _reaction(self, u: np.ndarray):
-        """u (a - mu u^theta) per member; exactly 0 for members without growth."""
+    def _reaction(self, u: np.ndarray, out=None):
+        """u (a - mu u^theta) per member, into out if given; exactly 0 for members
+        without growth."""
         if not self._growth:
             return 0.0
         a, mu = self._cols[3], self._cols[4]
+        react = np.empty_like(u) if out is None else out
         if len(self._growth) == 1 and len(self._growth[0][0]) == len(u):
-            theta = self._growth[0][1]
-            return u * (a - mu * u ** theta)
-        react = np.zeros_like(u)
+            np.copyto(react, u)
+            react **= self._growth[0][1]  # as u ** theta, with its fast paths
+            react *= mu
+            np.subtract(a, react, out=react)
+            react *= u
+            return react
+        react[...] = 0.0
         for rows, theta in self._growth:
             ur = u[rows]
             react[rows] = ur * (a[rows] - mu[rows] * ur ** theta)
@@ -369,7 +418,9 @@ class Stepper:
     def _transport(self, t: float, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         """Stability check, explicit advection and reaction, implicit diffusion."""
         cfg, grid = self.cfg, self.grid
-        a_u, a_v = speeds = _face_speeds(grid, v, w, *self._cols[:3])
+        buf = self._work(u.shape)
+        a_u, a_v = speeds = _face_speeds(grid, v, w, *self._cols[:3],
+                                         out=(*buf.speeds, buf.face))
         bound = stable_dt(grid, u, speeds, self.params, cfg)
         unstable = np.flatnonzero(cfg.dt > bound)
         if unstable.size:
@@ -377,15 +428,20 @@ class Stepper:
                 int(r): f"dt={cfg.dt:.3e} exceeds stability bound {bound[r]:.3e} at t={t:.6g}"
                 for r in unstable
             })
-        # written in place: at 2D-256^2 each full-array temporary is half a
-        # megabyte, and a step with more of them live at once makes malloc
-        # return its heap top and fault it back in, about 1000 pages a step
         n = len(u)
-        stacked = np.empty((2 * n,) + u.shape[1:])
-        self._explicit(stacked[:n], u, a_u, self._reaction(u))
-        self._explicit(stacked[n:], v, a_v, u)
-        out = apply_packed(stacked, self._packed_uv)
-        return out[:len(u)], out[len(u):]
+        u_star, v_star = buf.stacked[:n], buf.stacked[n:]
+        self._advect(u_star, u, a_u, net=v_star)
+        if self._growth:
+            react = self._reaction(u, out=v_star)
+            react *= cfg.dt
+            u_star += react
+        else:
+            u_star += 0.0  # dt times the zero reaction, which turns -0.0 into +0.0
+        # u's speeds are used up, so their block is free
+        self._advect(v_star, v, a_v, net=buf.spare)
+        v_star += np.multiply(u, cfg.dt, out=buf.spare)
+        out = apply_packed(buf.stacked, self._packed_uv)
+        return out[:n], out[n:]
 
     def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """w solved from each member's u; 0 for members gone non-finite, which
@@ -394,9 +450,11 @@ class Stepper:
         finite = np.isfinite(u).all(axis=axes) & np.isfinite(v).all(axis=axes)
         if not finite.all():  # a zero row solves to w = 0
             u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
+        buf, n = self._work(u.shape), len(u)
+        work = (buf.stacked[:n], buf.stacked[n:], buf.spare, buf.face)
         try:
             w, _res, _it = solve_neumann_poisson(
-                self.grid, u - grid_mean(u, self.grid), self.cfg.elliptic_tolerance)
+                self.grid, u, self.cfg.elliptic_tolerance, work)
         except EllipticSolveError as exc:
             missed = np.flatnonzero(~(exc.residuals <= exc.tolerance))
             raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc

@@ -236,15 +236,20 @@ def _pseudo_inverse(grid: Grid) -> tuple:
     return pack_multiplier(mult, grid.dim)
 
 
-def solve_neumann_poisson(grid: Grid, rhs: np.ndarray, tolerance: float):
-    """-lap w = rhs - mean(rhs), int w = 0 -> (w, worst member's relative residual,
-    transform pairs). Each member is accepted only on its own recomputed true
-    residual, at most tolerance; a miss raises at once with every member's residual."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    b = rhs - grid_mean(rhs, grid)
+def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None):
+    """-lap w = u - mean(u), int w = 0 -> (w, worst member's relative residual,
+    transform pairs). u is centred once, and each member is accepted only on its
+    own recomputed true residual, at most tolerance, which is elliptic_residual of
+    the member's u and w bit for bit; a miss raises at once with every member's
+    residual. work, if given, is (centred u, Laplacian, squares, face differences
+    per axis): three arrays shaped like u and a list as laplacian_array's faces,
+    all of them overwritten. w is always a fresh array."""
+    u = np.asarray(u, dtype=np.float64)
+    rhs, lap, squares, faces = (None,) * 4 if work is None else work
+    b = np.subtract(u, grid_mean(u, grid), out=rhs)
     w = apply_packed(b, _pseudo_inverse(grid))
     w -= grid_mean(w, grid)
-    res = _residuals(b, w, grid)
+    res = _centred_residuals(b, w, grid, lap, squares, faces)
     if not np.all(res <= tolerance):  # a nan residual fails too
         raise EllipticSolveError(tolerance, res)
     return w, float(np.max(res)), 1
@@ -262,21 +267,27 @@ def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> flo
 
 def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
     """elliptic_residual per member of shaped or batched arrays."""
-    axes = grid_axes(grid)
-    rhs = u - grid_mean(u, grid)
-    r = laplacian_array(w, grid.spacing) + rhs
+    return _centred_residuals(u - grid_mean(u, grid), w, grid)
+
+
+def _centred_residuals(rhs, w, grid, lap=None, squares=None, faces=None) -> np.ndarray:
+    """Relative residual of -lap w = rhs per member, rhs being centred; lap, squares
+    and faces are optional scratch (see solve_neumann_poisson)."""
+    r = laplacian_array(w, grid.spacing, lap, faces)
+    r += rhs
     r -= grid_mean(r, grid)  # zero in exact arithmetic; kills the round-off constant
-    (ss, rr), _ = _sums_of_squares([rhs, r], axes)  # the ratio is free of the scale
+    (ss, rr), _ = _sums_of_squares([rhs, r], grid_axes(grid), squares)  # ratio is scale-free
     return np.sqrt(rr / np.maximum(ss, 1e-60))  # rhs ~ 0 guard
 
 
-def _sums_of_squares(arrays, axes):
+def _sums_of_squares(arrays, axes, scratch=None):
     """Per-member sums of squares of arrays over axes -> (sums, e), each array
     reducing to the same member shape. Members whose sums overflow (|values| past
     ~1e154) are summed scaled by 2**-e, which brings their largest |value| over all
-    the arrays into [0.5, 1); the rest keep e = 0 and their bits."""
+    the arrays into [0.5, 1); the rest keep e = 0 and their bits. scratch, if given,
+    is shaped like every array and holds the squares."""
     def sumsq(a):
-        return np.add.reduce(a * a, axis=axes)
+        return np.add.reduce(np.multiply(a, a, out=scratch), axis=axes)
 
     with np.errstate(over="ignore"):
         sums = [sumsq(a) for a in arrays]

@@ -372,8 +372,9 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     grad_v, grad_e = [a.tolist() for a in grad_sums], grad_e.tolist()
     grad_w = [np.abs(g).reshape(n, -1).max(axis=-1).tolist()
               for g in gradient_arrays(w, grid.spacing)]
-    # recomputed rather than taken from the step's solve: that one centres the
-    # right-hand side twice, and its last bits differ from this definition
+    # the potential solve gated these same numbers bit for bit; taking them from
+    # it would change solve_neumann_poisson's return, which perfbench's tracer
+    # unpacks as three values, so that waits for the in-package spans (ROADMAP 1)
     residual = _residuals(u, w, grid).tolist()
 
     # F1 on growth-free members, F2 on logistic ones, where u > 0

@@ -148,12 +148,30 @@ def face_slices(dim: int) -> tuple:
     return tuple(out)
 
 
-def laplacian_array(vals: np.ndarray, spacing) -> np.ndarray:
-    """Second-order zero-flux Laplacian (3/5-point stencil, mirror ghosts)."""
+@functools.lru_cache(maxsize=None)
+def _edge_slices(dim: int) -> tuple:
+    """Per grid axis, the index tuples of its first cells, its inner cells and
+    its last cells, anchored on the trailing axes."""
+    out = []
+    for k in range(dim):
+        rest = (slice(None),) * (dim - 1 - k)
+        out.append(tuple((..., s) + rest
+                         for s in (slice(0, 1), slice(1, -1), slice(-1, None))))
+    return tuple(out)
+
+
+def laplacian_array(vals: np.ndarray, spacing, out=None, faces=None) -> np.ndarray:
+    """Second-order zero-flux Laplacian (3/5-point stencil, mirror ghosts).
+    out, shaped like vals, receives it, and faces, one array per axis shaped
+    like its interior faces, hold the face differences; fresh when not given."""
     # telescoped face-difference form; mirror ghosts make boundary fluxes zero
-    out = np.zeros_like(vals)
-    for (lo, hi), h in zip(face_slices(len(spacing)), spacing):
-        d = (vals[hi] - vals[lo]) / (h * h)
+    if out is None:
+        out = np.zeros_like(vals)
+    else:
+        out[...] = 0.0
+    for k, ((lo, hi), h) in enumerate(zip(face_slices(len(spacing)), spacing)):
+        d = np.subtract(vals[hi], vals[lo], out=None if faces is None else faces[k])
+        d /= h * h
         out[lo] += d
         out[hi] -= d
     return out
@@ -165,17 +183,28 @@ def gradient_arrays(vals: np.ndarray, spacing) -> list[np.ndarray]:
             for (lo, hi), h in zip(face_slices(len(spacing)), spacing)]
 
 
-def divergence_arrays(fluxes, spacing, shape) -> np.ndarray:
-    """Discrete divergence of interior-face fluxes; boundary faces carry zero."""
-    out = np.zeros(shape)
-    net = np.empty(shape)
-    for (lo, hi), g, h in zip(face_slices(len(spacing)), fluxes, spacing):
-        # net = g[0], g[1:] - g[:-1], 0 - g[-1] along the axis
-        net.fill(0.0)
-        net[lo] = g
-        net[hi] -= g
-        net /= h
-        out += net
+def divergence_arrays(fluxes, spacing, shape, out=None, net=None) -> np.ndarray:
+    """Discrete divergence of interior-face fluxes; boundary faces carry zero.
+
+    out receives it and net, of the same shape, holds one axis's net flux on 2D
+    grids; both are fresh when not given. fluxes may be a generator: an axis's
+    flux is asked for only once the previous one is used up, so all can share
+    one buffer.
+    """
+    dim = len(spacing)
+    out = np.empty(shape) if out is None else out
+    if net is None and dim > 1:
+        net = np.empty(shape)
+    for k, (g, h) in enumerate(zip(fluxes, spacing)):
+        (lo, hi), (first, inner, last) = face_slices(dim)[k], _edge_slices(dim)[k]
+        # g[0], g[1:] - g[:-1], 0 - g[-1] along the axis
+        dst = out if k == 0 else net
+        dst[first] = g[first]
+        np.subtract(g[hi], g[lo], out=dst[inner])
+        np.subtract(0.0, g[last], out=dst[last])
+        dst /= h
+        # the sum starts from +0.0, which turns a -0.0 net flux into +0.0
+        out += 0.0 if k == 0 else net
     return out
 
 

@@ -260,7 +260,7 @@ def run_sweep(spec: SweepSpec, quiet: bool = False) -> int:
     groups = {}
     for i, overrides in enumerate(points):
         try:
-            cfg = scenario_with_overrides(spec.base_keys, overrides)
+            cfg = scenario_with_overrides(spec.base_keys, overrides, lines=spec.axis_lines)
         except Exception as exc:  # failures stay in-row, never abort the sweep
             rows[i] = _sweep_row(overrides, None, exc)
             continue

@@ -359,6 +359,23 @@ def test_cli_run_non_finite_initial_state_exit_code(tmp_path):
     assert line.startswith("numerical failure in the initial state: ")
 
 
+def test_cli_run_initial_u_whose_sum_overflows_exit_code(tmp_path):
+    # every value is finite, but 128 of them sum past the float range, which
+    # would leave the potential's right-hand side nan
+    cfg = write_cfg(tmp_path, """
+        preset = custom
+        init.profile = constant
+        init.base = 1e307
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-m", "angiosim.cli", "run", cfg, "--out", str(tmp_path / "sum")],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "numerical failure in the initial state: the initial u sums past the float64 range "
+        "over its 128 cells; lower init.base"]
+
+
 BLOWUP_RUN = """
     preset = custom
     grid.cells = 16
@@ -559,8 +576,8 @@ def test_cli_sweep_seed_reaches_base_keys_and_every_point(tmp_path, monkeypatch)
         parsed.append(parse_sweep(path, overrides))
         return parsed[-1]
 
-    def point(base_keys, overrides):
-        points.append(scenario_with_overrides(base_keys, overrides))
+    def point(base_keys, overrides, **kwargs):
+        points.append(scenario_with_overrides(base_keys, overrides, **kwargs))
         return points[-1]
 
     monkeypatch.setattr(cli, "parse_sweep", keep)
@@ -652,6 +669,23 @@ def test_cli_sweep_keeps_failed_points_in_row(tmp_path):
     one = write_cfg(tmp_path, base + "sweep.params.mu = 1\nsweep.init.amplitude = 0.2\n", "one.cfg")
     assert main(["sweep", one, "--out", str(tmp_path / "one"), "--quiet"]) == 0
     assert (tmp_path / "one" / "sweep.csv").read_text().splitlines()[1] == rows[2]
+
+
+def test_sweep_point_rejected_by_a_model_check_names_its_axis_line(tmp_path):
+    cfg = write_cfg(tmp_path, """
+        preset = custom
+        grid.cells = 16
+        solver.t_end = 0.01
+        sweep.solver.cfl_safety = 0.5, 2
+        sweep.params.d = 1, -1
+    """)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    header, *rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    errors = [dict(zip(header.split(","), row.split(",")))["error"] for row in rows]
+    # line 1 of the dedented file is blank
+    assert errors == ["", "line 6: params.d must be > 0; got -1.0",
+                      "line 5: solver.cfl_safety must be in (0; 1]; got 2.0",
+                      "line 6: params.d must be > 0; got -1.0"]
 
 
 def test_cli_sweep_on_plain_config_fails(tmp_path, capsys):

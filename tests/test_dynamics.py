@@ -1,11 +1,13 @@
 import itertools
 import math
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from angiosim import dynamics, elliptic
 from angiosim.config import parse_config, parse_sweep, scenario_with_overrides
 from angiosim.dynamics import (
     InitialSpec,
@@ -24,6 +26,7 @@ from angiosim.dynamics import (
 )
 from angiosim.elliptic import (
     apply_packed,
+    elliptic_residual,
     grid_axes,
     neumann_eigenvalues,
     pack_multiplier,
@@ -31,6 +34,7 @@ from angiosim.elliptic import (
 )
 from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record
 from angiosim.grid import Field, build_grid, divergence_arrays
+import oracles
 from oracles import mass_balance_residual, u_power_integral
 
 LOGISTIC_U1 = 2.0 / (2.0 - math.exp(-1.0))  # u' = u(1-u), u(0) = 2, at t = 1
@@ -599,3 +603,105 @@ def test_stacked_diffusion_step_matches_separate_transforms(flux_scheme, dim, ce
         stepped = stepper.step(0.0, *batch)
         for got, want in zip(stepped, expected):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def mixed_batch(dim, cells, n_members):
+    """A grid, n_members members (growth-free, theta = 1 and theta = 2 in turn,
+    with their own chi and d) and their random initial states as a batch."""
+    g = build_grid(dim, (1.0, 1.5)[:dim], cells)
+    kinds = [dict(), dict(a=1.0, mu=1.0), dict(a=1.0, mu=0.5, theta=2.0)]
+    if n_members == 1:
+        members = [params(chi=0.75, d=2.0, n_dim=dim, a=1.0, mu=1.5, theta=1.5)]
+    else:
+        members = [params(chi=0.25 * (1 + j % 4), d=0.5 + 0.5 * j, n_dim=dim, **kinds[j % 3])
+                   for j in range(n_members)]
+    initials = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=j))
+                for j in range(n_members)]
+    return g, members, tuple(np.stack([getattr(s, name) for s in initials]) for name in "uvw")
+
+
+@pytest.mark.parametrize("flux_scheme", ["upwind", "central"])
+@pytest.mark.parametrize("n_members", [1, 9])
+@pytest.mark.parametrize("dim, cells", [(1, 128), (2, (16, 16)), (2, (16, 24))])
+def test_step_transport_matches_the_allocating_oracle(flux_scheme, n_members, dim, cells):
+    # on 16 x 24 the two axes' face arrays differ in shape
+    g, members, batch = mixed_batch(dim, cells, n_members)
+    cfg = SolverConfig(dt=2e-5, t_end=1.0, flux_scheme=flux_scheme)
+    stepper = Stepper(g, members, cfg)
+    kept = list(range(n_members))
+    for k in range(4):
+        if k == 2 and n_members > 1:  # the batch shrinks, and with it the work arrays
+            rows = [n_members - 1, 3, 0]
+            stepper.keep(rows)
+            kept = [kept[r] for r in rows]
+            batch = tuple(a[rows] for a in batch)
+        now = [members[b] for b in kept]
+        want = oracles.allocating_transport(g, now, cfg, *batch)
+        stepped = stepper.step(0.0, *batch)
+        for got, expected in zip(stepped[:2], want):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        # the parts whose last bits a step of 2e-5 hides, written into the step's
+        # own work arrays: the face speeds and the reaction
+        buf = stepper._work(batch[0].shape)
+        speeds = _face_speeds(g, *batch[1:], *stepper._cols[:3], out=(*buf.speeds, buf.face))
+        want = oracles.face_speeds(g, now, *batch[1:])
+        assert [[a.tobytes() for a in species] for species in speeds] == \
+            [[a.tobytes() for a in species] for species in want]
+        if any(p.a or p.mu for p in now):
+            react = stepper._reaction(batch[0], out=buf.stacked[len(now):])
+            assert react.tobytes() == oracles.reaction(now, batch[0]).tobytes()
+        batch = stepped
+
+
+def step_buffers(stepper):
+    """Every work array the stepper and this thread's 2D transform pair hold."""
+    arrays = list(getattr(elliptic._local, "buffers", ()))
+    for value in vars(stepper._buffers).values():
+        if isinstance(value, list):
+            arrays += [a for item in value for a in (item if isinstance(item, list) else [item])]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
+@pytest.mark.parametrize("dim, cells, n_members", [(1, 64, 1), (1, 64, 9), (2, (16, 24), 1),
+                                                   (2, (16, 24), 3)])
+def test_step_gates_the_residual_of_fresh_outputs(monkeypatch, dim, cells, n_members):
+    gated = []
+
+    def recording_solve(*args, **kwargs):
+        out = solve_neumann_poisson(*args, **kwargs)
+        gated.append(out[1])
+        return out
+
+    monkeypatch.setattr(dynamics, "solve_neumann_poisson", recording_solve)
+    g, members, batch = mixed_batch(dim, cells, n_members)
+    stepper = Stepper(g, members, SolverConfig(dt=2e-5, t_end=1.0))
+    for k in range(3):
+        stepped = stepper.step(0.0, *batch)
+        u, _v, w = stepped
+        # the one centring the gate uses is elliptic_residual's own
+        assert gated[-1] == max(elliptic_residual(u[b], w[b], g) for b in range(n_members))
+        for out in stepped:
+            assert out.flags.c_contiguous
+            for other in step_buffers(stepper) + list(batch):
+                assert not np.shares_memory(out, other)
+        batch = stepped
+
+
+def test_a_2d_step_allocates_only_the_arrays_it_returns():
+    g = build_grid(2, 1.0, (256, 256))
+    initial = make_initial(g, InitialSpec(profile="random_positive", amplitude=0.1))
+    stepper = Stepper(g, [params(a=1.0, mu=1.0, n_dim=2)], SolverConfig(dt=1e-5, t_end=1.0))
+    batch = stepper.step(0.0, *one_member(initial))  # builds the work arrays
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stepped = stepper.step(0.0, *batch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in stepped)  # three half-megabyte arrays
+    # slack of two such arrays for numpy's own temporaries; a step that builds
+    # its intermediates afresh peaks about eight arrays higher
+    assert peak <= returned + 2 * batch[0].nbytes

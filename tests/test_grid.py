@@ -204,6 +204,24 @@ def test_slice_kernels_match_diff_formula_bit_for_bit(shape, spacing):
         assert laplacian_array(row, spacing).tobytes() == lap[b].tobytes()
 
 
+@pytest.mark.parametrize("shape, spacing", [((3, 16), (0.1,)), ((3, 6, 9), (0.3, 0.2))])
+def test_slice_kernels_write_the_same_bytes_into_given_arrays(shape, spacing):
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=shape)
+    fluxes = gradient_arrays(vals, spacing)
+    for g in fluxes:
+        g[0] = -0.0  # the net fluxes are sums from +0.0, so -0.0 ones read +0.0
+    div = divergence_arrays(fluxes, spacing, shape)
+    assert not np.signbit(div[0]).any()
+    lap = laplacian_array(vals, spacing)
+    out, net = np.full(shape, np.nan), np.full(shape, np.nan)
+    assert divergence_arrays(fluxes, spacing, shape, out, net) is out
+    assert out.tobytes() == div.tobytes()
+    faces = [np.full(g.shape, np.nan) for g in fluxes]
+    assert laplacian_array(vals, spacing, out, faces) is out
+    assert out.tobytes() == lap.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
