@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import InitialSpec, ModelParams, SolverConfig
+from .elliptic import spectral_info
 from .functionals import TRAJECTORY_COLUMNS
-from .grid import Grid, build_grid
+from .grid import FLOAT_FMT, Grid, build_grid
 
 __all__ = [
     "ConfigError",
@@ -162,12 +163,15 @@ def _read_kv(path, overrides=None):
 
 def _with_overrides(table, overrides, lines=None):
     """table with overrides {key: value} replacing or adding keys, at the line
-    lines {key: line number} gives them (0 when it gives none)."""
+    lines {key: line number} gives them (0 when it gives none). A float is
+    written in round-trip form, so a swept 5.0 reads as the integer 5 too."""
     lines = lines or {}
-    return {**table, **{key: (str(value), lines.get(key, 0)) for key, value in overrides.items()}}
+    return {**table, **{key: (FLOAT_FMT % value if isinstance(value, float) else str(value),
+                              lines.get(key, 0)) for key, value in overrides.items()}}
 
 
-def _want_float(kv, key, positive=False, nonnegative=False):
+def _want_float(kv, key):
+    """A finite float; its range is the model classes' check."""
     raw, ln = kv[key]
     try:
         val = float(raw)
@@ -175,10 +179,6 @@ def _want_float(kv, key, positive=False, nonnegative=False):
         raise ConfigError(f"line {ln}: {key} = {raw!r} is not a number") from None
     if not math.isfinite(val):
         raise ConfigError(f"line {ln}: {key} must be finite, got {raw}")
-    if positive and val <= 0:
-        raise ConfigError(f"line {ln}: {key} must be > 0, got {raw}")
-    if nonnegative and val < 0:
-        raise ConfigError(f"line {ln}: {key} must be >= 0, got {raw}")
     return val
 
 
@@ -217,6 +217,31 @@ def _reported_as(section, kv):
         raise ConfigError(f"{where}{exc}") from None
 
 
+# Largest condition number times machine epsilon of an accepted grid's
+# Laplacian. An exact potential solve's relative residual measured at most
+# about 0.5 kappa eps (0.2-0.5 on a cosine from 1D-128 to 1D-65536, 4e-3 on
+# random data on a stretched 2D box), so every accepted grid can meet the
+# loosest elliptic_tolerance, 1e-4.
+_KAPPA_EPS_BOUND = 1e-6
+
+
+def _check_conditioning(grid: Grid, kv) -> None:
+    """Reject, at grid.lengths, a grid no float64 potential solve can serve: a
+    spacing whose 4/h^2 leaves the float range, or a Laplacian condition number
+    kappa = sum_k(4/h_k^2) / lambda1 that is not finite or too large."""
+    raw, ln = kv["grid.lengths"]
+    where = f"line {ln}: grid.lengths = {raw} gives cell spacings {grid.spacing}"
+    # the Laplacian divides by h * h and its eigenvalues scale as 4 / h^2
+    if not all(h * h > 0.0 and 0.0 < 4.0 / (h * h) < math.inf for h in grid.spacing):
+        raise ConfigError(f"{where}, outside the float range of 4/h^2 (about 1e-150 < h < 1e150)")
+    lam = spectral_info(grid).lambda1
+    kappa = sum(4.0 / (h * h) for h in grid.spacing) / lam if lam > 0.0 else math.inf
+    if not kappa * math.ulp(1.0) <= _KAPPA_EPS_BOUND:
+        raise ConfigError(
+            f"{where}, whose Laplacian's condition number kappa = {kappa:.3g} puts kappa * eps "
+            f"above {_KAPPA_EPS_BOUND:g}, beyond what a float64 potential solve can meet")
+
+
 def _build_scenario(kv, path) -> ScenarioConfig:
     if "preset" not in kv:
         raise ConfigError(f"{path}: missing required key 'preset' (one of {PRESETS})")
@@ -236,40 +261,32 @@ def _build_scenario(kv, path) -> ScenarioConfig:
     filled.update(kv)
     kv = filled
 
-    dim = _want_int(kv, "grid.dim", minimum=1)
-    if dim not in (1, 2):
-        raise ConfigError(f"line {kv['grid.dim'][1]}: grid.dim must be 1 or 2")
-    lengths = _want_list(kv, "grid.lengths", float)
-    cells = _want_list(kv, "grid.cells", int)
     with _reported_as("grid", kv):
-        grid = build_grid(dim, lengths, cells)
-    # the Laplacian divides by h * h and its eigenvalues scale as 4 / h^2
-    if not all(h * h > 0.0 and 0.0 < 4.0 / (h * h) < math.inf for h in grid.spacing):
-        raise ConfigError(
-            f"line {kv['grid.lengths'][1]}: grid.lengths = {kv['grid.lengths'][0]} gives cell "
-            f"spacings {grid.spacing}, outside the float range of 4/h^2 (about 1e-150 < h < 1e150)")
+        grid = build_grid(_want_int(kv, "grid.dim"), _want_list(kv, "grid.lengths", float),
+                          _want_list(kv, "grid.cells", int))
+    _check_conditioning(grid, kv)
 
     with _reported_as("params", kv):
         params = ModelParams(
-            chi=_want_float(kv, "params.chi", nonnegative=True),
-            xi1=_want_float(kv, "params.xi1", nonnegative=True),
-            xi2=_want_float(kv, "params.xi2", nonnegative=True),
-            d=_want_float(kv, "params.d", positive=True),
-            a=_want_float(kv, "params.a", nonnegative=True),
-            mu=_want_float(kv, "params.mu", nonnegative=True),
+            chi=_want_float(kv, "params.chi"),
+            xi1=_want_float(kv, "params.xi1"),
+            xi2=_want_float(kv, "params.xi2"),
+            d=_want_float(kv, "params.d"),
+            a=_want_float(kv, "params.a"),
+            mu=_want_float(kv, "params.mu"),
             theta=_want_float(kv, "params.theta"),
-            n_dim=dim,
+            n_dim=grid.dim,
         )
 
     with _reported_as("solver", kv):
         solver = SolverConfig(
-            dt=_want_float(kv, "solver.dt", positive=True),
-            t_end=_want_float(kv, "solver.t_end", positive=True),
-            cfl_safety=_want_float(kv, "solver.cfl_safety", positive=True),
+            dt=_want_float(kv, "solver.dt"),
+            t_end=_want_float(kv, "solver.t_end"),
+            cfl_safety=_want_float(kv, "solver.cfl_safety"),
             flux_scheme=kv["solver.flux_scheme"][0],
-            blowup_threshold=_want_float(kv, "solver.blowup_threshold", positive=True),
-            record_every=_want_int(kv, "solver.record_every", minimum=1),
-            elliptic_tolerance=_want_float(kv, "solver.elliptic_tolerance", positive=True),
+            blowup_threshold=_want_float(kv, "solver.blowup_threshold"),
+            record_every=_want_int(kv, "solver.record_every"),
+            elliptic_tolerance=_want_float(kv, "solver.elliptic_tolerance"),
         )
 
     seed = _want_int(kv, "seed", minimum=0)

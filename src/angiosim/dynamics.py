@@ -93,12 +93,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("chi", "xi1", "xi2", "d", "a", "mu", "theta"):
             object.__setattr__(self, name, np.float64(getattr(self, name)))
-        if not (self.chi >= 0 and self.xi1 >= 0 and self.xi2 >= 0):  # nan fails too
-            raise ValueError("couplings chi, xi1, xi2 must be >= 0")
+        for name in ("chi", "xi1", "xi2", "a", "mu"):
+            if not getattr(self, name) >= 0:  # nan fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.d > 0:
-            raise ValueError(f"diffusivity d must be > 0, got {self.d}")
-        if not (self.a >= 0 and self.mu >= 0):
-            raise ValueError("growth a and damping mu must be >= 0")
+            raise ValueError(f"d must be > 0, got {self.d}")
         if not self.theta > 0:
             raise ValueError(f"theta must be > 0 (the damping exponent), got {self.theta}")
         if self.n_dim < 1:
@@ -141,16 +140,17 @@ class SolverConfig:
     elliptic_tolerance: float = 1e-10  # accepted relative residual of the potential solve
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.t_end > 0):  # nan fails too
-            raise ValueError("dt and t_end must be > 0")
+        for name in ("dt", "t_end"):
+            if not getattr(self, name) > 0:  # nan fails too
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.flux_scheme not in FLUX_SCHEMES:
             raise ValueError(f"flux_scheme must be one of {FLUX_SCHEMES}, got {self.flux_scheme!r}")
         if not self.blowup_threshold > 0:
-            raise ValueError("blowup_threshold must be > 0")
+            raise ValueError(f"blowup_threshold must be > 0, got {self.blowup_threshold}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not (0 < self.elliptic_tolerance <= 1e-4):
             raise ValueError(f"elliptic_tolerance must be in (0, 1e-4], got {self.elliptic_tolerance}")
 

@@ -18,7 +18,7 @@ late-time decay fits rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,14 +47,6 @@ __all__ = [
     "diagnostics_record",
 ]
 
-# trajectory CSV schema, one column per DiagnosticsRecord field
-TRAJECTORY_COLUMNS = (
-    "t", "mass_u", "mass_v", "linf_u", "linf_v", "l2_u_dev", "l2_v_dev",
-    "l2_grad_v", "linf_grad_w", "F1", "F2", "elliptic_residual",
-    "min_u", "min_v",
-)
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     t: float
@@ -74,6 +66,10 @@ class DiagnosticsRecord:
 
     def csv_values(self):
         return [getattr(self, name) for name in TRAJECTORY_COLUMNS]
+
+
+# trajectory CSV schema, one column per DiagnosticsRecord field
+TRAJECTORY_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)

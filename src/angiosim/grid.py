@@ -105,7 +105,7 @@ def build_grid(dim, lengths, cells) -> Grid:
     if any(c < 4 for c in cells):
         raise ValueError(f"need at least 4 cells per axis, got {cells}")
     spacing = tuple(l / c for l, c in zip(lengths, cells))
-    measure = float(np.prod(lengths))
+    measure = math.prod(lengths)
     return Grid(dim, lengths, cells, spacing, measure)
 
 

@@ -30,7 +30,6 @@ from .functionals import (
 )
 from .grid import FLOAT_FMT, Field, build_grid, integrate, lp_norm
 from .thresholds import (
-    GenericConstants,
     ThresholdReport,
     _measured_sups,
     compute_m1,
@@ -83,15 +82,14 @@ def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> Threshold
     vals = {}
     mass_u0 = traj.records[0].mass_u
     vals["m1"] = compute_m1(mass_u0, p, cfg.grid.measure)
-    g = GenericConstants()
     if p.xi2 > 0.0:
-        vals["M0"] = structural_M0(p, vals["m1"], g)
+        vals["M0"] = structural_M0(p)
         try:
-            m1c, m_mu = m1c_value(p, vals["M0"], g)
+            m1c, m_mu = m1c_value(p, vals["M0"])
             vals["M1c"] = m1c
             if not math.isnan(m_mu):
                 vals["M_mu"] = m_mu
-            vals["gradw_bound"] = structural_gradw_bound(p, vals["M0"], g)
+            vals["gradw_bound"] = structural_gradw_bound(p, vals["M0"])
         except ValueError:
             pass  # no gradient-bound branch applies; fields stay nan
 
@@ -99,9 +97,7 @@ def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> Threshold
     vals["empirical_A"], vals["empirical_B"] = A, B
 
     if p.a == 0.0 and p.mu == 0.0 and p.xi1 > 0.0:
-        chk = empirical_d0_check(traj, p)
-        vals["d0_check_value"] = chk.check_value
-        vals["epsilon1"] = chk.epsilon1
+        vals["d0_check_value"], vals["epsilon1"] = empirical_d0_check(traj, p)
     if p.a > 0.0 and p.mu > 0.0:
         vals["b"] = (p.a / p.mu) ** (1.0 / p.theta)
         vals["lambda_of_z"] = lambda_of_z(p, cp, A * A)

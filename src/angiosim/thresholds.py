@@ -1,11 +1,13 @@
 """Structural bounds, regime classification, and empirical threshold checks.
 
 The structural formulas reproduce the boundedness/convergence conditions of
-the model exactly as stated, with the unpinned generic multipliers kept as
-named stand-ins (GenericConstants, all defaulting to 1). Empirical checks
-read measured quantities off a trajectory (sup-norms of v and grad w) and
-evaluate the same expressions, so a report pairs each structural value with
-the run it was checked against.
+the model exactly as stated. The paper proves them for generic positive
+constants it never gives values for: the multipliers K1, K2 of the sup-norm
+bounds and the regime thresholds xi0, mu0. They are fixed at 1 here, as the
+module constants K1, K2, XI0 and MU0. Empirical checks read measured
+quantities off a trajectory (sup-norms of v and grad w) and evaluate the same
+expressions, so a report pairs each structural value with the run it was
+checked against.
 
 Notation used by the report fields: m1 = L1 mass ceiling, M0 = sup-norm bound
 for v, b = (a/mu)^(1/theta) logistic carrying state, A/B = measured sup v /
@@ -16,16 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from .grid import FLOAT_FMT
 
 __all__ = [
-    "GenericConstants",
     "ThresholdReport",
-    "D0Check",
     "compute_m1",
     "structural_M0",
     "structural_gradw_bound",
@@ -41,29 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenericConstants:
-    """Unpinned positive multipliers in the structural bounds (defaults 1.0).
-
-    K1/K2 scale the sup-norm bounds, xi0/mu0 the regime thresholds for the
-    repulsion and damping branches.
-    """
-
-    K1: float = 1.0
-    K2: float = 1.0
-    xi0: float = 1.0
-    mu0: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"generic constant {f.name} must be > 0")
-
-
-REPORT_FIELDS = (
-    "m1", "M0", "gradw_bound", "M1c", "M_mu", "lambda_of_z", "mu_threshold",
-    "empirical_A", "empirical_B", "d0_check_value", "epsilon1", "sigma", "b",
-)
+K1 = K2 = XI0 = MU0 = 1.0  # the paper's generic constants (see above)
 
 
 @dataclass(frozen=True)
@@ -89,6 +66,9 @@ class ThresholdReport:
     b: float = math.nan
 
 
+REPORT_FIELDS = tuple(f.name for f in fields(ThresholdReport))
+
+
 def report_text(rep: ThresholdReport) -> str:
     return "\n".join(f"{k} = {FLOAT_FMT % getattr(rep, k)}" for k in REPORT_FIELDS) + "\n"
 
@@ -97,17 +77,6 @@ def report_csv(rep: ThresholdReport) -> str:
     header = ",".join(REPORT_FIELDS)
     row = ",".join(FLOAT_FMT % getattr(rep, k) for k in REPORT_FIELDS)
     return header + "\n" + row + "\n"
-
-
-class D0Check(NamedTuple):
-    A: float
-    B: float
-    check_value: float
-    epsilon1: float
-
-    @property
-    def passes(self) -> bool:
-        return self.check_value >= 0.0
 
 
 def compute_m1(u0_mass: float, p, omega_measure: float) -> float:
@@ -128,46 +97,42 @@ def compute_m1(u0_mass: float, p, omega_measure: float) -> float:
     return u0_mass + excess
 
 
-def structural_M0(p, m1: float, g: GenericConstants = GenericConstants()) -> float:
-    """Structural sup-norm bound for the factor v.
-
-    The m1 dependence of the underlying bound is already folded into the
-    damping branch's (1/mu)^(1/theta) factors; m1 is accepted so callers can
-    pass the matching mass ceiling for report provenance.
-    """
+def structural_M0(p) -> float:
+    """Structural sup-norm bound for the factor v. The mass ceiling m1 of the
+    underlying bound is folded into the damping branch's (1/mu)^(1/theta) factors."""
     if p.xi2 <= 0.0:
         raise ValueError("structural_M0 needs xi2 > 0")
     n = p.n_dim
     if p.mu == 0.0:
-        return g.K1 * (1.0 + 1.0 / p.xi2) * (
+        return K1 * (1.0 + 1.0 / p.xi2) * (
             1.0 + p.xi2 + (1.0 / p.d) ** (n / 2.0) * p.xi2 ** (1.0 + n / 2.0)
         )
     r = (1.0 / p.mu) ** (1.0 / p.theta)
-    return g.K1 * (1.0 + r + 1.0 / p.xi2) * (
+    return K1 * (1.0 + r + 1.0 / p.xi2) * (
         1.0 + r * p.xi2 + (1.0 / p.d) ** (n / 2.0) * (r * p.xi2) ** (1.0 + n / 2.0)
     )
 
 
-def mitosis_regime_floor(chi: float, n_dim: int, mu0: float = 1.0) -> float:
+def mitosis_regime_floor(chi: float, n_dim: int) -> float:
     """Damping floor for the theta = 1 regime: max{1, chi^((8+2n)/(5+n))} * mu0 * chi^(2/(5+n))."""
     n = n_dim
-    return max(1.0, chi ** ((8.0 + 2.0 * n) / (5.0 + n))) * mu0 * chi ** (2.0 / (5.0 + n))
+    return max(1.0, chi ** ((8.0 + 2.0 * n) / (5.0 + n))) * MU0 * chi ** (2.0 / (5.0 + n))
 
 
-def m1c_value(p, M0: float, g: GenericConstants) -> tuple[float, float]:
+def m1c_value(p, M0: float) -> tuple[float, float]:
     """(M1c, M_mu) per the applicable regime branch; errors if none applies."""
     n = p.n_dim
     if p.mu == 0.0:
-        if p.xi1 >= g.xi0 * p.chi ** 2:
+        if p.xi1 >= XI0 * p.chi ** 2:
             return p.xi1, math.nan
         raise ValueError(
             f"no gradient-bound branch applies: mu = 0 needs xi1 >= xi0*chi^2 "
-            f"({p.xi1} < {g.xi0 * p.chi ** 2})"
+            f"({p.xi1} < {XI0 * p.chi ** 2})"
         )
     r = (1.0 / p.mu) ** (1.0 / p.theta)
     m_mu = (1.0 + p.xi1 * r + r) * (1.0 / p.mu) ** ((n + 1.0) / p.theta)
     if p.theta == 1.0:
-        floor = mitosis_regime_floor(p.chi, n, g.mu0)
+        floor = mitosis_regime_floor(p.chi, n)
         if p.mu >= floor:  # the paper's condition (2), as condition_presets reads it
             return m_mu, m_mu
         raise ValueError(
@@ -182,21 +147,13 @@ def m1c_value(p, M0: float, g: GenericConstants) -> tuple[float, float]:
     raise ValueError("no gradient-bound branch applies to this (xi1, mu, theta)")
 
 
-def structural_gradw_bound(
-    p, M0: float, g: GenericConstants = GenericConstants(), convex: bool = True
-) -> float:
-    """Structural sup-norm bound for |grad w|.
-
-    convex picks the domain term d_Omega in {0, d}; the boxes simulated here
-    are convex, the flag exists to evaluate the bound for notional non-convex
-    domains.
-    """
+def structural_gradw_bound(p, M0: float) -> float:
+    """Structural sup-norm bound for |grad w| on a convex domain, where the
+    bound's domain term d_Omega M0^(2n+2) vanishes; every simulated box is convex."""
     n = p.n_dim
-    m1c, _ = m1c_value(p, M0, g)
-    d_omega = 0.0 if convex else p.d
-    inner = 1.0 + (1.0 + d_omega * M0 ** (2.0 * (n + 1.0))) / p.d * p.chi ** 2 \
-        * M0 ** (1.0 - n) + m1c
-    return g.K2 * inner ** (1.0 / (n + 1.0))
+    m1c, _ = m1c_value(p, M0)
+    inner = 1.0 + 1.0 / p.d * p.chi ** 2 * M0 ** (1.0 - n) + m1c
+    return K2 * inner ** (1.0 / (n + 1.0))
 
 
 def lambda_of_z(p, cp: float, z: float) -> float:
@@ -224,12 +181,13 @@ def empirical_mu_threshold(traj, p, cp: float) -> float:
     return lambda_of_z(p, cp, A * A) ** (p.theta / 2.0)
 
 
-def empirical_d0_check(traj, p) -> D0Check:
-    """Growth-free dissipation check from measured sups A = sup||v||, B = sup|grad w|.
+def empirical_d0_check(traj, p) -> tuple[float, float]:
+    """(check_value, epsilon1) of the growth-free dissipation check, from the
+    measured sups A = sup||v||, B = sup|grad w|.
 
     check_value = (d - (2 + A xi2)^2 chi / (4 xi1) - B^2 xi2^2 / 4) * chi;
-    the run passes when it is >= 0 (chi = 0 passes for every d). epsilon1 is
-    the dissipation weight, 0 unless the check is strict.
+    chi = 0 gives 0 for every d. epsilon1 is the dissipation weight, 0 unless
+    check_value > 0.
     """
     if p.a != 0.0 or p.mu != 0.0:
         raise ValueError("d0 check applies to growth-free runs (a = mu = 0)")
@@ -242,7 +200,7 @@ def empirical_d0_check(traj, p) -> D0Check:
         eps1 = 0.5 * core / (p.d - (2.0 + A * p.xi2) ** 2 * p.chi / (4.0 * p.xi1))
     else:
         eps1 = 0.0
-    return D0Check(A, B, check_value, eps1)
+    return check_value, eps1
 
 
 def sigma_rate(p, cp: float, M0_measured: float) -> float:
@@ -265,16 +223,16 @@ def sigma_rate(p, cp: float, M0_measured: float) -> float:
     return min(1.0, b ** p.theta * bracket)
 
 
-def condition_presets(p, g: GenericConstants = GenericConstants()) -> str:
+def condition_presets(p) -> str:
     """Classify params into the global-boundedness regimes.
 
     R1: repulsion dominates (xi1 >= xi0 chi^2); R2: theta = 1 with damping
     above the mitosis floor; R3: theta > 1 with any positive damping; open:
     none of the above (no boundedness claim).
     """
-    if p.xi1 >= g.xi0 * p.chi ** 2:
+    if p.xi1 >= XI0 * p.chi ** 2:
         return "R1"
-    if p.theta == 1.0 and p.mu >= mitosis_regime_floor(p.chi, p.n_dim, g.mu0):
+    if p.theta == 1.0 and p.mu >= mitosis_regime_floor(p.chi, p.n_dim):
         return "R2"
     if p.theta > 1.0 and p.mu > 0.0:
         return "R3"

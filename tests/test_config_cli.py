@@ -153,7 +153,7 @@ def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
 
 @pytest.mark.parametrize("body, message", [
     ("preset = custom\n\nsolver.t_end = inf\n", "line 3: solver.t_end must be finite, got inf"),
-    ("preset = custom\nparams.chi = -1\n", "line 2: params.chi must be >= 0, got -1"),
+    ("preset = custom\nparams.chi = -1\n", "line 2: params.chi must be >= 0, got -1.0"),
     ("preset = custom\nparams.d = x\n", "line 2: params.d = 'x' is not a number"),
     # the model classes' own checks name the key at fault, at its own line
     ("preset = custom\nsolver.cfl_safety = 2\n",
@@ -176,9 +176,12 @@ def test_config_error_names_its_key_once(tmp_path, body, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("lengths", ["1e160", "1e-160", "1.0, 1e-160"])
+@pytest.mark.parametrize("lengths", ["1e160", "1e-160", "1.0, 1e-160", "1e160, 1e160",
+                                     "1e140, 1e-140", "1e3, 1e-3"])
 def test_cli_run_rejects_spacings_beyond_the_float_range(tmp_path, lengths):
-    # 4/h^2 must be finite and positive, or the Laplacian reads 0 or inf
+    # 4/h^2 must be finite and positive, or the Laplacian reads 0 or inf; and its
+    # condition number kappa must be finite (1e140, 1e-140 overflows it) with
+    # kappa * eps at most 1e-6 (1e3, 1e-3 at 128^2 has 1.5)
     dim = lengths.count(",") + 1
     cfg = write_cfg(tmp_path, f"preset = custom\ngrid.dim = {dim}\ngrid.lengths = {lengths}\n")
     proc = subprocess.run(
@@ -187,6 +190,56 @@ def test_cli_run_rejects_spacings_beyond_the_float_range(tmp_path, lengths):
     assert proc.returncode == 1
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"config error: line 3: grid.lengths = {lengths} gives cell spacings")
+
+
+@pytest.mark.parametrize("grid, accepted", [
+    ("grid.cells = 16384", True),  # kappa * eps = 2.4e-8
+    ("grid.cells = 65536", True),  # 3.9e-7
+    ("grid.cells = 131072", False),  # 1.5e-6
+    ("grid.dim = 2\ngrid.cells = 16\ngrid.lengths = 1e2, 1e-2", False),  # 2.3e-6
+])
+def test_conditioning_bound_on_fine_and_stretched_grids(tmp_path, grid, accepted):
+    path = write_cfg(tmp_path, f"preset = custom\n{grid}\n")
+    if accepted:
+        parse_config(path)
+        return
+    with pytest.raises(ConfigError, match="grid.lengths = .* gives cell spacings .* condition number"):
+        parse_config(path)
+
+
+# one out-of-range value per range-checked field, each caught by the model class
+RANGE_CHECKED = [
+    ("params.chi", "-1", "must be >= 0, got -1.0"),
+    ("params.xi1", "-1", "must be >= 0, got -1.0"),
+    ("params.xi2", "-0.5", "must be >= 0, got -0.5"),
+    ("params.d", "0", "must be > 0, got 0.0"),
+    ("params.a", "-1", "must be >= 0, got -1.0"),
+    ("params.mu", "-1", "must be >= 0, got -1.0"),
+    ("params.theta", "0", "must be > 0 (the damping exponent), got 0.0"),
+    ("solver.dt", "0", "must be > 0, got 0.0"),
+    ("solver.t_end", "-1", "must be > 0, got -1.0"),
+    ("solver.cfl_safety", "2", "must be in (0, 1], got 2.0"),
+    ("solver.blowup_threshold", "0", "must be > 0, got 0.0"),
+    ("solver.record_every", "0", "must be >= 1, got 0"),
+    ("solver.elliptic_tolerance", "0.1", "must be in (0, 1e-4], got 0.1"),
+]
+
+
+@pytest.mark.parametrize("key, value, rule", RANGE_CHECKED)
+def test_each_range_checked_field_names_its_own_key_and_line(tmp_path, key, value, rule):
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_cfg(tmp_path, f"preset = custom\n\n{key} = {value}\n"))
+    assert str(info.value) == f"line 3: {key} {rule}"
+    spec = parse_sweep(write_cfg(tmp_path, f"preset = custom\nsweep.{key} = {value}\n", "s.cfg"))
+    with pytest.raises(ConfigError) as info:
+        scenario_with_overrides(spec.base_keys, {key: float(value)}, lines=spec.axis_lines)
+    assert str(info.value) == f"line 2: {key} {rule}"
+
+
+def test_sweep_over_an_integer_key(tmp_path):
+    spec = parse_sweep(write_cfg(tmp_path, "preset = custom\nsweep.solver.record_every = 1, 5\n"))
+    assert [scenario_with_overrides(spec.base_keys, {"solver.record_every": v}).solver.record_every
+            for _key, values in spec.axes for v in values] == [1, 5]
 
 
 def test_error_carries_line_number(tmp_path):
@@ -493,6 +546,16 @@ def test_cli_run_theta_below_one_reports_nan_thresholds(tmp_path, capsys):
     assert summary["mu_threshold"] == "nan"
     assert summary["mu_above_threshold"] == "no"
     assert summary["sigma"] == "nan"
+
+
+def test_cli_run_reports_an_overflowing_gradient_bound_as_inf(tmp_path, capsys):
+    # M0 is about 1e100, so M0^(2n+2) overflows; the bound read nan when it
+    # multiplied that by the convex box's zero domain term
+    cfg = write_cfg(tmp_path, FAST_RUN + "params.mu = 1e-80\nparams.theta = 2\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "o" / "thresholds.txt").read_text().splitlines())
+    assert (report["M1c"], report["gradw_bound"]) == ("inf", "inf")
 
 
 def test_cli_run_config_error_exit_code(tmp_path, capsys):

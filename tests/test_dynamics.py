@@ -94,7 +94,7 @@ def assert_same_trajectory(a, b):
 def test_model_params_validation():
     with pytest.raises(ValueError, match="chi"):
         params(chi=-0.1)
-    with pytest.raises(ValueError, match="diffusivity"):
+    with pytest.raises(ValueError, match="d must be > 0, got 0.0"):
         params(d=0.0)
     with pytest.raises(ValueError, match="theta"):
         params(theta=0.0)

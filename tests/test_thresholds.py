@@ -4,11 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from angiosim import harness, thresholds
 from angiosim.dynamics import ModelParams
 from angiosim.thresholds import (
     REPORT_FIELDS,
-    D0Check,
-    GenericConstants,
     ThresholdReport,
     compute_m1,
     condition_presets,
@@ -23,9 +22,6 @@ from angiosim.thresholds import (
     structural_M0,
     structural_gradw_bound,
 )
-
-G = GenericConstants()
-
 
 def params(**kw):
     base = dict(chi=0.0, xi1=0.0, xi2=0.0, d=1.0, a=0.0, mu=0.0, theta=1.0, n_dim=1)
@@ -42,12 +38,9 @@ def fake_traj(linf_v, linf_grad_w):
 # ---------------------------------------------------------------------------
 # generic constants
 
-def test_generic_constants_positive():
-    with pytest.raises(ValueError, match="K1"):
-        GenericConstants(K1=0.0)
-    with pytest.raises(ValueError, match="xi0"):
-        GenericConstants(xi0=-1.0)
-    assert GenericConstants(K2=3.0).K2 == 3.0
+def test_generic_constants_are_fixed_at_one():
+    # the paper gives no values for K1, K2, xi0 and mu0
+    assert (thresholds.K1, thresholds.K2, thresholds.XI0, thresholds.MU0) == (1.0,) * 4
 
 
 # ---------------------------------------------------------------------------
@@ -86,64 +79,66 @@ def test_m1_rejects_bad_inputs():
 def test_M0_pinned_no_damping():
     # xi2 = d = 1, n = 2, mu = 0: (1 + 1) * (1 + 1 + 1) = 6
     p = params(xi2=1.0, d=1.0, mu=0.0, n_dim=2)
-    assert structural_M0(p, 1.0) == pytest.approx(6.0, rel=1e-15)
+    assert structural_M0(p) == pytest.approx(6.0, rel=1e-15)
 
 
 def test_M0_pinned_with_damping():
     # mu = 4, theta = 2 gives r = 1/2; xi2 = d = 1, n = 1:
     # (1 + .5 + 1)(1 + .5 + .5^1.5) = 2.5 * 1.8535533905932737
     p = params(xi2=1.0, d=1.0, mu=4.0, theta=2.0, a=1.0, n_dim=1)
-    assert structural_M0(p, 1.0) == pytest.approx(4.633883476483184, rel=1e-14)
+    assert structural_M0(p) == pytest.approx(4.633883476483184, rel=1e-14)
 
 
 def test_M0_large_diffusivity_limit():
     p = params(xi2=2.0, d=1e12, mu=0.0, n_dim=2)
-    assert structural_M0(p, 1.0) == pytest.approx(1.5 * 3.0, rel=1e-9)
+    assert structural_M0(p) == pytest.approx(1.5 * 3.0, rel=1e-9)
 
 
 def test_M0_nonincreasing_in_d():
-    vals = [structural_M0(params(xi2=1.0, d=d, n_dim=2), 1.0) for d in (0.5, 1.0, 2.0, 10.0)]
+    vals = [structural_M0(params(xi2=1.0, d=d, n_dim=2)) for d in (0.5, 1.0, 2.0, 10.0)]
     assert all(x >= y for x, y in zip(vals, vals[1:]))
 
 
 def test_M0_requires_positive_xi2():
     with pytest.raises(ValueError, match="xi2"):
-        structural_M0(params(xi2=0.0), 1.0)
+        structural_M0(params(xi2=0.0))
 
 
-def test_M0_scales_with_K1():
+def test_M0_scales_with_K1(monkeypatch):
     p = params(xi2=1.0, d=1.0, mu=0.0, n_dim=2)
-    assert structural_M0(p, 1.0, GenericConstants(K1=2.5)) == pytest.approx(15.0, rel=1e-14)
+    monkeypatch.setattr(thresholds, "K1", 2.5)
+    assert structural_M0(p) == pytest.approx(15.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # mitosis floor and the gradient-bound branches
 
-def test_mitosis_floor_exponents():
+def test_mitosis_floor_exponents(monkeypatch):
     # n = 2: exponents 12/7 and 2/7 combine to chi^2 when chi >= 1
     assert mitosis_regime_floor(2.0, 2) == pytest.approx(4.0, rel=1e-14)
     assert mitosis_regime_floor(1.0, 2) == 1.0
     # chi < 1 drops the max term, leaving chi^(2/7)
     assert mitosis_regime_floor(0.5, 2) == pytest.approx(0.5 ** (2.0 / 7.0), rel=1e-14)
-    assert mitosis_regime_floor(2.0, 2, mu0=3.0) == pytest.approx(12.0, rel=1e-14)
+    monkeypatch.setattr(thresholds, "MU0", 3.0)
+    assert mitosis_regime_floor(2.0, 2) == pytest.approx(12.0, rel=1e-14)
 
 
 def test_m1c_repulsion_branch():
-    m1c, m_mu = m1c_value(params(mu=0.0, xi1=2.0, chi=1.0), 1.0, G)
+    m1c, m_mu = m1c_value(params(mu=0.0, xi1=2.0, chi=1.0), 1.0)
     assert m1c == 2.0
     assert math.isnan(m_mu)
 
 
 def test_m1c_repulsion_branch_needs_dominance():
     with pytest.raises(ValueError, match="xi1 >= xi0\\*chi\\^2"):
-        m1c_value(params(mu=0.0, xi1=0.5, chi=1.0), 1.0, G)
+        m1c_value(params(mu=0.0, xi1=0.5, chi=1.0), 1.0)
 
 
 def test_m1c_mitosis_branch_pinned():
     # theta = 1, mu = 2 > floor(chi=1) = 1, xi1 = 0, n = 1:
     # r = 1/2, M_mu = (1 + 0 + 1/2) * (1/2)^2 = 0.375
     p = params(mu=2.0, theta=1.0, chi=1.0, xi1=0.0, a=1.0)
-    m1c, m_mu = m1c_value(p, 1.0, G)
+    m1c, m_mu = m1c_value(p, 1.0)
     assert m1c == pytest.approx(0.375, rel=1e-15)
     assert m_mu == m1c
 
@@ -151,14 +146,14 @@ def test_m1c_mitosis_branch_pinned():
 def test_m1c_mitosis_branch_floor_enforced():
     p = params(mu=0.5, theta=1.0, chi=1.0, xi1=0.0, a=1.0)
     with pytest.raises(ValueError, match="needs mu >"):
-        m1c_value(p, 1.0, G)
+        m1c_value(p, 1.0)
 
 
 def test_m1c_strong_damping_tail_pinned():
     # theta = 2, mu = d = M0 = xi2 = 1, chi = 1, xi1 = 0, n = 1:
     # M_mu = 2, tail = (2 * 2 * 1)^4 = 256
     p = params(mu=1.0, theta=2.0, chi=1.0, xi1=0.0, xi2=1.0, d=1.0, a=1.0)
-    m1c, m_mu = m1c_value(p, 1.0, G)
+    m1c, m_mu = m1c_value(p, 1.0)
     assert m_mu == pytest.approx(2.0, rel=1e-15)
     assert m1c == pytest.approx(258.0, rel=1e-14)
 
@@ -166,18 +161,23 @@ def test_m1c_strong_damping_tail_pinned():
 def test_m1c_no_branch_for_weak_damping_exponent():
     p = params(mu=1.0, theta=0.5, chi=2.0, xi1=0.0, a=1.0)
     with pytest.raises(ValueError, match="no gradient-bound branch"):
-        m1c_value(p, 1.0, G)
+        m1c_value(p, 1.0)
 
 
-def test_gradw_bound_pinned_and_convexity():
-    # mu = 0, xi1 = chi = d = 1, n = 1, M0 = 2: m1c = 1,
-    # convex inner = 1 + 1 + 1 = 3; nonconvex inner = 1 + 17 + 1 = 19
+def test_gradw_bound_pinned():
+    # mu = 0, xi1 = chi = d = 1, n = 1, M0 = 2: m1c = 1, inner = 1 + 1 + 1 = 3
     p = params(mu=0.0, xi1=1.0, chi=1.0, d=1.0, n_dim=1)
-    convex = structural_gradw_bound(p, 2.0)
-    assert convex == pytest.approx(math.sqrt(3.0), rel=1e-14)
-    loose = structural_gradw_bound(p, 2.0, convex=False)
-    assert loose == pytest.approx(math.sqrt(19.0), rel=1e-14)
-    assert loose > convex
+    assert structural_gradw_bound(p, 2.0) == pytest.approx(math.sqrt(3.0), rel=1e-14)
+
+
+def test_gradw_bound_past_the_float_range_reads_inf():
+    # M0 is about 1e100, so M0^(2n+2) overflows; the bound has no domain
+    # term on a convex box to turn that into 0 * inf = nan
+    p = params(chi=0.5, xi1=1.0, xi2=1.0, mu=1e-80, theta=2.0)
+    with np.errstate(over="ignore"):
+        M0 = structural_M0(p)
+        assert math.isfinite(M0) and M0 ** 4 == math.inf
+        assert structural_gradw_bound(p, M0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +245,28 @@ def test_d0_check_pinned():
     # d = 1, chi = 0.1, xi1 = xi2 = 1, A = 1, B = 0.5:
     # core = 1 - 0.225 - 0.0625 = 0.7125, check = 0.07125, eps1 = 0.35625/0.775
     p = params(chi=0.1, xi1=1.0, xi2=1.0, d=1.0)
-    chk = empirical_d0_check(fake_traj([1.0, 0.8], [0.5, 0.25]), p)
-    assert chk.A == 1.0 and chk.B == 0.5
-    assert chk.check_value == pytest.approx(0.07125, rel=1e-13)
-    assert chk.epsilon1 == pytest.approx(0.35625 / 0.775, rel=1e-13)
-    assert chk.passes
+    value, eps1 = empirical_d0_check(fake_traj([1.0, 0.8], [0.5, 0.25]), p)
+    assert value == pytest.approx(0.07125, rel=1e-13)
+    assert eps1 == pytest.approx(0.35625 / 0.775, rel=1e-13)
 
 
 def test_d0_check_chi_zero_always_passes():
-    chk = empirical_d0_check(fake_traj([5.0], [5.0]), params(chi=0.0, xi1=1.0, xi2=1.0))
-    assert chk.check_value == 0.0
-    assert chk.passes
-    assert chk.epsilon1 == 0.0
+    value, eps1 = empirical_d0_check(fake_traj([5.0], [5.0]), params(chi=0.0, xi1=1.0, xi2=1.0))
+    assert value == 0.0  # on the pass boundary, check_value >= 0
+    assert eps1 == 0.0
 
 
 def test_d0_check_fails_for_thin_diffusion():
     p = params(chi=1.0, xi1=0.5, xi2=0.0, d=0.2)
-    chk = empirical_d0_check(fake_traj([1.0], [2.0]), p)
-    assert chk.check_value == pytest.approx(-1.8, rel=1e-13)
-    assert not chk.passes
-    assert chk.epsilon1 == 0.0
+    value, eps1 = empirical_d0_check(fake_traj([1.0], [2.0]), p)
+    assert value == pytest.approx(-1.8, rel=1e-13)
+    assert eps1 == 0.0
 
 
 def test_d0_check_improves_with_d():
     tr = fake_traj([1.0], [1.0])
-    lo = empirical_d0_check(tr, params(chi=0.5, xi1=1.0, d=1.0)).check_value
-    hi = empirical_d0_check(tr, params(chi=0.5, xi1=1.0, d=2.0)).check_value
+    lo, _ = empirical_d0_check(tr, params(chi=0.5, xi1=1.0, d=1.0))
+    hi, _ = empirical_d0_check(tr, params(chi=0.5, xi1=1.0, d=2.0))
     assert hi > lo
 
 
@@ -361,10 +357,11 @@ def test_bounds_past_the_float_range_read_inf():
         assert compute_m1(1.0, params(mu=1e-300, theta=0.01, a=1.0), 1.0) == math.inf
 
 
-def test_regime_respects_xi0():
+def test_regime_respects_xi0(monkeypatch):
     p = params(chi=1.0, xi1=1.5, mu=0.0, theta=1.0)
     assert condition_presets(p) == "R1"
-    assert condition_presets(p, GenericConstants(xi0=2.0)) == "open"
+    monkeypatch.setattr(thresholds, "XI0", 2.0)
+    assert condition_presets(p) == "open"
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +393,21 @@ def test_report_csv_layout():
 
 
 def test_d0check_pass_boundary():
-    assert D0Check(1.0, 1.0, 0.0, 0.0).passes
-    assert not D0Check(1.0, 1.0, -1e-300, 0.0).passes
+    # the summary's verdict is the one home of the rule check_value >= 0
+    cfg = SimpleNamespace(preset="C1_no_mitosis", params=params(chi=0.5, xi1=1.0, xi2=1.0),
+                          fit_column="l2_u_dev", fit_window=None)
+    rec = SimpleNamespace(t=0.0, linf_u=1.0, min_u=1.0, min_v=1.0, elliptic_residual=0.0,
+                          mass_u=1.0, F1=math.nan, l2_u_dev=1.0)
+    traj = SimpleNamespace(records=[rec], termination_reason="completed", failure_detail="")
+    for value, verdict in ((0.0, "pass"), (-1e-300, "fail")):
+        rep = ThresholdReport(m1=1.0, d0_check_value=value, epsilon1=0.0)
+        assert ("d0_check", verdict) in harness._verdict_lines(cfg, traj, rep, 0.3)
 
 
 def test_formulas_are_deterministic():
     p = params(chi=0.7, xi1=0.3, xi2=1.2, d=1.5, a=0.9, mu=1.1, theta=1.0, n_dim=2)
-    m0a = structural_M0(p, 2.0)
-    m0b = structural_M0(p, 2.0)
+    m0a = structural_M0(p)
+    m0b = structural_M0(p)
     assert m0a == m0b
     tr = fake_traj([1.3, 1.7], [0.4, 0.2])
     assert empirical_mu_threshold(tr, p, 0.31) == empirical_mu_threshold(tr, p, 0.31)
