@@ -365,12 +365,14 @@ def test_cli_run_step_failure_exit_code(tmp_path):
 
 
 def test_cli_run_initial_solve_failure_exit_code(tmp_path):
-    # at 16384 cells the potential's float64 residual (about 1e-8) misses
-    # the 1e-10 gate already in the initial state
+    # at 16384 cells the potential's float64 residual (about 1e-8) misses a
+    # 1e-14 tolerance, and its backward error (about 1e-16) the floor of 1e-4
+    # times it, already in the initial state
     cfg = write_cfg(tmp_path, """
         preset = custom
         grid.cells = 16384
         solver.t_end = 0.01
+        solver.elliptic_tolerance = 1e-14
     """)
     proc = subprocess.run(
         [sys.executable, "-m", "angiosim.cli", "run", cfg, "--out", str(tmp_path / "fine")],
@@ -379,6 +381,22 @@ def test_cli_run_initial_solve_failure_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and "relative residual" in lines[0]
+
+
+def test_cli_run_on_a_grid_past_the_relative_gate_completes(tmp_path):
+    # at 2048 cells an exact solve's relative residual (1.3e-10 in the initial
+    # state) misses 1e-10; its backward error (about 1e-16) passes the gate
+    cfg = write_cfg(tmp_path, """
+        preset = C2_logistic
+        grid.cells = 2048
+        solver.dt = 2e-5
+        solver.t_end = 0.002
+    """)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    assert "termination = completed" in summary
+    residual = float(summary.split("max_elliptic_residual = ")[1].split()[0])
+    assert residual > 1e-10  # the recorded residual stays the relative one
 
 
 def test_cli_run_nonpositive_initial_u_exit_code(tmp_path):
@@ -849,9 +867,14 @@ def test_cli_fit_missing_file(tmp_path, capsys):
 
 def test_runs_and_sweeps_leave_scipy_unloaded(tmp_path):
     # every transform goes through numpy.fft, in 1D and 2D alike; scipy.fft
-    # would itself load concurrent.futures
+    # would itself load concurrent.futures. numpy.random loads only for a
+    # random profile's draw.
+    cosine = "init.profile = cosine_bump"
     run_cfg = write_cfg(tmp_path, FAST_RUN, "run.cfg")
-    sweep_cfg = write_cfg(tmp_path, FAST_SWEEP, "sweep.cfg")
+    cosine_cfg = write_cfg(tmp_path, FAST_RUN.replace("init.profile = random_positive", cosine),
+                           "cosine.cfg")
+    sweep_cfg = write_cfg(tmp_path, FAST_SWEEP.replace("init.profile = random_positive", cosine),
+                          "sweep.cfg")
     cfg_2d = write_cfg(tmp_path, """
         preset = custom
         grid.dim = 2
@@ -865,18 +888,23 @@ def test_runs_and_sweeps_leave_scipy_unloaded(tmp_path):
         def unwanted():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
                           or m in ("concurrent.futures", "multiprocessing"))
+        def drawn():
+            return "numpy.random" in sys.modules
         from angiosim.cli import main
-        print(unwanted())
-        print(main(["run", {run_cfg!r}, "--out", {out!r} + "/r1", "--quiet"]))
+        print(unwanted(), drawn())
+        print(main(["run", {cosine_cfg!r}, "--out", {out!r} + "/r1", "--quiet"]))
         print(main(["sweep", {sweep_cfg!r}, "--out", {out!r} + "/s1", "--quiet"]))
-        print(unwanted())
         print(main(["run", {cfg_2d!r}, "--out", {out!r} + "/r2", "--quiet"]))
+        print(unwanted(), drawn())
+        print(main(["run", {run_cfg!r}, "--out", {out!r} + "/r3", "--quiet"]))
+        print(drawn())
         print(main(["verify", "--out", {out!r} + "/v", "--quiet"]))
         print(unwanted())
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0", "0", "[]", "0", "0", "[]"]
+    assert proc.stdout.splitlines() == ["[] False", "0", "0", "0", "[] False", "0", "True",
+                                        "0", "[]"]
 
 
 def test_console_script_usage_error():

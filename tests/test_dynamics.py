@@ -178,6 +178,40 @@ def test_make_initial_random_positive_seeded():
         InitialSpec(profile="bumps")
 
 
+@pytest.mark.parametrize("u_profile, v_profile", [("random_positive", "random_positive"),
+                                                   ("cosine_bump", "random_positive"),
+                                                   ("random_positive", "cosine_bump")])
+def test_make_initial_draws_u_then_v_from_one_generator(u_profile, v_profile):
+    # the Generator is built on the first draw, and the stream stays the one
+    # a Generator built up front gives: u's draw first, then v's
+    g = build_grid(2, 1.0, (8, 6))
+    spec = InitialSpec(profile=u_profile, v_profile=v_profile, base=1.0, amplitude=0.3,
+                       v_base=2.0, v_amplitude=0.5, seed=7)
+    st = make_initial(g, spec)
+    cosine = make_initial(g, replace(spec, profile="cosine_bump", v_profile="cosine_bump"))
+    rng = np.random.default_rng(7)
+    if u_profile == "random_positive":
+        want_u = (1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=g.n_cells)).reshape(g.cells)
+    else:
+        want_u = cosine.u
+    if v_profile == "random_positive":
+        want_v = (2.0 + 0.5 * rng.uniform(-1.0, 1.0, size=g.n_cells)).reshape(g.cells)
+    else:
+        want_v = cosine.v
+    assert st.u.tobytes() == want_u.tobytes()
+    assert st.v.tobytes() == want_v.tobytes()
+
+
+@pytest.mark.parametrize("cells", [4096, 16384])
+def test_initial_solve_passes_on_fine_1d_grids(cells):
+    # the relative residual of an exact solve grows with the Laplacian's
+    # condition number past 1e-10 (5.8e-10 and 1.1e-8 here); its backward
+    # error stays near eps, under the gate's floor
+    g = build_grid(1, 1.0, cells)
+    st = make_initial(g, InitialSpec(amplitude=0.2))
+    assert elliptic_residual(st.u, st.w, g) > 1e-10
+
+
 # ---------------------------------------------------------------------------
 # stability bound
 
@@ -654,8 +688,10 @@ def test_step_transport_matches_the_allocating_oracle(flux_scheme, n_members, di
 
 
 def step_buffers(stepper):
-    """Every work array the stepper and this thread's 2D transform pair hold."""
+    """Every work array the stepper and this thread's transform pairs hold."""
     arrays = list(getattr(elliptic._local, "buffers", ()))
+    for pair in getattr(elliptic._local, "sets_1d", {}).values():
+        arrays += pair
     for value in vars(stepper._buffers).values():
         if isinstance(value, list):
             arrays += [a for item in value for a in (item if isinstance(item, list) else [item])]
@@ -705,3 +741,21 @@ def test_a_2d_step_allocates_only_the_arrays_it_returns():
     # slack of two such arrays for numpy's own temporaries; a step that builds
     # its intermediates afresh peaks about eight arrays higher
     assert peak <= returned + 2 * batch[0].nbytes
+
+
+def test_a_1d_step_reuses_its_transform_buffers():
+    g, members, batch = mixed_batch(1, 128, 9)
+    stepper = Stepper(g, members, SolverConfig(dt=2e-5, t_end=1.0))
+    batch = stepper.step(0.0, *batch)  # builds the work arrays
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stepped = stepper.step(0.0, *batch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in stepped)  # three (9, 128) arrays
+    # numpy's inverse FFT copies its half spectrum, about two arrays for the
+    # stacked pair; pairs that build their reordered input and spectrum afresh
+    # peak near 3.2 arrays above what the step returns
+    assert peak <= returned + 2.75 * batch[0].nbytes

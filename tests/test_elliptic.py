@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.fft import dct, dctn, idct, idctn
 from scipy.sparse.linalg import spsolve
 
+from angiosim import elliptic
 from angiosim.dynamics import ModelParams, SolverConfig, Stepper
 from angiosim.elliptic import (
     EllipticSolveError,
@@ -142,6 +143,59 @@ def test_residual_of_a_member_beyond_the_square_range():
     # a power-of-two scale is exact: the residual is the unscaled one's
     big = 2.0 ** 540
     assert elliptic_residual(big * lone, big * w[0], g) == res[0]
+
+
+def mutant_inverse(g, mode):
+    """The potential's packed multiplier with one mode's 1/lambda off by 1e-6."""
+    lam = neumann_eigenvalues(g)
+    mult = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+    mult[mode] *= 1.0 + 1e-6
+    return pack_multiplier(mult, g.dim)
+
+
+@pytest.mark.parametrize("cells", [128, 2048])
+@pytest.mark.parametrize("data, mode", [("cosine", "lowest"), ("random", "lowest"),
+                                        ("random", "middle")])
+def test_a_multiplier_off_by_1e6_fails_the_gate(monkeypatch, cells, data, mode):
+    # an exact solve passes at 2048 cells only on its backward error (about
+    # 1e-16 against a relative residual of 1.3e-10 on the cosine); one mode
+    # off by 1e-6 reads a backward error of 1e-13 or more there, and 1e-10 at
+    # 128 cells
+    g = build_grid(1, 1.0, cells)
+    x = g.axis_centers(0)
+    u = 1.0 + 0.2 * np.cos(np.pi * x) if data == "cosine" else \
+        np.random.default_rng(0).uniform(0.5, 2.0, cells)
+    solve_neumann_poisson(g, u, TOL)
+    monkeypatch.setattr(elliptic, "_pseudo_inverse",
+                        lambda grid: mutant_inverse(grid, 1 if mode == "lowest" else cells // 2))
+    with pytest.raises(EllipticSolveError):
+        solve_neumann_poisson(g, u, TOL)
+
+
+def test_the_backward_error_floor_follows_a_tighter_tolerance():
+    # at 2048 cells the cosine's exact solve misses 1e-10 on its relative
+    # residual and passes on its backward error; below 1e-10 the floor is
+    # 1e-4 of the tolerance, so a 1e-13 tolerance refuses the same solve
+    g = build_grid(1, 1.0, 2048)
+    u = 1.0 + 0.2 * np.cos(np.pi * g.axis_centers(0))
+    _w, res, _p = solve_neumann_poisson(g, u, TOL)
+    assert res > TOL
+    with pytest.raises(EllipticSolveError):
+        solve_neumann_poisson(g, u, 1e-13)
+
+
+def test_a_member_passing_on_its_backward_error_is_not_reported():
+    # the cosine member misses 1e-10 on its relative residual and passes on
+    # its backward error; the error marks and names only the non-finite one
+    g = build_grid(1, 1.0, 2048)
+    cosine = 1.0 + 0.2 * np.cos(np.pi * g.axis_centers(0))
+    bad = cosine.copy()
+    bad[3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(EllipticSolveError) as err:
+        solve_neumann_poisson(g, np.stack([cosine, bad]), TOL)
+    assert err.value.residuals[0] > TOL
+    assert list(err.value.failed) == [False, True]
+    assert str(err.value) == err.value.member_message(1)
 
 
 @pytest.mark.parametrize("cells", [(128,), (7,), (12, 20)], ids=["128", "7", "12x20"])
