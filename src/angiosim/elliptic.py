@@ -21,13 +21,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from .grid import Field, Grid, laplacian_array
+from .grid import Grid, laplacian_array
 
 __all__ = [
     "EllipticSolveError",
     "SpectralInfo",
     "solve_neumann_poisson",
-    "solve_w",
     "elliptic_residual",
     "spectral_info",
 ]
@@ -114,12 +113,12 @@ def _apply_1d(vals: np.ndarray, p: np.ndarray) -> np.ndarray:
     unnormalised DCT-II (X_n = 0). Scaling Re Z_k by m_k and Im Z_k by m_{n-k}
     (m_n = m_0), which p holds interleaved, and rotating back gives the reordered
     output's spectrum. No normalisation constants enter. The reordering and both
-    FFTs write into this thread's reused buffers (_workspace_1d).
+    FFTs write into this thread's reused buffers (_workspace).
     """
     n = vals.shape[-1]
     half = (n + 1) // 2
     _pairs, down, up = _makhoul_plan(n)
-    v, z = _workspace_1d(vals.shape)
+    v, z = _workspace(vals.shape)
     v[..., :half] = vals[..., ::2]
     v[..., half:] = vals[..., 1::2][..., ::-1]
     np.fft.rfft(v, out=z)
@@ -197,7 +196,7 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     batch = vals.shape[:-2]
     p = np.broadcast_to(p, batch + p.shape[-3:])
     q = np.broadcast_to(q, batch + q.shape[-3:])
-    v, z, t = _workspace(n1, n2)
+    v, z, t = _workspace((n1, n2), 2)
     zf = z.view(np.float64).reshape(z.shape + (2,))
     tc = t.view(np.complex128)[..., 0]
     for row in np.ndindex(batch):
@@ -224,29 +223,25 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 _local = threading.local()
 
 
-def _workspace(n1: int, n2: int):
-    """This thread's buffers for one n1 x n2 member of a 2D pair: the reordered grid,
-    the half spectrum and the q term. They are reused from call to call, since each
-    fresh half-megabyte array at 256 x 256 costs a hundred-odd page faults."""
-    if getattr(_local, "key", None) != (n1, n2):
-        _local.key = (n1, n2)
-        _local.buffers = (np.empty((n1, n2)), np.empty((n1, n2 // 2 + 1), np.complex128),
-                          np.empty((n1 - 1, n2 // 2 + 1, 2)))
-    return _local.buffers
-
-
-def _workspace_1d(shape):
-    """This thread's buffers for a 1D pair over arrays of this shape: the reordered
-    input, which also receives the inverse, and the half spectrum. A set is kept per
-    shape, since a step alternates the stacked (2B, n) diffusion pair and the (B, n)
-    potential, and one set would be rebuilt twice a step; the oldest of four goes."""
-    sets = _local.__dict__.setdefault("sets_1d", {})
-    if shape not in sets:
+def _workspace(shape, axes=1):
+    """This thread's buffers for a transform pair over the last axes of arrays of
+    this shape: the reordered input, which also receives the inverse, the half
+    spectrum and, for a 2D pair (axes=2, shape one n1 x n2 member), the q term.
+    They are reused from call to call, since each fresh half-megabyte array at
+    256 x 256 costs a hundred-odd page faults. A set is kept per shape, since a 1D
+    step alternates the stacked (2B, n) diffusion pair and the (B, n) potential,
+    and one set would be rebuilt twice a step; the oldest of four goes."""
+    sets = _local.__dict__.setdefault("sets", {})
+    key = (shape, axes)
+    if key not in sets:
         if len(sets) == 4:
             del sets[next(iter(sets))]
-        sets[shape] = (np.empty(shape), np.empty(shape[:-1] + (shape[-1] // 2 + 1,),
-                                                 np.complex128))
-    return sets[shape]
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        buffers = (np.empty(shape), np.empty(half, np.complex128))
+        if axes == 2:
+            buffers += (np.empty((shape[0] - 1,) + half[1:] + (2,)),)
+        sets[key] = buffers
+    return sets[key]
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,10 +252,11 @@ def _pseudo_inverse(grid: Grid) -> tuple:
     return pack_multiplier(mult, grid.dim)
 
 
-# the gate's backward-error floor, about 45 eps: exact solves read 7e-17 to 1.1e-16
-# from 1D-128 to 1D-16384, a multiplier off by 1e-6 in one mode reads 1.4e-10 at
-# 1D-128 and 5e-13 at 1D-2048
-BACKWARD_ERROR_FLOOR = 1e-14
+# the gate's backward-error floor, about 4.5 eps: exact solves read at most 2e-16
+# from 1D-128 to 1D-65536 and on 2D boxes up to 512 x 512; the lowest mode's
+# multiplier off by 1e-6 reads 1.4e-10 at 1D-128, 5.9e-13 at 1D-2048 and 9.2e-15
+# at 1D-16384, but 5.9e-16 at 1D-65536, where the floor no longer catches it
+BACKWARD_ERROR_FLOOR = 1e-15
 
 
 def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None):
@@ -300,14 +296,9 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
     return w, float(np.max(res)), 1
 
 
-def solve_w(u: Field, tolerance: float = 1e-10) -> Field:
-    """Potential of the cell-density deviation: -lap w = u - mean(u), int w = 0."""
-    return Field(u.grid, solve_neumann_poisson(u.grid, u.shaped(), tolerance)[0])
-
-
 def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> float:
-    """Relative residual of -lap w = u - mean(u) (the solve_w oracle)."""
-    return float(_residuals(u_vals.reshape(grid.cells), w_vals.reshape(grid.cells), grid))
+    """Relative residual of -lap w = u - mean(u), u and w shaped like the grid."""
+    return float(_residuals(u_vals, w_vals, grid))
 
 
 def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:

@@ -4,8 +4,10 @@ diagnostics_batch reads the trajectory columns straight off a run's
 (B, *cells) state arrays. The Lyapunov functionals it records are
     F1 = int u log(u/ubar) + (chi/2) ||grad v||^2              (a = mu = 0)
     F2 = int (u - b - b log(u/b)) + (b chi^2 / 2d) int (v - b)^2   (a, mu > 0)
-with b = (a/mu)^(1/theta) the logistic carrying state. The entropy helpers
-that take a grid.Field serve the verification battery.
+with b = (a/mu)^(1/theta) the logistic carrying state. The verification
+battery's functionals (relative_entropy, entropy_sandwich_check, grad_l2 and
+the interpolation inequalities) take arrays shaped like grid.cells, and the
+first three share their kernels with diagnostics_batch.
 
 Entropy-like integrands are evaluated in shifted form so every term is
 nonnegative and the quadrature never cancels: u*log(u/ubar) integrates to the
@@ -23,13 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .elliptic import _residuals, _sums_of_squares
-from .grid import (
-    Field,
-    Grid,
-    gradient_arrays,
-    lp_norm,
-    mean,
-)
+from .grid import Grid, gradient_arrays, integrate, lp_norm
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -81,39 +77,34 @@ class RateFit:
     n_samples: int
 
 
-def relative_entropy(u: Field) -> float:
-    """int u log(u / mean u) >= 0. Requires u > 0 cell-wise."""
-    vals = u.values
+def relative_entropy(vals: np.ndarray, grid: Grid) -> float:
+    """int u log(u / mean u) >= 0 of values u shaped like the grid. Requires u > 0
+    cell-wise."""
     if vals.min() <= 0.0:
         raise ValueError("relative entropy needs a strictly positive field")
-    ubar = float(vals.mean())  # uniform cells: arithmetic mean == field mean
-    z = vals / ubar - 1.0
-    # (1+z)log1p(z) - z >= 0, no cancellation across cells
-    return float(ubar * np.sum((1.0 + z) * np.log1p(z) - z) * u.grid.cell_volume)
+    flat = vals.reshape(1, -1)
+    return _entropies(flat, [_row_sums(flat)[0] / grid.n_cells], grid.cell_volume)[0]
 
 
-def entropy_sandwich_check(u: Field) -> tuple[float, float]:
-    """Gaps of the L1/L2 entropy sandwich; both >= 0 up to round-off.
+def entropy_sandwich_check(vals: np.ndarray, grid: Grid) -> tuple[float, float]:
+    """Gaps of the L1/L2 entropy sandwich of values u shaped like the grid; both
+    >= 0 up to round-off.
 
     lower_gap  = entropy - ||u-ubar||_1^2 / (2 ubar)
     upper_gap  = ||u-ubar||_2^2 / ubar - entropy
     The L1 lower constant is sharp only for domains of measure <= 1; the
     shipped presets all use unit-measure boxes.
     """
-    ent = relative_entropy(u)
-    ubar = mean(u)
-    dev = Field(u.grid, u.values - ubar)
-    l1 = lp_norm(dev, 1)
-    l2 = lp_norm(dev, 2)
+    ent = relative_entropy(vals, grid)
+    ubar = integrate(vals, grid) / grid.measure
+    l1, l2 = (lp_norm(vals - ubar, grid, p) for p in (1, 2))
     return ent - l1 * l1 / (2.0 * ubar), l2 * l2 / ubar - ent
 
 
-def grad_l2(f: Field) -> float:
-    """L2 norm of the face gradient (one cell volume per interior face)."""
-    s = 0.0
-    for g in gradient_arrays(f.shaped(), f.grid.spacing):
-        s += float(np.sum(g * g))
-    return math.sqrt(s * f.grid.cell_volume)
+def grad_l2(vals: np.ndarray, grid: Grid) -> float:
+    """L2 norm of the face gradient of values shaped like the grid (one cell
+    volume per interior face); finite wherever the true norm is."""
+    return _grad_l2_rows(vals[np.newaxis], grid)[0]
 
 
 def _default_window(arr: np.ndarray) -> tuple[float, float]:
@@ -207,57 +198,37 @@ class CosineTestFunction:
         return cls(lengths, rng.uniform(-1.0, 1.0, size=n))
 
     def _tables(self, grid: Grid, axis: int):
-        x = grid.axis_centers(axis)
-        ks = np.arange(self.MAX_MODE + 1)
-        omega = ks * math.pi / self.lengths[axis]
-        arg = np.outer(omega, x)
-        return np.cos(arg), np.sin(arg), omega
+        """The mode-by-cell tables of cos(w_k x) and its first and second derivatives
+        along one axis, w_k = k pi / L."""
+        omega = np.arange(self.MAX_MODE + 1) * math.pi / self.lengths[axis]
+        arg = np.outer(omega, grid.axis_centers(axis))
+        cos = np.cos(arg)
+        return cos, -omega[:, None] * np.sin(arg), -(omega * omega)[:, None] * cos
+
+    def _contract(self, tables) -> np.ndarray:
+        """The coefficients contracted with one mode-by-cell table per axis."""
+        out = self.coeffs
+        for table in tables:
+            out = np.tensordot(out, table, axes=(0, 0))
+        return out
 
     def sample(self, grid: Grid):
-        """Values, gradients, Hessians at cell centers (flat row-major).
-
-        Returns (vals (M,), grad (M,dim), hess (M,dim,dim)).
-        """
+        """Values, gradient and Hessian at the cell centres: (vals shaped like
+        cells, grad (dim, *cells), hess (dim, dim, *cells))."""
         if grid.dim != self.dim:
             raise ValueError("grid/function dimension mismatch")
-        if grid.dim == 1:
-            C, S, om = self._tables(grid, 0)
-            c = self.coeffs
-            vals = c @ C
-            grad = (-(c * om)) @ S
-            hess = (-(c * om * om)) @ C
-            return vals, grad[:, None], hess[:, None, None]
+        tables = [self._tables(grid, axis) for axis in range(self.dim)]
 
-        C0, S0, om0 = self._tables(grid, 0)
-        C1, S1, om1 = self._tables(grid, 1)
-        c = self.coeffs
-        n0, n1 = grid.cells
-        m = grid.n_cells
-        vals = np.zeros((n0, n1))
-        gx = np.zeros((n0, n1))
-        gy = np.zeros((n0, n1))
-        hxx = np.zeros((n0, n1))
-        hyy = np.zeros((n0, n1))
-        hxy = np.zeros((n0, n1))
-        for k0 in range(self.MAX_MODE + 1):
-            for k1 in range(self.MAX_MODE + 1):
-                ck = c[k0, k1]
-                if ck == 0.0:
-                    continue
-                cc = np.outer(C0[k0], C1[k1])
-                vals += ck * cc
-                gx += -ck * om0[k0] * np.outer(S0[k0], C1[k1])
-                gy += -ck * om1[k1] * np.outer(C0[k0], S1[k1])
-                hxx += -ck * om0[k0] ** 2 * cc
-                hyy += -ck * om1[k1] ** 2 * cc
-                hxy += ck * om0[k0] * om1[k1] * np.outer(S0[k0], S1[k1])
-        grad = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        hess = np.empty((m, 2, 2))
-        hess[:, 0, 0] = hxx.ravel()
-        hess[:, 1, 1] = hyy.ravel()
-        hess[:, 0, 1] = hxy.ravel()
-        hess[:, 1, 0] = hxy.ravel()
-        return vals.ravel(), grad, hess
+        def derivative(*axes):
+            """The partial derivative along the given axes, one per order."""
+            return self._contract(t[axes.count(k)] for k, t in enumerate(tables))
+
+        grad = np.stack([derivative(i) for i in range(self.dim)])
+        hess = np.empty((self.dim,) + grad.shape)
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                hess[i, j] = hess[j, i] = derivative(i, j)
+        return derivative(), grad, hess
 
 
 def verify_interpolation_inequalities(test_id: int, p: float, grid: Grid):
@@ -274,48 +245,42 @@ def verify_interpolation_inequalities(test_id: int, p: float, grid: Grid):
     h = CosineTestFunction.random(grid.lengths, rng)
 
     gv, gg, gH = g.sample(grid)
-    hv, hg, hH = h.sample(grid)
-    vol = grid.cell_volume
+    _, hg, hH = h.sample(grid)
     rootn = math.sqrt(grid.dim)
 
-    def quad(f):
-        return float(np.sum(f) * vol)
-
-    def lq_norm(f, q):
-        return quad(np.abs(f) ** q) ** (1.0 / q)
-
-    gmag = np.sqrt(np.sum(gg * gg, axis=1))
-    lap_g = np.trace(gH, axis1=1, axis2=2)
-    lap_h = np.trace(hH, axis1=1, axis2=2)
-    frob_g = np.sqrt(np.sum(gH * gH, axis=(1, 2)))
-    frob_h = np.sqrt(np.sum(hH * hH, axis=(1, 2)))
+    # the vector and matrix indices lead, the cell axes trail
+    gmag = np.sqrt(np.sum(gg * gg, axis=0))
+    lap_g = np.trace(gH)
+    lap_h = np.trace(hH)
+    frob_g = np.sqrt(np.sum(gH * gH, axis=(0, 1)))
+    frob_h = np.sqrt(np.sum(hH * hH, axis=(0, 1)))
     g_sup = float(np.max(np.abs(gv)))
 
     # |grad g|^(2p-2) grad g . grad(grad g . grad h)
-    mixed = np.einsum("mij,mj->mi", gH, hg) + np.einsum("mij,mj->mi", hH, gg)
-    pair = np.einsum("mi,mi->m", gg, mixed)
-    lhs1 = abs(quad(gmag ** (2.0 * p - 2.0) * pair))
-    rhs1 = (rootn / (2.0 * p) + 1.0) * lq_norm(gmag, 2.0 * (p + 1.0)) ** (2.0 * p) \
-        * lq_norm(frob_h, p + 1.0)
+    mixed = np.einsum("ij...,j...->i...", gH, hg) + np.einsum("ij...,j...->i...", hH, gg)
+    pair = np.einsum("i...,i...->...", gg, mixed)
+    lhs1 = abs(integrate(gmag ** (2.0 * p - 2.0) * pair, grid))
+    rhs1 = (rootn / (2.0 * p) + 1.0) * lp_norm(gmag, grid, 2.0 * (p + 1.0)) ** (2.0 * p) \
+        * lp_norm(frob_h, grid, p + 1.0)
 
     # g * lap h * div(|grad g|^(2p-2) grad g)
     div_flux = gmag ** (2.0 * p - 2.0) * lap_g
     if p > 1.0:
-        qform = np.einsum("mi,mij,mj->m", gg, gH, gg)
+        qform = np.einsum("i...,ij...,j...->...", gg, gH, gg)
         pos = gmag > 0.0
         extra = np.zeros_like(gmag)
         extra[pos] = gmag[pos] ** (2.0 * p - 4.0) * qform[pos]
         div_flux = div_flux + (2.0 * p - 2.0) * extra
-    lhs2 = abs(quad(gv * lap_h * div_flux))
+    lhs2 = abs(integrate(gv * lap_h * div_flux, grid))
     rhs2 = (2.0 * (p - 1.0) + rootn) * g_sup \
-        * lq_norm(gmag, 2.0 * (p + 1.0)) ** (p - 1.0) \
-        * lq_norm(lap_h, p + 1.0) \
-        * math.sqrt(quad(gmag ** (2.0 * p - 2.0) * frob_g ** 2))
+        * lp_norm(gmag, grid, 2.0 * (p + 1.0)) ** (p - 1.0) \
+        * lp_norm(lap_h, grid, p + 1.0) \
+        * math.sqrt(integrate(gmag ** (2.0 * p - 2.0) * frob_g ** 2, grid))
 
     # |grad g|^(2(p+1)) vs Hessian-weighted lower power
-    lhs3 = quad(gmag ** (2.0 * (p + 1.0)))
+    lhs3 = integrate(gmag ** (2.0 * (p + 1.0)), grid)
     rhs3 = (2.0 * p + rootn) ** 2 * g_sup ** 2 \
-        * quad(gmag ** (2.0 * (p - 1.0)) * frob_g ** 2)
+        * integrate(gmag ** (2.0 * (p - 1.0)) * frob_g ** 2, grid)
 
     return [
         InequalityCheck("grad_pairing", lhs1, rhs1),
@@ -334,6 +299,31 @@ def _rows(arr: np.ndarray, rows: list[int], n: int) -> np.ndarray:
 
 def _row_sums(arr: np.ndarray) -> list[float]:
     return np.add.reduce(arr.reshape(len(arr), -1), axis=-1).tolist()
+
+
+def _entropies(fu: np.ndarray, means, vol: float) -> list[float]:
+    """int u log(u / ubar) of each row of a positive (B, m) array, given the rows'
+    means, summed as ubar ((1 + z) log1p(z) - z) >= 0 with z = u / ubar - 1: no
+    cancellation across cells."""
+    z = fu / np.array(means).reshape(-1, 1) - 1.0
+    return [mean * s * vol for mean, s in zip(means, _row_sums((1.0 + z) * np.log1p(z) - z))]
+
+
+def _grad_l2_rows(v: np.ndarray, grid: Grid) -> list[float]:
+    """L2 norm of the face gradient of each member of a (B, *cells) batch, finite
+    wherever the true norm is."""
+    n = len(v)
+    # per axis, scaled by 2**-e where the squares overflow
+    sums, e = _sums_of_squares(
+        [g.reshape(n, -1) for g in gradient_arrays(v, grid.spacing)], (-1,))
+    sums = [a.tolist() for a in sums]
+    norms = []
+    for b, e_b in enumerate(e.tolist()):
+        s = 0.0
+        for axis_sums in sums:
+            s += axis_sums[b]
+        norms.append(float(np.ldexp(math.sqrt(s * grid.cell_volume), e_b)))  # inf past the range
+    return norms
 
 
 def _l2_rows(arr: np.ndarray, vol: float) -> list[float]:
@@ -362,10 +352,7 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     min_u, min_v = fu.min(axis=-1).tolist(), fv.min(axis=-1).tolist()
     linf_u, linf_v = (np.abs(f).max(axis=-1).tolist() for f in (fu, fv))
     l2_dev_u, l2_dev_v = (_l2_rows(f - column, vol) for f in (fu, fv))
-    # per axis, scaled by 2**-grad_e where the squares overflow
-    grad_sums, grad_e = _sums_of_squares(
-        [g.reshape(n, -1) for g in gradient_arrays(v, grid.spacing)], (-1,))
-    grad_v, grad_e = [a.tolist() for a in grad_sums], grad_e.tolist()
+    l2_grad_v = _grad_l2_rows(v, grid)
     grad_w = [np.abs(g).reshape(n, -1).max(axis=-1).tolist()
               for g in gradient_arrays(w, grid.spacing)]
     # the potential solve gated these same numbers bit for bit; taking them from
@@ -377,10 +364,9 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     ent = [math.nan] * n
     f1_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a == 0.0 and p.mu == 0.0]
     if f1_rows:
-        ubar = [sum_u[b] / m for b in f1_rows]
-        z = _rows(fu, f1_rows, n) / np.array(ubar).reshape(-1, 1) - 1.0
-        for b, mean_b, s in zip(f1_rows, ubar, _row_sums((1.0 + z) * np.log1p(z) - z)):
-            ent[b] = mean_b * s * vol
+        f1_ent = _entropies(_rows(fu, f1_rows, n), [sum_u[b] / m for b in f1_rows], vol)
+        for b, e in zip(f1_rows, f1_ent):
+            ent[b] = e
     f2_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a > 0.0 and p.mu > 0.0]
     vdev = [0.0] * n
     if f2_rows:
@@ -392,14 +378,10 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
             vdev[b] = sv * vol
     records = []
     for b, p in enumerate(params):
-        s = 0.0
-        for axis_sums in grad_v:
-            s += axis_sums[b]
-        l2_grad_v = float(np.ldexp(math.sqrt(s * vol), grad_e[b]))  # inf past the range
         f1 = f2 = math.nan
         if b in f1_rows:
             # numpy's power, the same libm pow as Python's, reads inf where Python's raises
-            f1 = ent[b] + 0.5 * p.chi * np.float64(l2_grad_v) ** 2
+            f1 = ent[b] + 0.5 * p.chi * np.float64(l2_grad_v[b]) ** 2
         elif b in f2_rows:
             f2 = ent[b] + (targets[b] * p.chi ** 2 / (2.0 * p.d)) * vdev[b]
         records.append(DiagnosticsRecord(
@@ -410,7 +392,7 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
             linf_v=linf_v[b],
             l2_u_dev=l2_dev_u[b],
             l2_v_dev=l2_dev_v[b],
-            l2_grad_v=l2_grad_v,
+            l2_grad_v=l2_grad_v[b],
             linf_grad_w=max(axis_max[b] for axis_max in grad_w),
             F1=f1,
             F2=f2,

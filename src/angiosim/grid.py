@@ -7,14 +7,14 @@ telescope: the integral of any divergence vanishes to round-off, so the
 discrete conservation identities downstream hold exactly rather than to
 truncation order.
 
-Quadrature is midpoint: integrate(f) = sum(values) * cell_volume. Face-norm
-quadrature assigns each interior face one cell volume, which makes
+Quadrature is midpoint: integrate(vals, grid) = sum(vals) * cell_volume.
+Face-norm quadrature assigns each interior face one cell volume, which makes
 <-laplacian_array(f), f> equal grad-norm squared exactly (discrete integration
 by parts with no boundary term).
 
-The kernels take arrays shaped like grid.cells, or batches (B, *cells); a
-simulation state is three such arrays. Field, a flat finite-checked wrapper,
-serves the verification battery's quadratures (integrate, mean, lp_norm).
+Values are arrays shaped like grid.cells, and the face kernels also take
+batches (B, *cells); a simulation state is three such arrays, and the
+verification battery's quadratures (integrate, lp_norm) take them too.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ __all__ = [
     "gradient_arrays",
     "divergence_arrays",
     "integrate",
-    "mean",
     "lp_norm",
 ]
 
@@ -78,12 +77,8 @@ class Grid:
         return (np.arange(n) + 0.5) * h
 
     def cell_coordinates(self) -> tuple[np.ndarray, ...]:
-        """Flat coordinate arrays (row-major cell order), one per axis."""
-        axes = [self.axis_centers(k) for k in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return (xx.ravel(), yy.ravel())
+        """The cell centres' coordinates, one array shaped like cells per axis."""
+        return tuple(np.meshgrid(*map(self.axis_centers, range(self.dim)), indexing="ij"))
 
 
 def build_grid(dim, lengths, cells) -> Grid:
@@ -112,8 +107,9 @@ def build_grid(dim, lengths, cells) -> Grid:
 @dataclass(frozen=True)
 class Field:
     """One finite scalar value per cell, flat row-major, immutable after build.
-    The verification battery's functionals take Fields; a SimState holds
-    shaped arrays instead."""
+    Nothing in the package builds one: it is kept only because the benchmark's
+    tracer patches Field.__init__, and it goes once the tracer stops doing so
+    (ROADMAP item 1)."""
 
     grid: Grid
     values: np.ndarray
@@ -134,8 +130,8 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# array kernels (shaped arrays in, shaped arrays out; no Field wrapping). The
-# grid axes are the trailing ones, so a batch (B, *cells) works the same way.
+# array kernels (shaped arrays in, shaped arrays out). The grid axes are the
+# trailing ones, so a batch (B, *cells) works the same way.
 
 @functools.lru_cache(maxsize=None)
 def face_slices(dim: int) -> tuple:
@@ -208,20 +204,15 @@ def divergence_arrays(fluxes, spacing, shape, out=None, net=None) -> np.ndarray:
     return out
 
 
-def integrate(f: Field) -> float:
-    return float(np.sum(f.values) * f.grid.cell_volume)
+def integrate(vals: np.ndarray, grid: Grid) -> float:
+    return float(np.sum(vals) * grid.cell_volume)
 
 
-def mean(f: Field) -> float:
-    return integrate(f) / f.grid.measure
-
-
-def lp_norm(f: Field, p) -> float:
+def lp_norm(vals: np.ndarray, grid: Grid, p) -> float:
     """L^p quadrature norm; p = math.inf gives the cell-wise max norm."""
     if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+        return float(np.max(np.abs(vals)))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    s = float(np.sum(np.abs(f.values) ** p) * f.grid.cell_volume)
-    return s ** (1.0 / p)
+    return integrate(np.abs(vals) ** p, grid) ** (1.0 / p)

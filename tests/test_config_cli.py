@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -167,6 +168,9 @@ def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
     ("preset = custom\ninit.v_profile = bumps\n",
      "line 2: init.v_profile must be one of "
      "('constant', 'cosine_bump', 'gaussian_bump', 'random_positive'), got 'bumps'"),
+    # a step count past the float range, which ended in an OverflowError traceback
+    ("preset = custom\nsolver.dt = 1e-300\nsolver.t_end = 1e300\n",
+     "line 3: solver.t_end / dt must be finite, got 1e+300 / 1e-300"),
     # grid checks inside build_grid keep their section's name
     ("preset = custom\ngrid.cells = 2\n", "grid: need at least 4 cells per axis, got (2,)"),
 ])
@@ -860,6 +864,19 @@ def test_cli_fit_bad_window(decay_csv, window, capsys):
 def test_cli_fit_missing_file(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv"), "--column", "l2_u_dev",
                  "--window", "0:1"]) == 1
+
+
+@pytest.mark.parametrize("body", ["t,l2_u_dev\n0,abc\n", "t,l2_u_dev\n0,1\n1,2,3\n", ""],
+                         ids=["non-numeric", "ragged", "empty"])
+def test_cli_fit_unreadable_csv_exits_1_in_one_line(tmp_path, body, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", str(path), "--column", "l2_u_dev"]) == 1
+    assert caught == []
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"cannot read {path}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angiosim.dynamics import ModelParams, SimState
-from angiosim.elliptic import elliptic_residual, solve_neumann_poisson, solve_w
+from angiosim.elliptic import elliptic_residual, solve_neumann_poisson
 from angiosim.functionals import (
     TRAJECTORY_COLUMNS,
     CosineTestFunction,
@@ -20,8 +20,15 @@ from angiosim.functionals import (
     relative_entropy,
     verify_interpolation_inequalities,
 )
-from angiosim.grid import Field, build_grid, gradient_arrays, integrate, lp_norm
-from oracles import lyap_F1, lyap_F2, mass_balance_residual, u_power_integral
+from angiosim.grid import build_grid, gradient_arrays
+from oracles import (
+    entropy,
+    gradient_norm,
+    lyap_F1,
+    lyap_F2,
+    mass_balance_residual,
+    u_power_integral,
+)
 
 # high-resolution quadrature oracle for int (1+cos(pi x)/2) ln(1+cos(pi x)/2)
 ENTROPY_COS_HALF = 0.0646381320204874430
@@ -29,14 +36,14 @@ ENTROPY_COS_HALF = 0.0646381320204874430
 OFF = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=1.0, a=0.0, mu=0.0, theta=1.0, n_dim=1)
 
 
-def state_of(u, v):
-    """The t = 0 SimState of Fields u and v, with w solved from u."""
-    return SimState(0.0, u.grid, u.shaped(), v.shaped(), solve_w(u).shaped())
+def state_of(grid, u, v):
+    """The t = 0 SimState of u and v, with w solved from u."""
+    return SimState(0.0, grid, u, v, solve_neumann_poisson(grid, u, 1e-10)[0])
 
 
 def constant_state(grid, c=1.5):
-    u = Field(grid, np.full(grid.n_cells, c))
-    return state_of(u, u)
+    u = np.full(grid.cells, c)
+    return state_of(grid, u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +51,15 @@ def constant_state(grid, c=1.5):
 
 def test_entropy_of_constant_is_zero():
     g = build_grid(1, 1.0, 64)
-    assert relative_entropy(Field(g, np.full(64, 2.5))) == 0.0
+    assert relative_entropy(np.full(64, 2.5), g) == 0.0
 
 
 def test_entropy_matches_quadrature_oracle():
     g = build_grid(1, 1.0, 256)
     x = g.axis_centers(0)
-    u = Field(g, 1.0 + 0.5 * np.cos(np.pi * x))
+    u = 1.0 + 0.5 * np.cos(np.pi * x)
     # the even periodic extension is smooth, so midpoint quadrature is exact
-    assert relative_entropy(u) == pytest.approx(ENTROPY_COS_HALF, abs=1e-12)
+    assert relative_entropy(u, g) == pytest.approx(ENTROPY_COS_HALF, abs=1e-12)
 
 
 def test_entropy_rejects_nonpositive_cells():
@@ -60,15 +67,15 @@ def test_entropy_rejects_nonpositive_cells():
     vals = np.ones(64)
     vals[3] = 0.0
     with pytest.raises(ValueError, match="positive"):
-        relative_entropy(Field(g, vals))
+        relative_entropy(vals, g)
 
 
 def test_entropy_is_nonnegative_and_zero_only_at_constants():
     g = build_grid(1, 1.0, 64)
     rng = np.random.default_rng(8)
     for _ in range(50):
-        u = Field(g, rng.uniform(0.2, 3.0, 64))
-        assert relative_entropy(u) > 0.0
+        u = rng.uniform(0.2, 3.0, 64)
+        assert relative_entropy(u, g) > 0.0
 
 
 def test_sandwich_gaps_on_random_fields():
@@ -76,9 +83,9 @@ def test_sandwich_gaps_on_random_fields():
     for dim, cells in ((1, 64), (2, (12, 12))):
         g = build_grid(dim, 1.0, cells)
         for _ in range(100):
-            u = Field(g, rng.uniform(0.1, 4.0, g.n_cells))
-            lower, upper = entropy_sandwich_check(u)
-            scale = relative_entropy(u)
+            u = rng.uniform(0.1, 4.0, g.cells)
+            lower, upper = entropy_sandwich_check(u, g)
+            scale = relative_entropy(u, g)
             assert lower >= -1e-10 * max(1.0, scale)
             assert upper >= -1e-10 * max(1.0, scale)
 
@@ -86,15 +93,15 @@ def test_sandwich_gaps_on_random_fields():
 def test_sandwich_degenerates_cleanly_near_constant():
     g = build_grid(1, 1.0, 128)
     rng = np.random.default_rng(5)
-    u = Field(g, 1.0 + 1e-6 * rng.uniform(-1.0, 1.0, 128))
-    lower, upper = entropy_sandwich_check(u)
+    u = 1.0 + 1e-6 * rng.uniform(-1.0, 1.0, 128)
+    lower, upper = entropy_sandwich_check(u, g)
     assert 0.0 <= lower <= 1e-9
     assert 0.0 <= upper <= 1e-9
 
 
 def test_sandwich_constant_field_is_exactly_zero():
     g = build_grid(1, 1.0, 64)
-    lower, upper = entropy_sandwich_check(Field(g, np.full(64, 3.0)))
+    lower, upper = entropy_sandwich_check(np.full(64, 3.0), g)
     assert lower == 0.0 and upper == 0.0
 
 
@@ -109,11 +116,11 @@ def test_f1_zero_at_constant_state():
 def test_f1_chi_zero_reduces_to_entropy():
     g = build_grid(1, 1.0, 128)
     x = g.axis_centers(0)
-    u = Field(g, 1.0 + 0.3 * np.cos(np.pi * x))
-    v = Field(g, 1.0 + 0.2 * np.cos(np.pi * x))
-    st = state_of(u, v)
-    assert lyap_F1(st, chi=0.0) == relative_entropy(u)
-    assert lyap_F1(st, chi=1.0) > relative_entropy(u)
+    u = 1.0 + 0.3 * np.cos(np.pi * x)
+    v = 1.0 + 0.2 * np.cos(np.pi * x)
+    st = state_of(g, u, v)
+    assert lyap_F1(st, chi=0.0) == relative_entropy(u, g)
+    assert lyap_F1(st, chi=1.0) > relative_entropy(u, g)
 
 
 def test_f2_zero_at_carrying_state():
@@ -126,9 +133,9 @@ def test_f2_zero_at_carrying_state():
 def test_f2_chi_zero_drops_gradient_term():
     g = build_grid(1, 1.0, 128)
     x = g.axis_centers(0)
-    u = Field(g, 1.0 + 0.3 * np.cos(np.pi * x))
-    v = Field(g, 2.0 + 0.2 * np.cos(np.pi * x))
-    st = state_of(u, v)
+    u = 1.0 + 0.3 * np.cos(np.pi * x)
+    v = 2.0 + 0.2 * np.cos(np.pi * x)
+    st = state_of(g, u, v)
     p0 = ModelParams(chi=0.0, xi1=0.5, xi2=0.5, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=1)
     p1 = ModelParams(chi=1.0, xi1=0.5, xi2=0.5, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=1)
     assert lyap_F2(st, p1) > lyap_F2(st, p0) > 0.0
@@ -143,11 +150,23 @@ def test_f2_requires_positive_a_and_mu():
 
 def test_grad_l2_examples():
     g = build_grid(1, 1.0, 256)
-    assert grad_l2(Field(g, np.full(256, 2.0))) == 0.0
+    assert grad_l2(np.full(256, 2.0), g) == 0.0
     x = g.axis_centers(0)
-    f = Field(g, np.cos(np.pi * x))
-    assert grad_l2(f) == pytest.approx(np.pi / math.sqrt(2.0), abs=1e-3)
-    assert grad_l2(Field(g, 3.0 * f.values)) == pytest.approx(3.0 * grad_l2(f), rel=1e-13)
+    f = np.cos(np.pi * x)
+    assert grad_l2(f, g) == pytest.approx(np.pi / math.sqrt(2.0), abs=1e-3)
+    assert grad_l2(3.0 * f, g) == pytest.approx(3.0 * grad_l2(f, g), rel=1e-13)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 64), (2, (12, 20))])
+def test_battery_functionals_match_plain_numpy(dim, cells):
+    g = build_grid(dim, (1.0, 1.5)[:dim], cells)
+    u = np.random.default_rng(dim).uniform(0.2, 3.0, g.cells)
+    assert relative_entropy(u, g) == entropy(u, g)
+    assert grad_l2(u, g) == gradient_norm(u, g)
+    # past the square range the norm is taken at a power-of-two scale
+    big = 2.0 ** 540
+    with np.errstate(over="ignore"):
+        assert grad_l2(big * u, g) == big * grad_l2(u, g)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +249,11 @@ def test_cosine_family_sampling_matches_analytic_1d():
     vals, grad, hess = f.sample(g)
     exact = 0.5 + np.cos(np.pi * x) - 0.25 * np.cos(3 * np.pi * x)
     dexact = -np.pi * np.sin(np.pi * x) + 0.75 * np.pi * np.sin(3 * np.pi * x)
+    assert vals.shape == g.cells and grad.shape == (1, *g.cells)
+    assert hess.shape == (1, 1, *g.cells)
     assert np.allclose(vals, exact, atol=1e-13)
-    assert np.allclose(grad[:, 0], dexact, atol=1e-12)
-    assert np.allclose(hess[:, 0, 0],
+    assert np.allclose(grad[0], dexact, atol=1e-12)
+    assert np.allclose(hess[0, 0],
                        -np.pi**2 * np.cos(np.pi * x)
                        + 2.25 * np.pi**2 * np.cos(3 * np.pi * x), atol=1e-11)
 
@@ -242,16 +263,16 @@ def test_cosine_family_sampling_2d_hessian_symmetry():
     f = CosineTestFunction.random([1.0, 2.0], rng)
     g = build_grid(2, [1.0, 2.0], [32, 32])
     vals, grad, hess = f.sample(g)
-    assert vals.shape == (1024,)
-    assert grad.shape == (1024, 2)
-    assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0])
+    assert vals.shape == (32, 32)
+    assert grad.shape == (2, 32, 32) and hess.shape == (2, 2, 32, 32)
+    assert np.array_equal(hess[0, 1], hess[1, 0])
     # mixed partial of cos(k0 pi x)cos(k1 pi y/2) at a spot check
     x, y = g.cell_coordinates()
     k0 = k1 = 1
     single = CosineTestFunction([1.0, 2.0], np.eye(4, 4)[1][:, None] * np.eye(4, 4)[1][None, :])
     _, _, hs = single.sample(g)
     man = np.pi * (np.pi / 2.0) * np.sin(np.pi * x) * np.sin(np.pi * y / 2.0)
-    assert np.allclose(hs[:, 0, 1], man, atol=1e-12)
+    assert np.allclose(hs[0, 1], man, atol=1e-12)
 
 
 def test_inter3_closed_form_example():
@@ -260,8 +281,8 @@ def test_inter3_closed_form_example():
     g = build_grid(1, 1.0, 512)
     _, grad, hess = f.sample(g)
     vol = g.cell_volume
-    lhs = float(np.sum(np.abs(grad[:, 0]) ** 4) * vol)
-    rhs = (2.0 + 1.0) ** 2 * 1.0 * float(np.sum(hess[:, 0, 0] ** 2) * vol)
+    lhs = float(np.sum(np.abs(grad[0]) ** 4) * vol)
+    rhs = (2.0 + 1.0) ** 2 * 1.0 * float(np.sum(hess[0, 0] ** 2) * vol)
     assert lhs == pytest.approx(3.0 * np.pi**4 / 8.0, rel=1e-12)
     assert rhs == pytest.approx(9.0 * np.pi**4 / 2.0, rel=1e-12)
     assert lhs <= rhs
@@ -329,9 +350,9 @@ def test_csv_values_align_with_column_names():
 # batched diagnostics: every row is the record of its member alone
 
 def reference_record(state, p, u0_mean):
-    """A lone member's record, column by column from the Field-level functionals."""
-    grid = state.grid
-    u, v = Field(grid, state.u), Field(grid, state.v)
+    """A lone member's record, column by column from plain-numpy formulas."""
+    grid, vol = state.grid, state.grid.cell_volume
+    u, v = state.u.ravel(), state.v.ravel()
     target = (p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0_mean
     min_u = float(state.u.min())
     f1 = f2 = math.nan
@@ -341,13 +362,13 @@ def reference_record(state, p, u0_mean):
         f2 = lyap_F2(state, p)
     return DiagnosticsRecord(
         t=state.t,
-        mass_u=integrate(u),
-        mass_v=integrate(v),
-        linf_u=lp_norm(u, math.inf),
-        linf_v=lp_norm(v, math.inf),
-        l2_u_dev=lp_norm(Field(grid, state.u - target), 2),
-        l2_v_dev=lp_norm(Field(grid, state.v - target), 2),
-        l2_grad_v=grad_l2(v),
+        mass_u=float(np.sum(u) * vol),
+        mass_v=float(np.sum(v) * vol),
+        linf_u=float(np.max(np.abs(u))),
+        linf_v=float(np.max(np.abs(v))),
+        l2_u_dev=float(np.sum((u - target) ** 2) * vol) ** 0.5,
+        l2_v_dev=float(np.sum((v - target) ** 2) * vol) ** 0.5,
+        l2_grad_v=gradient_norm(state.v, grid),
         linf_grad_w=max(float(np.max(np.abs(g)))
                         for g in gradient_arrays(state.w, grid.spacing)),
         F1=f1,
