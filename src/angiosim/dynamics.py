@@ -24,8 +24,9 @@ The explicit fluxes telescope and the implicit multipliers are exactly 1 and
     int u(k+1) - int u(k) = dt (a int u(k) - mu int u(k)^(theta+1))
     (1+dt) int v(k+1) = int v(k) + dt int u(k).
 Upwinding is meant to keep u > 0, v >= 0 whenever dt respects stable_dt, and
-does so on 1D grids in the property tests. On 2D grids stable_dt bounds each
-axis's face CFL on its own, so a step at the bound can lose positivity, which
+does so in 1D at cfl_safety <= 0.5, the default, in the property tests. Above
+0.5 a 1D step at the bound can lose positivity, and on 2D grids so can one at
+any cfl_safety, since stable_dt bounds each axis's face CFL on its own; either
 ends that run as a step failure. The `central` flux scheme gives up
 positivity for second-order spatial accuracy and is meant for smooth
 short-time order studies only.
@@ -54,7 +55,7 @@ from .elliptic import (
     solve_neumann_poisson,
 )
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
-from .grid import FLOAT_FMT, Grid, divergence_arrays, face_slices
+from .grid import FLOAT_FMT, Grid, divergence_arrays, face_slices, face_views
 
 __all__ = [
     "ModelParams",
@@ -282,7 +283,9 @@ def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> n
     speeds are the batch's face speeds from _face_speeds. Face CFL is
     h / max|speed| per axis over both transported species; the reaction bound
     1/(a + mu ||u||_inf^theta + 1) keeps the explicit logistic update positive;
-    the factor-source bound is 1.
+    the factor-source bound is 1. A step at the bound keeps u > 0 and v >= 0
+    only in 1D at cfl_safety <= 0.5: each bound is taken on its own, while an
+    upwind cell loses the outflow through all its faces and its damping at once.
     """
     axes = grid_axes(grid)
     # reaction bound in float arithmetic, member by member, capped by the v-source bound
@@ -305,28 +308,25 @@ class _Buffers:
     a megabyte, and a step that makes a dozen of them faults hundreds of pages back
     in. A step's outputs are never among them.
 
-    - speeds: u's and v's face speeds per grid axis, each in a block the size of the
-      batch, so that a block whose speeds are used up can hold a batch array (spare);
-    - face and mask: one axis's face values or fluxes, and the upwind sign;
-    - stacked: the (2B, *cells) explicit update of u and v. Until it is written, v's
-      half holds the net flux of u's advection and then the reaction; once the
-      diffusion pair has read it, its halves hold the potential's centred u and
-      residual.
+    - blocks: whole-batch arrays. The first 2 * dim hold u's and v's face speeds
+      per grid axis (speeds); once u's are used up, the first holds a batch array
+      for v's update (spare), and once all are used up, the first three hold the
+      potential's centred u, Laplacian and squares (potential). A 1D batch has a
+      third block for that;
+    - face and mask: one axis's face values, fluxes or face differences, and the
+      upwind sign.
     """
 
     def __init__(self, shape):
         self.shape = shape
         dim = len(shape) - 1
-        faces = [shape[:1 + k] + (shape[1 + k] - 1,) + shape[2 + k:] for k in range(dim)]
-        blocks = np.empty((2, dim, math.prod(shape)))
-        self.speeds = [[block[:math.prod(f)].reshape(f) for block, f in zip(species, faces)]
-                       for species in blocks]
-        self.spare = blocks[0, 0].reshape(shape)
-        size = max(map(math.prod, faces))
-        face, mask = np.empty(size), np.empty(size, dtype=bool)
-        self.face = [face[:math.prod(f)].reshape(f) for f in faces]
-        self.mask = [mask[:math.prod(f)].reshape(f) for f in faces]
-        self.stacked = np.empty((2 * shape[0],) + shape[1:])
+        self.blocks = np.empty((max(2 * dim, 3),) + shape)
+        self.speeds = [face_views(self.blocks[:dim], shape),
+                       face_views(self.blocks[dim:2 * dim], shape)]
+        self.face = face_views([np.empty(shape)] * dim, shape)
+        self.mask = face_views([np.empty(shape, dtype=bool)] * dim, shape)
+        self.spare = self.blocks[0]
+        self.potential = (*self.blocks[:3], self.face)
 
 
 class Stepper:
@@ -335,20 +335,30 @@ class Stepper:
     The state is three (B, *cells) arrays u, v, w, and each member has its own
     ModelParams, held as (B, 1[, 1]) columns. The implicit operators are
     diagonal in the DCT-II basis: u takes the shared multiplier
-    1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda). A step
-    costs two batched transform pairs: one for both diffusions, with u and v
-    stacked as (2B, *cells), and one for the potential solve. Every operation
-    is row by row, so a member gets the same numbers whatever else is in the
-    batch. The work arrays (_Buffers) are kept for the batch's shape; a step
-    allocates only the arrays it returns.
+    1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda), and the
+    stepper holds them only packed for the transform pair, a row per member
+    and species. A step costs two batched transform pairs: one for both
+    diffusions, run in place on the (2B, *cells) array that holds u's and v's
+    explicit updates and that the step returns, and one for the potential
+    solve. Every operation is row by row, so a member gets the same numbers
+    whatever else is in the batch. The work arrays (_Buffers) are kept for the
+    batch's shape; a step allocates only the arrays it returns.
     """
 
     def __init__(self, grid: Grid, params, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
-        self._lam = neumann_eigenvalues(grid)
-        self._mult_u = 1.0 / (1.0 + cfg.dt * self._lam)
         self._set_params(params)
+        # the diffusion multipliers of the stacked (u, v) batch, row by row,
+        # kept only packed
+        n = len(self.params)
+        lam = neumann_eigenvalues(grid)
+        d = np.array([p.d for p in self.params]).reshape((n,) + (1,) * grid.dim)
+        mult_uv = np.empty((2 * n,) + grid.cells)
+        mult_uv[:n] = 1.0 / (1.0 + cfg.dt * lam)
+        mult_uv[n:] = 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam)
+        del lam  # before packing, the peak of the build
+        self._packed_uv = pack_multiplier(mult_uv, grid.dim)
 
     def _set_params(self, params):
         self.params = tuple(params)
@@ -357,15 +367,6 @@ class Stepper:
         names = ("chi", "xi1", "xi2", "a", "mu")
         cols = [[getattr(p, name) for p in self.params] for name in names]
         self._cols = np.array(cols).reshape((5,) + column)
-        d = np.array([p.d for p in self.params]).reshape(column)
-        # the diffusion multipliers of the stacked (u, v) batch, row by row,
-        # packed once; _mult_u and _mult_v are views of the unpacked ones
-        n = len(self.params)
-        mult_uv = np.empty((2 * n,) + self.grid.cells)
-        mult_uv[:n] = self._mult_u
-        mult_uv[n:] = 1.0 / (1.0 + self.cfg.dt + self.cfg.dt * d * self._lam)
-        self._mult_u, self._mult_v = mult_uv[0], mult_uv[n:]
-        self._packed_uv = pack_multiplier(mult_uv, self.grid.dim)
         # members with a logistic term, by exponent: u^theta keeps a scalar
         # exponent, as for a member on its own
         growth = {}
@@ -376,7 +377,12 @@ class Stepper:
 
     def keep(self, rows):
         """Keep only the members in the given batch rows, in that order."""
+        n = len(self.params)
         self._set_params([self.params[r] for r in rows])
+        stacked = list(rows) + [n + r for r in rows]  # u's rows, then v's
+        self._packed_uv = tuple(arr[stacked] for arr in self._packed_uv)
+        for arr in self._packed_uv:
+            arr.flags.writeable = False
 
     def _work(self, shape) -> _Buffers:
         """The work arrays for a batch of this shape, built on first use."""
@@ -440,7 +446,8 @@ class Stepper:
                 for r in unstable
             })
         n = len(u)
-        u_star, v_star = buf.stacked[:n], buf.stacked[n:]
+        out = np.empty((2 * n,) + u.shape[1:])
+        u_star, v_star = out[:n], out[n:]
         self._advect(u_star, u, a_u, net=v_star)
         if self._growth:
             react = self._reaction(u, out=v_star)
@@ -448,10 +455,10 @@ class Stepper:
             u_star += react
         else:
             u_star += 0.0  # dt times the zero reaction, which turns -0.0 into +0.0
-        # u's speeds are used up, so their block is free
+        # u's speeds are used up, so their first block is free
         self._advect(v_star, v, a_v, net=buf.spare)
         v_star += np.multiply(u, cfg.dt, out=buf.spare)
-        out = apply_packed(buf.stacked, self._packed_uv)
+        apply_packed(out, self._packed_uv, out=out)
         return out[:n], out[n:]
 
     def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -461,11 +468,9 @@ class Stepper:
         finite = np.isfinite(u).all(axis=axes) & np.isfinite(v).all(axis=axes)
         if not finite.all():  # a zero row solves to w = 0
             u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
-        buf, n = self._work(u.shape), len(u)
-        work = (buf.stacked[:n], buf.stacked[n:], buf.spare, buf.face)
-        try:
+        try:  # the face speeds are used up, so their blocks are free
             w, _res, _it = solve_neumann_poisson(
-                self.grid, u, self.cfg.elliptic_tolerance, work)
+                self.grid, u, self.cfg.elliptic_tolerance, self._work(u.shape).potential)
         except EllipticSolveError as exc:
             missed = np.flatnonzero(exc.failed)
             raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc

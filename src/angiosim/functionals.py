@@ -24,8 +24,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .elliptic import _residuals, _sums_of_squares
-from .grid import Grid, gradient_arrays, integrate, lp_norm
+from .elliptic import _residuals, _sums_of_squares, grid_axes
+from .grid import Grid, face_views, gradient_arrays, integrate, lp_norm
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -301,21 +301,28 @@ def _row_sums(arr: np.ndarray) -> list[float]:
     return np.add.reduce(arr.reshape(len(arr), -1), axis=-1).tolist()
 
 
-def _entropies(fu: np.ndarray, means, vol: float) -> list[float]:
+def _entropies(fu: np.ndarray, means, vol: float, scratch=None) -> list[float]:
     """int u log(u / ubar) of each row of a positive (B, m) array, given the rows'
     means, summed as ubar ((1 + z) log1p(z) - z) >= 0 with z = u / ubar - 1: no
-    cancellation across cells."""
-    z = fu / np.array(means).reshape(-1, 1) - 1.0
-    return [mean * s * vol for mean, s in zip(means, _row_sums((1.0 + z) * np.log1p(z) - z))]
+    cancellation across cells. scratch, if given, is two arrays shaped like fu,
+    which receive z and the integrand."""
+    z, term = (None, None) if scratch is None else scratch
+    z = np.divide(fu, np.array(means).reshape(-1, 1), out=z)
+    z -= 1.0
+    term = np.log1p(z, out=term)
+    term *= 1.0 + z
+    term -= z
+    return [mean * s * vol for mean, s in zip(means, _row_sums(term))]
 
 
-def _grad_l2_rows(v: np.ndarray, grid: Grid) -> list[float]:
+def _grad_l2_rows(v: np.ndarray, grid: Grid, faces=None) -> list[float]:
     """L2 norm of the face gradient of each member of a (B, *cells) batch, finite
-    wherever the true norm is."""
+    wherever the true norm is; faces, if given, receive the gradients (see
+    gradient_arrays)."""
     n = len(v)
     # per axis, scaled by 2**-e where the squares overflow
     sums, e = _sums_of_squares(
-        [g.reshape(n, -1) for g in gradient_arrays(v, grid.spacing)], (-1,))
+        [g.reshape(n, -1) for g in gradient_arrays(v, grid.spacing, faces)], (-1,))
     sums = [a.tolist() for a in sums]
     norms = []
     for b, e_b in enumerate(e.tolist()):
@@ -326,10 +333,29 @@ def _grad_l2_rows(v: np.ndarray, grid: Grid) -> list[float]:
     return norms
 
 
-def _l2_rows(arr: np.ndarray, vol: float) -> list[float]:
-    """L2 norm of each row of a (B, m) array, finite wherever the true norm is."""
-    (sums,), e = _sums_of_squares([arr], (-1,))
+def _l2_rows(arr: np.ndarray, vol: float, squares: np.ndarray) -> list[float]:
+    """L2 norm of each row of a (B, m) array, finite wherever the true norm is;
+    squares is scratch shaped like arr."""
+    (sums,), e = _sums_of_squares([arr], (-1,), squares)
     return np.ldexp([(s * vol) ** 0.5 for s in sums.tolist()], e).tolist()
+
+
+def _equilibrium_sums(fu: np.ndarray, carry: np.ndarray, z, log1p) -> list[float]:
+    """Per row of a positive (B, m) array, the sum of u/b - 1 - log(u/b) >= 0,
+    b being the row's entry of the (B, 1) column carry. It is summed as
+    z - log1p(z), z = u/b - 1, with z and log1p(z) in the given scratch arrays
+    shaped like fu. In a cell where z rounds to -1 (u below about 1e-16 b),
+    log1p(z) would read -inf, and log(u/b) is taken as log(u) - log(b) there."""
+    np.divide(fu, carry, out=z)
+    z -= 1.0
+    if z.min() > -1.0:
+        np.log1p(z, out=log1p)
+    else:
+        low = z == -1.0
+        np.log1p(z, out=log1p, where=~low)
+        np.subtract(np.log(fu), np.log(carry), out=log1p, where=low)
+    z -= log1p
+    return _row_sums(z)
 
 
 def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[DiagnosticsRecord]:
@@ -341,39 +367,50 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     scalar arithmetic runs per member in Python floats. Every reduction sums
     one member's C-contiguous row, in the order the flat values of a lone
     member sum, so each row is byte-identical to the record of its member alone.
+    The intermediate arrays, |u| and |v| among them, share two scratch arrays
+    shaped like u. A third is made only for a column's squares and for F1's
+    1 + z, where no ufunc runs over a strided grid axis: numpy buffers those
+    in arrays of its own.
     """
     u, v, w = (np.ascontiguousarray(a) for a in (u, v, w))
     n, m, vol = len(params), grid.n_cells, grid.cell_volume
+    scratch = np.empty((2,) + u.shape)
+    flat = scratch.reshape(2, n, m)
     fu, fv = u.reshape(n, m), v.reshape(n, m)
     targets = [(p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0
                for p, u0 in zip(params, u0_means)]
     column = np.array(targets).reshape(n, 1)
     sum_u, sum_v = _row_sums(fu), _row_sums(fv)
     min_u, min_v = fu.min(axis=-1).tolist(), fv.min(axis=-1).tolist()
-    linf_u, linf_v = (np.abs(f).max(axis=-1).tolist() for f in (fu, fv))
-    l2_dev_u, l2_dev_v = (_l2_rows(f - column, vol) for f in (fu, fv))
-    l2_grad_v = _grad_l2_rows(v, grid)
-    grad_w = [np.abs(g).reshape(n, -1).max(axis=-1).tolist()
-              for g in gradient_arrays(w, grid.spacing)]
+    linf_u, linf_v = (np.abs(f, out=flat[0]).max(axis=-1).tolist() for f in (fu, fv))
+    l2_dev_u, l2_dev_v = (_l2_rows(np.subtract(f, column, out=flat[0]), vol, flat[1])
+                          for f in (fu, fv))
+    faces = face_views(scratch[:grid.dim], u.shape)  # an axis's face values per block
+    l2_grad_v = _grad_l2_rows(v, grid, faces)
+    grad_w = [np.abs(g, out=g).max(axis=grid_axes(grid)).tolist()
+              for g in gradient_arrays(w, grid.spacing, faces)]
     # the potential solve gated these same numbers bit for bit; taking them from
     # it would change solve_neumann_poisson's return, which perfbench's tracer
     # unpacks as three values, so that waits for the in-package spans (ROADMAP 1)
-    residual = _residuals(u, w, grid).tolist()
+    residual = _residuals(u, w, grid, scratch).tolist()
 
     # F1 on growth-free members, F2 on logistic ones, where u > 0
     ent = [math.nan] * n
     f1_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a == 0.0 and p.mu == 0.0]
     if f1_rows:
-        f1_ent = _entropies(_rows(fu, f1_rows, n), [sum_u[b] / m for b in f1_rows], vol)
+        k = len(f1_rows)
+        f1_ent = _entropies(_rows(fu, f1_rows, n), [sum_u[b] / m for b in f1_rows], vol,
+                            flat[:, :k])
         for b, e in zip(f1_rows, f1_ent):
             ent[b] = e
     f2_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a > 0.0 and p.mu > 0.0]
     vdev = [0.0] * n
     if f2_rows:
+        k = len(f2_rows)
         carry = _rows(column, f2_rows, n)
-        z = _rows(fu, f2_rows, n) / carry - 1.0
-        d = _rows(fv, f2_rows, n) - carry
-        for b, s, sv in zip(f2_rows, _row_sums(z - np.log1p(z)), _row_sums(d * d)):
+        sums = _equilibrium_sums(_rows(fu, f2_rows, n), carry, flat[0, :k], flat[1, :k])
+        d = np.subtract(_rows(fv, f2_rows, n), carry, out=flat[0, :k])
+        for b, s, sv in zip(f2_rows, sums, _row_sums(np.multiply(d, d, out=flat[1, :k]))):
             ent[b] = targets[b] * s * vol
             vdev[b] = sv * vol
     records = []

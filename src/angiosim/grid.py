@@ -30,6 +30,7 @@ __all__ = [
     "Field",
     "build_grid",
     "face_slices",
+    "face_views",
     "laplacian_array",
     "gradient_arrays",
     "divergence_arrays",
@@ -173,10 +174,32 @@ def laplacian_array(vals: np.ndarray, spacing, out=None, faces=None) -> np.ndarr
     return out
 
 
-def gradient_arrays(vals: np.ndarray, spacing) -> list[np.ndarray]:
-    """Centered normal derivative on the interior faces, one array per axis."""
-    return [(vals[hi] - vals[lo]) / h
-            for (lo, hi), h in zip(face_slices(len(spacing)), spacing)]
+def face_views(buffers, shape) -> list[np.ndarray]:
+    """Per grid axis k, a C-contiguous view of the start of the contiguous array
+    buffers[k], shaped like the interior faces of an array of this shape whose
+    trailing len(buffers) axes are the grid's. One buffer may serve axes that
+    are used one at a time."""
+    dim = len(buffers)
+    views = []
+    for k, buffer in enumerate(buffers):
+        axis = len(shape) - dim + k
+        faces = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
+        views.append(buffer.reshape(-1)[:math.prod(faces)].reshape(faces))
+    return views
+
+
+def gradient_arrays(vals: np.ndarray, spacing, out=None) -> list[np.ndarray]:
+    """Centered normal derivative on the interior faces, one array per axis;
+    out, if given, holds an array per axis shaped like its faces, which receive
+    them."""
+    if out is None:
+        out = [None] * len(spacing)
+    grads = []
+    for (lo, hi), h, dst in zip(face_slices(len(spacing)), spacing, out):
+        g = np.subtract(vals[hi], vals[lo], out=dst)
+        g /= h
+        grads.append(g)
+    return grads
 
 
 def divergence_arrays(fluxes, spacing, shape, out=None, net=None) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Array oracles the tests check the simulator against: the entropy, the
 gradient norm and the Lyapunov functionals of one SimState in plain numpy, the
-discrete mass law of u between records, and a step's transport computed with a
-fresh array for every intermediate."""
+discrete mass law of u between records, a step's transport computed with a
+fresh array for every intermediate, and the 2D multiplier packing by fancy
+indices."""
 import math
 
 import numpy as np
@@ -45,8 +46,13 @@ def lyap_F2(state, p) -> float:
     if uvals.min() <= 0.0:
         raise ValueError("F2 needs a strictly positive cell density")
     z = uvals / b - 1.0
+    # where z rounds to -1 (u below about 1e-16 b), log1p(z) reads -inf, and the
+    # integrand's log(u/b) is log(u) - log(b)
+    low = z == -1.0
+    log_ratio = np.log1p(np.where(low, 0.0, z))
+    log_ratio[low] = np.log(uvals[low]) - np.log(b)
     vol = state.grid.cell_volume
-    ent = float(b * np.sum(z - np.log1p(z)) * vol)
+    ent = float(b * np.sum(z - log_ratio) * vol)
     vdev = state.v.ravel() - b
     return ent + (b * p.chi ** 2 / (2.0 * p.d)) * float(np.sum(vdev * vdev) * vol)
 
@@ -148,3 +154,20 @@ def allocating_transport(grid, params, cfg, u, v, w):
                            1.0 / (1.0 + dt + dt * d * lam)])
     out = apply_packed(stacked, pack_multiplier(mult, grid.dim))
     return out[:n], out[n:]
+
+
+def pack_2d(m):
+    """(p, q) of a 2D multiplier as elliptic._pack_2d documents them, each half
+    gathered by fancy indices and stacked."""
+    n1, n2 = m.shape[-2:]
+    k2 = np.arange(n2 // 2 + 1)
+    flip1 = -np.arange(n1) % n1
+    at = m[..., :, k2]                  # M(k1, k2)
+    at_neg2 = m[..., :, -k2 % n2]       # M(k1, -k2)
+    at_neg1 = at[..., flip1, :]         # M(-k1, k2)
+    at_neg = at_neg2[..., flip1, :]     # M(-k1, -k2)
+    p = np.stack(((at + at_neg) / 2, (at_neg1 + at_neg2) / 2), axis=-1)
+    p[..., 0, :, 0] = at[..., 0, :]
+    p[..., 0, :, 1] = at_neg2[..., 0, :]
+    q = np.stack(((at_neg - at) / 2, (at_neg2 - at_neg1) / 2), axis=-1)[..., 1:, :, :]
+    return p, np.ascontiguousarray(q)

@@ -676,15 +676,17 @@ def test_step_transport_matches_the_allocating_oracle(flux_scheme, n_members, di
         stepped = stepper.step(0.0, *batch)
         for got, expected in zip(stepped[:2], want):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-        # the parts whose last bits a step of 2e-5 hides, written into the step's
-        # own work arrays: the face speeds and the reaction
+        # the parts whose last bits a step of 2e-5 hides, written where the step
+        # writes them: the face speeds into its work arrays, the reaction into
+        # v's half of the (2B, *cells) array it returns
         buf = stepper._work(batch[0].shape)
         speeds = _face_speeds(g, *batch[1:], *stepper._cols[:3], out=(*buf.speeds, buf.face))
         want = oracles.face_speeds(g, now, *batch[1:])
         assert [[a.tobytes() for a in species] for species in speeds] == \
             [[a.tobytes() for a in species] for species in want]
         if any(p.a or p.mu for p in now):
-            react = stepper._reaction(batch[0], out=buf.stacked[len(now):])
+            stacked = np.empty((2 * len(now),) + batch[0].shape[1:])
+            react = stepper._reaction(batch[0], out=stacked[len(now):])
             assert react.tobytes() == oracles.reaction(now, batch[0]).tobytes()
         batch = stepped
 
@@ -743,6 +745,26 @@ def test_a_2d_step_allocates_only_the_arrays_it_returns():
     # slack of two such arrays for numpy's own temporaries; a step that builds
     # its intermediates afresh peaks about eight arrays higher
     assert peak <= returned + 2 * batch[0].nbytes
+
+
+def test_a_2d_stepper_holds_only_its_packed_multipliers():
+    # u's and v's packed multipliers are 2.11 MB at 256^2, and the stepper holds
+    # no other grid-sized array
+    g = build_grid(2, 1.0, (256, 256))
+    members = [params(a=1.0, mu=1.0, n_dim=2)]
+    Stepper(g, members, SolverConfig(dt=1e-5, t_end=1.0))  # warms the plan caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stepper = Stepper(g, members, SolverConfig(dt=1e-5, t_end=1.0))
+        held, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in stepper._packed_uv) <= held <= 2.2e6
+    # the multipliers are built in one (2, *cells) array (1.05 MB) and packed
+    # straight into their arrays: building costs that array and numpy's own
+    # ufunc buffers, not a copy per packed term
+    assert peak <= held + 1.5e6
 
 
 def test_a_1d_step_reuses_its_transform_buffers():

@@ -26,6 +26,7 @@ from angiosim.grid import (
     lp_norm,
     build_grid as bg,
 )
+import oracles
 
 TOL = 1e-10
 
@@ -347,13 +348,22 @@ def test_implicit_diffusions_match_sparse_oracle(g):
     assert np.max(np.abs(v1[0].ravel() - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
 
 
+def packed_row(stepper, row):
+    """Row row of the stepper's packed diffusion multipliers: u's are rows 0..B-1,
+    v's B..2B-1."""
+    return tuple(arr[row] for arr in stepper._packed_uv)
+
+
 def test_zero_mode_multipliers_are_exact():
+    # the packed arrays open with (M(0), M(-0)) on 1D grids and (M(0,0), M(0,-0))
+    # on 2D grids: both halves of the constant mode
     dt = 0.013
     for g in ORACLE_GRIDS:
         p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=2.5, a=0.0, mu=0.0, theta=1.0, n_dim=g.dim)
         stepper = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0))
-        assert stepper._mult_u.flat[0] == 1.0
-        assert stepper._mult_v.flat[0] == 1.0 / (1.0 + dt)
+        u_mult, v_mult = (packed_row(stepper, row)[0].ravel()[:2] for row in (0, 1))
+        assert u_mult.tolist() == [1.0, 1.0]
+        assert v_mult.tolist() == [1.0 / (1.0 + dt)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +397,8 @@ def test_1d_zero_mode_multipliers_keep_mass_laws(n):
     stepper = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0))
     x = np.stack([random_positive_field(g, seed) for seed in (n, n + 1)])
     mass = x.sum(axis=-1)
-    u1 = apply_packed(x, pack_multiplier(stepper._mult_u, 1)).sum(axis=-1)
-    v1 = apply_packed(x, pack_multiplier(stepper._mult_v, 1)).sum(axis=-1)
+    u1 = apply_packed(x, packed_row(stepper, 0)).sum(axis=-1)
+    v1 = apply_packed(x, packed_row(stepper, 1)).sum(axis=-1)
     assert np.all(np.abs(u1 - mass) <= 1e-13 * mass)
     assert np.all(np.abs((1.0 + dt) * v1 - mass) <= 1e-13 * mass)
 
@@ -423,7 +433,46 @@ def test_2d_zero_mode_multipliers_keep_mass_laws(shape):
     stepper = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0))
     x = np.stack([random_positive_field(g, seed) for seed in (7, 8)])
     mass = x.sum(axis=(-2, -1))
-    u1 = apply_packed(x, pack_multiplier(stepper._mult_u, 2)).sum(axis=(-2, -1))
-    v1 = apply_packed(x, pack_multiplier(stepper._mult_v, 2)).sum(axis=(-2, -1))
+    u1 = apply_packed(x, packed_row(stepper, 0)).sum(axis=(-2, -1))
+    v1 = apply_packed(x, packed_row(stepper, 1)).sum(axis=(-2, -1))
     assert np.all(np.abs(u1 - mass) <= 1e-13 * mass)
     assert np.all(np.abs((1.0 + dt) * v1 - mass) <= 1e-13 * mass)
+
+
+@pytest.mark.parametrize("cells", [(7,), (8,), (5, 7), (6, 8), (9, 4)],
+                         ids=lambda c: "x".join(map(str, c)))
+def test_apply_packed_in_place_matches_the_allocating_call(cells):
+    rng = np.random.default_rng(sum(cells))
+    x = rng.standard_normal((3,) + cells)
+    for mult in (rng.uniform(0.1, 2.0, cells), rng.uniform(0.1, 2.0, (3,) + cells)):
+        packed = pack_multiplier(mult, len(cells))
+        want = apply_packed(x, packed)
+        y = x.copy()
+        assert apply_packed(y, packed, out=y) is y
+        assert y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", MAKHOUL_SHAPES_2D[:-1] + [(4, 4), (5, 4), (33, 17)])
+def test_2d_packing_matches_the_fancy_index_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    for mult in (rng.uniform(0.1, 2.0, shape), rng.uniform(0.1, 2.0, (3,) + shape)):
+        got, want = pack_multiplier(mult, 2), oracles.pack_2d(mult)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.flags.c_contiguous and not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("g", [build_grid(1, 1.0, 33), build_grid(2, (1.0, 1.5), (6, 9))],
+                         ids=["33", "6x9"])
+def test_keep_slices_the_packed_multipliers_of_the_kept_members(g):
+    members = [ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=0.5 + j, a=0.0, mu=0.0, theta=1.0,
+                           n_dim=g.dim) for j in range(5)]
+    cfg = SolverConfig(dt=0.013, t_end=1.0)
+    stepper = Stepper(g, members, cfg)
+    for rows in ([4, 1, 2], [2, 0]):
+        stepper.keep(rows)
+        members = [members[r] for r in rows]
+        fresh = Stepper(g, members, cfg)
+        assert [a.tobytes() for a in stepper._packed_uv] == \
+            [a.tobytes() for a in fresh._packed_uv]
+        assert not any(a.flags.writeable for a in stepper._packed_uv)

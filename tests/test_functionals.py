@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -475,3 +478,45 @@ def test_gradient_norm_of_a_member_beyond_the_square_range(dim):
         near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
     assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))
     assert math.isfinite(far.l2_grad_v) and far.l2_grad_v == big * near.l2_grad_v
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.0])
+def test_f2_of_a_cell_far_below_the_carrying_state_is_finite(theta):
+    # at u = 1e-17 b, z = u/b - 1 rounds to -1 and log1p(z) would read -inf;
+    # the integrand u - b - b log(u/b) is finite there, and the other members
+    # keep the bytes of their lone records
+    grid = build_grid(1, 1.0, 8)
+    p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.5, a=2.0, mu=0.5, theta=theta, n_dim=1)
+    b = (p.a / p.mu) ** (1.0 / p.theta)
+    u = np.linspace(0.5, 1.5, 8) * b
+    u[3] = 1e-17 * b
+    low = state_of(grid, u, np.full(8, 0.7))
+    high, q, u0 = random_member(grid, "logistic_theta2", False, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = diagnostics_record(low, p, 1.0)
+        rows = diagnostics_batch(0.375, *(np.stack([getattr(s, name) for s in (high, low)])
+                                          for name in "uvw"), grid, [q, p], [u0, 1.0])
+    assert math.isfinite(rec.F2) and rec.F2 > 0.0
+    assert record_bytes(rec) == record_bytes(reference_record(low, p, 1.0))
+    assert record_bytes(rows[1]) == record_bytes(dataclasses.replace(rec, t=0.375))
+    assert record_bytes(rows[0]) == record_bytes(diagnostics_record(high, q, u0))
+
+
+def test_a_2d_record_stays_within_three_grid_arrays():
+    # two scratch arrays shared by every column, and a third only for squares
+    # and F1's 1 + z: three grid arrays, 1.57 MB at 256^2
+    grid = build_grid(2, 1.0, (256, 256))
+    rng = np.random.default_rng(4)
+    u = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, grid.cells)
+    state = state_of(grid, u, 1.0 + 0.1 * rng.uniform(-1.0, 1.0, grid.cells))
+    p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=2)
+    diagnostics_record(state, p, 1.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        diagnostics_record(state, p, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6e6
