@@ -53,6 +53,7 @@ from .elliptic import (
     neumann_eigenvalues,
     pack_multiplier,
     solve_neumann_poisson,
+    transform_buffers,
 )
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
 from .grid import FLOAT_FMT, Grid, divergence_arrays, face_slices, face_views
@@ -201,24 +202,26 @@ class StepFailure(RuntimeError):
 
 def _profile_values(grid: Grid, profile: str, base: float, amp: float, rng) -> np.ndarray:
     """A profile's cell values, shaped like the grid; rng() returns the Generator
-    that random profiles draw from, and only they call it."""
-    coords = grid.cell_coordinates()
+    that random profiles draw from, and only they call it. Only the bumps build the
+    cell coordinates."""
     if profile == "constant":
         vals = np.full(grid.cells, base)
     elif profile == "cosine_bump":
         vals = np.full(grid.cells, base)
         bump = np.ones(grid.cells)
-        for x, L in zip(coords, grid.lengths):
+        for x, L in zip(grid.cell_coordinates(), grid.lengths):
             bump = bump * np.cos(math.pi * x / L)
         vals += amp * bump
     elif profile == "gaussian_bump":
         r2 = np.zeros(grid.cells)
-        for x, L in zip(coords, grid.lengths):
+        for x, L in zip(grid.cell_coordinates(), grid.lengths):
             s = L / 8.0
             r2 += ((x - 0.5 * L) / s) ** 2
         vals = base + amp * np.exp(-0.5 * r2)
     elif profile == "random_positive":
-        vals = base + amp * rng().uniform(-1.0, 1.0, size=grid.cells)
+        vals = rng().uniform(-1.0, 1.0, size=grid.cells)
+        vals *= amp  # base + amp * draw, in place: the same bits
+        vals += base
     else:  # pragma: no cover - InitialSpec already validated
         raise ValueError(profile)
     return vals
@@ -314,19 +317,38 @@ class _Buffers:
       potential's centred u, Laplacian and squares (potential). A 1D batch has a
       third block for that;
     - face and mask: one axis's face values, fluxes or face differences, and the
-      upwind sign.
+      upwind sign;
+    - diffusion, and potential's last entry: the transform pairs' buffers
+      (elliptic.transform_buffers). In 2D one set serves both pairs, carved out of
+      arrays idle while a pair runs: one member's reordered input out of the face
+      array, and the half spectrum and q term out of the blocks after the first.
+      The diffusion pair runs after both advections, and the potential's reads only
+      the centred u in the first block, before the Laplacian, squares and face
+      differences are written. The three blocks after the first always hold them:
+      3 n1 n2 floats against 1 + 2 (2 n1 - 1)(n2 // 2 + 1), with at least 4 cells
+      an axis. In 1D the stepper holds one set for the stacked (2B, n) diffusion
+      pair, and its first B rows serve the potential's.
     """
 
     def __init__(self, shape):
         self.shape = shape
         dim = len(shape) - 1
         self.blocks = np.empty((max(2 * dim, 3),) + shape)
+        face = np.empty(shape)
+        if dim == 1:
+            self.diffusion = transform_buffers((2 * shape[0],) + shape[1:], dim)
+            transform = tuple(a[:shape[0]] for a in self.diffusion)
+        else:
+            size = math.prod(shape)
+            start = size + size % 2  # past the first block, 16-byte aligned for complex
+            self.diffusion = transform = transform_buffers(
+                shape, dim, (face.reshape(-1), self.blocks.reshape(-1)[start:]))
         self.speeds = [face_views(self.blocks[:dim], shape),
                        face_views(self.blocks[dim:2 * dim], shape)]
-        self.face = face_views([np.empty(shape)] * dim, shape)
+        self.face = face_views([face] * dim, shape)
         self.mask = face_views([np.empty(shape, dtype=bool)] * dim, shape)
         self.spare = self.blocks[0]
-        self.potential = (*self.blocks[:3], self.face)
+        self.potential = (*self.blocks[:3], self.face, transform)
 
 
 class Stepper:
@@ -458,7 +480,8 @@ class Stepper:
         # u's speeds are used up, so their first block is free
         self._advect(v_star, v, a_v, net=buf.spare)
         v_star += np.multiply(u, cfg.dt, out=buf.spare)
-        apply_packed(out, self._packed_uv, out=out)
+        # the advections are done, so the face array and every block are free
+        apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
         return out[:n], out[n:]
 
     def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

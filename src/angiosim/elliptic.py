@@ -11,12 +11,14 @@ The transform pair is one numpy.fft family: a real FFT pair with Makhoul's even/
 reordering of every grid axis (J. Makhoul, IEEE TASSP 28, 1980), in a 1D form over the
 last axis and a 2D form over the last two (_apply_1d, _apply_2d). A multiplier enters
 it packed once (pack_multiplier) into the real and imaginary parts of the twiddled half
-spectrum. numpy.fft imports in milliseconds and scipy.fft in about a third of a second,
-which would be most of a run's or a sweep's start-up.
+spectrum. The pair works in buffers its caller passes (transform_buffers): a time
+stepper carves them out of work arrays that are idle while the pair runs, and a caller
+without any gets fresh ones that die with the call. numpy.fft imports in milliseconds
+and scipy.fft in about a third of a second, which would be most of a run's or a sweep's
+start-up.
 """
 import functools
 import math
-import threading
 from collections import namedtuple
 
 import numpy as np
@@ -86,14 +88,44 @@ def pack_multiplier(multiplier: np.ndarray, dim: int) -> tuple:
     return packed
 
 
-def apply_packed(vals: np.ndarray, packed: tuple, out=None) -> np.ndarray:
+def apply_packed(vals: np.ndarray, packed: tuple, out=None, buffers=None) -> np.ndarray:
     """DCT-II, multiply by a pack_multiplier multiplier, inverse DCT-II over the trailing
     grid axes, into out: a C-contiguous array shaped like vals, which may be vals itself,
     or a fresh C-contiguous one. The output is never a fancy index's, which would have
-    another memory layout, and np.add.reduce over it would sum in another order."""
+    another memory layout, and np.add.reduce over it would sum in another order.
+    buffers, if given, are the pair's work arrays as transform_buffers makes them for
+    vals.shape, all overwritten; they must share no memory with vals or out. Fresh ones
+    are made otherwise. Either way the output has the same bytes."""
     if out is None:
         out = np.empty(vals.shape)
-    return _apply_1d(vals, *packed, out) if len(packed) == 1 else _apply_2d(vals, *packed, out)
+    if buffers is None:
+        buffers = transform_buffers(vals.shape, len(packed))
+    return (_apply_1d if len(packed) == 1 else _apply_2d)(vals, *packed, out, *buffers)
+
+
+def transform_buffers(shape, dim: int, memory=None) -> tuple:
+    """The work arrays of a transform pair over the last dim axes of arrays of this
+    shape. In 1D they are the reordered input, which also receives the inverse, and
+    the half spectrum, each shaped like the whole batch; in 2D, where the members run
+    one at a time, one member's reordered input, half spectrum and q term (see
+    _apply_2d). With memory, two flat float arrays, the 2D set is carved out of them:
+    the reordered input from the first, which holds at least n1 n2 floats, and the
+    half spectrum and q term back to back from the second, which holds at least
+    2 (2 n1 - 1)(n2 // 2 + 1) and starts 16-byte aligned for the complex view.
+    Otherwise the arrays are fresh, three in 2D: one megabyte-sized array, freed at
+    256 x 256, would raise malloc's mmap threshold past a grid array's size and leave
+    the later ones of a run on its heap, for 0.3 MB more peak RSS."""
+    half = shape[-1] // 2 + 1
+    if dim == 1:
+        return np.empty(shape), np.empty(shape[:-1] + (half,), np.complex128)
+    n1, n2 = shape[-2:]
+    if memory is None:
+        return (np.empty((n1, n2)), np.empty((n1, half), np.complex128),
+                np.empty((n1 - 1, half, 2)))
+    v, zt = memory
+    return (v[:n1 * n2].reshape(n1, n2),
+            zt[:2 * n1 * half].view(np.complex128).reshape(n1, half),
+            zt[2 * n1 * half:2 * (2 * n1 - 1) * half].reshape(n1 - 1, half, 2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -108,7 +140,8 @@ def _makhoul_plan(n: int):
     return plan
 
 
-def _apply_1d(vals: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _apply_1d(vals: np.ndarray, p: np.ndarray, out: np.ndarray, v: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
     """apply_packed over the last axis, through one real FFT pair.
 
     With the last axis reordered to x[0::2], x[1::2][::-1] and V = rfft of that,
@@ -116,13 +149,12 @@ def _apply_1d(vals: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
     unnormalised DCT-II (X_n = 0). Scaling Re Z_k by m_k and Im Z_k by m_{n-k}
     (m_n = m_0), which p holds interleaved, and rotating back gives the reordered
     output's spectrum. No normalisation constants enter. The reordering and both
-    FFTs write into this thread's reused buffers (_workspace), which hold all of vals
-    before out is written.
+    FFTs write into the caller's buffers v and z, shaped like vals and like its half
+    spectrum, which hold all of vals before out is written.
     """
     n = vals.shape[-1]
     half = (n + 1) // 2
     _pairs, down, up = _makhoul_plan(n)
-    v, z = _workspace(vals.shape)
     v[..., :half] = vals[..., ::2]
     v[..., half:] = vals[..., 1::2][..., ::-1]
     np.fft.rfft(v, out=z)
@@ -186,7 +218,8 @@ def _pack_2d(m: np.ndarray):
     return p, q
 
 
-def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
+              v: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """apply_packed over the last two axes, through one real 2D FFT pair.
 
     With both axes reordered as in _apply_1d and V = fft(rfft(v), axis=-2),
@@ -197,17 +230,17 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray) -
     p (Re Z, Im Z) + q (Im Z', Re Z'). Row 0 pairs with the mode index n1, where X is
     0, not with FFT row 0 again: Z(0,k2) = X(0,k2) - i X(0,n2-k2) as in 1D, and p alone
     scales Re Z by M(0,k2) and Im Z by M(0,-k2).
-    Each member runs on its own in this thread's reused buffers (_workspace), so a batch
-    row gets the bytes of a single call, and its row of vals is read whole before its row
-    of out is written. The FFTs write in place (out=), and the reorderings are strided
-    slice copies, which cost tens of times less than a fancy index.
+    Each member runs on its own in the caller's buffers (transform_buffers): v, one
+    member's reordered input, z its half spectrum and t the q term, so a batch row gets
+    the bytes of a single call, and its row of vals is read whole before its row of out
+    is written. The FFTs write in place (out=), and the reorderings are strided slice
+    copies, which cost tens of times less than a fancy index.
     """
     n1, n2 = vals.shape[-2:]
     quadrants, up = _makhoul_plan_2d(n1, n2)
     batch = vals.shape[:-2]
     p = np.broadcast_to(p, batch + p.shape[-3:])
     q = np.broadcast_to(q, batch + q.shape[-3:])
-    v, z, t = _workspace((n1, n2), 2)
     zf = z.view(np.float64).reshape(z.shape + (2,))
     tc = t.view(np.complex128)[..., 0]
     for row in np.ndindex(batch):
@@ -231,30 +264,6 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray) -
         for reordered, original in quadrants:
             y[original] = v[reordered]
     return out
-
-
-_local = threading.local()
-
-
-def _workspace(shape, axes=1):
-    """This thread's buffers for a transform pair over the last axes of arrays of
-    this shape: the reordered input, which also receives the inverse, the half
-    spectrum and, for a 2D pair (axes=2, shape one n1 x n2 member), the q term.
-    They are reused from call to call, since each fresh half-megabyte array at
-    256 x 256 costs a hundred-odd page faults. A set is kept per shape, since a 1D
-    step alternates the stacked (2B, n) diffusion pair and the (B, n) potential,
-    and one set would be rebuilt twice a step; the oldest of four goes."""
-    sets = _local.__dict__.setdefault("sets", {})
-    key = (shape, axes)
-    if key not in sets:
-        if len(sets) == 4:
-            del sets[next(iter(sets))]
-        half = shape[:-1] + (shape[-1] // 2 + 1,)
-        buffers = (np.empty(shape), np.empty(half, np.complex128))
-        if axes == 2:
-            buffers += (np.empty((shape[0] - 1,) + half[1:] + (2,)),)
-        sets[key] = buffers
-    return sets[key]
 
 
 @functools.lru_cache(maxsize=8)
@@ -290,13 +299,15 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
     eps on the second.
     The second is computed only for members that fail the first.
 
-    work, if given, is (centred u, Laplacian, squares, face differences per axis):
-    three arrays shaped like u and a list as laplacian_array's faces, all of them
-    overwritten. w is always a fresh array."""
+    work, if given, is (centred u, Laplacian, squares, face differences per axis,
+    transform buffers): three arrays shaped like u, a list as laplacian_array's faces
+    and the transform pair's buffers (transform_buffers), all of them overwritten. The
+    pair reads only the centred u, so its buffers may share memory with the Laplacian,
+    the squares and the faces, which are written after it. w is always a fresh array."""
     u = np.asarray(u, dtype=np.float64)
-    rhs, lap, squares, faces = (None,) * 4 if work is None else work
+    rhs, lap, squares, faces, buffers = (None,) * 5 if work is None else work
     b = np.subtract(u, grid_mean(u, grid), out=rhs)
-    w = apply_packed(b, _pseudo_inverse(grid))
+    w = apply_packed(b, _pseudo_inverse(grid), buffers=buffers)
     w -= grid_mean(w, grid)
     r = _centred_residual(laplacian_array(w, grid.spacing, lap, faces), b, grid)
     res = _relative_residuals(b, r, grid, squares)

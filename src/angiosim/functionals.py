@@ -305,11 +305,13 @@ def _entropies(fu: np.ndarray, means, vol: float, scratch=None) -> list[float]:
     """int u log(u / ubar) of each row of a positive (B, m) array, given the rows'
     means, summed as ubar ((1 + z) log1p(z) - z) >= 0 with z = u / ubar - 1: no
     cancellation across cells. scratch, if given, is two arrays shaped like fu,
-    which receive z and the integrand."""
+    which receive z and the integrand. A cell where z rounds to -1 adds 1, its
+    (1 + z) log(u / ubar) being 0 (see _log_ratio)."""
     z, term = (None, None) if scratch is None else scratch
-    z = np.divide(fu, np.array(means).reshape(-1, 1), out=z)
+    column = np.array(means).reshape(-1, 1)
+    z = np.divide(fu, column, out=z)
     z -= 1.0
-    term = np.log1p(z, out=term)
+    term = _log_ratio(fu, column, z, term)
     term *= 1.0 + z
     term -= z
     return [mean * s * vol for mean, s in zip(means, _row_sums(term))]
@@ -340,21 +342,26 @@ def _l2_rows(arr: np.ndarray, vol: float, squares: np.ndarray) -> list[float]:
     return np.ldexp([(s * vol) ** 0.5 for s in sums.tolist()], e).tolist()
 
 
+def _log_ratio(fu: np.ndarray, column: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
+    """log(u/c) of a positive (B, m) array, c being the row's entry of the (B, 1)
+    column, given z = u/c - 1, into out if given: log1p(z), except in a cell where
+    z rounds to -1 (u below about 1e-16 c). log1p(z) would read -inf there, and
+    log(u) - log(c) is taken, with no warning."""
+    if z.min() > -1.0:
+        return np.log1p(z, out=out)
+    low = z == -1.0
+    out = np.log1p(z, out=out, where=~low)
+    return np.subtract(np.log(fu), np.log(column), out=out, where=low)
+
+
 def _equilibrium_sums(fu: np.ndarray, carry: np.ndarray, z, log1p) -> list[float]:
     """Per row of a positive (B, m) array, the sum of u/b - 1 - log(u/b) >= 0,
     b being the row's entry of the (B, 1) column carry. It is summed as
-    z - log1p(z), z = u/b - 1, with z and log1p(z) in the given scratch arrays
-    shaped like fu. In a cell where z rounds to -1 (u below about 1e-16 b),
-    log1p(z) would read -inf, and log(u/b) is taken as log(u) - log(b) there."""
+    z - log(u/b), z = u/b - 1, with z and log(u/b) (_log_ratio) in the given
+    scratch arrays shaped like fu."""
     np.divide(fu, carry, out=z)
     z -= 1.0
-    if z.min() > -1.0:
-        np.log1p(z, out=log1p)
-    else:
-        low = z == -1.0
-        np.log1p(z, out=log1p, where=~low)
-        np.subtract(np.log(fu), np.log(carry), out=log1p, where=low)
-    z -= log1p
+    z -= _log_ratio(fu, carry, z, log1p)
     return _row_sums(z)
 
 

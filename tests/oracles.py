@@ -17,7 +17,16 @@ def entropy(vals, grid) -> float:
     u = vals.ravel()
     ubar = float(u.mean())
     z = u / ubar - 1.0
-    return ubar * float(np.sum((1.0 + z) * np.log1p(z) - z)) * grid.cell_volume
+    return ubar * float(np.sum((1.0 + z) * log_ratio(u, ubar, z) - z)) * grid.cell_volume
+
+
+def log_ratio(u, c, z):
+    """log(u/c) as log1p(z), z = u/c - 1, except where z rounds to -1 (u below
+    about 1e-16 c): log1p(z) reads -inf there, and log(u/c) is log(u) - log(c)."""
+    low = z == -1.0
+    out = np.log1p(np.where(low, 0.0, z))
+    out[low] = np.log(u[low]) - np.log(c)
+    return out
 
 
 def gradient_norm(vals, grid) -> float:
@@ -46,13 +55,8 @@ def lyap_F2(state, p) -> float:
     if uvals.min() <= 0.0:
         raise ValueError("F2 needs a strictly positive cell density")
     z = uvals / b - 1.0
-    # where z rounds to -1 (u below about 1e-16 b), log1p(z) reads -inf, and the
-    # integrand's log(u/b) is log(u) - log(b)
-    low = z == -1.0
-    log_ratio = np.log1p(np.where(low, 0.0, z))
-    log_ratio[low] = np.log(uvals[low]) - np.log(b)
     vol = state.grid.cell_volume
-    ent = float(b * np.sum(z - log_ratio) * vol)
+    ent = float(b * np.sum(z - log_ratio(uvals, b, z)) * vol)
     vdev = state.v.ravel() - b
     return ent + (b * p.chi ** 2 / (2.0 * p.d)) * float(np.sum(vdev * vdev) * vol)
 

@@ -452,6 +452,36 @@ def test_apply_packed_in_place_matches_the_allocating_call(cells):
         assert y.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n_members", [1, 3])
+@pytest.mark.parametrize("cells", [(7,), (8,), (5, 7), (6, 8), (9, 4)],
+                         ids=lambda c: "x".join(map(str, c)))
+def test_apply_packed_with_caller_buffers_matches_the_fresh_buffer_call(cells, n_members):
+    # the buffers hold NaN before each call, so a value read before it is written
+    # would show; they are also the first rows of a larger 1D set, or a 2D set
+    # carved from longer arrays, as a stepper passes them
+    rng = np.random.default_rng(sum(cells) + n_members)
+    shape = (n_members,) + cells
+    x = rng.standard_normal(shape)
+    sets = [elliptic.transform_buffers(shape, len(cells))]
+    if len(cells) == 1:
+        stacked = elliptic.transform_buffers((2 * n_members,) + cells, 1)
+        sets.append(tuple(a[:n_members] for a in stacked))
+    else:
+        n1, n2 = cells
+        memory = (np.empty(n1 * n2 + 3), np.empty(2 * (2 * n1 - 1) * (n2 // 2 + 1) + 6)[2:])
+        sets.append(elliptic.transform_buffers(shape, 2, memory))
+    for mult in (rng.uniform(0.1, 2.0, cells), rng.uniform(0.1, 2.0, shape)):
+        packed = pack_multiplier(mult, len(cells))
+        want = apply_packed(x, packed)
+        for buffers in sets:
+            for out in (None, x.copy()):
+                for a in buffers:
+                    a[...] = np.nan
+                vals = x if out is None else out  # the second call runs in place
+                got = apply_packed(vals, packed, out=out, buffers=buffers)
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape", MAKHOUL_SHAPES_2D[:-1] + [(4, 4), (5, 4), (33, 17)])
 def test_2d_packing_matches_the_fancy_index_oracle(shape):
     rng = np.random.default_rng(sum(shape))

@@ -503,6 +503,30 @@ def test_f2_of_a_cell_far_below_the_carrying_state_is_finite(theta):
     assert record_bytes(rows[0]) == record_bytes(diagnostics_record(high, q, u0))
 
 
+def test_f1_of_a_cell_far_below_the_mean_is_finite():
+    # at u = 1e-17 ubar, z = u/ubar - 1 rounds to -1 and (1 + z) log1p(z) would
+    # read 0 * -inf; the term (1 + z) log(u/ubar) - z is about 1 there, and the
+    # other members keep the bytes of their lone records
+    grid = build_grid(1, 1.0, 8)
+    p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.5, a=0.0, mu=0.0, theta=1.0, n_dim=1)
+    u = np.linspace(0.5, 1.5, 8)
+    u[3] = 1e-17 * u.mean()
+    low = state_of(grid, u, np.linspace(0.6, 0.9, 8))
+    high, q, u0 = random_member(grid, "growth_free", False, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ent = relative_entropy(u, grid)
+        rec = diagnostics_record(low, p, 1.0)
+        rows = diagnostics_batch(0.375, *(np.stack([getattr(s, name) for s in (high, low)])
+                                          for name in "uvw"), grid, [q, p], [u0, 1.0])
+        expected = reference_record(low, p, 1.0)
+    assert math.isfinite(ent) and ent > 0.0 and ent == entropy(u, grid)
+    assert math.isfinite(rec.F1) and rec.F1 > ent
+    assert record_bytes(rec) == record_bytes(expected)
+    assert record_bytes(rows[1]) == record_bytes(dataclasses.replace(rec, t=0.375))
+    assert record_bytes(rows[0]) == record_bytes(diagnostics_record(high, q, u0))
+
+
 def test_a_2d_record_stays_within_three_grid_arrays():
     # two scratch arrays shared by every column, and a third only for squares
     # and F1's 1 + z: three grid arrays, 1.57 MB at 256^2
