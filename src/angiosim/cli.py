@@ -99,8 +99,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing file, or an --out naming a file
+        print(f"cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command}")
 

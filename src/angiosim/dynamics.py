@@ -14,9 +14,9 @@ with zero-flux boundaries. One step splits as:
      explicit logistic term for u and the +u source for v;
   2. implicit backward-Euler diffusion: (I - dt lap) u and
      ((1+dt) I - dt d lap) v -- the -v decay rides the implicit solve. Both
-     operators are diagonal in the DCT-II basis (see elliptic), so the two
-     solves share one transform pair: u and v are stacked, each row with its
-     own per-mode multiplier;
+     operators are diagonal in the DCT-II basis (see elliptic), so each
+     solve is one transform pair over the batch, with a per-mode multiplier
+     per row;
   3. a fresh potential solve for w from the updated u.
 
 The explicit fluxes telescope and the implicit multipliers are exactly 1 and
@@ -318,16 +318,16 @@ class _Buffers:
       third block for that;
     - face and mask: one axis's face values, fluxes or face differences, and the
       upwind sign;
-    - diffusion, and potential's last entry: the transform pairs' buffers
-      (elliptic.transform_buffers). In 2D one set serves both pairs, carved out of
-      arrays idle while a pair runs: one member's reordered input out of the face
-      array, and the half spectrum and q term out of the blocks after the first.
-      The diffusion pair runs after both advections, and the potential's reads only
-      the centred u in the first block, before the Laplacian, squares and face
-      differences are written. The three blocks after the first always hold them:
-      3 n1 n2 floats against 1 + 2 (2 n1 - 1)(n2 // 2 + 1), with at least 4 cells
-      an axis. In 1D the stepper holds one set for the stacked (2B, n) diffusion
-      pair, and its first B rows serve the potential's.
+    - transform, also potential's last entry: the buffers of every transform pair
+      of a step (elliptic.transform_buffers), each pair B rows wide, carved out of
+      arrays idle while a pair runs: the reordered input out of the face array, and
+      the half spectrum and q term out of the blocks after the first. The diffusion
+      pairs run after both advections, and the potential's reads only the centred u
+      in the first block, before the Laplacian, squares and face differences are
+      written. The blocks after the first always hold them, with at least 4 cells an
+      axis: (max(2 dim, 3) - 1) B n floats against 2 B (n // 2 + 1) in 1D, and
+      3 B n1 n2 against 2 B (2 n1 - 1)(n2 // 2 + 1) in 2D, with room for the one float
+      that aligns the complex view.
     """
 
     def __init__(self, shape):
@@ -335,20 +335,16 @@ class _Buffers:
         dim = len(shape) - 1
         self.blocks = np.empty((max(2 * dim, 3),) + shape)
         face = np.empty(shape)
-        if dim == 1:
-            self.diffusion = transform_buffers((2 * shape[0],) + shape[1:], dim)
-            transform = tuple(a[:shape[0]] for a in self.diffusion)
-        else:
-            size = math.prod(shape)
-            start = size + size % 2  # past the first block, 16-byte aligned for complex
-            self.diffusion = transform = transform_buffers(
-                shape, dim, (face.reshape(-1), self.blocks.reshape(-1)[start:]))
+        size = math.prod(shape)
+        start = size + size % 2  # past the first block, 16-byte aligned for complex
+        self.transform = transform_buffers(
+            shape, dim, (face.reshape(-1), self.blocks.reshape(-1)[start:]))
         self.speeds = [face_views(self.blocks[:dim], shape),
                        face_views(self.blocks[dim:2 * dim], shape)]
         self.face = face_views([face] * dim, shape)
         self.mask = face_views([np.empty(shape, dtype=bool)] * dim, shape)
         self.spare = self.blocks[0]
-        self.potential = (*self.blocks[:3], self.face, transform)
+        self.potential = (*self.blocks[:3], self.face, self.transform)
 
 
 class Stepper:
@@ -359,12 +355,13 @@ class Stepper:
     diagonal in the DCT-II basis: u takes the shared multiplier
     1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda), and the
     stepper holds them only packed for the transform pair, a row per member
-    and species. A step costs two batched transform pairs: one for both
-    diffusions, run in place on the (2B, *cells) array that holds u's and v's
-    explicit updates and that the step returns, and one for the potential
-    solve. Every operation is row by row, so a member gets the same numbers
-    whatever else is in the batch. The work arrays (_Buffers) are kept for the
-    batch's shape; a step allocates only the arrays it returns.
+    and species. A step costs three transform pairs of B rows each, all in
+    the same buffers: u's and v's diffusions, run in place on the two halves
+    of the (2B, *cells) array that holds their explicit updates and that the
+    step returns, and the potential solve. Every operation is row by row, so a
+    member gets the same numbers whatever else is in the batch. The work arrays
+    (_Buffers) are kept for the batch's shape; a step allocates only the arrays
+    it returns.
     """
 
     def __init__(self, grid: Grid, params, cfg: SolverConfig):
@@ -481,8 +478,10 @@ class Stepper:
         self._advect(v_star, v, a_v, net=buf.spare)
         v_star += np.multiply(u, cfg.dt, out=buf.spare)
         # the advections are done, so the face array and every block are free
-        apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
-        return out[:n], out[n:]
+        for rows in (slice(None, n), slice(n, None)):
+            packed = tuple(arr[rows] for arr in self._packed_uv)
+            apply_packed(out[rows], packed, out=out[rows], buffers=buf.transform)
+        return u_star, v_star
 
     def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """w solved from each member's u; 0 for members gone non-finite, which

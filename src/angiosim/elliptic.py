@@ -9,13 +9,14 @@ over the trailing grid axes, so every member of a batch gets the same numbers as
 
 The transform pair is one numpy.fft family: a real FFT pair with Makhoul's even/odd
 reordering of every grid axis (J. Makhoul, IEEE TASSP 28, 1980), in a 1D form over the
-last axis and a 2D form over the last two (_apply_1d, _apply_2d). A multiplier enters
-it packed once (pack_multiplier) into the real and imaginary parts of the twiddled half
-spectrum. The pair works in buffers its caller passes (transform_buffers): a time
-stepper carves them out of work arrays that are idle while the pair runs, and a caller
-without any gets fresh ones that die with the call. numpy.fft imports in milliseconds
-and scipy.fft in about a third of a second, which would be most of a run's or a sweep's
-start-up.
+last axis and a 2D form over the last two (_apply_1d, _apply_2d), each running a whole
+batch in one call. A multiplier enters it packed once (pack_multiplier) into the real
+and imaginary parts of the twiddled half spectrum, shared by the batch or with a row per
+member. The pair works in buffers sized for the batch that its caller passes
+(transform_buffers): a time stepper carves them out of work arrays that are idle while
+the pair runs, and a caller without any gets fresh ones that die with the call.
+numpy.fft imports in milliseconds and scipy.fft in about a third of a second, which
+would be most of a run's or a sweep's start-up.
 """
 import functools
 import math
@@ -105,27 +106,25 @@ def apply_packed(vals: np.ndarray, packed: tuple, out=None, buffers=None) -> np.
 
 def transform_buffers(shape, dim: int, memory=None) -> tuple:
     """The work arrays of a transform pair over the last dim axes of arrays of this
-    shape. In 1D they are the reordered input, which also receives the inverse, and
-    the half spectrum, each shaped like the whole batch; in 2D, where the members run
-    one at a time, one member's reordered input, half spectrum and q term (see
-    _apply_2d). With memory, two flat float arrays, the 2D set is carved out of them:
-    the reordered input from the first, which holds at least n1 n2 floats, and the
-    half spectrum and q term back to back from the second, which holds at least
-    2 (2 n1 - 1)(n2 // 2 + 1) and starts 16-byte aligned for the complex view.
-    Otherwise the arrays are fresh, three in 2D: one megabyte-sized array, freed at
-    256 x 256, would raise malloc's mmap threshold past a grid array's size and leave
-    the later ones of a run on its heap, for 0.3 MB more peak RSS."""
+    shape, whole batch at once: the reordered input, which also receives the inverse,
+    shaped like the batch; the half spectrum, shaped like its last axis halved; and
+    in 2D the q term, (..., n1 - 1, n2 // 2 + 1, 2) (see _apply_2d). With memory, two
+    flat float arrays, they are carved out of them: the reordered input from the
+    first, and the half spectrum and q term back to back from the second, which
+    starts 16-byte aligned for the complex view. Otherwise the arrays are fresh, one
+    each: a single megabyte-sized array, freed at 256 x 256, would raise malloc's
+    mmap threshold past a grid array's size and leave the later ones of a run on its
+    heap, for 0.3 MB more peak RSS."""
     half = shape[-1] // 2 + 1
-    if dim == 1:
-        return np.empty(shape), np.empty(shape[:-1] + (half,), np.complex128)
-    n1, n2 = shape[-2:]
+    spectrum = shape[:-1] + (half,)
+    q_term = [shape[:-2] + (shape[-2] - 1, half, 2)] if dim == 2 else []
     if memory is None:
-        return (np.empty((n1, n2)), np.empty((n1, half), np.complex128),
-                np.empty((n1 - 1, half, 2)))
+        return (np.empty(shape), np.empty(spectrum, np.complex128), *map(np.empty, q_term))
     v, zt = memory
-    return (v[:n1 * n2].reshape(n1, n2),
-            zt[:2 * n1 * half].view(np.complex128).reshape(n1, half),
-            zt[2 * n1 * half:2 * (2 * n1 - 1) * half].reshape(n1 - 1, half, 2))
+    end = 2 * math.prod(spectrum)
+    carved = (v[:math.prod(shape)].reshape(shape),
+              zt[:end].view(np.complex128).reshape(spectrum))
+    return carved + tuple(zt[end:end + math.prod(s)].reshape(s) for s in q_term)
 
 
 @functools.lru_cache(maxsize=8)
@@ -178,11 +177,12 @@ def _reorder_slices(n: int):
 @functools.lru_cache(maxsize=8)
 def _makhoul_plan_2d(n1: int, n2: int):
     """For an n1 x n2 grid: the reordering's four quadrants as (reordered, original)
-    index pairs of strided slices, and exp(+i pi (k1 / 2n1 + k2 / 2n2)) on the half
-    spectrum. Only this up table is kept: z * conj(up) is taken as conj(conj(z) * up),
-    the same bytes, for two conjugations per forward transform and one table fewer
-    (half a megabyte at 256 x 256)."""
-    quadrants = tuple(((a, b), (c, d))
+    index pairs of strided slices of the last two axes, and
+    exp(+i pi (k1 / 2n1 + k2 / 2n2)) on the half spectrum. Only this up table is
+    kept: z * conj(up) is taken as conj(conj(z) * up), the same bytes, for two
+    conjugations per forward transform and one table fewer (half a megabyte at
+    256 x 256)."""
+    quadrants = tuple(((..., a, b), (..., c, d))
                       for a, c in _reorder_slices(n1) for b, d in _reorder_slices(n2))
     up = np.multiply.outer(np.exp(0.5j * np.pi / n1 * np.arange(n1)),
                            np.exp(0.5j * np.pi / n2 * np.arange(n2 // 2 + 1)))
@@ -230,39 +230,33 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
     p (Re Z, Im Z) + q (Im Z', Re Z'). Row 0 pairs with the mode index n1, where X is
     0, not with FFT row 0 again: Z(0,k2) = X(0,k2) - i X(0,n2-k2) as in 1D, and p alone
     scales Re Z by M(0,k2) and Im Z by M(0,-k2).
-    Each member runs on its own in the caller's buffers (transform_buffers): v, one
-    member's reordered input, z its half spectrum and t the q term, so a batch row gets
-    the bytes of a single call, and its row of vals is read whole before its row of out
+    The whole batch runs at once in the caller's buffers (transform_buffers): v, the
+    reordered input, z its half spectrum and t the q term. p and q are shared or hold
+    a row per member, and broadcasting applies either. vals is read whole before out
     is written. The FFTs write in place (out=), and the reorderings are strided slice
     copies, which cost tens of times less than a fancy index.
     """
     n1, n2 = vals.shape[-2:]
     quadrants, up = _makhoul_plan_2d(n1, n2)
-    batch = vals.shape[:-2]
-    p = np.broadcast_to(p, batch + p.shape[-3:])
-    q = np.broadcast_to(q, batch + q.shape[-3:])
     zf = z.view(np.float64).reshape(z.shape + (2,))
     tc = t.view(np.complex128)[..., 0]
-    for row in np.ndindex(batch):
-        x = vals[row]
-        for reordered, original in quadrants:
-            v[reordered] = x[original]
-        np.fft.rfft(v, out=z)
-        np.fft.fft(z, axis=0, out=z)
-        np.conjugate(z, out=z)  # z * conj(up)
-        z *= up
-        np.conjugate(z, out=z)
-        np.conjugate(z[:0:-1], out=tc)  # i conj(Z') = (Im Z', Re Z'), rows 1..n1-1
-        tc *= 1j
-        t *= q[row]
-        zf *= p[row]
-        zf[1:] += t
-        z *= up
-        np.fft.ifft(z, axis=0, out=z)
-        np.fft.irfft(z, n2, out=v)
-        y = out[row]
-        for reordered, original in quadrants:
-            y[original] = v[reordered]
+    for reordered, original in quadrants:
+        v[reordered] = vals[original]
+    np.fft.rfft(v, out=z)
+    np.fft.fft(z, axis=-2, out=z)
+    np.conjugate(z, out=z)  # z * conj(up)
+    z *= up
+    np.conjugate(z, out=z)
+    np.conjugate(z[..., :0:-1, :], out=tc)  # i conj(Z') = (Im Z', Re Z'), rows 1..n1-1
+    tc *= 1j
+    t *= q
+    zf *= p
+    zf[..., 1:, :, :] += t
+    z *= up
+    np.fft.ifft(z, axis=-2, out=z)
+    np.fft.irfft(z, n2, out=v)
+    for reordered, original in quadrants:
+        out[original] = v[reordered]
     return out
 
 

@@ -125,8 +125,8 @@ def fit_decay_rate(series, window=None) -> RateFit:
     """Least-squares exponential rate on (t, value) pairs inside [t0, t1].
 
     Fits log(value) = intercept - rate * t. Needs >= 10 samples in the
-    window, all strictly positive (shrink the window to dodge the round-off
-    floor of deeply converged functionals). window=None fits over
+    window, all finite and strictly positive (shrink the window to dodge the
+    round-off floor of deeply converged functionals). window=None fits over
     _default_window, the window run, sweep and fit all default to.
     """
     arr = np.asarray(list(series), dtype=np.float64)
@@ -142,10 +142,8 @@ def fit_decay_rate(series, window=None) -> RateFit:
     v = arr[sel, 1]
     if t.size < 10:
         raise ValueError(f"only {t.size} samples in window ({t0}, {t1}); need >= 10")
-    if np.any(v <= 0.0):
-        raise ValueError(
-            f"nonpositive values in window ({t0}, {t1}); shrink the window"
-        )
+    if not np.all((v > 0.0) & (v < np.inf)):  # nan fails too
+        raise ValueError(f"non-finite or nonpositive values in window ({t0}, {t1})")
     y = np.log(v)
     tm = t.mean()
     ym = y.mean()

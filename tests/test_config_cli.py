@@ -601,6 +601,19 @@ def test_cli_run_rejects_unknown_fit_column_before_stepping(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_cli_out_naming_a_file_exits_1_in_one_line(tmp_path, command, capsys):
+    cfg = {"run": [write_cfg(tmp_path, FAST_RUN)],
+           "sweep": [write_cfg(tmp_path, FAST_SWEEP, "s.cfg")], "verify": []}[command]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):  # the file itself, then a directory under it
+        assert main([command, *cfg, "--out", str(out), "--quiet"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"cannot use {out}: ")
+    assert taken.read_text() == ""
+
+
 @pytest.mark.parametrize("argv", [["run"], ["run", "x.cfg", "--fast"],
                                   ["run", "x.cfg", "--seed", "abc"], ["fit", "x.csv"]])
 def test_cli_usage_errors_exit_1(argv, capsys):
@@ -864,6 +877,28 @@ def test_cli_fit_bad_window(decay_csv, window, capsys):
 def test_cli_fit_missing_file(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv"), "--column", "l2_u_dev",
                  "--window", "0:1"]) == 1
+
+
+def test_a_fit_over_a_nan_column_fails_in_the_summary_and_in_fit(tmp_path, capsys):
+    # F1 is recorded as nan on a logistic run
+    cfg = write_cfg(tmp_path, """
+        preset = C2_logistic
+        grid.cells = 32
+        solver.t_end = 0.5
+        solver.record_every = 5
+        fit.column = F1
+    """)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["fit_error"].startswith("non-finite or nonpositive values in window")
+    assert "fitted_rate" not in summary
+    capsys.readouterr()
+    assert main(["fit", str(out / "trajectory.csv"), "--column", "F1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == f"fit failed: {summary['fit_error']}"
 
 
 @pytest.mark.parametrize("body", ["t,l2_u_dev\n0,abc\n", "t,l2_u_dev\n0,1\n1,2,3\n", ""],

@@ -767,7 +767,7 @@ def test_a_step_runs_its_transforms_in_idle_work_arrays(monkeypatch, dim, cells,
         want = plain.step(0.0, *batch)
         got = poisoned.step(0.0, *batch)
         n = len(batch[0])
-        assert pairs == [2 * n, n] * 2  # each stepper's diffusion pair, then potential
+        assert pairs == [n, n, n] * 2  # each stepper's u and v diffusions, then potential
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         batch = got
 

@@ -457,22 +457,22 @@ def test_apply_packed_in_place_matches_the_allocating_call(cells):
                          ids=lambda c: "x".join(map(str, c)))
 def test_apply_packed_with_caller_buffers_matches_the_fresh_buffer_call(cells, n_members):
     # the buffers hold NaN before each call, so a value read before it is written
-    # would show; they are also the first rows of a larger 1D set, or a 2D set
-    # carved from longer arrays, as a stepper passes them
+    # would show; they are also carved from longer arrays, as a stepper passes them,
+    # sized for the whole batch; and each row of the batched call has the bytes of
+    # its lone call, with a shared multiplier and with a row per member
     rng = np.random.default_rng(sum(cells) + n_members)
     shape = (n_members,) + cells
     x = rng.standard_normal(shape)
-    sets = [elliptic.transform_buffers(shape, len(cells))]
-    if len(cells) == 1:
-        stacked = elliptic.transform_buffers((2 * n_members,) + cells, 1)
-        sets.append(tuple(a[:n_members] for a in stacked))
-    else:
-        n1, n2 = cells
-        memory = (np.empty(n1 * n2 + 3), np.empty(2 * (2 * n1 - 1) * (n2 // 2 + 1) + 6)[2:])
-        sets.append(elliptic.transform_buffers(shape, 2, memory))
+    fresh = elliptic.transform_buffers(shape, len(cells))
+    spectrum_and_q = sum(a.size * (a.itemsize // 8) for a in fresh[1:])
+    memory = (np.empty(x.size + 3), np.empty(spectrum_and_q + 6)[2:])
+    sets = [fresh, elliptic.transform_buffers(shape, len(cells), memory)]
     for mult in (rng.uniform(0.1, 2.0, cells), rng.uniform(0.1, 2.0, shape)):
         packed = pack_multiplier(mult, len(cells))
         want = apply_packed(x, packed)
+        for b in range(n_members):
+            row = packed if mult.ndim == len(cells) else tuple(a[b] for a in packed)
+            assert apply_packed(x[b], row).tobytes() == want[b].tobytes()
         for buffers in sets:
             for out in (None, x.copy()):
                 for a in buffers:

@@ -233,9 +233,10 @@ def test_fit_decay_rate_default_window_skips_the_transient():
 def test_fit_decay_rate_rejects_nonpositive_and_short_windows():
     t = np.linspace(0.0, 1.0, 50)
     vals = np.exp(-t)
-    vals[30] = 0.0
-    with pytest.raises(ValueError, match="window"):
-        fit_decay_rate(list(zip(t, vals)), (0.0, 1.0))
+    for bad in (0.0, np.nan, np.inf):
+        vals[30] = bad
+        with pytest.raises(ValueError, match="non-finite or nonpositive values in window"):
+            fit_decay_rate(list(zip(t, vals)), (0.0, 1.0))
     with pytest.raises(ValueError, match=">= 10"):
         fit_decay_rate(list(zip(t[:5], vals[:5])), (0.0, 1.0))
     with pytest.raises(ValueError, match="bad fit window"):
