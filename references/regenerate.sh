@@ -1,18 +1,32 @@
 #!/bin/sh
 # Writes the verdict files of the bundled configs into DIR (default
 # references/verdicts): summary.txt, thresholds.txt and thresholds.csv of each
-# run config, sweep.csv of the shipped sweep, and numpy-version.txt, the numpy
-# they were made with. Run it from the repository root:
+# run config, trajectory.sha256 with a digest per trajectory column, sweep.csv
+# of the shipped sweep, and numpy-version.txt, the numpy they were made with.
+# Run it from the repository root:
 #
 #   sh references/regenerate.sh                        # re-bless the committed files
 #   sh references/regenerate.sh /tmp/v && diff -r references/verdicts /tmp/v
 #
-# These files keep their bytes across numpy's SIMD dispatch levels; the
-# trajectory columns computed with log, log1p or trig functions do not, which
-# is why trajectory.csv is not among them.
+# These files keep their bytes across numpy's SIMD dispatch levels. The
+# trajectory columns F1 and F2, computed with log and log1p, can move their last
+# bit on another SIMD level, so they have no digest, and trajectory.csv itself
+# is deleted once its digests are written.
 set -u
 out=${1:-references/verdicts}
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+# column_digests CSV: one line "<column> <sha256>" per column of CSV except F1
+# and F2, the digest taken over the column's cells below its header, one a line
+column_digests() {
+    i=0
+    for column in $(head -n 1 "$1" | tr ',' ' '); do
+        i=$((i + 1))
+        case $column in F1|F2) continue ;; esac
+        echo "$column $(tail -n +2 "$1" | cut -d, -f "$i" | sha256sum | cut -d ' ' -f 1)"
+    done
+}
+
 for name in blowup_probe c1_no_mitosis c2_logistic chi_zero heat_oracle r3_strong_damping; do
     python3 -m angiosim.cli run "configs/$name.cfg" --out "$out/$name" --quiet
     status=$?
@@ -21,6 +35,7 @@ for name in blowup_probe c1_no_mitosis c2_logistic chi_zero heat_oracle r3_stron
         echo "run configs/$name.cfg exited $status" >&2
         exit 1
     fi
+    column_digests "$out/$name/trajectory.csv" > "$out/$name/trajectory.sha256"
     rm -f "$out/$name/trajectory.csv"
 done
 python3 -m angiosim.cli sweep configs/sweep_chi_mu.cfg --out "$out/sweep_chi_mu" --quiet || exit 1

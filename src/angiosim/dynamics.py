@@ -324,9 +324,9 @@ class _Buffers:
       the half spectrum and q term out of the blocks after the first. The diffusion
       pairs run after both advections, and the potential's reads only the centred u
       in the first block, before the Laplacian, squares and face differences are
-      written. The blocks after the first always hold them, with at least 4 cells an
-      axis: (max(2 dim, 3) - 1) B n floats against 2 B (n // 2 + 1) in 1D, and
-      3 B n1 n2 against 2 B (2 n1 - 1)(n2 // 2 + 1) in 2D, with room for the one float
+      written. On an n1 x n2 grid, n1 = 1 in 1D, the pair needs 2 B (2 n1 - 1)
+      (n2 // 2 + 1) floats and the blocks after the first hold (max(2 dim, 3) - 1)
+      B n1 n2, which with at least 4 cells an axis leaves room for the one float
       that aligns the complex view.
     """
 

@@ -8,13 +8,13 @@ Arrays are shaped like the grid or batched as (B, *cells): the transforms and re
 over the trailing grid axes, so every member of a batch gets the same numbers as a single solve.
 
 The transform pair is one numpy.fft family: a real FFT pair with Makhoul's even/odd
-reordering of every grid axis (J. Makhoul, IEEE TASSP 28, 1980), in a 1D form over the
-last axis and a 2D form over the last two (_apply_1d, _apply_2d), each running a whole
-batch in one call. A multiplier enters it packed once (pack_multiplier) into the real
-and imaginary parts of the twiddled half spectrum, shared by the batch or with a row per
-member. The pair works in buffers sized for the batch that its caller passes
-(transform_buffers): a time stepper carves them out of work arrays that are idle while
-the pair runs, and a caller without any gets fresh ones that die with the call.
+reordering of every grid axis (J. Makhoul, IEEE TASSP 28, 1980) over the last two axes
+(_apply_2d), running a whole batch in one call; a 1D grid runs as one row of cells.
+A multiplier enters it packed once (pack_multiplier) into the real and imaginary parts
+of the twiddled half spectrum, shared by the batch or with a row per member. The pair
+works in buffers sized for the batch that its caller passes (transform_buffers): a time
+stepper carves them out of work arrays that are idle while the pair runs, and a caller
+without any gets fresh ones that die with the call.
 numpy.fft imports in milliseconds and scipy.fft in about a third of a second, which
 would be most of a run's or a sweep's start-up.
 """
@@ -71,19 +71,16 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of -lap per DCT-II mode, shaped like the grid."""
     axes = [(4.0 / (h * h)) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
             for n, h in zip(grid.cells, grid.spacing)]
-    return axes[0] if grid.dim == 1 else np.add.outer(axes[0], axes[1])
+    return functools.reduce(np.add.outer, axes)
 
 
 def pack_multiplier(multiplier: np.ndarray, dim: int) -> tuple:
     """A per-mode multiplier, shaped like the grid or (B, *cells) with a row per member,
-    in the form the transform pair applies: (p,) on 1D grids and (p, q) on 2D grids,
-    on the float view of the twiddled half spectrum (see _apply_1d and _apply_2d).
+    in the form the transform pair applies: (p, q) on the float view of the twiddled
+    half spectrum (see _pack_2d and _apply_2d). A 1D multiplier is packed as a grid of
+    one row of cells, whose p interleaves M(k) and M(-k) and whose q has no rows.
     The arrays are read-only."""
-    if dim == 1:
-        pairs, _down, _up = _makhoul_plan(multiplier.shape[-1])
-        packed = (multiplier[..., pairs],)
-    else:
-        packed = _pack_2d(multiplier)
+    packed = _pack_2d(multiplier[..., None, :] if dim == 1 else multiplier)
     for arr in packed:
         arr.flags.writeable = False
     return packed
@@ -94,76 +91,44 @@ def apply_packed(vals: np.ndarray, packed: tuple, out=None, buffers=None) -> np.
     grid axes, into out: a C-contiguous array shaped like vals, which may be vals itself,
     or a fresh C-contiguous one. The output is never a fancy index's, which would have
     another memory layout, and np.add.reduce over it would sum in another order.
+    A 1D batch runs as one row of cells, through views with a length-1 axis before the
+    last; a multiplier packed with one row is 1D, since a grid axis has 4 cells or more.
     buffers, if given, are the pair's work arrays as transform_buffers makes them for
     vals.shape, all overwritten; they must share no memory with vals or out. Fresh ones
     are made otherwise. Either way the output has the same bytes."""
     if out is None:
         out = np.empty(vals.shape)
+    rows = (..., None, slice(None)) if packed[0].shape[-3] == 1 else ...
     if buffers is None:
-        buffers = transform_buffers(vals.shape, len(packed))
-    return (_apply_1d if len(packed) == 1 else _apply_2d)(vals, *packed, out, *buffers)
+        buffers = transform_buffers(vals[rows].shape, 2)
+    _apply_2d(vals[rows], *packed, out[rows], *buffers)
+    return out
 
 
 def transform_buffers(shape, dim: int, memory=None) -> tuple:
-    """The work arrays of a transform pair over the last dim axes of arrays of this
-    shape, whole batch at once: the reordered input, which also receives the inverse,
-    shaped like the batch; the half spectrum, shaped like its last axis halved; and
-    in 2D the q term, (..., n1 - 1, n2 // 2 + 1, 2) (see _apply_2d). With memory, two
-    flat float arrays, they are carved out of them: the reordered input from the
+    """The work arrays of the transform pair over the last dim axes of arrays of this
+    shape, whole batch at once, for a grid of n1 x n2 cells, n1 = 1 in 1D (a length-1
+    axis is inserted before the last): the reordered input, which also receives the
+    inverse, shaped (..., n1, n2); the half spectrum, (..., n1, n2 // 2 + 1); and the
+    q term, (..., n1 - 1, n2 // 2 + 1, 2), empty in 1D (see _apply_2d). With memory,
+    two flat float arrays, they are carved out of them: the reordered input from the
     first, and the half spectrum and q term back to back from the second, which
     starts 16-byte aligned for the complex view. Otherwise the arrays are fresh, one
     each: a single megabyte-sized array, freed at 256 x 256, would raise malloc's
     mmap threshold past a grid array's size and leave the later ones of a run on its
     heap, for 0.3 MB more peak RSS."""
+    if dim == 1:
+        shape = shape[:-1] + (1, shape[-1])
     half = shape[-1] // 2 + 1
     spectrum = shape[:-1] + (half,)
-    q_term = [shape[:-2] + (shape[-2] - 1, half, 2)] if dim == 2 else []
+    q_term = shape[:-2] + (shape[-2] - 1, half, 2)
     if memory is None:
-        return (np.empty(shape), np.empty(spectrum, np.complex128), *map(np.empty, q_term))
+        return np.empty(shape), np.empty(spectrum, np.complex128), np.empty(q_term)
     v, zt = memory
     end = 2 * math.prod(spectrum)
-    carved = (v[:math.prod(shape)].reshape(shape),
-              zt[:end].view(np.complex128).reshape(spectrum))
-    return carved + tuple(zt[end:end + math.prod(s)].reshape(s) for s in q_term)
-
-
-@functools.lru_cache(maxsize=8)
-def _makhoul_plan(n: int):
-    """For n points and each half-spectrum mode k: the multiplier indices (k, n - k mod n),
-    interleaved like a complex array's real and imaginary parts, and exp(-+ i pi k / 2n)."""
-    k = np.arange(n // 2 + 1)
-    twiddle = np.exp(0.5j * np.pi / n * k)
-    plan = (np.stack((k, -k % n), axis=-1).ravel(), twiddle.conj(), twiddle)
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
-
-
-def _apply_1d(vals: np.ndarray, p: np.ndarray, out: np.ndarray, v: np.ndarray,
-              z: np.ndarray) -> np.ndarray:
-    """apply_packed over the last axis, through one real FFT pair.
-
-    With the last axis reordered to x[0::2], x[1::2][::-1] and V = rfft of that,
-    Z_k = exp(-i pi k / 2n) V_k = X_k - i X_{n-k} on the half spectrum, X being the
-    unnormalised DCT-II (X_n = 0). Scaling Re Z_k by m_k and Im Z_k by m_{n-k}
-    (m_n = m_0), which p holds interleaved, and rotating back gives the reordered
-    output's spectrum. No normalisation constants enter. The reordering and both
-    FFTs write into the caller's buffers v and z, shaped like vals and like its half
-    spectrum, which hold all of vals before out is written.
-    """
-    n = vals.shape[-1]
-    half = (n + 1) // 2
-    _pairs, down, up = _makhoul_plan(n)
-    v[..., :half] = vals[..., ::2]
-    v[..., half:] = vals[..., 1::2][..., ::-1]
-    np.fft.rfft(v, out=z)
-    z *= down
-    z.view(np.float64)[...] *= p
-    z *= up
-    np.fft.irfft(z, n, out=v)
-    out[..., ::2] = v[..., :half]
-    out[..., 1::2] = v[..., :half - 1:-1]
-    return out
+    return (v[:math.prod(shape)].reshape(shape),
+            zt[:end].view(np.complex128).reshape(spectrum),
+            zt[end:end + math.prod(q_term)].reshape(q_term))
 
 
 def _reorder_slices(n: int):
@@ -171,19 +136,20 @@ def _reorder_slices(n: int):
     the even points in order, then the odd ones backwards."""
     half = (n + 1) // 2
     return ((slice(None, half), slice(None, None, 2)),
-            (slice(half, None), slice(n - 1 - n % 2, None, -2)))
+            (slice(half, None), slice(n - 1 - n % 2, 0, -2)))
 
 
 @functools.lru_cache(maxsize=8)
 def _makhoul_plan_2d(n1: int, n2: int):
-    """For an n1 x n2 grid: the reordering's four quadrants as (reordered, original)
-    index pairs of strided slices of the last two axes, and
-    exp(+i pi (k1 / 2n1 + k2 / 2n2)) on the half spectrum. Only this up table is
-    kept: z * conj(up) is taken as conj(conj(z) * up), the same bytes, for two
-    conjugations per forward transform and one table fewer (half a megabyte at
-    256 x 256)."""
+    """For an n1 x n2 grid: the reordering's nonempty quadrants as (reordered,
+    original) index pairs of strided slices of the last two axes (one row, n1 = 1,
+    has no odd rows), and exp(+i pi (k1 / 2n1 + k2 / 2n2)) on the half spectrum.
+    Only this up table is kept: z * conj(up) is taken as conj(conj(z) * up), the
+    same bytes, for two conjugations per forward transform and one table fewer
+    (half a megabyte at 256 x 256)."""
     quadrants = tuple(((..., a, b), (..., c, d))
-                      for a, c in _reorder_slices(n1) for b, d in _reorder_slices(n2))
+                      for a, c in _reorder_slices(n1) for b, d in _reorder_slices(n2)
+                      if range(n1)[a] and range(n2)[b])
     up = np.multiply.outer(np.exp(0.5j * np.pi / n1 * np.arange(n1)),
                            np.exp(0.5j * np.pi / n2 * np.arange(n2 // 2 + 1)))
     up.flags.writeable = False
@@ -220,16 +186,19 @@ def _pack_2d(m: np.ndarray):
 
 def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
               v: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """apply_packed over the last two axes, through one real 2D FFT pair.
+    """apply_packed over the last two axes, through one real 2D FFT pair; a 1D grid
+    is its one-row case.
 
-    With both axes reordered as in _apply_1d and V = fft(rfft(v), axis=-2),
+    With each axis reordered to x[0::2], x[1::2][::-1] and V = fft(rfft(v), axis=-2),
     Z = exp(-i pi k1 / 2n1) exp(-i pi k2 / 2n2) V on the half spectrum is
     Z(k1,k2) = X(k1,k2) - X(n1-k1,n2-k2) - i (X(n1-k1,k2) + X(k1,n2-k2)), X being the
     unnormalised 2D DCT-II (X = 0 at index n). Z and Z'(k1, .) = Z(n1-k1, .) determine
     the four X's of a mode quartet, so on the float view the output's Z is
     p (Re Z, Im Z) + q (Im Z', Re Z'). Row 0 pairs with the mode index n1, where X is
-    0, not with FFT row 0 again: Z(0,k2) = X(0,k2) - i X(0,n2-k2) as in 1D, and p alone
-    scales Re Z by M(0,k2) and Im Z by M(0,-k2).
+    0, not with FFT row 0 again: Z(0,k2) = X(0,k2) - i X(0,n2-k2), and p alone
+    scales Re Z by M(0,k2) and Im Z by M(0,-k2). No normalisation constants enter.
+    One row, n1 = 1, is row 0 alone, the 1D transform: its column FFTs are the
+    identity and its q term is empty, so both are skipped.
     The whole batch runs at once in the caller's buffers (transform_buffers): v, the
     reordered input, z its half spectrum and t the q term. p and q are shared or hold
     a row per member, and broadcasting applies either. vals is read whole before out
@@ -239,21 +208,26 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
     n1, n2 = vals.shape[-2:]
     quadrants, up = _makhoul_plan_2d(n1, n2)
     zf = z.view(np.float64).reshape(z.shape + (2,))
-    tc = t.view(np.complex128)[..., 0]
     for reordered, original in quadrants:
         v[reordered] = vals[original]
     np.fft.rfft(v, out=z)
-    np.fft.fft(z, axis=-2, out=z)
+    if n1 > 1:
+        np.fft.fft(z, axis=-2, out=z)
     np.conjugate(z, out=z)  # z * conj(up)
     z *= up
     np.conjugate(z, out=z)
-    np.conjugate(z[..., :0:-1, :], out=tc)  # i conj(Z') = (Im Z', Re Z'), rows 1..n1-1
-    tc *= 1j
-    t *= q
-    zf *= p
-    zf[..., 1:, :, :] += t
-    z *= up
-    np.fft.ifft(z, axis=-2, out=z)
+    if n1 > 1:
+        tc = t.view(np.complex128)[..., 0]
+        np.conjugate(z[..., :0:-1, :], out=tc)  # i conj(Z') = (Im Z', Re Z'), rows 1..n1-1
+        tc *= 1j
+        t *= q
+        zf *= p
+        zf[..., 1:, :, :] += t
+        z *= up
+        np.fft.ifft(z, axis=-2, out=z)
+    else:
+        zf *= p
+        z *= up
     np.fft.irfft(z, n2, out=v)
     for reordered, original in quadrants:
         out[original] = v[reordered]

@@ -1,8 +1,10 @@
 """Array oracles the tests check the simulator against: the entropy, the
 gradient norm and the Lyapunov functionals of one SimState in plain numpy, the
 discrete mass law of u between records, a step's transport computed with a
-fresh array for every intermediate, and the 2D multiplier packing by fancy
-indices."""
+fresh array for every intermediate, the 2D multiplier packing by fancy
+indices, and the 1D transform pair as it ran before 1D grids went through the
+2D pair as one row of cells."""
+import functools
 import math
 
 import numpy as np
@@ -176,3 +178,48 @@ def pack_2d(m):
     p[..., 0, :, 1] = at_neg2[..., 0, :]
     q = np.stack(((at_neg - at) / 2, (at_neg2 - at_neg1) / 2), axis=-1)[..., 1:, :, :]
     return p, np.ascontiguousarray(q)
+
+
+@functools.lru_cache(maxsize=8)
+def _makhoul_plan(n: int):
+    """For n points and each half-spectrum mode k: the multiplier indices (k, n - k mod n),
+    interleaved like a complex array's real and imaginary parts, and exp(-+ i pi k / 2n)."""
+    k = np.arange(n // 2 + 1)
+    twiddle = np.exp(0.5j * np.pi / n * k)
+    plan = (np.stack((k, -k % n), axis=-1).ravel(), twiddle.conj(), twiddle)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def pack_1d(m):
+    """The interleaved multiplier p of apply_1d: M(k), M(-k) per half-spectrum mode."""
+    pairs, _down, _up = _makhoul_plan(m.shape[-1])
+    return m[..., pairs]
+
+
+def apply_1d(vals: np.ndarray, p: np.ndarray, out: np.ndarray, v: np.ndarray,
+             z: np.ndarray) -> np.ndarray:
+    """apply_packed over the last axis, through one real FFT pair.
+
+    With the last axis reordered to x[0::2], x[1::2][::-1] and V = rfft of that,
+    Z_k = exp(-i pi k / 2n) V_k = X_k - i X_{n-k} on the half spectrum, X being the
+    unnormalised DCT-II (X_n = 0). Scaling Re Z_k by m_k and Im Z_k by m_{n-k}
+    (m_n = m_0), which p holds interleaved, and rotating back gives the reordered
+    output's spectrum. No normalisation constants enter. The reordering and both
+    FFTs write into the caller's buffers v and z, shaped like vals and like its half
+    spectrum, which hold all of vals before out is written.
+    """
+    n = vals.shape[-1]
+    half = (n + 1) // 2
+    _pairs, down, up = _makhoul_plan(n)
+    v[..., :half] = vals[..., ::2]
+    v[..., half:] = vals[..., 1::2][..., ::-1]
+    np.fft.rfft(v, out=z)
+    z *= down
+    z.view(np.float64)[...] *= p
+    z *= up
+    np.fft.irfft(z, n, out=v)
+    out[..., ::2] = v[..., :half]
+    out[..., 1::2] = v[..., :half - 1:-1]
+    return out

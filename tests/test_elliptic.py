@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.fft import dct, dctn, idct, idctn
 from scipy.sparse.linalg import spsolve
 
@@ -490,6 +492,54 @@ def test_2d_packing_matches_the_fancy_index_oracle(shape):
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape and a.flags.c_contiguous and not a.flags.writeable
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_reorder_slices_take_the_evens_then_the_odds_backwards(n):
+    # the original slices pick each point once, in Makhoul's order, and the
+    # reordered ones tile the axis in order; a one-point axis has no odd run
+    x = np.arange(n)
+    slices = elliptic._reorder_slices(n)
+    assert np.concatenate([x[frm] for _to, frm in slices]).tolist() == \
+        np.concatenate([x[::2], x[1::2][::-1]]).tolist()
+    assert np.concatenate([x[to] for to, _frm in slices]).tolist() == x.tolist()
+
+
+ROW_KINDS = st.sampled_from(["random", "signed zeros", "constant"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 4096), kinds=st.lists(ROW_KINDS, min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=65536, kinds=["random", "signed zeros", "constant"], seed=0)
+def test_1d_pair_has_the_bytes_of_the_former_1d_pair(n, kinds, seed):
+    # a 1D batch runs through the 2D pair as one row of cells; with shared and
+    # per-row multipliers, fresh, carved and in-place calls each give the bytes
+    # of the former 1D pair, kept in oracles.apply_1d
+    rng = np.random.default_rng(seed)
+    x = np.stack([rng.standard_normal(n) if kind == "random" else
+                  np.where(rng.random(n) < 0.5, 0.0, -0.0) if kind == "signed zeros" else
+                  np.full(n, rng.standard_normal()) for kind in kinds])
+    shape = x.shape
+    fresh = elliptic.transform_buffers(shape, 1)
+    spectrum_and_q = sum(a.size * (a.itemsize // 8) for a in fresh[1:])
+    memory = (np.empty(x.size + 3), np.empty(spectrum_and_q + 6)[2:])
+    carved = elliptic.transform_buffers(shape, 1, memory)
+    for mult in (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, shape)):
+        packed = pack_multiplier(mult, 1)
+        oracle_p = oracles.pack_1d(mult)
+        assert packed[0].tobytes() == oracle_p.tobytes() and packed[1].size == 0
+        want = oracles.apply_1d(x, oracle_p, np.empty(shape), np.empty(shape),
+                                np.empty(shape[:-1] + (n // 2 + 1,), np.complex128))
+        for buffers in (carved, fresh):
+            for a in buffers:
+                a[...] = np.nan
+        y = x.copy()
+        got = [apply_packed(x, packed), apply_packed(x, packed, buffers=carved),
+               apply_packed(y, packed, out=y, buffers=fresh)]
+        assert got[2] is y
+        for result in got:
+            assert result.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("g", [build_grid(1, 1.0, 33), build_grid(2, (1.0, 1.5), (6, 9))],
