@@ -1,17 +1,20 @@
 #!/bin/sh
 # Writes the verdict files of the bundled configs into DIR (default
 # references/verdicts): summary.txt, thresholds.txt and thresholds.csv of each
-# run config, trajectory.sha256 with a digest per trajectory column, sweep.csv
-# of the shipped sweep, and numpy-version.txt, the numpy they were made with.
-# Run it from the repository root:
+# run config, trajectory.sha256 with a digest per trajectory column and
+# functionals.csv with the t, F1 and F2 columns, sweep.csv of the shipped sweep,
+# verify/inequalities.csv and verify/report.txt (verify's PASS/FAIL lines), and
+# numpy-version.txt, the numpy they were made with. Run it from the repository
+# root:
 #
 #   sh references/regenerate.sh                        # re-bless the committed files
-#   sh references/regenerate.sh /tmp/v && diff -r references/verdicts /tmp/v
+#   sh references/regenerate.sh /tmp/v && python3 references/compare.py references/verdicts /tmp/v
 #
-# These files keep their bytes across numpy's SIMD dispatch levels. The
-# trajectory columns F1 and F2, computed with log and log1p, can move their last
-# bit on another SIMD level, so they have no digest, and trajectory.csv itself
-# is deleted once its digests are written.
+# compare.py wants every file byte for byte except the numbers that can move
+# their last bit on another numpy SIMD level: F1 and F2, computed with log and
+# log1p, and verify's lhs, rhs and margin, which it compares within 1e-14
+# relative. F1 and F2 have no digest, and trajectory.csv itself is deleted once
+# its digests and functionals.csv are written.
 set -u
 out=${1:-references/verdicts}
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -27,6 +30,17 @@ column_digests() {
     done
 }
 
+# functionals CSV: its t, F1 and F2 columns, header included
+functionals() {
+    i=0
+    fields=""
+    for column in $(head -n 1 "$1" | tr ',' ' '); do
+        i=$((i + 1))
+        case $column in t|F1|F2) fields="$fields${fields:+,}$i" ;; esac
+    done
+    cut -d, -f "$fields" "$1"
+}
+
 for name in blowup_probe c1_no_mitosis c2_logistic chi_zero heat_oracle r3_strong_damping; do
     python3 -m angiosim.cli run "configs/$name.cfg" --out "$out/$name" --quiet
     status=$?
@@ -36,7 +50,10 @@ for name in blowup_probe c1_no_mitosis c2_logistic chi_zero heat_oracle r3_stron
         exit 1
     fi
     column_digests "$out/$name/trajectory.csv" > "$out/$name/trajectory.sha256"
+    functionals "$out/$name/trajectory.csv" > "$out/$name/functionals.csv"
     rm -f "$out/$name/trajectory.csv"
 done
 python3 -m angiosim.cli sweep configs/sweep_chi_mu.cfg --out "$out/sweep_chi_mu" --quiet || exit 1
+mkdir -p "$out/verify"
+python3 -m angiosim.cli verify --out "$out/verify" > "$out/verify/report.txt" || exit 1
 python3 -c 'import numpy; print(numpy.__version__)' > "$out/numpy-version.txt"

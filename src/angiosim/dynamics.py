@@ -14,9 +14,9 @@ with zero-flux boundaries. One step splits as:
      explicit logistic term for u and the +u source for v;
   2. implicit backward-Euler diffusion: (I - dt lap) u and
      ((1+dt) I - dt d lap) v -- the -v decay rides the implicit solve. Both
-     operators are diagonal in the DCT-II basis (see elliptic), so each
-     solve is one transform pair over the batch, with a per-mode multiplier
-     per row;
+     operators are diagonal in the DCT-II basis (see elliptic), so both
+     solves are one transform pair over the rows of u and v, with a per-mode
+     multiplier per row;
   3. a fresh potential solve for w from the updated u.
 
 The explicit fluxes telescope and the implicit multipliers are exactly 1 and
@@ -32,10 +32,12 @@ positivity for second-order spatial accuracy and is meant for smooth
 short-time order studies only.
 
 There is one time loop, run_ensemble. It advances B members that share a grid
-and a SolverConfig as (B, *cells) arrays, with the model parameters as
-per-member columns, so a sweep steps all its points together. Every operation
-is row by row, so each member's trajectory is byte-identical to a run of its
-own; run is the B = 1 case.
+and a SolverConfig as a state (uv, w): uv one (2B, *cells) array, u's rows
+then v's, so that each per-species phase of a step runs once over both, and w
+a (B, *cells) array. The model parameters are per-member columns, so a sweep
+steps all its points together. Every operation is row by row, so each
+member's trajectory is byte-identical to a run of its own; run is the B = 1
+case.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from .elliptic import (
     pack_multiplier,
     solve_neumann_poisson,
     transform_buffers,
+    transform_floats,
 )
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
 from .grid import FLOAT_FMT, Grid, divergence_arrays, face_slices, face_views
@@ -261,14 +264,17 @@ def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> Sim
 
 
 def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2, out=None):
-    """Per-axis interior-face transport speeds for u and v of a batch; the
-    couplings are (B, 1[, 1]) columns. out, if given, is (u's speeds, v's
-    speeds, scratch), each a list with an array shaped like each axis's faces,
-    and receives them; the speeds are fresh arrays otherwise."""
+    """Per-axis interior-face transport speeds of a batch's u and v, stacked as one
+    (2B, *faces) array per axis: u's rows, chi grad v - xi1 grad w, then v's rows,
+    -xi2 grad w. The couplings are (B, 1[, 1]) columns. out, if given, is (the
+    stacked arrays, per axis a B-row scratch array shaped like its faces), and the
+    first receive the speeds; they are fresh arrays otherwise."""
+    n = len(v)
     slices = face_slices(grid.dim)
     if out is None:
-        out = tuple([np.empty(w[lo].shape) for lo, _hi in slices] for _ in range(3))
-    for (lo, hi), h, a_u, a_v, scratch in zip(slices, grid.spacing, *out):
+        out = ([np.empty((2 * n,) + w[lo].shape[1:]) for lo, _hi in slices], [None] * grid.dim)
+    for (lo, hi), h, a, scratch in zip(slices, grid.spacing, *out):
+        a_u, a_v = a[:n], a[n:]
         np.subtract(w[hi], w[lo], out=a_v)  # grad w
         a_v /= h
         np.subtract(v[hi], v[lo], out=a_u)  # chi grad v - xi1 grad w
@@ -276,14 +282,14 @@ def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2, out=No
         a_u *= chi
         a_u -= np.multiply(a_v, xi1, out=scratch)
         a_v *= -xi2
-    return out[0], out[1]
+    return out[0]
 
 
 def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> np.ndarray:
     """Per member: cfl_safety * min(face CFL per axis, reaction bound, factor-source bound).
 
     u is a (B, *cells) batch, params holds one ModelParams per member and
-    speeds are the batch's face speeds from _face_speeds. Face CFL is
+    speeds are the batch's stacked face speeds from _face_speeds. Face CFL is
     h / max|speed| per axis over both transported species; the reaction bound
     1/(a + mu ||u||_inf^theta + 1) keeps the explicit logistic update positive;
     the factor-source bound is 1. A step at the bound keeps u > 0 and v >= 0
@@ -291,77 +297,98 @@ def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> n
     upwind cell loses the outflow through all its faces and its damping at once.
     """
     axes = grid_axes(grid)
+    n = len(u)
     # reaction bound in float arithmetic, member by member, capped by the v-source bound
     bound = np.array([
         min(1.0, 1.0 / (p.a + p.mu * max(umax, 0.0) ** p.theta + 1.0))
         for p, umax in zip(params, u.max(axis=axes).tolist())
     ])
-    for h, a_u, a_v in zip(grid.spacing, *speeds):
-        # max |speed| as max(max, -min), with no |speed| array
-        smax = np.maximum(np.maximum(a_u.max(axis=axes), -a_u.min(axis=axes)),
-                          np.maximum(a_v.max(axis=axes), -a_v.min(axis=axes)))
+    for h, a in zip(grid.spacing, speeds):
+        # max |speed| as max(max, -min) over a member's u and v rows, with no |speed| array
+        smax = np.maximum(a.max(axis=axes), -a.min(axis=axes))
+        smax = np.maximum(smax[:n], smax[n:])
         cfl = np.divide(h, smax, out=np.full_like(smax, np.inf), where=smax > 0.0)
         bound = np.minimum(bound, cfl)
     return cfg.cfl_safety * bound
 
 
-class _Buffers:
-    """The work arrays of a step of a (B, *cells) batch, reused from step to step
-    and shared by the step's phases. At 2D-256^2 a fresh full-grid temporary is half
-    a megabyte, and a step that makes a dozen of them faults hundreds of pages back
-    in. A step's outputs are never among them.
+# Cells that one diffusion pair call runs over at most when it diffuses u and v
+# together: above it, u and v take a call each, since at 256 x 256 one call of
+# two rows is slower than two of one. A sweep ensemble holds at most this many
+# cells, so that a batch's step temporaries stay about the size of one 256 x 256
+# run's however many points a sweep has.
+_ENSEMBLE_CELLS = 256 * 256
 
-    - blocks: whole-batch arrays. The first 2 * dim hold u's and v's face speeds
-      per grid axis (speeds); once u's are used up, the first holds a batch array
-      for v's update (spare), and once all are used up, the first three hold the
-      potential's centred u, Laplacian and squares (potential). A 1D batch has a
-      third block for that;
-    - face and mask: one axis's face values, fluxes or face differences, and the
-      upwind sign;
-    - transform, also potential's last entry: the buffers of every transform pair
-      of a step (elliptic.transform_buffers), each pair B rows wide, carved out of
-      arrays idle while a pair runs: the reordered input out of the face array, and
-      the half spectrum and q term out of the blocks after the first. The diffusion
-      pairs run after both advections, and the potential's reads only the centred u
-      in the first block, before the Laplacian, squares and face differences are
-      written. On an n1 x n2 grid, n1 = 1 in 1D, the pair needs 2 B (2 n1 - 1)
-      (n2 // 2 + 1) floats and the blocks after the first hold (max(2 dim, 3) - 1)
-      B n1 n2, which with at least 4 cells an axis leaves room for the one float
-      that aligns the complex view.
+
+class _Buffers:
+    """The work arrays of a step of a batch whose (u, v) state is shaped (2B, *cells),
+    reused from step to step and shared by the step's phases. At 2D-256^2 a fresh
+    full-grid temporary is half a megabyte, and a step that makes a dozen of them
+    faults hundreds of pages back in. A step's outputs are never among them.
+
+    They are one flat float array and the upwind signs:
+
+    - speeds: per grid axis k, the (2B, *faces) stacked face speeds, in slot k of
+      2B grid arrays each. Each becomes its axis's flux in place. In 2D the first
+      slot (net) then takes the second axis's face values and the divergence's net
+      flux; once the advection is done, its start (scratch) takes B grid arrays of
+      u's reaction and v's source;
+    - mask: one axis's upwind signs, (2B, *faces);
+    - diffusion: the transform pair's buffers (elliptic.transform_buffers) for all
+      2B rows when they hold at most _ENSEMBLE_CELLS cells, and for the B rows of one
+      species otherwise (split), from the start of the flat array;
+    - potential: the potential's centred u, Laplacian, squares, face differences per
+      axis (in the squares) and the pair's buffers for B rows. The pair reads only
+      the centred u, so its buffers start past it and overlap the Laplacian and the
+      squares, which are written after it.
+
+    The flat array holds the largest of these, about 4B grid arrays in 1D and 2D:
+    the speeds need 4B in 2D, a stacked pair a little over 4B and the potential a
+    little over 3B.
     """
 
     def __init__(self, shape):
         self.shape = shape
-        dim = len(shape) - 1
-        self.blocks = np.empty((max(2 * dim, 3),) + shape)
-        face = np.empty(shape)
-        size = math.prod(shape)
-        start = size + size % 2  # past the first block, 16-byte aligned for complex
-        self.transform = transform_buffers(
-            shape, dim, (face.reshape(-1), self.blocks.reshape(-1)[start:]))
-        self.speeds = [face_views(self.blocks[:dim], shape),
-                       face_views(self.blocks[dim:2 * dim], shape)]
-        self.face = face_views([face] * dim, shape)
+        rows, cells = shape[0], shape[1:]
+        dim, n = len(cells), rows // 2
+        size = math.prod(cells)
+        self.split = rows * size > _ENSEMBLE_CELLS
+        pair_shape = (n if self.split else rows,) + cells
+        centred = n * size + n * size % 2  # 16-byte aligned for the pair past it
+        potential = (n,) + cells
+        flat = np.empty(max(2 * dim * n * size, 3 * n * size,
+                            transform_floats(pair_shape, dim),
+                            centred + transform_floats(potential, dim)))
+        slots = flat[:2 * dim * n * size].reshape((dim,) + shape)
+        self.speeds = face_views(list(slots), shape)
+        self.net = slots[0] if dim > 1 else None
+        self.scratch = slots[0, :n]
         self.mask = face_views([np.empty(shape, dtype=bool)] * dim, shape)
-        self.spare = self.blocks[0]
-        self.potential = (*self.blocks[:3], self.face, self.transform)
+        self.diffusion = transform_buffers(pair_shape, dim, flat)
+        rhs, lap, squares = flat[:3 * n * size].reshape((3,) + potential)
+        self.potential = (rhs, lap, squares, face_views([squares] * dim, potential),
+                          transform_buffers(potential, dim, flat[centred:]))
+        self.flat = flat
 
 
 class Stepper:
     """Advances a batch of B members that share a grid and a SolverConfig.
 
-    The state is three (B, *cells) arrays u, v, w, and each member has its own
-    ModelParams, held as (B, 1[, 1]) columns. The implicit operators are
-    diagonal in the DCT-II basis: u takes the shared multiplier
-    1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda), and the
-    stepper holds them only packed for the transform pair, a row per member
-    and species. A step costs three transform pairs of B rows each, all in
-    the same buffers: u's and v's diffusions, run in place on the two halves
-    of the (2B, *cells) array that holds their explicit updates and that the
-    step returns, and the potential solve. Every operation is row by row, so a
-    member gets the same numbers whatever else is in the batch. The work arrays
-    (_Buffers) are kept for the batch's shape; a step allocates only the arrays
-    it returns.
+    The state is (uv, w): uv one C-contiguous (2B, *cells) array, u's rows then
+    v's, and w a (B, *cells) array. Each member has its own ModelParams, held as
+    (B, 1[, 1]) columns. Every per-species phase of a step runs once over all 2B
+    rows of uv: the face speeds (one stacked array per axis) and their stability
+    bound, the advection, both implicit diffusions and the finite check. The
+    implicit operators are diagonal in the DCT-II basis: u takes the shared
+    multiplier 1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda),
+    and the stepper holds them only packed for the transform pair, a row per
+    member and species. The diffusions run in place on the (2B, *cells) array
+    that receives the explicit update and that the step returns, in one pair
+    over its 2B rows when they hold at most _ENSEMBLE_CELLS cells and in one per
+    species otherwise; the potential solve is one more pair of B rows. Every
+    operation is row by row, so a member gets the same numbers whatever else is
+    in the batch. The work arrays (_Buffers) are kept for the batch's shape; a
+    step allocates only the arrays it returns.
     """
 
     def __init__(self, grid: Grid, params, cfg: SolverConfig):
@@ -377,7 +404,7 @@ class Stepper:
         mult_uv[:n] = 1.0 / (1.0 + cfg.dt * lam)
         mult_uv[n:] = 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam)
         del lam  # before packing, the peak of the build
-        self._packed_uv = pack_multiplier(mult_uv, grid.dim)
+        self._set_packed(pack_multiplier(mult_uv, grid.dim))
 
     def _set_params(self, params):
         self.params = tuple(params)
@@ -394,42 +421,44 @@ class Stepper:
                 growth.setdefault(p.theta, []).append(row)
         self._growth = [(rows, theta) for theta, rows in growth.items()]
 
+    def _set_packed(self, packed):
+        """Hold the stacked packed multipliers, and each species' rows of them."""
+        n = len(self.params)
+        self._packed_uv = packed
+        self._species = [(rows, tuple(arr[rows] for arr in packed))
+                         for rows in (slice(None, n), slice(n, None))]
+
     def keep(self, rows):
         """Keep only the members in the given batch rows, in that order."""
         n = len(self.params)
         self._set_params([self.params[r] for r in rows])
         stacked = list(rows) + [n + r for r in rows]  # u's rows, then v's
-        self._packed_uv = tuple(arr[stacked] for arr in self._packed_uv)
-        for arr in self._packed_uv:
+        packed = tuple(arr[stacked] for arr in self._packed_uv)
+        for arr in packed:
             arr.flags.writeable = False
+        self._set_packed(packed)
 
     def _work(self, shape) -> _Buffers:
-        """The work arrays for a batch of this shape, built on first use."""
+        """The work arrays for a (u, v) state of this shape, built on first use."""
         if self._buffers is None or self._buffers.shape != shape:
             self._buffers = _Buffers(shape)
         return self._buffers
 
-    def _fluxes(self, carrier: np.ndarray, speeds):
-        """Per grid axis, speed * upwind or centred face value, each written into
-        the one face array when it is asked for."""
+    def _fluxes(self, uv: np.ndarray, speeds, faces):
+        """Per grid axis, speed * upwind or centred face value of every row of uv,
+        formed in place in the axis's speed array; faces[k] receives axis k's face
+        values once the previous flux is used up."""
         buf = self._buffers
-        for (lo, hi), a, face, mask in zip(face_slices(self.grid.dim), speeds, buf.face, buf.mask):
+        for (lo, hi), a, face, mask in zip(face_slices(self.grid.dim), speeds, faces, buf.mask):
             if self.cfg.flux_scheme == "upwind":
                 np.greater(a, 0.0, out=mask)
-                np.copyto(face, carrier[hi])
-                np.copyto(face, carrier[lo], where=mask)
+                np.copyto(face, uv[hi])
+                np.copyto(face, uv[lo], where=mask)
             else:
-                np.add(carrier[lo], carrier[hi], out=face)
+                np.add(uv[lo], uv[hi], out=face)
                 face *= 0.5
-            face *= a
-            yield face
-
-    def _advect(self, out: np.ndarray, carrier: np.ndarray, speeds, net: np.ndarray) -> None:
-        """out = carrier - dt div(speed * face value), the divergence built in out
-        itself; net is a free array shaped like out."""
-        divergence_arrays(self._fluxes(carrier, speeds), self.grid.spacing, out.shape, out, net)
-        out *= self.cfg.dt
-        np.subtract(carrier, out, out=out)
+            a *= face
+            yield a
 
     def _reaction(self, u: np.ndarray, out=None):
         """u (a - mu u^theta) per member, into out if given; exactly 0 for members
@@ -451,12 +480,18 @@ class Stepper:
             react[rows] = ur * (a[rows] - mu[rows] * ur ** theta)
         return react
 
-    def _transport(self, t: float, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-        """Stability check, explicit advection and reaction, implicit diffusion."""
+    def _transport(self, t: float, uv: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Stability check, explicit advection and reaction, implicit diffusion of
+        both species -> their new (2B, *cells) array."""
         cfg, grid = self.cfg, self.grid
-        buf = self._work(u.shape)
-        a_u, a_v = speeds = _face_speeds(grid, v, w, *self._cols[:3],
-                                         out=(*buf.speeds, buf.face))
+        n = len(w)
+        u = uv[:n]
+        buf = self._work(uv.shape)
+        out = np.empty(uv.shape)
+        # the face speeds' scratch and the first axis's face values go at the start
+        # of out, which the advection then overwrites
+        speeds = _face_speeds(grid, uv[n:], w, *self._cols[:3],
+                              out=(buf.speeds, face_views([out] * grid.dim, w.shape)))
         bound = stable_dt(grid, u, speeds, self.params, cfg)
         unstable = np.flatnonzero(cfg.dt > bound)
         if unstable.size:
@@ -464,64 +499,69 @@ class Stepper:
                 int(r): f"dt={cfg.dt:.3e} exceeds stability bound {bound[r]:.3e} at t={t:.6g}"
                 for r in unstable
             })
-        n = len(u)
-        out = np.empty((2 * n,) + u.shape[1:])
+        faces = face_views([out, buf.net][:grid.dim], uv.shape)
+        divergence_arrays(self._fluxes(uv, speeds, faces), grid.spacing, uv.shape, out, buf.net)
+        out *= cfg.dt
+        np.subtract(uv, out, out=out)  # uv - dt div(flux)
         u_star, v_star = out[:n], out[n:]
-        self._advect(u_star, u, a_u, net=v_star)
+        # the speeds are used up, so their first slot is free
         if self._growth:
-            react = self._reaction(u, out=v_star)
+            react = self._reaction(u, out=buf.scratch)
             react *= cfg.dt
             u_star += react
         else:
             u_star += 0.0  # dt times the zero reaction, which turns -0.0 into +0.0
-        # u's speeds are used up, so their first block is free
-        self._advect(v_star, v, a_v, net=buf.spare)
-        v_star += np.multiply(u, cfg.dt, out=buf.spare)
-        # the advections are done, so the face array and every block are free
-        for rows in (slice(None, n), slice(n, None)):
-            packed = tuple(arr[rows] for arr in self._packed_uv)
-            apply_packed(out[rows], packed, out=out[rows], buffers=buf.transform)
-        return u_star, v_star
+        v_star += np.multiply(u, cfg.dt, out=buf.scratch)
+        if buf.split:
+            for rows, packed in self._species:
+                apply_packed(out[rows], packed, out=out[rows], buffers=buf.diffusion)
+        else:
+            apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
+        return out
 
-    def _potential(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _potential(self, uv: np.ndarray) -> np.ndarray:
         """w solved from each member's u; 0 for members gone non-finite, which
         the caller classifies as blown up."""
         axes = grid_axes(self.grid)
-        finite = np.isfinite(u).all(axis=axes) & np.isfinite(v).all(axis=axes)
+        n = len(uv) // 2
+        finite = np.isfinite(uv).all(axis=axes)
+        finite = finite[:n] & finite[n:]
+        u = uv[:n]
         if not finite.all():  # a zero row solves to w = 0
             u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
-        try:  # the face speeds are used up, so their blocks are free
+        try:  # the face speeds are used up, so their slots are free
             w, _res, _it = solve_neumann_poisson(
-                self.grid, u, self.cfg.elliptic_tolerance, self._work(u.shape).potential)
+                self.grid, u, self.cfg.elliptic_tolerance, self._work(uv.shape).potential)
         except EllipticSolveError as exc:
             missed = np.flatnonzero(exc.failed)
             raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc
         return w
 
-    def step(self, t: float, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-        """Advance every member one dt from time t -> new (u, v, w) batch.
+    def step(self, t: float, uv: np.ndarray, w: np.ndarray):
+        """Advance every member one dt from time t -> the new (uv, w).
 
         Raises StepFailure naming the rows that exceed their stability bound
         or miss the potential-solve tolerance; the other rows are unaffected,
         and the caller steps them again without the failed ones.
         """
-        u_new, v_new = self._transport(t, u, v, w)
-        return u_new, v_new, self._potential(u_new, v_new)
+        uv_new = self._transport(t, uv, w)
+        return uv_new, self._potential(uv_new)
 
 
-def _member_state(grid: Grid, t: float, batch, row: int) -> SimState:
-    """One row of a (u, v, w) batch as a SimState."""
-    return SimState(t, grid, *(a[row] for a in batch))
+def _member_state(grid: Grid, t: float, uv: np.ndarray, w: np.ndarray, row: int) -> SimState:
+    """One row of a (uv, w) state as a SimState."""
+    return SimState(t, grid, uv[row], uv[len(w) + row], w[row])
 
 
-def _ended_rows(u: np.ndarray, v: np.ndarray, axes, t: float, cfg: SolverConfig) -> dict:
-    """Rows that blew up (non-finite, or ||u||_inf above threshold) or, under
-    upwinding, lost positivity -> {row: (termination reason, detail)}."""
+def _ended_rows(uv: np.ndarray, axes, t: float, cfg: SolverConfig) -> dict:
+    """Rows of a (2B, *cells) (u, v) state whose member blew up (non-finite, or
+    ||u||_inf above threshold) or, under upwinding, lost positivity ->
+    {member row: (termination reason, detail)}."""
     ended = {}
-    extremes = (a.tolist() for a in (u.max(axis=axes), u.min(axis=axes),
-                                     v.max(axis=axes), v.min(axis=axes)))
+    n = len(uv) // 2
     # max and min propagate nan and reach any inf, so they tell finiteness too
-    for row, (umax, umin, vmax, vmin) in enumerate(zip(*extremes)):
+    highs, lows = uv.max(axis=axes).tolist(), uv.min(axis=axes).tolist()
+    for row, (umax, umin, vmax, vmin) in enumerate(zip(highs[:n], lows[:n], highs[n:], lows[n:])):
         if not all(map(math.isfinite, (umax, umin, vmax, vmin))) \
                 or max(umax, -umin) > cfg.blowup_threshold:
             ended[row] = ("blowup_detected",
@@ -542,10 +582,10 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     solver breakdown or lost positivity; diagnostics up to the failure are
     kept). A member that stops leaves the batch and the rest carry on.
 
-    The records come straight from the batch arrays (diagnostics_batch).
-    A SimState is built only for a member's terminal state and, when
-    on_record is given, for each record: on_record(b, state) is then called
-    with each recorded SimState, the initial one included.
+    The batch is held as (uv, w), as Stepper steps it. The records come straight
+    from its arrays (diagnostics_batch). A SimState is built only for a member's
+    terminal state and, when on_record is given, for each record: on_record(b,
+    state) is then called with each recorded SimState, the initial one included.
     """
     grid, t0 = initials[0].grid, initials[0].t
     if any(s.grid != grid or s.t != t0 for s in initials):
@@ -559,26 +599,33 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     members = list(range(len(initials)))  # the member held in each batch row
     stepper = Stepper(grid, params, cfg)
 
-    def record(t, batch):
-        rows = diagnostics_batch(t, *batch, grid, stepper.params, [u0_means[b] for b in members])
+    def record(t, uv, w):
+        n = len(w)
+        rows = diagnostics_batch(t, uv[:n], uv[n:], w, grid, stepper.params,
+                                 [u0_means[b] for b in members])
         for b, rec in zip(members, rows):
             records[b].append(rec)
 
-    def leave(ended, t, batch):
-        """Close the trajectories of the ended rows; return the batch of the rest."""
+    def leave(ended, t, uv, w):
+        """Close the trajectories of the ended rows; return the (uv, w) of the rest."""
         nonlocal members
         for row, (reason, detail) in ended.items():
             b = members[row]
             trajectories[b] = Trajectory(
-                records[b], _member_state(grid, t, batch, row), reason, detail)
-        kept = [row for row in range(len(members)) if row not in ended]
+                records[b], _member_state(grid, t, uv, w, row), reason, detail)
+        n = len(members)
+        kept = [row for row in range(n) if row not in ended]
         members = [members[row] for row in kept]
         if kept:
             stepper.keep(kept)
-        return tuple(a[kept] for a in batch)
+        return uv[kept + [n + row for row in kept]], w[kept]
 
-    batch = tuple(np.stack([getattr(s, name) for s in initials]) for name in "uvw")
-    record(t, batch)
+    n = len(initials)
+    uv = np.empty((2 * n,) + grid.cells)
+    w = np.empty((n,) + grid.cells)
+    for b, s in enumerate(initials):
+        uv[b], uv[n + b], w[b] = s.u, s.v, s.w
+    record(t, uv, w)
     if on_record is not None:
         for b, state in enumerate(initials):
             on_record(b, state)
@@ -586,24 +633,24 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         stepped = None
         while members and stepped is None:
             try:
-                stepped = stepper.step(t, *batch)
+                stepped = stepper.step(t, uv, w)
             except StepFailure as exc:
-                batch = leave({row: ("step_failure", why) for row, why in exc.reasons.items()},
-                              t, batch)
+                uv, w = leave({row: ("step_failure", why) for row, why in exc.reasons.items()},
+                              t, uv, w)
         if not members:
             break
         t = t0 + k * cfg.dt  # exact time grid, no float drift
-        batch = stepped
-        ended = _ended_rows(batch[0], batch[1], axes, t, cfg)
+        uv, w = stepped
+        ended = _ended_rows(uv, axes, t, cfg)
         if ended:
-            batch = leave(ended, t, batch)
+            uv, w = leave(ended, t, uv, w)
             if not members:
                 break
         if k % cfg.record_every == 0 or k == n_steps:
-            record(t, batch)
+            record(t, uv, w)
             if on_record is not None or k == n_steps:
                 for row, b in enumerate(members):
-                    state = _member_state(grid, t, batch, row)
+                    state = _member_state(grid, t, uv, w, row)
                     if on_record is not None:
                         on_record(b, state)
                     if k == n_steps:

@@ -105,30 +105,53 @@ def apply_packed(vals: np.ndarray, packed: tuple, out=None, buffers=None) -> np.
     return out
 
 
-def transform_buffers(shape, dim: int, memory=None) -> tuple:
-    """The work arrays of the transform pair over the last dim axes of arrays of this
-    shape, whole batch at once, for a grid of n1 x n2 cells, n1 = 1 in 1D (a length-1
-    axis is inserted before the last): the reordered input, which also receives the
-    inverse, shaped (..., n1, n2); the half spectrum, (..., n1, n2 // 2 + 1); and the
-    q term, (..., n1 - 1, n2 // 2 + 1, 2), empty in 1D (see _apply_2d). With memory,
-    two flat float arrays, they are carved out of them: the reordered input from the
-    first, and the half spectrum and q term back to back from the second, which
-    starts 16-byte aligned for the complex view. Otherwise the arrays are fresh, one
-    each: a single megabyte-sized array, freed at 256 x 256, would raise malloc's
-    mmap threshold past a grid array's size and leave the later ones of a run on its
-    heap, for 0.3 MB more peak RSS."""
+def _pair_shapes(shape, dim):
+    """The transform pair's array shapes for arrays of this shape on a grid of n1 x n2
+    cells, n1 = 1 in 1D (a length-1 axis is inserted before the last): the reordered
+    input (..., n1, n2), the half spectrum (..., n1, n2 // 2 + 1) and the q term
+    (..., n1 - 1, n2 // 2 + 1, 2), and the floats of the reordered input's region,
+    which also holds the q term, rounded up to keep the spectrum 16-byte aligned."""
     if dim == 1:
         shape = shape[:-1] + (1, shape[-1])
     half = shape[-1] // 2 + 1
     spectrum = shape[:-1] + (half,)
     q_term = shape[:-2] + (shape[-2] - 1, half, 2)
+    region = max(math.prod(shape), math.prod(q_term))
+    return shape, spectrum, q_term, region + region % 2
+
+
+def transform_floats(shape, dim: int) -> int:
+    """The floats of the flat memory that transform_buffers carves for this shape."""
+    _shape, spectrum, _q_term, region = _pair_shapes(shape, dim)
+    return region + 2 * math.prod(spectrum)
+
+
+def transform_buffers(shape, dim: int, memory=None) -> tuple:
+    """The work arrays of the transform pair over the last dim axes of arrays of this
+    shape, whole batch at once, for a grid of n1 x n2 cells, n1 = 1 in 1D (a length-1
+    axis is inserted before the last): the reordered input, which also receives the
+    inverse, shaped (..., n1, n2); the half spectrum, (..., n1, n2 // 2 + 1), and its
+    float view, (..., n1, n2 // 2 + 1, 2); and the q term, (..., n1 - 1, n2 // 2 + 1,
+    2), empty in 1D (see _apply_2d). The q term shares the reordered input's memory,
+    which is idle between the forward and the inverse FFT, so the input's region holds
+    max(n1 n2, 2 (n1 - 1) (n2 // 2 + 1)) floats a row. With memory, a flat float array
+    of at least transform_floats(shape, dim) floats that starts 16-byte aligned, they
+    are carved out of it, the spectrum after the input's region. Otherwise the
+    input's region and the spectrum are fresh, one array each: a single
+    megabyte-sized array, freed at 256 x 256, would raise malloc's mmap threshold past
+    a grid array's size and leave the later ones of a run on its heap, for 0.3 MB
+    more peak RSS."""
+    shape, spectrum, q_term, region = _pair_shapes(shape, dim)
     if memory is None:
-        return np.empty(shape), np.empty(spectrum, np.complex128), np.empty(q_term)
-    v, zt = memory
-    end = 2 * math.prod(spectrum)
-    return (v[:math.prod(shape)].reshape(shape),
-            zt[:end].view(np.complex128).reshape(spectrum),
-            zt[end:end + math.prod(q_term)].reshape(q_term))
+        v = np.empty(region)
+        z = np.empty(spectrum, np.complex128)
+        zf = z.view(np.float64).reshape(spectrum + (2,))
+    else:
+        v = memory[:region]
+        zf = memory[region:region + 2 * math.prod(spectrum)].reshape(spectrum + (2,))
+        z = zf.view(np.complex128)[..., 0]
+    return (v[:math.prod(shape)].reshape(shape), z, zf,
+            v[:math.prod(q_term)].reshape(q_term))
 
 
 def _reorder_slices(n: int):
@@ -185,7 +208,7 @@ def _pack_2d(m: np.ndarray):
 
 
 def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
-              v: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+              v: np.ndarray, z: np.ndarray, zf: np.ndarray, t: np.ndarray) -> np.ndarray:
     """apply_packed over the last two axes, through one real 2D FFT pair; a 1D grid
     is its one-row case.
 
@@ -200,14 +223,15 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
     One row, n1 = 1, is row 0 alone, the 1D transform: its column FFTs are the
     identity and its q term is empty, so both are skipped.
     The whole batch runs at once in the caller's buffers (transform_buffers): v, the
-    reordered input, z its half spectrum and t the q term. p and q are shared or hold
+    reordered input, z its half spectrum, zf z's float view and t the q term, which
+    is written after the forward FFT has read v and read before the inverse one
+    writes it, so the two may share memory. p and q are shared or hold
     a row per member, and broadcasting applies either. vals is read whole before out
     is written. The FFTs write in place (out=), and the reorderings are strided slice
     copies, which cost tens of times less than a fancy index.
     """
     n1, n2 = vals.shape[-2:]
     quadrants, up = _makhoul_plan_2d(n1, n2)
-    zf = z.view(np.float64).reshape(z.shape + (2,))
     for reordered, original in quadrants:
         v[reordered] = vals[original]
     np.fft.rfft(v, out=z)

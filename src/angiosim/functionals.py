@@ -419,12 +419,13 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
             ent[b] = targets[b] * s * vol
             vdev[b] = sv * vol
     records = []
+    f1_set, f2_set = set(f1_rows), set(f2_rows)  # membership per member, not a list scan
     for b, p in enumerate(params):
         f1 = f2 = math.nan
-        if b in f1_rows:
+        if b in f1_set:
             # numpy's power, the same libm pow as Python's, reads inf where Python's raises
             f1 = ent[b] + 0.5 * p.chi * np.float64(l2_grad_v[b]) ** 2
-        elif b in f2_rows:
+        elif b in f2_set:
             f2 = ent[b] + (targets[b] * p.chi ** 2 / (2.0 * p.d)) * vdev[b]
         records.append(DiagnosticsRecord(
             t=t,

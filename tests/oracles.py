@@ -130,8 +130,9 @@ def allocating_transport(grid, params, cfg, u, v, w):
     The face speeds above, face values by np.where (upwind) or the face mean
     (central), the explicit update u - dt div(flux) + dt u (a - mu u^theta) and
     v - dt div(flux) + dt u, then both implicit diffusions in one stacked
-    (2B, *cells) transform pair, a row per member and species; each row has the
-    bytes of the step's own B-row pairs, one per species.
+    (2B, *cells) transform pair, a row per member and species, built afresh; each
+    row has the bytes of the step's pair in its work arrays, and of its two B-row
+    pairs above the cap.
     """
     n, dt = len(params), cfg.dt
     d = np.array([p.d for p in params]).reshape((n,) + (1,) * grid.dim)

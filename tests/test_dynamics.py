@@ -35,7 +35,7 @@ from angiosim.elliptic import (
     solve_neumann_poisson,
 )
 from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record
-from angiosim.grid import Field, build_grid, divergence_arrays
+from angiosim.grid import Field, build_grid, divergence_arrays, face_views
 import oracles
 from oracles import mass_balance_residual, u_power_integral
 
@@ -72,11 +72,28 @@ def member_bound(state, p, cfg):
     return bound[0]
 
 
+def stacked(states):
+    """The (uv, w) state of a batch of the given SimStates, as Stepper steps it:
+    u's rows, then v's, in one array."""
+    return np.stack([s.u for s in states] + [s.v for s in states]), np.stack([s.w for s in states])
+
+
+def kept(uv, w, rows):
+    """The (uv, w) state of the given batch rows, in that order."""
+    n = len(w)
+    return uv[list(rows) + [n + r for r in rows]], w[rows]
+
+
+def member(uv, w, row):
+    """Member row's (u, v, w) in a (uv, w) state."""
+    return uv[row], uv[len(w) + row], w[row]
+
+
 def one_step(state, p, cfg):
     """One Stepper step of state as a batch of one."""
     g = state.grid
-    u, v, w = Stepper(g, [p], cfg).step(state.t, *one_member(state))
-    return SimState(state.t + cfg.dt, g, u[0], v[0], w[0])
+    uv, w = Stepper(g, [p], cfg).step(state.t, *stacked([state]))
+    return SimState(state.t + cfg.dt, g, *member(uv, w, 0))
 
 
 def assert_same_trajectory(a, b):
@@ -421,7 +438,7 @@ def test_ended_rows_classifies_each_row(flux_scheme):
     u[6, 1] = 11.0       # beyond the threshold, either sign
     u[7, 3] = -11.0
     v[8, 6] = 0.0        # v = 0 is allowed
-    ended = _ended_rows(u, v, grid_axes(g), 0.5, cfg)
+    ended = _ended_rows(np.concatenate([u, v]), grid_axes(g), 0.5, cfg)
     lost = {1, 2} if flux_scheme == "upwind" else set()
     assert set(ended) == {3, 4, 5, 6, 7} | lost
     for row, (reason, detail) in ended.items():
@@ -435,17 +452,17 @@ def test_stepper_zeroes_the_potential_of_a_non_finite_member():
     g = build_grid(1, 1.0, 32)
     members = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=s))
                for s in (1, 2, 3)]
-    u, v, w = (np.concatenate(a) for a in zip(*map(one_member, members)))
-    u[1, 5] = np.inf
+    uv, w = stacked(members)
+    uv[1, 5] = np.inf
     cfg = SolverConfig(dt=1e-3, t_end=1.0)
     with np.errstate(invalid="ignore"):
-        stepped = Stepper(g, [COUPLED] * 3, cfg).step(0.0, u, v, w)
-    assert not np.isfinite(stepped[0][1]).all()
-    assert np.all(stepped[2][1] == 0.0)
+        stepped = Stepper(g, [COUPLED] * 3, cfg).step(0.0, uv, w)
+    assert not np.isfinite(member(*stepped, 1)[0]).all()
+    assert np.all(member(*stepped, 1)[2] == 0.0)
     for row in (0, 2):
-        lone = Stepper(g, [COUPLED], cfg).step(0.0, *one_member(members[row]))
-        for a, b in zip(stepped, lone):
-            assert a[row].tobytes() == b[0].tobytes()
+        lone = Stepper(g, [COUPLED], cfg).step(0.0, *stacked([members[row]]))
+        for a, b in zip(member(*stepped, row), member(*lone, 0)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_central_scheme_runs_smooth_problems():
@@ -518,10 +535,10 @@ def test_stepper_names_only_the_member_that_misses_the_potential_gate():
     g = build_grid(1, 1.0, 128)
     members = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.4, seed=s))
                for s in (1, 2)]
-    batch = tuple(np.concatenate(a) for a in zip(*map(one_member, members)))
+    batch = stacked(members)
     cfg = SolverConfig(dt=2e-5, t_end=1.0)
-    u1, _v1, _w1 = Stepper(g, [COUPLED] * 2, cfg).step(0.0, *batch)
-    residuals = [solve_neumann_poisson(g, u - u.mean(), 1e-10)[1] for u in u1]
+    uv1, _w1 = Stepper(g, [COUPLED] * 2, cfg).step(0.0, *batch)
+    residuals = [solve_neumann_poisson(g, u - u.mean(), 1e-10)[1] for u in uv1[:2]]
     lo, hi = np.argsort(residuals)
     tol = 0.5 * (residuals[lo] + residuals[hi])
     assert residuals[lo] < tol < residuals[hi]
@@ -592,11 +609,14 @@ def test_sim_state_rejects_a_wrongly_shaped_array():
         SimState(0.0, build_grid(1, 1.0, 8), np.ones(7), np.ones(8), np.ones(8))
 
 
-def separate_diffusions_step(stepper, u, v, w):
+def separate_diffusions_step(stepper, uv, w):
     """A step with the u and v diffusions as two transform pairs and the face
     slices indexed per call."""
     cfg, g = stepper.cfg, stepper.grid
-    a_u, a_v = _face_speeds(g, v, w, *stepper._cols[:3])
+    n = len(w)
+    u, v = uv[:n], uv[n:]
+    speeds = _face_speeds(g, v, w, *stepper._cols[:3])
+    a_u, a_v = [a[:n] for a in speeds], [a[n:] for a in speeds]
 
     def advect(c, speeds):
         fluxes = []
@@ -617,7 +637,8 @@ def separate_diffusions_step(stepper, u, v, w):
     v_star = v - cfg.dt * advect(v, a_v) + cfg.dt * u
     u_new = apply_packed(u_star, pack_multiplier(1.0 / (1.0 + cfg.dt * lam), g.dim))
     v_new = apply_packed(v_star, pack_multiplier(1.0 / (1.0 + cfg.dt + cfg.dt * d * lam), g.dim))
-    return u_new, v_new, stepper._potential(u_new, v_new)
+    uv_new = np.concatenate([u_new, v_new])
+    return uv_new, stepper._potential(uv_new)
 
 
 @pytest.mark.parametrize("flux_scheme", ["upwind", "central"])
@@ -629,12 +650,12 @@ def test_stacked_diffusion_step_matches_separate_transforms(flux_scheme, dim, ce
                for j in range(n_members)]
     initials = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=j))
                 for j in range(n_members)]
-    batch = tuple(np.stack([getattr(s, name) for s in initials]) for name in "uvw")
+    batch = stacked(initials)
     stepper = Stepper(g, members, SolverConfig(dt=2e-5, t_end=1.0, flux_scheme=flux_scheme))
     for rows in (range(n_members), [n_members - 1, 0]):  # all members, then after keep
         if len(rows) < n_members:
             stepper.keep(rows)
-            batch = tuple(a[rows] for a in batch)
+            batch = kept(*batch, rows)
         expected = separate_diffusions_step(stepper, *batch)
         stepped = stepper.step(0.0, *batch)
         for got, want in zip(stepped, expected):
@@ -643,7 +664,7 @@ def test_stacked_diffusion_step_matches_separate_transforms(flux_scheme, dim, ce
 
 def mixed_batch(dim, cells, n_members):
     """A grid, n_members members (growth-free, theta = 1 and theta = 2 in turn,
-    with their own chi and d) and their random initial states as a batch."""
+    with their own chi and d) and their random initial states as a (uv, w) batch."""
     g = build_grid(dim, (1.0, 1.5)[:dim], cells)
     kinds = [dict(), dict(a=1.0, mu=1.0), dict(a=1.0, mu=0.5, theta=2.0)]
     if n_members == 1:
@@ -653,7 +674,7 @@ def mixed_batch(dim, cells, n_members):
                    for j in range(n_members)]
     initials = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=j))
                 for j in range(n_members)]
-    return g, members, tuple(np.stack([getattr(s, name) for s in initials]) for name in "uvw")
+    return g, members, stacked(initials)
 
 
 @pytest.mark.parametrize("flux_scheme", ["upwind", "central"])
@@ -664,30 +685,33 @@ def test_step_transport_matches_the_allocating_oracle(flux_scheme, n_members, di
     g, members, batch = mixed_batch(dim, cells, n_members)
     cfg = SolverConfig(dt=2e-5, t_end=1.0, flux_scheme=flux_scheme)
     stepper = Stepper(g, members, cfg)
-    kept = list(range(n_members))
+    held = list(range(n_members))
     for k in range(4):
         if k == 2 and n_members > 1:  # the batch shrinks, and with it the work arrays
             rows = [n_members - 1, 3, 0]
             stepper.keep(rows)
-            kept = [kept[r] for r in rows]
-            batch = tuple(a[rows] for a in batch)
-        now = [members[b] for b in kept]
-        want = oracles.allocating_transport(g, now, cfg, *batch)
+            held = [held[r] for r in rows]
+            batch = kept(*batch, rows)
+        now = [members[b] for b in held]
+        uv, w = batch
+        n = len(w)
+        want = oracles.allocating_transport(g, now, cfg, uv[:n], uv[n:], w)
         stepped = stepper.step(0.0, *batch)
-        for got, expected in zip(stepped[:2], want):
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert stepped[0].shape == uv.shape
+        assert stepped[0].tobytes() == np.concatenate(want).tobytes()
         # the parts whose last bits a step of 2e-5 hides, written where the step
-        # writes them: the face speeds into its work arrays, the reaction into
-        # v's half of the (2B, *cells) array it returns
-        buf = stepper._work(batch[0].shape)
-        speeds = _face_speeds(g, *batch[1:], *stepper._cols[:3], out=(*buf.speeds, buf.face))
-        want = oracles.face_speeds(g, now, *batch[1:])
-        assert [[a.tobytes() for a in species] for species in speeds] == \
-            [[a.tobytes() for a in species] for species in want]
+        # writes them: the face speeds into its work arrays, with scratch at the
+        # start of the array a step returns, and the reaction into the start of
+        # the first speed slot
+        buf = stepper._work(uv.shape)
+        scratch = face_views([np.empty(w.shape)] * g.dim, w.shape)
+        speeds = _face_speeds(g, uv[n:], w, *stepper._cols[:3], out=(buf.speeds, scratch))
+        want = oracles.face_speeds(g, now, uv[n:], w)
+        assert [a.tobytes() for a in speeds] == \
+            [np.concatenate([a_u, a_v]).tobytes() for a_u, a_v in zip(*want)]
         if any(p.a or p.mu for p in now):
-            stacked = np.empty((2 * len(now),) + batch[0].shape[1:])
-            react = stepper._reaction(batch[0], out=stacked[len(now):])
-            assert react.tobytes() == oracles.reaction(now, batch[0]).tobytes()
+            react = stepper._reaction(uv[:n], out=buf.scratch)
+            assert react.tobytes() == oracles.reaction(now, uv[:n]).tobytes()
         batch = stepped
 
 
@@ -722,9 +746,9 @@ def test_step_gates_the_residual_of_fresh_outputs(monkeypatch, dim, cells, n_mem
     stepper = Stepper(g, members, SolverConfig(dt=2e-5, t_end=1.0))
     for k in range(3):
         stepped = stepper.step(0.0, *batch)
-        u, _v, w = stepped
+        uv, w = stepped
         # the one centring the gate uses is elliptic_residual's own
-        assert gated[-1] == max(elliptic_residual(u[b], w[b], g) for b in range(n_members))
+        assert gated[-1] == max(elliptic_residual(uv[b], w[b], g) for b in range(n_members))
         for out in stepped:
             assert out.flags.c_contiguous
             for other in step_buffers(stepper) + list(batch):
@@ -735,18 +759,20 @@ def test_step_gates_the_residual_of_fresh_outputs(monkeypatch, dim, cells, n_mem
 @pytest.mark.parametrize("dim, cells, n_members", [(1, 64, 1), (1, 65, 3), (2, (16, 24), 1),
                                                    (2, (15, 9), 3), (2, (33, 4), 1)])
 def test_a_step_runs_its_transforms_in_idle_work_arrays(monkeypatch, dim, cells, n_members):
-    # each transform pair of a step works in buffers that share no memory with its
-    # input or output, and a step reads no work array before writing it: filled
-    # with NaN before each step, they change no output byte; on 33 x 4 the half
-    # spectrum and q term leave 6 floats of the blocks unused
+    # each transform pair of a step works in buffers carved out of the stepper's
+    # flat work array that share no memory with its input or output, and a step
+    # reads no work array before writing it: filled with NaN before each step,
+    # they change no output byte; on 33 x 4 the q term outgrows the reordered
+    # input whose memory it shares
     pairs = []
+    running = []
 
     def checked_apply(vals, packed, out=None, buffers=None):
         result = apply_packed(vals, packed, out, buffers)
         assert buffers is not None
         for buf in buffers:
+            assert buf.size == 0 or np.shares_memory(buf, running[-1]._buffers.flat)  # 1D: no q term
             assert not np.shares_memory(buf, vals) and not np.shares_memory(buf, result)
-        assert not any(itertools.starmap(np.shares_memory, itertools.combinations(buffers, 2)))
         pairs.append(len(vals))
         return result
 
@@ -759,24 +785,54 @@ def test_a_step_runs_its_transforms_in_idle_work_arrays(monkeypatch, dim, cells,
         if k == 2 and n_members > 1:  # the work arrays are rebuilt for two members
             for stepper in (plain, poisoned):
                 stepper.keep([2, 0])
-            batch = tuple(a[[2, 0]] for a in batch)
+            batch = kept(*batch, [2, 0])
         poisoned._work(batch[0].shape)
         for a in step_buffers(poisoned):
             a[...] = True if a.dtype == bool else np.nan
         pairs.clear()
+        running.append(plain)
         want = plain.step(0.0, *batch)
+        running.append(poisoned)
         got = poisoned.step(0.0, *batch)
-        n = len(batch[0])
-        assert pairs == [n, n, n] * 2  # each stepper's u and v diffusions, then potential
+        n = len(batch[1])
+        assert pairs == [2 * n, n] * 2  # each stepper's stacked diffusion, then potential
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         batch = got
+
+
+@pytest.mark.parametrize("n_members", [1, 3])
+def test_one_stacked_diffusion_pair_and_one_per_species_give_the_same_bytes(monkeypatch, n_members):
+    # at 128 x 128 the 2B rows of one member hold 2^15 cells, within the cap, and
+    # those of three hold 3 * 2^15, above it; either side stepped the other way
+    # by moving the cap gives the same bytes
+    g, members, batch = mixed_batch(2, (128, 128), n_members)
+    cfg = SolverConfig(dt=2e-5, t_end=1.0)
+    pairs = []
+
+    def counting_apply(vals, packed, out=None, buffers=None):
+        pairs.append(len(vals))
+        return apply_packed(vals, packed, out, buffers)
+
+    monkeypatch.setattr(dynamics, "apply_packed", counting_apply)
+    rows_cells = 2 * n_members * 128 * 128
+    split = rows_cells > dynamics._ENSEMBLE_CELLS
+    assert split == (n_members == 3)
+    results = []
+    for cap in (dynamics._ENSEMBLE_CELLS, rows_cells if split else rows_cells - 1):
+        monkeypatch.setattr(dynamics, "_ENSEMBLE_CELLS", cap)
+        pairs.clear()
+        stepped = Stepper(g, members, cfg).step(0.0, *batch)
+        results.append([a.tobytes() for a in stepped])
+        assert pairs == ([n_members] * 2 if rows_cells > cap else [2 * n_members])
+        split = not split
+    assert results[0] == results[1]
 
 
 def test_a_2d_step_allocates_only_the_arrays_it_returns():
     g = build_grid(2, 1.0, (256, 256))
     initial = make_initial(g, InitialSpec(profile="random_positive", amplitude=0.1))
     stepper = Stepper(g, [params(a=1.0, mu=1.0, n_dim=2)], SolverConfig(dt=1e-5, t_end=1.0))
-    batch = stepper.step(0.0, *one_member(initial))  # builds the work arrays
+    batch = stepper.step(0.0, *stacked([initial]))  # builds the work arrays
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -787,7 +843,7 @@ def test_a_2d_step_allocates_only_the_arrays_it_returns():
     returned = sum(a.nbytes for a in stepped)  # three half-megabyte arrays
     # slack of two such arrays for numpy's own temporaries; a step that builds
     # its intermediates afresh peaks about eight arrays higher
-    assert peak <= returned + 2 * batch[0].nbytes
+    assert peak <= returned + 2 * batch[1].nbytes
 
 
 def test_a_2d_stepper_holds_only_its_packed_multipliers():
@@ -814,7 +870,7 @@ def test_a_2d_run_holds_no_transform_workspace():
     # a one-member 256^2 run over two steps, every array it makes counted: the
     # initial state and the batch, the stepper's multipliers and work arrays, the
     # potential's multiplier and twiddle table, and a step's returned arrays peak
-    # at 11.4 MB; transform buffers held beside the work arrays add 1.57 MB
+    # at 10.91 MB; transform buffers held beside the work arrays add 1.57 MB
     np.random.default_rng(0)  # numpy.random's import is not the run's
     elliptic._pseudo_inverse.cache_clear()
     elliptic._makhoul_plan_2d.cache_clear()
@@ -829,25 +885,43 @@ def test_a_2d_run_holds_no_transform_workspace():
     finally:
         tracemalloc.stop()
     assert traj.termination_reason == "completed" and len(traj.records) == 2
-    assert peak <= 11.5e6
+    assert peak <= 11.01e6
 
 
-def test_a_1d_step_reuses_its_transform_buffers():
+def test_a_1d_step_reuses_its_transform_buffers(monkeypatch):
     g, members, batch = mixed_batch(1, 128, 9)
     stepper = Stepper(g, members, SolverConfig(dt=2e-5, t_end=1.0))
     batch = stepper.step(0.0, *batch)  # builds the work arrays
+    pairs = []
+
+    def traced_apply(vals, packed, out=None, buffers=None):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = apply_packed(vals, packed, out, buffers)
+        fresh_output = 0 if out is not None else result.nbytes  # the potential's w
+        pairs.append((len(vals), tracemalloc.get_traced_memory()[1] - before - fresh_output))
+        return result
+
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         stepped = stepper.step(0.0, *batch)
         peak = tracemalloc.get_traced_memory()[1] - start
+        monkeypatch.setattr(dynamics, "apply_packed", traced_apply)
+        monkeypatch.setattr(elliptic, "apply_packed", traced_apply)
+        stepper.step(0.0, *stepped)
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in stepped)  # three (9, 128) arrays
-    # numpy's inverse FFT copies its half spectrum, about two arrays for the
-    # stacked pair; pairs that build their reordered input and spectrum afresh
-    # peak near 3.2 arrays above what the step returns
-    assert peak <= returned + 2.75 * batch[0].nbytes
+    returned = sum(a.nbytes for a in stepped)  # the (18, 128) uv and the (9, 128) w
+    # numpy's buffered iterator gives the advection's strided face difference over
+    # the 2B stacked rows 3 x 2B (n - 2) floats of scratch, just under three uv arrays
+    assert peak <= returned + 3 * batch[0].nbytes
+    # each pair, the stacked diffusion and the potential, allocates besides a fresh
+    # output only numpy's copy of its half spectrum in the inverse FFT; pairs that
+    # build their reordered input and spectrum afresh allocate about three times that
+    assert [rows for rows, _peak in pairs] == [18, 9]
+    for rows, pair_peak in pairs:
+        assert pair_peak <= 1.25 * rows * (128 // 2 + 1) * 16
 
 
 # ---------------------------------------------------------------------------

@@ -339,15 +339,15 @@ def test_implicit_diffusions_match_sparse_oracle(g):
     p = ModelParams(chi=0.0, xi1=0.0, xi2=0.0, d=d, a=0.0, mu=0.0, theta=1.0, n_dim=g.dim)
     u0 = random_positive_field(g, 31)
     v0 = random_positive_field(g, 32)
-    batch = (f[np.newaxis] for f in (u0, v0, solve_neumann_poisson(g, u0, TOL)[0]))
-    u1, v1, _w1 = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0)).step(0.0, *batch)
+    uv0, w0 = np.stack([u0, v0]), solve_neumann_poisson(g, u0, TOL)[0][np.newaxis]
+    (u1, v1), _w1 = Stepper(g, [p], SolverConfig(dt=dt, t_end=1.0)).step(0.0, uv0, w0)
 
     lap = neumann_laplacian_matrix(g)
     eye = sp.identity(g.n_cells, format="csc")
     u_ref = spsolve((eye - dt * lap).tocsc(), u0.ravel())
     v_ref = spsolve(((1.0 + dt) * eye - dt * d * lap).tocsc(), (v0 + dt * u0).ravel())
-    assert np.max(np.abs(u1[0].ravel() - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
-    assert np.max(np.abs(v1[0].ravel() - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+    assert np.max(np.abs(u1.ravel() - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    assert np.max(np.abs(v1.ravel() - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
 
 
 def packed_row(stepper, row):
@@ -459,16 +459,23 @@ def test_apply_packed_in_place_matches_the_allocating_call(cells):
                          ids=lambda c: "x".join(map(str, c)))
 def test_apply_packed_with_caller_buffers_matches_the_fresh_buffer_call(cells, n_members):
     # the buffers hold NaN before each call, so a value read before it is written
-    # would show; they are also carved from longer arrays, as a stepper passes them,
-    # sized for the whole batch; and each row of the batched call has the bytes of
-    # its lone call, with a shared multiplier and with a row per member
+    # would show; they are also carved from a longer flat array, as a stepper passes
+    # them, sized for the whole batch, with the q term in the reordered input's
+    # memory; and each row of the batched call has the bytes of its lone call, with
+    # a shared multiplier and with a row per member
     rng = np.random.default_rng(sum(cells) + n_members)
     shape = (n_members,) + cells
     x = rng.standard_normal(shape)
     fresh = elliptic.transform_buffers(shape, len(cells))
-    spectrum_and_q = sum(a.size * (a.itemsize // 8) for a in fresh[1:])
-    memory = (np.empty(x.size + 3), np.empty(spectrum_and_q + 6)[2:])
-    sets = [fresh, elliptic.transform_buffers(shape, len(cells), memory)]
+    memory = np.empty(elliptic.transform_floats(shape, len(cells)) + 6)[2:]
+    carved = elliptic.transform_buffers(shape, len(cells), memory)
+    assert all(np.shares_memory(a, memory) for a in carved if a.size)
+    assert (len(cells) == 1) == (carved[3].size == 0)  # 1D has no q term
+    for buffers in (fresh, carved):
+        v, z, zf, t = buffers
+        assert np.shares_memory(z, zf) and not np.shares_memory(z, v)
+        assert t.size == 0 or np.shares_memory(t, v)
+    sets = [fresh, carved]
     for mult in (rng.uniform(0.1, 2.0, cells), rng.uniform(0.1, 2.0, shape)):
         packed = pack_multiplier(mult, len(cells))
         want = apply_packed(x, packed)
@@ -522,9 +529,7 @@ def test_1d_pair_has_the_bytes_of_the_former_1d_pair(n, kinds, seed):
                   np.full(n, rng.standard_normal()) for kind in kinds])
     shape = x.shape
     fresh = elliptic.transform_buffers(shape, 1)
-    spectrum_and_q = sum(a.size * (a.itemsize // 8) for a in fresh[1:])
-    memory = (np.empty(x.size + 3), np.empty(spectrum_and_q + 6)[2:])
-    carved = elliptic.transform_buffers(shape, 1, memory)
+    carved = elliptic.transform_buffers(shape, 1, np.empty(elliptic.transform_floats(shape, 1) + 6)[2:])
     for mult in (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, shape)):
         packed = pack_multiplier(mult, 1)
         oracle_p = oracles.pack_1d(mult)
