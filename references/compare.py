@@ -5,7 +5,9 @@
 
 Every file must be in both trees. Three kinds of file hold numbers whose last
 bit may move with numpy's SIMD dispatch level, and their numbers are compared
-within 1e-14 relative, a nan equal to a nan:
+within 1e-14 of the larger of their own magnitude and, in a CSV, their
+column's largest, a nan equal to a nan; a CSV value at round-off of its
+column's largest goes unchecked:
 
 - <config>/functionals.csv, a run's t, F1 and F2 columns;
 - verify/inequalities.csv, whose pass column is compared exactly;

@@ -12,8 +12,8 @@
 #
 # compare.py wants every file byte for byte except the numbers that can move
 # their last bit on another numpy SIMD level: F1 and F2, computed with log and
-# log1p, and verify's lhs, rhs and margin, which it compares within 1e-14
-# relative. F1 and F2 have no digest, and trajectory.csv itself is deleted once
+# log1p, and verify's lhs, rhs and margin, which it compares within 1e-14 of
+# max(|x|, the largest |x| of x's column). F1 and F2 have no digest, and trajectory.csv itself is deleted once
 # its digests and functionals.csv are written.
 set -u
 out=${1:-references/verdicts}

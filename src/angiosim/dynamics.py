@@ -312,14 +312,6 @@ def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> n
     return cfg.cfl_safety * bound
 
 
-# Cells that one diffusion pair call runs over at most when it diffuses u and v
-# together: above it, u and v take a call each, since at 256 x 256 one call of
-# two rows is slower than two of one. A sweep ensemble holds at most this many
-# cells, so that a batch's step temporaries stay about the size of one 256 x 256
-# run's however many points a sweep has.
-_ENSEMBLE_CELLS = 256 * 256
-
-
 class _Buffers:
     """The work arrays of a step of a batch whose (u, v) state is shaped (2B, *cells),
     reused from step to step and shared by the step's phases. At 2D-256^2 a fresh
@@ -335,8 +327,7 @@ class _Buffers:
       u's reaction and v's source;
     - mask: one axis's upwind signs, (2B, *faces);
     - diffusion: the transform pair's buffers (elliptic.transform_buffers) for all
-      2B rows when they hold at most _ENSEMBLE_CELLS cells, and for the B rows of one
-      species otherwise (split), from the start of the flat array;
+      2B rows, from the start of the flat array;
     - potential: the potential's centred u, Laplacian, squares, face differences per
       axis (in the squares) and the pair's buffers for B rows. The pair reads only
       the centred u, so its buffers start past it and overlap the Laplacian and the
@@ -352,19 +343,17 @@ class _Buffers:
         rows, cells = shape[0], shape[1:]
         dim, n = len(cells), rows // 2
         size = math.prod(cells)
-        self.split = rows * size > _ENSEMBLE_CELLS
-        pair_shape = (n if self.split else rows,) + cells
         centred = n * size + n * size % 2  # 16-byte aligned for the pair past it
         potential = (n,) + cells
         flat = np.empty(max(2 * dim * n * size, 3 * n * size,
-                            transform_floats(pair_shape, dim),
+                            transform_floats(shape, dim),
                             centred + transform_floats(potential, dim)))
         slots = flat[:2 * dim * n * size].reshape((dim,) + shape)
         self.speeds = face_views(list(slots), shape)
         self.net = slots[0] if dim > 1 else None
         self.scratch = slots[0, :n]
         self.mask = face_views([np.empty(shape, dtype=bool)] * dim, shape)
-        self.diffusion = transform_buffers(pair_shape, dim, flat)
+        self.diffusion = transform_buffers(shape, dim, flat)
         rhs, lap, squares = flat[:3 * n * size].reshape((3,) + potential)
         self.potential = (rhs, lap, squares, face_views([squares] * dim, potential),
                           transform_buffers(potential, dim, flat[centred:]))
@@ -384,8 +373,7 @@ class Stepper:
     and the stepper holds them only packed for the transform pair, a row per
     member and species. The diffusions run in place on the (2B, *cells) array
     that receives the explicit update and that the step returns, in one pair
-    over its 2B rows when they hold at most _ENSEMBLE_CELLS cells and in one per
-    species otherwise; the potential solve is one more pair of B rows. Every
+    over its 2B rows; the potential solve is one more pair of B rows. Every
     operation is row by row, so a member gets the same numbers whatever else is
     in the batch. The work arrays (_Buffers) are kept for the batch's shape; a
     step allocates only the arrays it returns.
@@ -404,7 +392,7 @@ class Stepper:
         mult_uv[:n] = 1.0 / (1.0 + cfg.dt * lam)
         mult_uv[n:] = 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam)
         del lam  # before packing, the peak of the build
-        self._set_packed(pack_multiplier(mult_uv, grid.dim))
+        self._packed_uv = pack_multiplier(mult_uv, grid.dim)
 
     def _set_params(self, params):
         self.params = tuple(params)
@@ -421,22 +409,14 @@ class Stepper:
                 growth.setdefault(p.theta, []).append(row)
         self._growth = [(rows, theta) for theta, rows in growth.items()]
 
-    def _set_packed(self, packed):
-        """Hold the stacked packed multipliers, and each species' rows of them."""
-        n = len(self.params)
-        self._packed_uv = packed
-        self._species = [(rows, tuple(arr[rows] for arr in packed))
-                         for rows in (slice(None, n), slice(n, None))]
-
     def keep(self, rows):
         """Keep only the members in the given batch rows, in that order."""
         n = len(self.params)
         self._set_params([self.params[r] for r in rows])
         stacked = list(rows) + [n + r for r in rows]  # u's rows, then v's
-        packed = tuple(arr[stacked] for arr in self._packed_uv)
-        for arr in packed:
+        self._packed_uv = tuple(arr[stacked] for arr in self._packed_uv)
+        for arr in self._packed_uv:
             arr.flags.writeable = False
-        self._set_packed(packed)
 
     def _work(self, shape) -> _Buffers:
         """The work arrays for a (u, v) state of this shape, built on first use."""
@@ -512,11 +492,7 @@ class Stepper:
         else:
             u_star += 0.0  # dt times the zero reaction, which turns -0.0 into +0.0
         v_star += np.multiply(u, cfg.dt, out=buf.scratch)
-        if buf.split:
-            for rows, packed in self._species:
-                apply_packed(out[rows], packed, out=out[rows], buffers=buf.diffusion)
-        else:
-            apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
+        apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
         return out
 
     def _potential(self, uv: np.ndarray) -> np.ndarray:

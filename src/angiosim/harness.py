@@ -20,14 +20,7 @@ import warnings
 import numpy as np
 
 from .config import ScenarioConfig, SweepSpec, scenario_with_overrides
-from .dynamics import (
-    _ENSEMBLE_CELLS,
-    Trajectory,
-    make_initial,
-    run,
-    run_ensemble,
-    write_trajectory_csv,
-)
+from .dynamics import Trajectory, make_initial, run, run_ensemble, write_trajectory_csv
 from .elliptic import (
     EllipticSolveError,
     elliptic_residual,
@@ -70,6 +63,10 @@ EXIT_NUMERICAL = 3
 # reported as its termination reason, so numpy's warnings would only repeat it.
 # Bounds on extreme parameters read inf or nan for the same reason.
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+# Cells one sweep ensemble holds at most, so that a batch's step temporaries
+# stay about the size of one 256 x 256 run's however many points a sweep has.
+_ENSEMBLE_CELLS = 256 * 256
 
 
 def _fmt(v) -> str:

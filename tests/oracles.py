@@ -131,8 +131,7 @@ def allocating_transport(grid, params, cfg, u, v, w):
     (central), the explicit update u - dt div(flux) + dt u (a - mu u^theta) and
     v - dt div(flux) + dt u, then both implicit diffusions in one stacked
     (2B, *cells) transform pair, a row per member and species, built afresh; each
-    row has the bytes of the step's pair in its work arrays, and of its two B-row
-    pairs above the cap.
+    row has the bytes of the step's pair in its work arrays.
     """
     n, dt = len(params), cfg.dt
     d = np.array([p.d for p in params]).reshape((n,) + (1,) * grid.dim)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import statistics
 import time
 import tracemalloc
 import warnings
@@ -551,23 +550,24 @@ def test_a_2d_record_stays_within_three_grid_arrays():
 
 def test_a_record_costs_about_linear_time_in_its_members():
     # on 1D-16 a sweep ensemble holds up to 4096 members; a record whose per-member
-    # work scanned a list of the F1 or F2 rows took 24 times as long at 4096 members
-    # as at 512, where linear work takes 8 times as long. The ratio of medians of a
-    # few calls cancels the host's speed.
+    # work scanned a list of the F1 or F2 rows took 22 to 24 times as long at 4096
+    # members as at 512, where linear work takes 8 to 9 times as long. The ratio of
+    # the fastest of several calls cancels the host's speed, and a call slowed by
+    # another process does not count.
     grid = build_grid(1, 1.0, 16)
     rng = np.random.default_rng(5)
     growth_free = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.0, a=0.0, mu=0.0, theta=1.0, n_dim=1)
     logistic = dataclasses.replace(growth_free, a=1.0, mu=1.0)
 
-    def median_time(n):
+    def fastest_time(n):
         u, v, w = (rng.uniform(0.5, 1.5, (n,) + grid.cells) for _ in range(3))
         params = [growth_free, logistic] * (n // 2)
         times = []
-        for _ in range(5):
+        for _ in range(9):
             start = time.perf_counter()
             diagnostics_batch(0.0, u, v, w, grid, params, [1.0] * n)
             times.append(time.perf_counter() - start)
-        return statistics.median(times)
+        return min(times)
 
-    median_time(512)  # warm-up
-    assert median_time(4096) <= 12 * median_time(512)
+    fastest_time(512)  # warm-up
+    assert fastest_time(4096) <= 15 * fastest_time(512)

@@ -57,8 +57,3 @@ def test_compare_wants_every_file_in_both_trees(tmp_path):
     shutil.rmtree(tmp_path / "new" / "verify")
     assert compare.main([ref, changed]) == 1
     assert compare.main([changed, ref]) == 1
-
-
-def test_committed_references_compare_equal_to_themselves():
-    verdicts = str(ROOT / "references" / "verdicts")
-    assert compare.main([verdicts, verdicts]) == 0
