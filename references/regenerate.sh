@@ -41,7 +41,7 @@ functionals() {
     cut -d, -f "$fields" "$1"
 }
 
-for name in blowup_probe c1_no_mitosis c2_logistic chi_zero heat_oracle r3_strong_damping; do
+for name in blowup_probe c1_no_mitosis c2_logistic c2_logistic_2d chi_zero heat_oracle r3_strong_damping; do
     python3 -m angiosim.cli run "configs/$name.cfg" --out "$out/$name" --quiet
     status=$?
     # blowup_probe ends in its documented blow-up, exit 2

@@ -416,7 +416,8 @@ def test_fitted_rates_of_bundled_configs_ignore_round_off(bundled_columns):
     # clear of the round-off plateau: noise of 1e-12 of the column's scale
     # moves no fitted rate by 1e-5 relative
     assert set(bundled_columns) == {"blowup_probe", "c1_no_mitosis", "c2_logistic",
-                                    "chi_zero", "heat_oracle", "r3_strong_damping"}
+                                    "c2_logistic_2d", "chi_zero", "heat_oracle",
+                                    "r3_strong_damping"}
     rng = np.random.default_rng(12)
     for name, column in bundled_columns.items():
         rate = fit_decay_rate(column).rate
