@@ -314,9 +314,10 @@ def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> n
 
 class _Buffers:
     """The work arrays of a step of a batch whose (u, v) state is shaped (2B, *cells),
-    reused from step to step and shared by the step's phases. At 2D-256^2 a fresh
-    full-grid temporary is half a megabyte, and a step that makes a dozen of them
-    faults hundreds of pages back in. A step's outputs are never among them.
+    built once with its Stepper, reused from step to step and shared by the step's
+    phases. At 2D-256^2 a fresh full-grid temporary is half a megabyte, and a step
+    that makes a dozen of them faults hundreds of pages back in. A step's outputs
+    are never among them.
 
     They are one flat float array and the upwind signs:
 
@@ -339,7 +340,6 @@ class _Buffers:
     """
 
     def __init__(self, shape):
-        self.shape = shape
         rows, cells = shape[0], shape[1:]
         dim, n = len(cells), rows // 2
         size = math.prod(cells)
@@ -375,29 +375,18 @@ class Stepper:
     that receives the explicit update and that the step returns, in one pair
     over its 2B rows; the potential solve is one more pair of B rows. Every
     operation is row by row, so a member gets the same numbers whatever else is
-    in the batch. The work arrays (_Buffers) are kept for the batch's shape; a
-    step allocates only the arrays it returns.
+    in the batch. A stepper serves one batch for its whole life: it builds its
+    parameter columns, multipliers and work arrays (_Buffers) once, and a step
+    allocates only the arrays it returns. When members leave, the caller builds
+    a stepper for the rest.
     """
 
     def __init__(self, grid: Grid, params, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
-        self._set_params(params)
-        # the diffusion multipliers of the stacked (u, v) batch, row by row,
-        # kept only packed
-        n = len(self.params)
-        lam = neumann_eigenvalues(grid)
-        d = np.array([p.d for p in self.params]).reshape((n,) + (1,) * grid.dim)
-        mult_uv = np.empty((2 * n,) + grid.cells)
-        mult_uv[:n] = 1.0 / (1.0 + cfg.dt * lam)
-        mult_uv[n:] = 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam)
-        del lam  # before packing, the peak of the build
-        self._packed_uv = pack_multiplier(mult_uv, grid.dim)
-
-    def _set_params(self, params):
         self.params = tuple(params)
-        self._buffers = None
-        column = (len(self.params),) + (1,) * self.grid.dim
+        n = len(self.params)
+        column = (n,) + (1,) * grid.dim
         names = ("chi", "xi1", "xi2", "a", "mu")
         cols = [[getattr(p, name) for p in self.params] for name in names]
         self._cols = np.array(cols).reshape((5,) + column)
@@ -408,21 +397,16 @@ class Stepper:
             if p.a or p.mu:
                 growth.setdefault(p.theta, []).append(row)
         self._growth = [(rows, theta) for theta, rows in growth.items()]
-
-    def keep(self, rows):
-        """Keep only the members in the given batch rows, in that order."""
-        n = len(self.params)
-        self._set_params([self.params[r] for r in rows])
-        stacked = list(rows) + [n + r for r in rows]  # u's rows, then v's
-        self._packed_uv = tuple(arr[stacked] for arr in self._packed_uv)
-        for arr in self._packed_uv:
-            arr.flags.writeable = False
-
-    def _work(self, shape) -> _Buffers:
-        """The work arrays for a (u, v) state of this shape, built on first use."""
-        if self._buffers is None or self._buffers.shape != shape:
-            self._buffers = _Buffers(shape)
-        return self._buffers
+        self._buffers = _Buffers((2 * n,) + grid.cells)
+        # the diffusion multipliers of the stacked (u, v) batch, row by row,
+        # kept only packed
+        lam = neumann_eigenvalues(grid)
+        d = np.array([p.d for p in self.params]).reshape(column)
+        mult_uv = np.empty((2 * n,) + grid.cells)
+        mult_uv[:n] = 1.0 / (1.0 + cfg.dt * lam)
+        mult_uv[n:] = 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam)
+        del lam  # before packing, the peak of the build
+        self._packed_uv = pack_multiplier(mult_uv, grid.dim)
 
     def _fluxes(self, uv: np.ndarray, speeds, faces):
         """Per grid axis, speed * upwind or centred face value of every row of uv,
@@ -466,7 +450,7 @@ class Stepper:
         cfg, grid = self.cfg, self.grid
         n = len(w)
         u = uv[:n]
-        buf = self._work(uv.shape)
+        buf = self._buffers
         out = np.empty(uv.shape)
         # the face speeds' scratch and the first axis's face values go at the start
         # of out, which the advection then overwrites
@@ -507,7 +491,7 @@ class Stepper:
             u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
         try:  # the face speeds are used up, so their slots are free
             w, _res, _it = solve_neumann_poisson(
-                self.grid, u, self.cfg.elliptic_tolerance, self._work(uv.shape).potential)
+                self.grid, u, self.cfg.elliptic_tolerance, self._buffers.potential)
         except EllipticSolveError as exc:
             missed = np.flatnonzero(exc.failed)
             raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc
@@ -584,7 +568,7 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
 
     def leave(ended, t, uv, w):
         """Close the trajectories of the ended rows; return the (uv, w) of the rest."""
-        nonlocal members
+        nonlocal members, stepper
         for row, (reason, detail) in ended.items():
             b = members[row]
             trajectories[b] = Trajectory(
@@ -593,7 +577,7 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         kept = [row for row in range(n) if row not in ended]
         members = [members[row] for row in kept]
         if kept:
-            stepper.keep(kept)
+            stepper = Stepper(grid, [stepper.params[row] for row in kept], cfg)
         return uv[kept + [n + row for row in kept]], w[kept]
 
     n = len(initials)

@@ -355,6 +355,31 @@ def test_criterion_13_convergence_orders():
                   f"halving ratio {ratio:.3f} in [1.7, 2.3], {elapsed:.1f}s")
 
 
+def test_criterion_13_spatial_order_on_an_anisotropic_2d_box():
+    # the same Richardson check on a 1.0 x 0.6 box, whose two axes differ in
+    # length, cell count and spacing, so that it guards the per-axis handling
+    t0 = time.perf_counter()
+    p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.0, a=0.0, mu=0.0, theta=1.0, n_dim=2)
+
+    def terminal_u(cells):
+        g = build_grid(2, (1.0, 0.6), cells)
+        traj, _ = timed_run(smooth_initial(g), p, SolverConfig(
+            dt=1e-4, t_end=0.1, record_every=10 ** 9, flux_scheme="central"))
+        return traj.terminal.u
+
+    def restrict(fine):  # cell-average restriction onto the coarser grid
+        return 0.25 * (fine[0::2, 0::2] + fine[1::2, 0::2] + fine[0::2, 1::2] + fine[1::2, 1::2])
+
+    u_coarse, u_mid, u_fine = (terminal_u(cells) for cells in ((24, 16), (48, 32), (96, 64)))
+    e_coarse = math.sqrt(float(np.sum((restrict(u_mid) - u_coarse) ** 2)) / u_coarse.size)
+    e_fine = math.sqrt(float(np.sum((restrict(u_fine) - u_mid) ** 2)) / u_mid.size)
+    order = math.log2(e_coarse / e_fine)
+    elapsed = time.perf_counter() - t0
+    ok = 1.7 <= order <= 2.2 and elapsed < 300.0
+    check(13, ok, f"spatial Richardson order {order:.3f} in [1.7, 2.2] on a 1.0 x 0.6 box "
+                  f"from 24x16 to 96x64 cells, {elapsed:.1f}s")
+
+
 def test_criterion_14_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "repeat.cfg"
     cfg.write_text(

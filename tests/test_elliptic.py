@@ -549,15 +549,16 @@ def test_1d_pair_has_the_bytes_of_the_former_1d_pair(n, kinds, seed):
 
 @pytest.mark.parametrize("g", [build_grid(1, 1.0, 33), build_grid(2, (1.0, 1.5), (6, 9))],
                          ids=["33", "6x9"])
-def test_keep_slices_the_packed_multipliers_of_the_kept_members(g):
+def test_a_stepper_for_some_members_packs_their_rows_of_the_batch(g):
+    # run_ensemble builds a stepper for the members left in a batch, which must
+    # hold the same packed multiplier bytes as their rows of the batch's stepper
     members = [ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=0.5 + j, a=0.0, mu=0.0, theta=1.0,
                            n_dim=g.dim) for j in range(5)]
     cfg = SolverConfig(dt=0.013, t_end=1.0)
-    stepper = Stepper(g, members, cfg)
-    for rows in ([4, 1, 2], [2, 0]):
-        stepper.keep(rows)
-        members = [members[r] for r in rows]
-        fresh = Stepper(g, members, cfg)
+    batch = Stepper(g, members, cfg)
+    for rows in ([4, 1, 2], [2, 0], [3]):
+        stepper = Stepper(g, [members[r] for r in rows], cfg)
+        stacked = rows + [len(members) + r for r in rows]  # u's rows, then v's
         assert [a.tobytes() for a in stepper._packed_uv] == \
-            [a.tobytes() for a in fresh._packed_uv]
+            [a[stacked].tobytes() for a in batch._packed_uv]
         assert not any(a.flags.writeable for a in stepper._packed_uv)
