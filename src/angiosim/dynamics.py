@@ -59,7 +59,7 @@ from .elliptic import (
     transform_floats,
 )
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
-from .grid import FLOAT_FMT, Grid, divergence_arrays, face_slices, face_views
+from .grid import FLOAT_FMT, Grid, divergence_arrays, face_pads, face_strides, padded_faces
 
 __all__ = [
     "ModelParams",
@@ -264,48 +264,69 @@ def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> Sim
 
 
 def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2, out=None):
-    """Per-axis interior-face transport speeds of a batch's u and v, stacked as one
-    (2B, *faces) array per axis: u's rows, chi grad v - xi1 grad w, then v's rows,
-    -xi2 grad w. The couplings are (B, 1[, 1]) columns. out, if given, is (the
-    stacked arrays, per axis a B-row scratch array shaped like its faces), and the
-    first receive the speeds; they are fresh arrays otherwise."""
-    n = len(v)
-    slices = face_slices(grid.dim)
+    """Per grid axis, the transport speeds of a batch's u and v stacked as one
+    (2B, *cells) array, as a padded face array (grid.padded_faces): u's rows,
+    chi grad v - xi1 grad w, then v's rows, -xi2 grad w. Its pads read +0.0 or
+    -0.0. v and w are C-contiguous (B, *cells) arrays and the couplings (B, 1[, 1])
+    columns. out, if given, is (the padded arrays, a (B, *cells) scratch array),
+    and the first receive the speeds; they are fresh arrays otherwise. Every pass
+    runs over the whole batch as one contiguous call: the differences across a pad
+    are garbage, zeroed before they are scaled."""
+    n, half = len(v), v.size
+    shape = (2 * n,) + v.shape[1:]
     if out is None:
-        out = ([np.empty((2 * n,) + w[lo].shape[1:]) for lo, _hi in slices], [None] * grid.dim)
-    for (lo, hi), h, a, scratch in zip(slices, grid.spacing, *out):
-        a_u, a_v = a[:n], a[n:]
-        np.subtract(w[hi], w[lo], out=a_v)  # grad w
-        a_v /= h
-        np.subtract(v[hi], v[lo], out=a_u)  # chi grad v - xi1 grad w
-        a_u /= h
+        out = (padded_faces(shape, grid.dim), np.empty(v.shape))
+    speeds, scratch = out
+    fv, fw = v.reshape(-1), w.reshape(-1)
+    for k, (h, s, a) in enumerate(zip(grid.spacing, face_strides(shape, grid.dim), speeds)):
+        np.subtract(fw[s:], fw[:-s], out=a[half + s:2 * half])  # grad w
+        np.subtract(fv[s:], fv[:-s], out=a[s:half])  # chi grad v - xi1 grad w
+        face_pads(a, shape, grid.dim, k)[...] = 0.0
+        a[s:s + 2 * half] /= h
+        a_u, a_v = a[s:s + half].reshape(v.shape), a[s + half:s + 2 * half].reshape(v.shape)
         a_u *= chi
         a_u -= np.multiply(a_v, xi1, out=scratch)
         a_v *= -xi2
-    return out[0]
+    return speeds
 
 
-def stable_dt(grid: Grid, u: np.ndarray, speeds, params, cfg: SolverConfig) -> np.ndarray:
+def growth_columns(params) -> np.ndarray:
+    """The (3, B) rows a, mu and theta of a batch's members, for stable_dt."""
+    return np.array([[p.a for p in params], [p.mu for p in params], [p.theta for p in params]])
+
+
+def stable_dt(grid: Grid, umax: np.ndarray, speeds, growth, cfg: SolverConfig) -> np.ndarray:
     """Per member: cfl_safety * min(face CFL per axis, reaction bound, factor-source bound).
 
-    u is a (B, *cells) batch, params holds one ModelParams per member and
-    speeds are the batch's stacked face speeds from _face_speeds. Face CFL is
-    h / max|speed| per axis over both transported species; the reaction bound
-    1/(a + mu ||u||_inf^theta + 1) keeps the explicit logistic update positive;
-    the factor-source bound is 1. A step at the bound keeps u > 0 and v >= 0
-    only in 1D at cfl_safety <= 0.5: each bound is taken on its own, while an
-    upwind cell loses the outflow through all its faces and its damping at once.
+    umax is each member's max of u, a (B,) array, speeds are the batch's padded
+    face speeds from _face_speeds and growth is growth_columns of the members.
+    Face CFL is h / max|speed| per axis over both transported species; the
+    reaction bound 1/(a + mu max(umax, 0)^theta + 1) keeps the explicit logistic
+    update positive; the factor-source bound is 1. The reaction bound is taken
+    for the whole batch at once. Its power is np.float_power, which calls libm's
+    pow as a float64 scalar power does, so the bound has the bits of the formula
+    taken member by member. np.power, and ndarray ** with its square and
+    square-root shortcuts, may differ from libm by an ulp, for theta = 0.5 and 2
+    too; a numpy whose float_power did so would move the bound by a few ulp.
+    A step at the bound keeps u > 0 and v >= 0 only in 1D at cfl_safety <= 0.5:
+    each bound is taken on its own, while an upwind cell loses the outflow
+    through all its faces and its damping at once.
     """
+    a, mu, theta = growth
+    n = len(umax)
+    bound = np.float_power(np.maximum(umax, 0.0), theta)
+    bound *= mu
+    bound += a
+    bound += 1.0
+    np.divide(1.0, bound, out=bound)
+    np.fmin(bound, 1.0, out=bound)  # the v-source bound; a nan reaction bound reads 1
     axes = grid_axes(grid)
-    n = len(u)
-    # reaction bound in float arithmetic, member by member, capped by the v-source bound
-    bound = np.array([
-        min(1.0, 1.0 / (p.a + p.mu * max(umax, 0.0) ** p.theta + 1.0))
-        for p, umax in zip(params, u.max(axis=axes).tolist())
-    ])
-    for h, a in zip(grid.spacing, speeds):
+    shape = (2 * n,) + grid.cells
+    size = math.prod(shape)
+    for h, s, speed in zip(grid.spacing, face_strides(shape, grid.dim), speeds):
+        rows = speed[s:s + size].reshape(shape)  # every face once, and the pads
         # max |speed| as max(max, -min) over a member's u and v rows, with no |speed| array
-        smax = np.maximum(a.max(axis=axes), -a.min(axis=axes))
+        smax = np.maximum(np.maximum.reduce(rows, axis=axes), -np.minimum.reduce(rows, axis=axes))
         smax = np.maximum(smax[:n], smax[n:])
         cfl = np.divide(h, smax, out=np.full_like(smax, np.inf), where=smax > 0.0)
         bound = np.minimum(bound, cfl)
@@ -321,18 +342,21 @@ class _Buffers:
 
     They are one flat float array and the upwind signs:
 
-    - speeds: per grid axis k, the (2B, *faces) stacked face speeds, in slot k of
-      2B grid arrays each. Each becomes its axis's flux in place. In 2D the first
-      slot (net) then takes the second axis's face values and the divergence's net
-      flux; once the advection is done, its start (scratch) takes B grid arrays of
+    - speeds: per grid axis k, the stacked face speeds as a padded face array
+      (grid.padded_faces) of s_k + 2B grid arrays' floats, the axes' one after the
+      other from the start, and pads, their pads as strided views. Each becomes its
+      axis's flux in place. In 2D the start (net) then takes the second axis's face
+      values and the divergence's net flux, once the first axis's speeds are used
+      up; once the advection is done, its start (scratch) takes B grid arrays of
       u's reaction and v's source;
-    - mask: one axis's upwind signs, (2B, *faces);
+    - mask: per axis, a view of one bool array for its upwind signs;
     - diffusion: the transform pair's buffers (elliptic.transform_buffers) for all
       2B rows, from the start of the flat array;
-    - potential: the potential's centred u, Laplacian, squares, face differences per
-      axis (in the squares) and the pair's buffers for B rows. The pair reads only
-      the centred u, so its buffers start past it and overlap the Laplacian and the
-      squares, which are written after it.
+    - potential: the potential's centred u, Laplacian, squares, padded face
+      differences (from the squares on, a stride past them) and the pair's buffers
+      for B rows. The pair reads only the centred u, so its buffers start past it
+      and overlap the Laplacian, the squares and the faces, which are written
+      after it.
 
     The flat array holds the largest of these, about 4B grid arrays in 1D and 2D:
     the speeds need 4B in 2D, a stacked pair a little over 4B and the potential a
@@ -343,19 +367,21 @@ class _Buffers:
         rows, cells = shape[0], shape[1:]
         dim, n = len(cells), rows // 2
         size = math.prod(cells)
+        strides = face_strides(shape, dim)
         centred = n * size + n * size % 2  # 16-byte aligned for the pair past it
         potential = (n,) + cells
-        flat = np.empty(max(2 * dim * n * size, 3 * n * size,
+        flat = np.empty(max(dim * rows * size + sum(strides), 3 * n * size + max(strides),
                             transform_floats(shape, dim),
                             centred + transform_floats(potential, dim)))
-        slots = flat[:2 * dim * n * size].reshape((dim,) + shape)
-        self.speeds = face_views(list(slots), shape)
-        self.net = slots[0] if dim > 1 else None
-        self.scratch = slots[0, :n]
-        self.mask = face_views([np.empty(shape, dtype=bool)] * dim, shape)
+        self.speeds = padded_faces(shape, dim, flat)
+        self.pads = [face_pads(a, shape, dim, k) for k, a in enumerate(self.speeds)]
+        self.net = flat[:rows * size].reshape(shape) if dim > 1 else None
+        self.scratch = flat[:n * size].reshape(potential)
+        signs = np.empty(rows * size, dtype=bool)
+        self.mask = [signs[:rows * size - s] for s in strides]
         self.diffusion = transform_buffers(shape, dim, flat)
         rhs, lap, squares = flat[:3 * n * size].reshape((3,) + potential)
-        self.potential = (rhs, lap, squares, face_views([squares] * dim, potential),
+        self.potential = (rhs, lap, squares, flat[2 * n * size:],
                           transform_buffers(potential, dim, flat[centred:]))
         self.flat = flat
 
@@ -365,10 +391,16 @@ class Stepper:
 
     The state is (uv, w): uv one C-contiguous (2B, *cells) array, u's rows then
     v's, and w a (B, *cells) array. Each member has its own ModelParams, held as
-    (B, 1[, 1]) columns. Every per-species phase of a step runs once over all 2B
-    rows of uv: the face speeds (one stacked array per axis) and their stability
-    bound, the advection, both implicit diffusions and the finite check. The
-    implicit operators are diagonal in the DCT-II basis: u takes the shared
+    (B, 1[, 1]) columns, and the reaction bound's a, mu and theta as (B,) rows.
+    Every per-species phase of a step runs once over all 2B rows of uv: the face
+    speeds (one stacked array per axis) and their stability bound, the
+    advection, both implicit diffusions and the new state's per-row max and min.
+    Face speeds and fluxes live in padded face arrays (grid.padded_faces), so each
+    stencil pass is one contiguous call over the batch. The max and min are taken
+    once and serve three ends: the potential's finite check, the caller's end
+    checks (_ended_rows, through extrema) and, passed back as umax, the next
+    step's reaction bound.
+    The implicit operators are diagonal in the DCT-II basis: u takes the shared
     multiplier 1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda),
     and the stepper holds them only packed for the transform pair, a row per
     member and species. The diffusions run in place on the (2B, *cells) array
@@ -390,6 +422,7 @@ class Stepper:
         names = ("chi", "xi1", "xi2", "a", "mu")
         cols = [[getattr(p, name) for p in self.params] for name in names]
         self._cols = np.array(cols).reshape((5,) + column)
+        self._growth_cols = growth_columns(self.params)
         # members with a logistic term, by exponent: u^theta keeps a scalar
         # exponent, as for a member on its own
         growth = {}
@@ -397,7 +430,10 @@ class Stepper:
             if p.a or p.mu:
                 growth.setdefault(p.theta, []).append(row)
         self._growth = [(rows, theta) for theta, rows in growth.items()]
+        self._axes = grid_axes(grid)
+        self._strides = face_strides((2 * n,) + grid.cells, grid.dim)
         self._buffers = _Buffers((2 * n,) + grid.cells)
+        self.extrema = None  # the per-row (max, min) of the uv that step last returned
         # the diffusion multipliers of the stacked (u, v) batch, row by row,
         # kept only packed
         lam = neumann_eigenvalues(grid)
@@ -410,18 +446,24 @@ class Stepper:
 
     def _fluxes(self, uv: np.ndarray, speeds, faces):
         """Per grid axis, speed * upwind or centred face value of every row of uv,
-        formed in place in the axis's speed array; faces[k] receives axis k's face
-        values once the previous flux is used up."""
+        formed in place in the axis's padded speed array, whose pads then read +0.0;
+        faces[k], a flat float array, receives axis k's face values once the
+        previous flux is used up. Each pass runs over every face with a cell on
+        both sides, and the pads between rows among them, in one call."""
         buf = self._buffers
-        for (lo, hi), a, face, mask in zip(face_slices(self.grid.dim), speeds, faces, buf.mask):
+        flat = uv.reshape(-1)
+        size = flat.size
+        for a, face, mask, pads, s in zip(speeds, faces, buf.mask, buf.pads, self._strides):
+            flux, face = a[s:size], face[:size - s]
             if self.cfg.flux_scheme == "upwind":
-                np.greater(a, 0.0, out=mask)
-                np.copyto(face, uv[hi])
-                np.copyto(face, uv[lo], where=mask)
+                np.greater(flux, 0.0, out=mask)
+                np.copyto(face, flat[s:])
+                np.copyto(face, flat[:-s], where=mask)
             else:
-                np.add(uv[lo], uv[hi], out=face)
+                np.add(flat[:-s], flat[s:], out=face)
                 face *= 0.5
-            a *= face
+            flux *= face
+            pads[...] = 0.0
             yield a
 
     def _reaction(self, u: np.ndarray, out=None):
@@ -444,7 +486,7 @@ class Stepper:
             react[rows] = ur * (a[rows] - mu[rows] * ur ** theta)
         return react
 
-    def _transport(self, t: float, uv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _transport(self, t: float, uv: np.ndarray, w: np.ndarray, umax) -> np.ndarray:
         """Stability check, explicit advection and reaction, implicit diffusion of
         both species -> their new (2B, *cells) array."""
         cfg, grid = self.cfg, self.grid
@@ -452,23 +494,25 @@ class Stepper:
         u = uv[:n]
         buf = self._buffers
         out = np.empty(uv.shape)
+        if umax is None:
+            umax = u.max(axis=self._axes)
         # the face speeds' scratch and the first axis's face values go at the start
         # of out, which the advection then overwrites
-        speeds = _face_speeds(grid, uv[n:], w, *self._cols[:3],
-                              out=(buf.speeds, face_views([out] * grid.dim, w.shape)))
-        bound = stable_dt(grid, u, speeds, self.params, cfg)
+        speeds = _face_speeds(grid, uv[n:], w, *self._cols[:3], out=(buf.speeds, out[:n]))
+        bound = stable_dt(grid, umax, speeds, self._growth_cols, cfg)
         unstable = np.flatnonzero(cfg.dt > bound)
         if unstable.size:
             raise StepFailure({
                 int(r): f"dt={cfg.dt:.3e} exceeds stability bound {bound[r]:.3e} at t={t:.6g}"
                 for r in unstable
             })
-        faces = face_views([out, buf.net][:grid.dim], uv.shape)
+        # the second axis's face values go where its net flux will
+        faces = (out.reshape(-1), buf.flat)
         divergence_arrays(self._fluxes(uv, speeds, faces), grid.spacing, uv.shape, out, buf.net)
         out *= cfg.dt
         np.subtract(uv, out, out=out)  # uv - dt div(flux)
         u_star, v_star = out[:n], out[n:]
-        # the speeds are used up, so their first slot is free
+        # the speeds are used up, so their start is free
         if self._growth:
             react = self._reaction(u, out=buf.scratch)
             react *= cfg.dt
@@ -479,15 +523,15 @@ class Stepper:
         apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
         return out
 
-    def _potential(self, uv: np.ndarray) -> np.ndarray:
+    def _potential(self, uv: np.ndarray, extrema) -> np.ndarray:
         """w solved from each member's u; 0 for members gone non-finite, which
-        the caller classifies as blown up."""
-        axes = grid_axes(self.grid)
+        the caller classifies as blown up. extrema are uv's per-row max and min."""
         n = len(uv) // 2
-        finite = np.isfinite(uv).all(axis=axes)
-        finite = finite[:n] & finite[n:]
+        highs, lows = extrema  # max and min propagate nan and reach any inf
+        finite = np.isfinite(highs) & np.isfinite(lows)
         u = uv[:n]
         if not finite.all():  # a zero row solves to w = 0
+            finite = finite[:n] & finite[n:]
             u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
         try:  # the face speeds are used up, so their slots are free
             w, _res, _it = solve_neumann_poisson(
@@ -497,15 +541,24 @@ class Stepper:
             raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc
         return w
 
-    def step(self, t: float, uv: np.ndarray, w: np.ndarray):
-        """Advance every member one dt from time t -> the new (uv, w).
+    def step(self, t: float, uv: np.ndarray, w: np.ndarray, umax=None):
+        """Advance every member one dt from time t -> the new (uv, w), whose
+        per-row max and min are then extrema.
 
-        Raises StepFailure naming the rows that exceed their stability bound
-        or miss the potential-solve tolerance; the other rows are unaffected,
-        and the caller steps them again without the failed ones.
+        umax, if given, is each member's max of u in uv, as the previous step's
+        extrema hold it; it is computed otherwise. Raises StepFailure naming the
+        rows that exceed their stability bound or miss the potential-solve
+        tolerance; the other rows are unaffected, and the caller steps them again
+        without the failed ones.
         """
-        uv_new = self._transport(t, uv, w)
-        return uv_new, self._potential(uv_new)
+        uv_new = self._transport(t, uv, w, umax)
+        self.extrema = _row_extrema(uv_new, self._axes)
+        return uv_new, self._potential(uv_new, self.extrema)
+
+
+def _row_extrema(uv: np.ndarray, axes) -> tuple:
+    """The per-row max and min of a batch, as (2B,) arrays."""
+    return np.maximum.reduce(uv, axis=axes), np.minimum.reduce(uv, axis=axes)
 
 
 def _member_state(grid: Grid, t: float, uv: np.ndarray, w: np.ndarray, row: int) -> SimState:
@@ -513,16 +566,18 @@ def _member_state(grid: Grid, t: float, uv: np.ndarray, w: np.ndarray, row: int)
     return SimState(t, grid, uv[row], uv[len(w) + row], w[row])
 
 
-def _ended_rows(uv: np.ndarray, axes, t: float, cfg: SolverConfig) -> dict:
-    """Rows of a (2B, *cells) (u, v) state whose member blew up (non-finite, or
-    ||u||_inf above threshold) or, under upwinding, lost positivity ->
-    {member row: (termination reason, detail)}."""
+def _ended_rows(extrema, t: float, cfg: SolverConfig) -> dict:
+    """Rows of a (2B, *cells) (u, v) state, given its per-row max and min
+    (_row_extrema), whose member blew up (non-finite, or ||u||_inf above
+    threshold) or, under upwinding, lost positivity -> {member row: (termination
+    reason, detail)}."""
     ended = {}
-    n = len(uv) // 2
     # max and min propagate nan and reach any inf, so they tell finiteness too
-    highs, lows = uv.max(axis=axes).tolist(), uv.min(axis=axes).tolist()
+    highs, lows = (e.tolist() for e in extrema)
+    n = len(highs) // 2
+    finite = math.isfinite
     for row, (umax, umin, vmax, vmin) in enumerate(zip(highs[:n], lows[:n], highs[n:], lows[n:])):
-        if not all(map(math.isfinite, (umax, umin, vmax, vmin))) \
+        if not (finite(umax) and finite(umin) and finite(vmax) and finite(vmin)) \
                 or max(umax, -umin) > cfg.blowup_threshold:
             ended[row] = ("blowup_detected",
                           f"||u||_inf beyond {cfg.blowup_threshold:g} at t={t:.6g}")
@@ -566,8 +621,9 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         for b, rec in zip(members, rows):
             records[b].append(rec)
 
-    def leave(ended, t, uv, w):
-        """Close the trajectories of the ended rows; return the (uv, w) of the rest."""
+    def leave(ended, t, uv, w, extrema):
+        """Close the trajectories of the ended rows; return the (uv, w) of the rest
+        and their extrema."""
         nonlocal members, stepper
         for row, (reason, detail) in ended.items():
             b = members[row]
@@ -578,13 +634,15 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         members = [members[row] for row in kept]
         if kept:
             stepper = Stepper(grid, [stepper.params[row] for row in kept], cfg)
-        return uv[kept + [n + row for row in kept]], w[kept]
+        rows = kept + [n + row for row in kept]
+        return uv[rows], w[kept], tuple(e[rows] for e in extrema)
 
     n = len(initials)
     uv = np.empty((2 * n,) + grid.cells)
     w = np.empty((n,) + grid.cells)
     for b, s in enumerate(initials):
         uv[b], uv[n + b], w[b] = s.u, s.v, s.w
+    extrema = _row_extrema(uv, axes)  # then each step's, which it passes on
     record(t, uv, w)
     if on_record is not None:
         for b, state in enumerate(initials):
@@ -593,17 +651,19 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         stepped = None
         while members and stepped is None:
             try:
-                stepped = stepper.step(t, uv, w)
+                stepped = stepper.step(t, uv, w, extrema[0][:len(w)])
             except StepFailure as exc:
-                uv, w = leave({row: ("step_failure", why) for row, why in exc.reasons.items()},
-                              t, uv, w)
+                uv, w, extrema = leave(
+                    {row: ("step_failure", why) for row, why in exc.reasons.items()},
+                    t, uv, w, extrema)
         if not members:
             break
         t = t0 + k * cfg.dt  # exact time grid, no float drift
         uv, w = stepped
-        ended = _ended_rows(uv, axes, t, cfg)
+        extrema = stepper.extrema
+        ended = _ended_rows(extrema, t, cfg)
         if ended:
-            uv, w = leave(ended, t, uv, w)
+            uv, w, extrema = leave(ended, t, uv, w, extrema)
             if not members:
                 break
         if k % cfg.record_every == 0 or k == n_steps:

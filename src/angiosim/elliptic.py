@@ -24,7 +24,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .grid import Grid, face_views, laplacian_array
+from .grid import Grid, laplacian_array
 
 __all__ = [
     "EllipticSolveError",
@@ -58,7 +58,7 @@ class EllipticSolveError(RuntimeError):
 
 def grid_axes(grid: Grid) -> tuple[int, ...]:
     """The trailing axes that hold the cells of a shaped or batched array."""
-    return tuple(range(-grid.dim, 0))
+    return ((-1,), (-2, -1))[grid.dim - 1]
 
 
 def grid_mean(vals: np.ndarray, grid: Grid) -> np.ndarray:
@@ -291,9 +291,9 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
     eps on the second.
     The second is computed only for members that fail the first.
 
-    work, if given, is (centred u, Laplacian, squares, face differences per axis,
-    transform buffers): three arrays shaped like u, a list as laplacian_array's faces
-    and the transform pair's buffers (transform_buffers), all of them overwritten. The
+    work, if given, is (centred u, Laplacian, squares, face differences, transform
+    buffers): three arrays shaped like u, a flat array as laplacian_array's faces and
+    the transform pair's buffers (transform_buffers), all of them overwritten. The
     pair reads only the centred u, so its buffers may share memory with the Laplacian,
     the squares and the faces, which are written after it. w is always a fresh array."""
     u = np.asarray(u, dtype=np.float64)
@@ -309,7 +309,7 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
         failed = ~(passed | (_backward_errors(b, w, r, grid, squares) <= floor))
         if failed.any():
             raise EllipticSolveError(tolerance, res, failed)
-    return w, float(np.max(res)), 1
+    return w, float(res.max()), 1
 
 
 def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> float:
@@ -319,11 +319,12 @@ def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> flo
 
 def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid, work=None) -> np.ndarray:
     """elliptic_residual per member of shaped or batched arrays. work, if given, is
-    two arrays shaped like u: the first receives the residual, the second the face
-    differences and then the centred u."""
-    lap, rhs = (None, None) if work is None else work
-    faces = None if rhs is None else face_views([rhs] * grid.dim, u.shape)
+    an array shaped like u, which receives the residual, and a flat float array of
+    at least max_k s_k + u.size floats (laplacian_array's faces), which receives the
+    face differences and then, at its start, the centred u."""
+    lap, faces = (None, None) if work is None else work
     lap = laplacian_array(w, grid.spacing, lap, faces)
+    rhs = None if faces is None else faces[:u.size].reshape(u.shape)
     rhs = np.subtract(u, grid_mean(u, grid), out=rhs)
     return _relative_residuals(rhs, _centred_residual(lap, rhs, grid), grid)
 

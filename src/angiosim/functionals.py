@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .elliptic import _residuals, _sums_of_squares, grid_axes
-from .grid import Grid, face_views, gradient_arrays, integrate, lp_norm
+from .grid import Grid, face_strides, face_views, gradient_arrays, integrate, lp_norm
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -379,7 +379,10 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     """
     u, v, w = (np.ascontiguousarray(a) for a in (u, v, w))
     n, m, vol = len(params), grid.n_cells, grid.cell_volume
-    scratch = np.empty((2,) + u.shape)
+    # two scratch arrays, and the few floats past them that the residual's padded
+    # face differences need (grid.padded_faces)
+    memory = np.empty(2 * u.size + max(face_strides(u.shape, grid.dim)))
+    scratch = memory[:2 * u.size].reshape((2,) + u.shape)
     flat = scratch.reshape(2, n, m)
     fu, fv = u.reshape(n, m), v.reshape(n, m)
     targets = [(p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0
@@ -397,7 +400,7 @@ def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[Diagnost
     # the potential solve gated these same numbers bit for bit; taking them from
     # it would change solve_neumann_poisson's return, which perfbench's tracer
     # unpacks as three values, so that waits for the in-package spans (ROADMAP 1)
-    residual = _residuals(u, w, grid, scratch).tolist()
+    residual = _residuals(u, w, grid, (scratch[0], memory[u.size:])).tolist()
 
     # F1 on growth-free members, F2 on logistic ones, where u > 0
     ent = [math.nan] * n

@@ -15,6 +15,10 @@ by parts with no boundary term).
 Values are arrays shaped like grid.cells, and the face kernels also take
 batches (B, *cells); a simulation state is three such arrays, and the
 verification battery's quadratures (integrate, lp_norm) take them too.
+gradient_arrays writes each axis's interior faces. The stencils of the time
+step, divergence_arrays and laplacian_array hold them as padded face arrays
+(padded_faces): the flat batch shifted by the axis's stride, with +0.0 on the
+boundary faces, so that each of their face passes is one contiguous ufunc.
 """
 from __future__ import annotations
 
@@ -30,6 +34,9 @@ __all__ = [
     "Field",
     "build_grid",
     "face_slices",
+    "face_strides",
+    "padded_faces",
+    "face_pads",
     "face_views",
     "laplacian_array",
     "gradient_arrays",
@@ -145,32 +152,66 @@ def face_slices(dim: int) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_slices(dim: int) -> tuple:
-    """Per grid axis, the index tuples of its first cells, its inner cells and
-    its last cells, anchored on the trailing axes."""
-    out = []
-    for k in range(dim):
-        rest = (slice(None),) * (dim - 1 - k)
-        out.append(tuple((..., s) + rest
-                         for s in (slice(0, 1), slice(1, -1), slice(-1, None))))
-    return tuple(out)
+@functools.lru_cache(maxsize=64)
+def face_strides(shape: tuple, dim: int) -> tuple[int, ...]:
+    """Per grid axis, its flat stride in a C-contiguous array of this shape, a
+    tuple, whose trailing dim axes are the grid's."""
+    return tuple(math.prod(shape[len(shape) - dim + k + 1:]) for k in range(dim))
+
+
+def padded_faces(shape, dim: int, memory=None) -> list[np.ndarray]:
+    """Per grid axis k, the padded face array of a C-contiguous array of this shape
+    whose trailing dim axes are the grid's: flat, s_k + size floats, s_k the axis's
+    flat stride (face_strides). Entry s_k + i is the face above flat cell i along
+    axis k, so entries [s_k, s_k + size) line up with the cells' upper faces and
+    entries [0, size) with their lower faces. The first s_k entries and those above
+    each last cell of the axis are its pads (face_pads): the zero-flux boundary
+    faces, which also separate the rows of a batch. With them every face pass over
+    a batch is one contiguous ufunc call. The arrays are carved one after another
+    out of memory, a flat float array, or are fresh; either way the pads hold
+    whatever was there, and each kernel writes +0.0 into them before it reads them."""
+    size = math.prod(shape)
+    lengths = [s + size for s in face_strides(shape, dim)]
+    if memory is None:
+        return [np.empty(n) for n in lengths]
+    ends = np.cumsum(lengths).tolist()
+    return [memory[end - n:end] for n, end in zip(lengths, ends)]
+
+
+def face_pads(faces: np.ndarray, shape, dim: int, k: int) -> np.ndarray:
+    """The pads of grid axis k's padded face array (see padded_faces) as a strided
+    view: every n_k-th block of s_k entries, n_k the axis's cell count."""
+    s = face_strides(shape, dim)[k]
+    return faces[:s + math.prod(shape)].reshape(-1, s)[::shape[len(shape) - dim + k]]
 
 
 def laplacian_array(vals: np.ndarray, spacing, out=None, faces=None) -> np.ndarray:
     """Second-order zero-flux Laplacian (3/5-point stencil, mirror ghosts).
-    out, shaped like vals, receives it, and faces, one array per axis shaped
-    like its interior faces, hold the face differences; fresh when not given."""
+    out, shaped like vals, receives it, and faces, a flat float array of at least
+    max_k s_k + vals.size floats, holds each axis's face differences in turn as a
+    padded face array (padded_faces); both are fresh when not given.
+
+    Per axis it adds each cell's upper face difference and then subtracts its lower
+    one, in place, from an out of +0.0. The +0.0 pads make each of these one
+    contiguous pass with the bits of skipping a cell's missing face."""
     # telescoped face-difference form; mirror ghosts make boundary fluxes zero
-    if out is None:
-        out = np.zeros_like(vals)
-    else:
-        out[...] = 0.0
-    for k, ((lo, hi), h) in enumerate(zip(face_slices(len(spacing)), spacing)):
-        d = np.subtract(vals[hi], vals[lo], out=None if faces is None else faces[k])
-        d /= h * h
-        out[lo] += d
-        out[hi] -= d
+    dim, size = len(spacing), vals.size
+    flat = vals.reshape(-1)
+    strides = face_strides(vals.shape, dim)
+    out = np.empty(vals.shape) if out is None else out
+    faces = np.empty(max(strides) + size) if faces is None else faces
+    for k, (s, h) in enumerate(zip(strides, spacing)):
+        d = faces[:s + size]
+        # the differences across a pad are garbage, zeroed before they are scaled
+        np.subtract(flat[s:], flat[:-s], out=d[s:size])
+        face_pads(d, vals.shape, dim, k)[...] = 0.0
+        d[s:size] /= h * h
+        d_hi, d_lo = d[s:].reshape(vals.shape), d[:size].reshape(vals.shape)
+        if k == 0:
+            np.add(0.0, d_hi, out=out)
+        else:
+            out += d_hi
+        out -= d_lo
     return out
 
 
@@ -203,24 +244,22 @@ def gradient_arrays(vals: np.ndarray, spacing, out=None) -> list[np.ndarray]:
 
 
 def divergence_arrays(fluxes, spacing, shape, out=None, net=None) -> np.ndarray:
-    """Discrete divergence of interior-face fluxes; boundary faces carry zero.
+    """Discrete divergence of fluxes given as padded face arrays (padded_faces)
+    with +0.0 on their pads, which carry the boundary faces' zero flux.
 
     out receives it and net, of the same shape, holds one axis's net flux on 2D
     grids; both are fresh when not given. fluxes may be a generator: an axis's
     flux is asked for only once the previous one is used up, so all can share
-    one buffer.
-    """
-    dim = len(spacing)
+    one buffer. Each axis's net flux is one contiguous difference of the upper
+    and the lower faces: g[0] - 0 and 0 - g[-1] at the ends, which have the bits
+    of g[0] and np.subtract(0.0, g[-1])."""
+    dim, size = len(spacing), math.prod(shape)
     out = np.empty(shape) if out is None else out
     if net is None and dim > 1:
         net = np.empty(shape)
-    for k, (g, h) in enumerate(zip(fluxes, spacing)):
-        (lo, hi), (first, inner, last) = face_slices(dim)[k], _edge_slices(dim)[k]
-        # g[0], g[1:] - g[:-1], 0 - g[-1] along the axis
+    for k, (g, h, s) in enumerate(zip(fluxes, spacing, face_strides(shape, dim))):
         dst = out if k == 0 else net
-        dst[first] = g[first]
-        np.subtract(g[hi], g[lo], out=dst[inner])
-        np.subtract(0.0, g[last], out=dst[last])
+        np.subtract(g[s:s + size].reshape(shape), g[:size].reshape(shape), out=dst)
         dst /= h
         # the sum starts from +0.0, which turns a -0.0 net flux into +0.0
         out += 0.0 if k == 0 else net

@@ -201,13 +201,15 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
 
 def _sweep_row(overrides: dict, cfg, outcome) -> dict:
     """The CSV row of one sweep point, from its Trajectory or from the
-    exception that stopped it (failures stay in-row, never abort the sweep)."""
+    exception that stopped it (failures stay in-row, never abort the sweep).
+    error says why the point stopped: the exception's message, or the
+    trajectory's failure_detail, empty for a completed one."""
     row = {f"sweep:{k}": v for k, v in overrides.items()}
     row.update(termination="error", terminal_linf_u=math.nan, terminal_l2_u_dev=math.nan,
-               terminal_mass_u=math.nan, fitted_rate=math.nan, fitted_r_squared=math.nan,
-               error="")
+               terminal_mass_u=math.nan, fitted_rate=math.nan, fitted_r_squared=math.nan)
+    why = str(outcome) if isinstance(outcome, Exception) else outcome.failure_detail
+    row["error"] = why.replace(",", ";").replace("\n", " ")
     if isinstance(outcome, Exception):
-        row["error"] = str(outcome).replace(",", ";").replace("\n", " ")
         return row
     last = outcome.records[-1]
     row["termination"] = outcome.termination_reason

@@ -2,15 +2,17 @@
 gradient norm and the Lyapunov functionals of one SimState in plain numpy, the
 discrete mass law of u between records, a step's transport computed with a
 fresh array for every intermediate, the 2D multiplier packing by fancy
-indices, and the 1D transform pair as it ran before 1D grids went through the
-2D pair as one row of cells."""
+indices, the 1D transform pair as it ran before 1D grids went through the
+2D pair as one row of cells, and the face kernels of the step (face speeds,
+fluxes, divergence and Laplacian) as they ran on interior-face arrays before
+the padded face arrays."""
 import functools
 import math
 
 import numpy as np
 
 from angiosim.elliptic import apply_packed, neumann_eigenvalues, pack_multiplier
-from angiosim.grid import face_slices, gradient_arrays
+from angiosim.grid import face_slices, face_strides, gradient_arrays, padded_faces
 
 
 def entropy(vals, grid) -> float:
@@ -124,6 +126,13 @@ def reaction(params, u):
     return react
 
 
+def reaction_bounds(params, umax):
+    """Per member, the reaction bound of the stability bound as it was taken member
+    by member in float64 scalars: min(1, 1 / (a + mu max(umax, 0)^theta + 1))."""
+    return np.array([min(1.0, 1.0 / (p.a + p.mu * max(m, 0.0) ** p.theta + 1.0))
+                     for p, m in zip(params, umax.tolist())])
+
+
 def allocating_transport(grid, params, cfg, u, v, w):
     """(u, v) of a (B, *cells) batch after one step's transport, allocating.
 
@@ -223,3 +232,105 @@ def apply_1d(vals: np.ndarray, p: np.ndarray, out: np.ndarray, v: np.ndarray,
     out[..., ::2] = v[..., :half]
     out[..., 1::2] = v[..., :half - 1:-1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the face kernels on interior-face arrays: per grid axis, the n - 1 faces that
+# have a cell on each side, indexed through grid.face_slices
+
+def padded(faces, shape, dim):
+    """Interior-face arrays, one per grid axis, as padded face arrays
+    (grid.padded_faces) with +0.0 pads."""
+    out = padded_faces(shape, dim)
+    for k, (a, g) in enumerate(zip(out, faces)):
+        a[...] = 0.0
+        interior(a, shape, dim, k)[...] = g
+    return out
+
+
+def interior(a, shape, dim, k):
+    """The interior faces of grid axis k's padded face array a, as a view shaped
+    like them."""
+    s = face_strides(shape, dim)[k]
+    return a[s:s + math.prod(shape)].reshape(shape)[face_slices(dim)[k][0]]
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_slices(dim: int) -> tuple:
+    """Per grid axis, the index tuples of its first cells, its inner cells and
+    its last cells, anchored on the trailing axes."""
+    out = []
+    for k in range(dim):
+        rest = (slice(None),) * (dim - 1 - k)
+        out.append(tuple((..., s) + rest
+                         for s in (slice(0, 1), slice(1, -1), slice(-1, None))))
+    return tuple(out)
+
+
+def divergence_arrays(fluxes, spacing, shape, out=None, net=None):
+    """Discrete divergence of interior-face fluxes, each axis written in three
+    pieces: g[0], g[1:] - g[:-1] and 0 - g[-1] along the axis."""
+    dim = len(spacing)
+    out = np.empty(shape) if out is None else out
+    if net is None and dim > 1:
+        net = np.empty(shape)
+    for k, (g, h) in enumerate(zip(fluxes, spacing)):
+        (lo, hi), (first, inner, last) = face_slices(dim)[k], _edge_slices(dim)[k]
+        dst = out if k == 0 else net
+        dst[first] = g[first]
+        np.subtract(g[hi], g[lo], out=dst[inner])
+        np.subtract(0.0, g[last], out=dst[last])
+        dst /= h
+        out += 0.0 if k == 0 else net
+    return out
+
+
+def laplacian_array(vals, spacing, out=None, faces=None):
+    """The zero-flux Laplacian from zeros, through strided views: per axis,
+    out[lo] += d, then out[hi] -= d, d = (vals[hi] - vals[lo]) / h^2 on the
+    interior faces (into faces[k], if given)."""
+    if out is None:
+        out = np.zeros_like(vals)
+    else:
+        out[...] = 0.0
+    for k, ((lo, hi), h) in enumerate(zip(face_slices(len(spacing)), spacing)):
+        d = np.subtract(vals[hi], vals[lo], out=None if faces is None else faces[k])
+        d /= h * h
+        out[lo] += d
+        out[hi] -= d
+    return out
+
+
+def stacked_face_speeds(grid, v, w, chi, xi1, xi2):
+    """Per grid axis, the interior-face speeds of a batch's u and v as one
+    (2B, *faces) array: u's rows, chi grad v - xi1 grad w, then v's rows,
+    -xi2 grad w, the couplings (B, 1[, 1]) columns."""
+    n = len(v)
+    speeds = []
+    for (lo, hi), h in zip(face_slices(grid.dim), grid.spacing):
+        a = np.empty((2 * n,) + w[lo].shape[1:])
+        a_u, a_v = a[:n], a[n:]
+        np.subtract(w[hi], w[lo], out=a_v)
+        a_v /= h
+        np.subtract(v[hi], v[lo], out=a_u)
+        a_u /= h
+        a_u *= chi
+        a_u -= np.multiply(a_v, xi1)
+        a_v *= -xi2
+        speeds.append(a)
+    return speeds
+
+
+def fluxes(uv, speeds, dim, flux_scheme):
+    """Per grid axis, speed * upwind or centred face value of every row of uv on
+    the interior faces, formed in place in the axis's speed array."""
+    for (lo, hi), a in zip(face_slices(dim), speeds):
+        face = np.empty(a.shape)
+        if flux_scheme == "upwind":
+            np.copyto(face, uv[hi])
+            np.copyto(face, uv[lo], where=a > 0.0)
+        else:
+            np.add(uv[lo], uv[hi], out=face)
+            face *= 0.5
+        a *= face
+        yield a

@@ -769,6 +769,33 @@ def test_cli_sweep_keeps_failed_points_in_row(tmp_path):
     assert (tmp_path / "one" / "sweep.csv").read_text().splitlines()[1] == rows[2]
 
 
+def test_cli_sweep_error_column_says_why_a_point_stopped(tmp_path):
+    # CI's 1D sweep that loses members by both routes: the mu = 0.5 points at
+    # chi = 0.25 and 4 blow up past 1.3, and the four points at chi = 8 and 16
+    # fail the stability bound at t = 0
+    cfg = write_cfg(tmp_path, """
+        preset = C2_logistic
+        solver.t_end = 3
+        solver.blowup_threshold = 1.3
+        sweep.params.chi = 0.25, 4, 8, 16
+        sweep.params.mu = 0.5, 2
+    """)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    header, *rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    assert all(row.count(",") == header.count(",") for row in rows)
+    errors = {}
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        errors.setdefault(cells["termination"], []).append(cells["error"])
+    assert errors["completed"] == ["", ""]
+    assert errors["blowup_detected"] == ["||u||_inf beyond 1.3 at t=0.62",
+                                         "||u||_inf beyond 1.3 at t=0.586"]
+    assert len(errors["step_failure"]) == 4
+    for error in errors["step_failure"]:
+        assert error.startswith("dt=2.000e-03 exceeds stability bound ")
+        assert error.endswith(" at t=0")
+
+
 def test_sweep_point_rejected_by_a_model_check_names_its_axis_line(tmp_path):
     cfg = write_cfg(tmp_path, """
         preset = custom

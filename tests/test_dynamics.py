@@ -20,6 +20,8 @@ from angiosim.dynamics import (
     Stepper,
     _ended_rows,
     _face_speeds,
+    _row_extrema,
+    growth_columns,
     make_initial,
     run,
     run_ensemble,
@@ -35,7 +37,7 @@ from angiosim.elliptic import (
     solve_neumann_poisson,
 )
 from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record
-from angiosim.grid import Field, build_grid, divergence_arrays, face_views
+from angiosim.grid import Field, build_grid, divergence_arrays, face_strides, laplacian_array
 import oracles
 from oracles import mass_balance_residual, u_power_integral
 
@@ -67,7 +69,7 @@ def member_bound(state, p, cfg):
     u, v, w = one_member(state)
     col = (1,) + (1,) * g.dim
     speeds = _face_speeds(g, v, w, *(np.full(col, c) for c in (p.chi, p.xi1, p.xi2)))
-    bound = stable_dt(g, u, speeds, [p], cfg)
+    bound = stable_dt(g, u.max(axis=grid_axes(g)), speeds, growth_columns([p]), cfg)
     assert bound.shape == (1,)
     return bound[0]
 
@@ -438,7 +440,7 @@ def test_ended_rows_classifies_each_row(flux_scheme):
     u[6, 1] = 11.0       # beyond the threshold, either sign
     u[7, 3] = -11.0
     v[8, 6] = 0.0        # v = 0 is allowed
-    ended = _ended_rows(np.concatenate([u, v]), grid_axes(g), 0.5, cfg)
+    ended = _ended_rows(_row_extrema(np.concatenate([u, v]), grid_axes(g)), 0.5, cfg)
     lost = {1, 2} if flux_scheme == "upwind" else set()
     assert set(ended) == {3, 4, 5, 6, 7} | lost
     for row, (reason, detail) in ended.items():
@@ -615,7 +617,7 @@ def separate_diffusions_step(stepper, uv, w):
     cfg, g = stepper.cfg, stepper.grid
     n = len(w)
     u, v = uv[:n], uv[n:]
-    speeds = _face_speeds(g, v, w, *stepper._cols[:3])
+    speeds = oracles.stacked_face_speeds(g, v, w, *stepper._cols[:3])
     a_u, a_v = [a[:n] for a in speeds], [a[n:] for a in speeds]
 
     def advect(c, speeds):
@@ -629,7 +631,7 @@ def separate_diffusions_step(stepper, uv, w):
             else:
                 face = 0.5 * (c_lo + c_hi)
             fluxes.append(a * face)
-        return divergence_arrays(fluxes, g.spacing, c.shape)
+        return oracles.divergence_arrays(fluxes, g.spacing, c.shape)
 
     lam = neumann_eigenvalues(g)
     d = np.array([p.d for p in stepper.params]).reshape((-1,) + (1,) * g.dim)
@@ -638,7 +640,7 @@ def separate_diffusions_step(stepper, uv, w):
     u_new = apply_packed(u_star, pack_multiplier(1.0 / (1.0 + cfg.dt * lam), g.dim))
     v_new = apply_packed(v_star, pack_multiplier(1.0 / (1.0 + cfg.dt + cfg.dt * d * lam), g.dim))
     uv_new = np.concatenate([u_new, v_new])
-    return uv_new, stepper._potential(uv_new)
+    return uv_new, stepper._potential(uv_new, _row_extrema(uv_new, grid_axes(g)))
 
 
 @pytest.mark.parametrize("flux_scheme", ["upwind", "central"])
@@ -698,14 +700,14 @@ def test_step_transport_matches_the_allocating_oracle(flux_scheme, n_members, di
         assert stepped[0].shape == uv.shape
         assert stepped[0].tobytes() == np.concatenate(want).tobytes()
         # the parts whose last bits a step of 2e-5 hides, written where the step
-        # writes them: the face speeds into its work arrays, with scratch at the
-        # start of the array a step returns, and the reaction into the start of
-        # the first speed slot
+        # writes them: the face speeds into its padded work arrays, compared on
+        # their interior faces, and the reaction into the start of the flat array
         buf = stepper._buffers
-        scratch = face_views([np.empty(w.shape)] * g.dim, w.shape)
-        speeds = _face_speeds(g, uv[n:], w, *stepper._cols[:3], out=(buf.speeds, scratch))
+        speeds = _face_speeds(g, uv[n:], w, *stepper._cols[:3],
+                              out=(buf.speeds, np.empty(w.shape)))
         want = oracles.face_speeds(g, now, uv[n:], w)
-        assert [a.tobytes() for a in speeds] == \
+        assert [oracles.interior(a, uv.shape, g.dim, k).tobytes()
+                for k, a in enumerate(speeds)] == \
             [np.concatenate([a_u, a_v]).tobytes() for a_u, a_v in zip(*want)]
         if any(p.a or p.mu for p in now):
             react = stepper._reaction(uv[:n], out=buf.scratch)
@@ -890,15 +892,109 @@ def test_a_1d_step_reuses_its_transform_buffers(monkeypatch):
     finally:
         tracemalloc.stop()
     returned = sum(a.nbytes for a in stepped)  # the (18, 128) uv and the (9, 128) w
-    # numpy's buffered iterator gives the advection's strided face difference over
-    # the 2B stacked rows 3 x 2B (n - 2) floats of scratch, just under three uv arrays
-    assert peak <= returned + 3 * batch[0].nbytes
+    # every face pass is contiguous, so numpy's buffered iterator allocates no
+    # scratch; the step peaks at 40.0 KB, in the stacked pair, whose inverse FFT
+    # copies the (18, 65) half spectrum
+    assert peak <= returned + 18 * (128 // 2 + 1) * 16
     # each pair, the stacked diffusion and the potential, allocates besides a fresh
     # output only numpy's copy of its half spectrum in the inverse FFT; pairs that
     # build their reordered input and spectrum afresh allocate about three times that
     assert [rows for rows, _peak in pairs] == [18, 9]
     for rows, pair_peak in pairs:
         assert pair_peak <= 1.25 * rows * (128 // 2 + 1) * 16
+
+
+@pytest.mark.parametrize("thetas", [(0.5,), (1.0,), (2.0,), (0.5, 1.0, 2.0), (2.0, 1.0)])
+def test_stable_dt_takes_the_member_by_member_reaction_bound_bit_for_bit(thetas):
+    # with zero face speeds and cfl_safety = 1, stable_dt is the reaction bound;
+    # the batches mix members without growth (a = mu = 0), u maxima from 1e-3
+    # to 1e3, zero, negative (central fluxes) and one whose u^theta overflows
+    g = build_grid(1, 1.0, 8)
+    rng = np.random.default_rng(len(thetas))
+    n = 64
+    umax = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, n - 3), [0.0, -1.5, 1e200]])
+    levels = [0.0, 0.5, 3.0]
+    members = [params(a=levels[b % 3], mu=levels[b // 3 % 3], theta=thetas[b % len(thetas)])
+               for b in range(n)]
+    speeds = [np.zeros(s + 2 * n * 8) for s in face_strides((2 * n, 8), 1)]
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, cfl_safety=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = stable_dt(g, umax, speeds, growth_columns(members), cfg)
+        want = oracles.reaction_bounds(members, umax)
+    assert got.tobytes() == want.tobytes()
+    assert all(got[b] == 1.0 for b, p in enumerate(members) if p.a == p.mu == 0.0)
+
+
+def test_stable_dt_reaction_bound_is_within_4_ulp_for_any_theta():
+    # np.float_power is libm's pow, as the scalar power is; a numpy whose
+    # float_power took a SIMD pow would move the bound by a few ulp at most
+    g = build_grid(1, 1.0, 8)
+    rng = np.random.default_rng(5)
+    n = 64
+    umax = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    members = [params(a=0.5, mu=1.5, theta=rng.uniform(0.25, 3.0)) for _ in range(n)]
+    speeds = [np.zeros(s + 2 * n * 8) for s in face_strides((2 * n, 8), 1)]
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, cfl_safety=1.0)
+    got = stable_dt(g, umax, speeds, growth_columns(members), cfg)
+    want = oracles.reaction_bounds(members, umax)
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+
+@st.composite
+def face_kernel_cases(draw):
+    """(stepper, uv, w) of a batch of 1 to 5 members on a 1D or 2D grid of 4 to 40
+    cells per axis, under either flux scheme, with values drawn at one of the
+    scales 1, 1e-300, 1e300 and 1e308 (where some overflow to inf): about a
+    third of them equal to the scale, which gives zero faces and -0.0 speeds, and
+    a fifth +0.0 or -0.0."""
+    dim = draw(st.sampled_from([1, 2]), label="dim")
+    cells = tuple(draw(st.integers(4, 40), label=f"cells[{k}]") for k in range(dim))
+    n = draw(st.integers(1, 5), label="members")
+    scheme = draw(st.sampled_from(["upwind", "central"]), label="flux_scheme")
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300, 1e308]), label="scale")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = build_grid(dim, (1.0, 0.6)[:dim], cells)
+    couplings = [0.0, 0.5, 2.0]
+    members = [params(chi=rng.choice(couplings), xi1=rng.choice(couplings),
+                      xi2=rng.choice(couplings), n_dim=dim) for _ in range(n)]
+
+    def values(shape):
+        with np.errstate(over="ignore"):
+            x = rng.normal(size=shape) * scale
+        x[rng.random(shape) < 0.3] = scale
+        zero = rng.random(shape) < 0.2
+        x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+        return x
+
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, flux_scheme=scheme)
+    return Stepper(g, members, cfg), values((2 * n,) + cells), values((n,) + cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=face_kernel_cases())
+def test_padded_face_kernels_match_the_interior_face_oracles_byte_for_byte(case):
+    # the face speeds, the fluxes with their divergence and the Laplacian of the
+    # step, in padded face arrays whose pads start as NaN, against the kernels as
+    # they ran on interior-face arrays
+    stepper, uv, w = case
+    g, n = stepper.grid, len(w)
+    cols = stepper._cols[:3]
+    buf = stepper._buffers
+    buf.flat[...] = np.nan
+    with np.errstate(all="ignore"):
+        speeds = _face_speeds(g, uv[n:], w, *cols, out=(buf.speeds, np.empty(w.shape)))
+        want = oracles.stacked_face_speeds(g, uv[n:], w, *cols)
+        assert [oracles.interior(a, uv.shape, g.dim, k).tobytes()
+                for k, a in enumerate(speeds)] == [a.tobytes() for a in want]
+        faces = (np.full(uv.size, np.nan), np.full(uv.size, np.nan))
+        div = divergence_arrays(stepper._fluxes(uv, speeds, faces), g.spacing, uv.shape)
+        want = oracles.divergence_arrays(
+            oracles.fluxes(uv, want, g.dim, stepper.cfg.flux_scheme), g.spacing, uv.shape)
+        assert div.tobytes() == want.tobytes()
+        for vals in (uv, w):
+            faces = np.full(vals.size + max(face_strides(vals.shape, g.dim)), np.nan)
+            got = laplacian_array(vals, g.spacing, np.full(vals.shape, np.nan), faces)
+            assert got.tobytes() == oracles.laplacian_array(vals, g.spacing).tobytes()
 
 
 # ---------------------------------------------------------------------------

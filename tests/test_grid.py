@@ -8,11 +8,13 @@ from angiosim.grid import (
     Field,
     build_grid,
     divergence_arrays,
+    face_strides,
     gradient_arrays,
     integrate,
     laplacian_array,
     lp_norm,
 )
+from oracles import padded as padded_faces_of
 
 
 def cosine_field(grid):
@@ -161,7 +163,7 @@ def test_divergence_of_gradient_is_laplacian():
     for dim, cells in ((1, 64), (2, (12, 20))):
         g = build_grid(dim, 1.5, cells)
         f = random_field(g, seed=dim + 5)
-        a = divergence_arrays(grad(f, g), g.spacing, g.cells)
+        a = divergence_arrays(padded_faces_of(grad(f, g), g.cells, dim), g.spacing, g.cells)
         b = lap(f, g)
         assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(b)))
 
@@ -170,7 +172,8 @@ def test_divergence_integral_telescopes():
     g = build_grid(2, 1.0, (8, 8))
     rng = np.random.default_rng(7)
     arbitrary = [rng.normal(size=a.shape) for a in grad(random_field(g, 11), g)]
-    total = integrate(divergence_arrays(arbitrary, g.spacing, g.cells), g)
+    fluxes = padded_faces_of(arbitrary, g.cells, 2)
+    total = integrate(divergence_arrays(fluxes, g.spacing, g.cells), g)
     assert abs(total) <= 1e-12
 
 
@@ -197,7 +200,8 @@ def test_slice_kernels_match_diff_formula_bit_for_bit(shape, spacing):
         lap -= padded(d, k - dim, 1, 0)
     got = gradient_arrays(vals, spacing)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in grads]
-    assert divergence_arrays(grads, spacing, shape).tobytes() == div.tobytes()
+    fluxes = padded_faces_of(grads, shape, dim)
+    assert divergence_arrays(fluxes, spacing, shape).tobytes() == div.tobytes()
     assert laplacian_array(vals, spacing).tobytes() == lap.tobytes()
     # a batch row is byte-equal to that row on its own, as ensemble members
     # must be to standalone runs
@@ -206,8 +210,8 @@ def test_slice_kernels_match_diff_formula_bit_for_bit(shape, spacing):
         row = vals[b]
         assert ([a.tobytes() for a in gradient_arrays(row, spacing)]
                 == [a[b].tobytes() for a in got])
-        assert (divergence_arrays([g[b] for g in grads], spacing, row.shape).tobytes()
-                == div[b].tobytes())
+        assert (divergence_arrays(padded_faces_of([g[b] for g in grads], row.shape, dim), spacing,
+                                  row.shape).tobytes() == div[b].tobytes())
         assert laplacian_array(row, spacing).tobytes() == lap[b].tobytes()
 
 
@@ -218,13 +222,14 @@ def test_slice_kernels_write_the_same_bytes_into_given_arrays(shape, spacing):
     fluxes = gradient_arrays(vals, spacing)
     for g in fluxes:
         g[0] = -0.0  # the net fluxes are sums from +0.0, so -0.0 ones read +0.0
+    fluxes = padded_faces_of(fluxes, shape, len(spacing))
     div = divergence_arrays(fluxes, spacing, shape)
     assert not np.signbit(div[0]).any()
     lap = laplacian_array(vals, spacing)
     out, net = np.full(shape, np.nan), np.full(shape, np.nan)
     assert divergence_arrays(fluxes, spacing, shape, out, net) is out
     assert out.tobytes() == div.tobytes()
-    faces = [np.full(g.shape, np.nan) for g in fluxes]
+    faces = np.full(max(face_strides(shape, len(spacing))) + vals.size, np.nan)  # pads too
     assert laplacian_array(vals, spacing, out, faces) is out
     assert out.tobytes() == lap.tobytes()
 
