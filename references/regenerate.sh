@@ -2,7 +2,7 @@
 # Writes the verdict files of the bundled configs into DIR (default
 # references/verdicts): summary.txt, thresholds.txt and thresholds.csv of each
 # run config, trajectory.sha256 with a digest per trajectory column and
-# functionals.csv with the t, F1 and F2 columns, sweep.csv of the shipped sweep,
+# functionals.csv with the t, F1 and F2 columns, sweep.csv of each bundled sweep,
 # verify/inequalities.csv and verify/report.txt (verify's PASS/FAIL lines), and
 # numpy-version.txt, the numpy they were made with. Run it from the repository
 # root:
@@ -53,7 +53,9 @@ for name in blowup_probe c1_no_mitosis c2_logistic c2_logistic_2d chi_zero heat_
     functionals "$out/$name/trajectory.csv" > "$out/$name/functionals.csv"
     rm -f "$out/$name/trajectory.csv"
 done
-python3 -m angiosim.cli sweep configs/sweep_chi_mu.cfg --out "$out/sweep_chi_mu" --quiet || exit 1
+for name in sweep_chi_mu sweep_lost_members; do
+    python3 -m angiosim.cli sweep "configs/$name.cfg" --out "$out/$name" --quiet || exit 1
+done
 mkdir -p "$out/verify"
 python3 -m angiosim.cli verify --out "$out/verify" > "$out/verify/report.txt" || exit 1
 python3 -c 'import numpy; print(numpy.__version__)' > "$out/numpy-version.txt"

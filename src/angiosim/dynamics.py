@@ -58,7 +58,7 @@ from .elliptic import (
     transform_buffers,
     transform_floats,
 )
-from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch
+from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch, row_extrema
 from .grid import FLOAT_FMT, Grid, divergence_arrays, face_pads, face_strides, padded_faces
 
 __all__ = [
@@ -397,9 +397,9 @@ class Stepper:
     advection, both implicit diffusions and the new state's per-row max and min.
     Face speeds and fluxes live in padded face arrays (grid.padded_faces), so each
     stencil pass is one contiguous call over the batch. The max and min are taken
-    once and serve three ends: the potential's finite check, the caller's end
-    checks (_ended_rows, through extrema) and, passed back as umax, the next
-    step's reaction bound.
+    once (row_extrema) and serve four ends: the potential's finite check, the
+    caller's end checks (_ended_rows, through extrema), its diagnostics record
+    (diagnostics_batch) and, passed back as umax, the next step's reaction bound.
     The implicit operators are diagonal in the DCT-II basis: u takes the shared
     multiplier 1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda),
     and the stepper holds them only packed for the transform pair, a row per
@@ -430,7 +430,6 @@ class Stepper:
             if p.a or p.mu:
                 growth.setdefault(p.theta, []).append(row)
         self._growth = [(rows, theta) for theta, rows in growth.items()]
-        self._axes = grid_axes(grid)
         self._strides = face_strides((2 * n,) + grid.cells, grid.dim)
         self._buffers = _Buffers((2 * n,) + grid.cells)
         self.extrema = None  # the per-row (max, min) of the uv that step last returned
@@ -495,7 +494,7 @@ class Stepper:
         buf = self._buffers
         out = np.empty(uv.shape)
         if umax is None:
-            umax = u.max(axis=self._axes)
+            umax = row_extrema(u, grid.dim)[0]
         # the face speeds' scratch and the first axis's face values go at the start
         # of out, which the advection then overwrites
         speeds = _face_speeds(grid, uv[n:], w, *self._cols[:3], out=(buf.speeds, out[:n]))
@@ -523,9 +522,10 @@ class Stepper:
         apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
         return out
 
-    def _potential(self, uv: np.ndarray, extrema) -> np.ndarray:
-        """w solved from each member's u; 0 for members gone non-finite, which
-        the caller classifies as blown up. extrema are uv's per-row max and min."""
+    def _potential(self, t: float, uv: np.ndarray, extrema) -> np.ndarray:
+        """w solved from each member's u, the step from t's; 0 for members gone
+        non-finite, which the caller classifies as blown up. extrema are uv's
+        per-row max and min."""
         n = len(uv) // 2
         highs, lows = extrema  # max and min propagate nan and reach any inf
         finite = np.isfinite(highs) & np.isfinite(lows)
@@ -538,7 +538,8 @@ class Stepper:
                 self.grid, u, self.cfg.elliptic_tolerance, self._buffers.potential)
         except EllipticSolveError as exc:
             missed = np.flatnonzero(exc.failed)
-            raise StepFailure({int(r): exc.member_message(r) for r in missed}) from exc
+            raise StepFailure({int(r): f"{exc.member_message(r)} at t={t:.6g}"
+                               for r in missed}) from exc
         return w
 
     def step(self, t: float, uv: np.ndarray, w: np.ndarray, umax=None):
@@ -552,13 +553,8 @@ class Stepper:
         without the failed ones.
         """
         uv_new = self._transport(t, uv, w, umax)
-        self.extrema = _row_extrema(uv_new, self._axes)
-        return uv_new, self._potential(uv_new, self.extrema)
-
-
-def _row_extrema(uv: np.ndarray, axes) -> tuple:
-    """The per-row max and min of a batch, as (2B,) arrays."""
-    return np.maximum.reduce(uv, axis=axes), np.minimum.reduce(uv, axis=axes)
+        self.extrema = row_extrema(uv_new, self.grid.dim)
+        return uv_new, self._potential(t, uv_new, self.extrema)
 
 
 def _member_state(grid: Grid, t: float, uv: np.ndarray, w: np.ndarray, row: int) -> SimState:
@@ -568,7 +564,7 @@ def _member_state(grid: Grid, t: float, uv: np.ndarray, w: np.ndarray, row: int)
 
 def _ended_rows(extrema, t: float, cfg: SolverConfig) -> dict:
     """Rows of a (2B, *cells) (u, v) state, given its per-row max and min
-    (_row_extrema), whose member blew up (non-finite, or ||u||_inf above
+    (row_extrema), whose member blew up (non-finite u or v, or ||u||_inf above
     threshold) or, under upwinding, lost positivity -> {member row: (termination
     reason, detail)}."""
     ended = {}
@@ -577,8 +573,9 @@ def _ended_rows(extrema, t: float, cfg: SolverConfig) -> dict:
     n = len(highs) // 2
     finite = math.isfinite
     for row, (umax, umin, vmax, vmin) in enumerate(zip(highs[:n], lows[:n], highs[n:], lows[n:])):
-        if not (finite(umax) and finite(umin) and finite(vmax) and finite(vmin)) \
-                or max(umax, -umin) > cfg.blowup_threshold:
+        if not (finite(umax) and finite(umin) and finite(vmax) and finite(vmin)):
+            ended[row] = ("blowup_detected", f"non-finite u or v at t={t:.6g}")
+        elif max(umax, -umin) > cfg.blowup_threshold:
             ended[row] = ("blowup_detected",
                           f"||u||_inf beyond {cfg.blowup_threshold:g} at t={t:.6g}")
         elif cfg.flux_scheme == "upwind" and (umin <= 0.0 or vmin < 0.0):
@@ -597,15 +594,15 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     solver breakdown or lost positivity; diagnostics up to the failure are
     kept). A member that stops leaves the batch and the rest carry on.
 
-    The batch is held as (uv, w), as Stepper steps it. The records come straight
-    from its arrays (diagnostics_batch). A SimState is built only for a member's
-    terminal state and, when on_record is given, for each record: on_record(b,
-    state) is then called with each recorded SimState, the initial one included.
+    The batch is held as (uv, w), as Stepper steps it, and each record reads it as
+    held, with the per-row extrema the step took (diagnostics_batch). A SimState
+    is built only for a member's terminal state and, when on_record is given, for
+    each record: on_record(b, state) is then called with each recorded SimState,
+    the initial one included.
     """
     grid, t0 = initials[0].grid, initials[0].t
     if any(s.grid != grid or s.t != t0 for s in initials):
         raise ValueError("ensemble members must share a grid and a start time")
-    axes = grid_axes(grid)
     n_steps = max(1, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-9))
     t = t0
     u0_means = [float(s.u.mean()) for s in initials]
@@ -614,9 +611,8 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     members = list(range(len(initials)))  # the member held in each batch row
     stepper = Stepper(grid, params, cfg)
 
-    def record(t, uv, w):
-        n = len(w)
-        rows = diagnostics_batch(t, uv[:n], uv[n:], w, grid, stepper.params,
+    def record(t, uv, w, extrema):
+        rows = diagnostics_batch(t, uv, w, extrema, grid, stepper.params,
                                  [u0_means[b] for b in members])
         for b, rec in zip(members, rows):
             records[b].append(rec)
@@ -642,8 +638,8 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     w = np.empty((n,) + grid.cells)
     for b, s in enumerate(initials):
         uv[b], uv[n + b], w[b] = s.u, s.v, s.w
-    extrema = _row_extrema(uv, axes)  # then each step's, which it passes on
-    record(t, uv, w)
+    extrema = row_extrema(uv, grid.dim)  # then each step's, which it passes on
+    record(t, uv, w, extrema)
     if on_record is not None:
         for b, state in enumerate(initials):
             on_record(b, state)
@@ -667,7 +663,7 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
             if not members:
                 break
         if k % cfg.record_every == 0 or k == n_steps:
-            record(t, uv, w)
+            record(t, uv, w, extrema)
             if on_record is not None or k == n_steps:
                 for row, b in enumerate(members):
                     state = _member_state(grid, t, uv, w, row)

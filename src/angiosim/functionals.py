@@ -1,7 +1,8 @@
 """Diagnostics: entropies, Lyapunov functionals, decay fits, inequality checks.
 
-diagnostics_batch reads the trajectory columns straight off a run's
-(B, *cells) state arrays. The Lyapunov functionals it records are
+diagnostics_batch reads the trajectory columns straight off the time loop's
+state: the stacked (2B, *cells) (u, v) array, w, and the per-row max and min
+that the step took of the first (row_extrema). Its Lyapunov functionals are
     F1 = int u log(u/ubar) + (chi/2) ||grad v||^2              (a = mu = 0)
     F2 = int (u - b - b log(u/b)) + (b chi^2 / 2d) int (v - b)^2   (a, mu > 0)
 with b = (a/mu)^(1/theta) the logistic carrying state. The verification
@@ -39,6 +40,7 @@ __all__ = [
     "fit_decay_rate",
     "CosineTestFunction",
     "verify_interpolation_inequalities",
+    "row_extrema",
     "diagnostics_batch",
     "diagnostics_record",
 ]
@@ -363,99 +365,98 @@ def _equilibrium_sums(fu: np.ndarray, carry: np.ndarray, z, log1p) -> list[float
     return _row_sums(z)
 
 
-def diagnostics_batch(t, u, v, w, grid: Grid, params, u0_means) -> list[DiagnosticsRecord]:
-    """The diagnostics row of every member of a (B, *cells) batch at time t.
+def row_extrema(uv: np.ndarray, dim: int) -> tuple:
+    """The per-row max and min of a (rows, *cells) batch with dim cell axes, as
+    (rows,) arrays; they propagate nan and reach any inf."""
+    axes = ((-1,), (-2, -1))[dim - 1]  # grid_axes of a dim-D grid
+    return np.maximum.reduce(uv, axis=axes), np.minimum.reduce(uv, axis=axes)
+
+
+def diagnostics_batch(t, uv, w, extrema, grid: Grid, params, u0_means) -> list[DiagnosticsRecord]:
+    """The diagnostics row of every member of a batch at time t, from the state
+    the time loop holds: uv its C-contiguous (2B, *cells) array of u's rows then
+    v's, w its (B, *cells) potential and extrema uv's per-row (max, min).
 
     Member b has ModelParams params[b] and initial mean u0_means[b]; see
-    diagnostics_record for what each column holds. The array work runs once
-    for the batch, or for the rows a column applies to (F1 or F2), and the
-    scalar arithmetic runs per member in Python floats. Every reduction sums
-    one member's C-contiguous row, in the order the flat values of a lone
-    member sum, so each row is byte-identical to the record of its member alone.
-    The intermediate arrays, |u| and |v| among them, share two scratch arrays
-    shaped like u. A third is made only for a column's squares and for F1's
-    1 + z, where no ufunc runs over a strided grid axis: numpy buffers those
-    in arrays of its own.
+    diagnostics_record for what each column holds. The minima and the F1/F2
+    positivity test read extrema, and the sup norms are |max(max, -min)|, with
+    the bits of max |row|. Every reduction sums one member's C-contiguous row in
+    the order a lone member's flat values sum, so each row is byte-identical to
+    its member's record alone. The intermediate arrays share two scratch arrays
+    shaped like w. A third is made only for a column's squares and for F1's
+    1 + z, where no ufunc runs over a strided grid axis: numpy buffers those in
+    arrays of its own.
     """
-    u, v, w = (np.ascontiguousarray(a) for a in (u, v, w))
+    uv, w = np.ascontiguousarray(uv), np.ascontiguousarray(w)
     n, m, vol = len(params), grid.n_cells, grid.cell_volume
+    u, v, fu, fv = uv[:n], uv[n:], *uv.reshape(2, n, m)
     # two scratch arrays, and the few floats past them that the residual's padded
     # face differences need (grid.padded_faces)
-    memory = np.empty(2 * u.size + max(face_strides(u.shape, grid.dim)))
-    scratch = memory[:2 * u.size].reshape((2,) + u.shape)
+    memory = np.empty(2 * w.size + max(face_strides(w.shape, grid.dim)))
+    scratch = memory[:2 * w.size].reshape((2,) + w.shape)
     flat = scratch.reshape(2, n, m)
-    fu, fv = u.reshape(n, m), v.reshape(n, m)
     targets = [(p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0
                for p, u0 in zip(params, u0_means)]
     column = np.array(targets).reshape(n, 1)
-    sum_u, sum_v = _row_sums(fu), _row_sums(fv)
-    min_u, min_v = fu.min(axis=-1).tolist(), fv.min(axis=-1).tolist()
-    linf_u, linf_v = (np.abs(f, out=flat[0]).max(axis=-1).tolist() for f in (fu, fv))
+    linf = np.abs(np.maximum(extrema[0], -extrema[1])).tolist()  # as max |row|: +0.0, nan unsigned
+    lows, sums = extrema[1].tolist(), _row_sums(uv)
     l2_dev_u, l2_dev_v = (_l2_rows(np.subtract(f, column, out=flat[0]), vol, flat[1])
                           for f in (fu, fv))
-    faces = face_views(scratch[:grid.dim], u.shape)  # an axis's face values per block
+    faces = face_views(scratch[:grid.dim], w.shape)  # an axis's face values per block
     l2_grad_v = _grad_l2_rows(v, grid, faces)
     grad_w = [np.abs(g, out=g).max(axis=grid_axes(grid)).tolist()
               for g in gradient_arrays(w, grid.spacing, faces)]
     # the potential solve gated these same numbers bit for bit; taking them from
     # it would change solve_neumann_poisson's return, which perfbench's tracer
     # unpacks as three values, so that waits for the in-package spans (ROADMAP 1)
-    residual = _residuals(u, w, grid, (scratch[0], memory[u.size:])).tolist()
+    residual = _residuals(u, w, grid, (scratch[0], memory[w.size:])).tolist()
 
     # F1 on growth-free members, F2 on logistic ones, where u > 0
-    ent = [math.nan] * n
-    f1_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a == 0.0 and p.mu == 0.0]
+    f1, f2 = [math.nan] * n, [math.nan] * n
+    f1_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.a == 0.0 and p.mu == 0.0]
     if f1_rows:
-        k = len(f1_rows)
-        f1_ent = _entropies(_rows(fu, f1_rows, n), [sum_u[b] / m for b in f1_rows], vol,
-                            flat[:, :k])
-        for b, e in zip(f1_rows, f1_ent):
-            ent[b] = e
-    f2_rows = [b for b, p in enumerate(params) if min_u[b] > 0.0 and p.a > 0.0 and p.mu > 0.0]
-    vdev = [0.0] * n
+        ents = _entropies(_rows(fu, f1_rows, n), [sums[b] / m for b in f1_rows], vol,
+                          flat[:, :len(f1_rows)])
+        for b, e in zip(f1_rows, ents):
+            # numpy's power, the same libm pow as Python's, reads inf where Python's raises
+            f1[b] = e + 0.5 * params[b].chi * np.float64(l2_grad_v[b]) ** 2
+    f2_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.a > 0.0 and p.mu > 0.0]
     if f2_rows:
         k = len(f2_rows)
         carry = _rows(column, f2_rows, n)
-        sums = _equilibrium_sums(_rows(fu, f2_rows, n), carry, flat[0, :k], flat[1, :k])
+        ents = _equilibrium_sums(_rows(fu, f2_rows, n), carry, flat[0, :k], flat[1, :k])
         d = np.subtract(_rows(fv, f2_rows, n), carry, out=flat[0, :k])
-        for b, s, sv in zip(f2_rows, sums, _row_sums(np.multiply(d, d, out=flat[1, :k]))):
-            ent[b] = targets[b] * s * vol
-            vdev[b] = sv * vol
-    records = []
-    f1_set, f2_set = set(f1_rows), set(f2_rows)  # membership per member, not a list scan
-    for b, p in enumerate(params):
-        f1 = f2 = math.nan
-        if b in f1_set:
-            # numpy's power, the same libm pow as Python's, reads inf where Python's raises
-            f1 = ent[b] + 0.5 * p.chi * np.float64(l2_grad_v[b]) ** 2
-        elif b in f2_set:
-            f2 = ent[b] + (targets[b] * p.chi ** 2 / (2.0 * p.d)) * vdev[b]
-        records.append(DiagnosticsRecord(
-            t=t,
-            mass_u=sum_u[b] * vol,
-            mass_v=sum_v[b] * vol,
-            linf_u=linf_u[b],
-            linf_v=linf_v[b],
-            l2_u_dev=l2_dev_u[b],
-            l2_v_dev=l2_dev_v[b],
-            l2_grad_v=l2_grad_v[b],
-            linf_grad_w=max(axis_max[b] for axis_max in grad_w),
-            F1=f1,
-            F2=f2,
-            elliptic_residual=residual[b],
-            min_u=min_u[b],
-            min_v=min_v[b],
-        ))
-    return records
+        for b, s, sv in zip(f2_rows, ents, _row_sums(np.multiply(d, d, out=flat[1, :k]))):
+            p, target = params[b], targets[b]
+            f2[b] = target * s * vol + (target * p.chi ** 2 / (2.0 * p.d)) * (sv * vol)
+    return [DiagnosticsRecord(
+        t=t,
+        mass_u=sums[b] * vol,
+        mass_v=sums[n + b] * vol,
+        linf_u=linf[b],
+        linf_v=linf[n + b],
+        l2_u_dev=l2_dev_u[b],
+        l2_v_dev=l2_dev_v[b],
+        l2_grad_v=l2_grad_v[b],
+        linf_grad_w=max(axis_max),
+        F1=f1[b],
+        F2=f2[b],
+        elliptic_residual=residual[b],
+        min_u=lows[b],
+        min_v=lows[n + b],
+    ) for b, axis_max in enumerate(zip(*grad_w))]
 
 
 def diagnostics_record(state, p, u0_mean: float) -> DiagnosticsRecord:
-    """The diagnostics row of one SimState: diagnostics_batch with one member.
+    """The diagnostics row of one SimState: diagnostics_batch with one member,
+    its u and v stacked as a (2, *cells) array.
 
     Deviation target is the logistic carrying state b = (a/mu)^(1/theta) when
     a, mu > 0, otherwise the (conserved) initial mean. F1 is recorded on
     growth-free runs, F2 on logistic runs; either is nan when its positivity
     precondition fails (possible under the central flux scheme).
     """
-    batch = (a[np.newaxis] for a in (state.u, state.v, state.w))
-    return diagnostics_batch(state.t, *batch, state.grid, [p], [u0_mean])[0]
+    uv = np.stack((state.u, state.v))
+    extrema = row_extrema(uv, state.grid.dim)
+    return diagnostics_batch(state.t, uv, state.w[np.newaxis], extrema, state.grid, [p],
+                             [u0_mean])[0]

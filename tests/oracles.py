@@ -1,11 +1,12 @@
 """Array oracles the tests check the simulator against: the entropy, the
-gradient norm and the Lyapunov functionals of one SimState in plain numpy, the
-discrete mass law of u between records, a step's transport computed with a
-fresh array for every intermediate, the 2D multiplier packing by fancy
-indices, the 1D transform pair as it ran before 1D grids went through the
-2D pair as one row of cells, and the face kernels of the step (face speeds,
-fluxes, divergence and Laplacian) as they ran on interior-face arrays before
-the padded face arrays."""
+gradient norm and the Lyapunov functionals of one SimState in plain numpy, a
+record's minima and sup norms as its own min and |.| max passes took them
+before it read the step's per-row extrema, the discrete mass law of u between
+records, a step's transport computed with a fresh array for every
+intermediate, the 2D multiplier packing by fancy indices, the 1D transform
+pair as it ran before 1D grids went through the 2D pair as one row of cells,
+and the face kernels of the step (face speeds, fluxes, divergence and
+Laplacian) as they ran on interior-face arrays before the padded face arrays."""
 import functools
 import math
 
@@ -40,6 +41,13 @@ def gradient_norm(vals, grid) -> float:
         d = np.diff(vals, axis=axis) / h
         s += float(np.sum(d * d))
     return math.sqrt(s * grid.cell_volume)
+
+
+def row_minima_and_sup_norms(uv):
+    """Each row's min and max |value| of a (rows, *cells) array, as (rows,)
+    arrays: a min pass, and a max pass over the row's |values|."""
+    flat = uv.reshape(len(uv), -1)
+    return flat.min(axis=-1), np.abs(flat).max(axis=-1)
 
 
 def lyap_F1(state, chi: float) -> float:

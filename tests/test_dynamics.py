@@ -20,7 +20,6 @@ from angiosim.dynamics import (
     Stepper,
     _ended_rows,
     _face_speeds,
-    _row_extrema,
     growth_columns,
     make_initial,
     run,
@@ -36,7 +35,7 @@ from angiosim.elliptic import (
     pack_multiplier,
     solve_neumann_poisson,
 )
-from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record
+from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record, row_extrema
 from angiosim.grid import Field, build_grid, divergence_arrays, face_strides, laplacian_array
 import oracles
 from oracles import mass_balance_residual, u_power_integral
@@ -440,14 +439,16 @@ def test_ended_rows_classifies_each_row(flux_scheme):
     u[6, 1] = 11.0       # beyond the threshold, either sign
     u[7, 3] = -11.0
     v[8, 6] = 0.0        # v = 0 is allowed
-    ended = _ended_rows(_row_extrema(np.concatenate([u, v]), grid_axes(g)), 0.5, cfg)
+    ended = _ended_rows(row_extrema(np.concatenate([u, v]), g.dim), 0.5, cfg)
     lost = {1, 2} if flux_scheme == "upwind" else set()
     assert set(ended) == {3, 4, 5, 6, 7} | lost
     for row, (reason, detail) in ended.items():
         if row in lost:
             assert reason == "step_failure" and "positivity lost at t=0.5" in detail
+        elif row in (3, 4, 5):  # nan or inf, also in v beside a small u (row 4)
+            assert (reason, detail) == ("blowup_detected", "non-finite u or v at t=0.5")
         else:
-            assert reason == "blowup_detected" and "beyond 10 at t=0.5" in detail
+            assert (reason, detail) == ("blowup_detected", "||u||_inf beyond 10 at t=0.5")
 
 
 def test_stepper_zeroes_the_potential_of_a_non_finite_member():
@@ -546,9 +547,10 @@ def test_stepper_names_only_the_member_that_misses_the_potential_gate():
     assert residuals[lo] < tol < residuals[hi]
     tight = replace(cfg, elliptic_tolerance=tol)
     with pytest.raises(StepFailure) as err:
-        Stepper(g, [COUPLED] * 2, tight).step(0.0, *batch)
+        Stepper(g, [COUPLED] * 2, tight).step(0.25, *batch)  # t enters only the reasons
     assert list(err.value.reasons) == [hi]
-    assert "missed tolerance" in err.value.reasons[hi]
+    assert err.value.reasons[hi].startswith("potential solve missed tolerance")
+    assert err.value.reasons[hi].endswith(" at t=0.25")
 
 
 def test_make_initial_run_and_run_ensemble_build_no_field(monkeypatch):
@@ -640,7 +642,7 @@ def separate_diffusions_step(stepper, uv, w):
     u_new = apply_packed(u_star, pack_multiplier(1.0 / (1.0 + cfg.dt * lam), g.dim))
     v_new = apply_packed(v_star, pack_multiplier(1.0 / (1.0 + cfg.dt + cfg.dt * d * lam), g.dim))
     uv_new = np.concatenate([u_new, v_new])
-    return uv_new, stepper._potential(uv_new, _row_extrema(uv_new, grid_axes(g)))
+    return uv_new, stepper._potential(0.0, uv_new, row_extrema(uv_new, g.dim))
 
 
 @pytest.mark.parametrize("flux_scheme", ["upwind", "central"])

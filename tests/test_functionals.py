@@ -22,6 +22,7 @@ from angiosim.functionals import (
     fit_decay_rate,
     grad_l2,
     relative_entropy,
+    row_extrema,
     verify_interpolation_inequalities,
 )
 from angiosim.grid import build_grid, gradient_arrays
@@ -31,6 +32,7 @@ from oracles import (
     lyap_F1,
     lyap_F2,
     mass_balance_residual,
+    row_minima_and_sup_norms,
     u_power_integral,
 )
 
@@ -388,6 +390,13 @@ def record_bytes(rec):
     return np.array(rec.csv_values()).tobytes()
 
 
+def loop_state(u, v, w, grid):
+    """(uv, w, extrema) of (B, *cells) arrays u, v and w, as the time loop holds
+    them: u's rows then v's in one array, and that array's per-row max and min."""
+    uv = np.concatenate([u, v])
+    return uv, w, row_extrema(uv, grid.dim)
+
+
 MEMBER_KINDS = {
     "growth_free": dict(a=0.0, mu=0.0, theta=1.0),       # F1
     "logistic_theta1": dict(a=1.0, mu=2.0, theta=1.0),   # F2
@@ -417,7 +426,7 @@ def random_member(grid, kind, nonpositive, seed):
 def assert_batch_matches_lone_members(grid, members):
     """-> the batch's records, checked row by row against each member alone."""
     states, ps, u0s = zip(*members)
-    batch = (np.stack([getattr(s, name) for s in states]) for name in "uvw")
+    batch = loop_state(*(np.stack([getattr(s, name) for s in states]) for name in "uvw"), grid)
     with np.errstate(invalid="ignore"):  # u <= 0 to a fractional power is nan either way
         rows = diagnostics_batch(0.375, *batch, grid, ps, u0s)
         assert len(rows) == len(members)
@@ -454,6 +463,52 @@ def test_diagnostics_batch_rows_match_lone_members(dim, data):
     assert_batch_matches_lone_members(grid, members)
 
 
+ROW_KINDS = ("positive", "signed_zeros", "negative", "non_finite", "huge", "tiny")
+
+
+def extreme_row(kind, shape, rng):
+    """One row of values of the given kind, shaped like the cells."""
+    if kind == "signed_zeros":  # +0.0 and -0.0 mixed
+        return np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)
+    if kind == "negative":  # the central scheme can take u and v below 0
+        return rng.uniform(-1.0, 0.5, shape)
+    if kind == "huge":
+        return rng.uniform(-1.0, 1.0, shape) * 1e300
+    if kind == "tiny":
+        return rng.uniform(-1.0, 1.0, shape) * 1e-300
+    row = rng.uniform(0.5, 1.5, shape)
+    if kind == "non_finite":  # -nan too: inf - inf reads nan with its sign bit set
+        cells = rng.choice(row.size, size=rng.integers(1, 4), replace=False)
+        row.flat[cells] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], size=len(cells))
+    return row
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data())
+def test_record_minima_and_sup_norms_are_the_row_passes(dim, data):
+    # min_* and linf_* come from the step's per-row extrema; they keep the bits
+    # of a min pass and an |.| max pass over each row, signed zeros and nan too
+    cells = tuple(data.draw(st.integers(4, 24), label=f"cells[{k}]") for k in range(dim))
+    grid = build_grid(dim, (1.0, 1.5)[:dim], cells)
+    n = data.draw(st.integers(1, 5), label="B")
+    kinds = data.draw(st.lists(st.sampled_from(ROW_KINDS), min_size=2 * n, max_size=2 * n),
+                      label="row kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    uv = np.stack([extreme_row(kind, grid.cells, rng) for kind in kinds])
+    w = rng.uniform(-1.0, 1.0, (n,) + grid.cells)
+    params = [ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.0, n_dim=dim,
+                          **MEMBER_KINDS[data.draw(st.sampled_from(sorted(MEMBER_KINDS)),
+                                                   label="kind")])
+              for _ in range(n)]
+    with np.errstate(all="ignore"):
+        rows = diagnostics_batch(0.0, uv, w, row_extrema(uv, dim), grid, params, [1.0] * n)
+    mins, sups = row_minima_and_sup_norms(uv)
+    got_mins = [r.min_u for r in rows] + [r.min_v for r in rows]
+    got_sups = [r.linf_u for r in rows] + [r.linf_v for r in rows]
+    assert np.array(got_mins).tobytes() == mins.tobytes()
+    assert np.array(got_sups).tobytes() == sups.tobytes()
+
+
 def test_deviation_norms_of_a_member_beyond_the_square_range():
     # |u - target| ~ 2^540 ~ 3.6e162 overflows its square: that member's norms
     # are taken at a power-of-two scale, so they are its unscaled twin's norms
@@ -461,7 +516,7 @@ def test_deviation_norms_of_a_member_beyond_the_square_range():
     grid = build_grid(1, 1.0, 64)
     lone, p, u0 = random_member(grid, "growth_only", False, 3)
     big = 2.0 ** 540
-    batch = (np.stack([a, big * a]) for a in (lone.u, lone.v, lone.w))
+    batch = loop_state(*(np.stack([a, big * a]) for a in (lone.u, lone.v, lone.w)), grid)
     with np.errstate(over="ignore", invalid="ignore"):
         near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
     assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))
@@ -475,7 +530,7 @@ def test_gradient_norm_of_a_member_beyond_the_square_range(dim):
     grid = build_grid(dim, (1.0, 1.5)[:dim], (64, 48)[:dim])
     lone, p, u0 = random_member(grid, "growth_free", False, 5)
     big = 2.0 ** 540
-    batch = (np.stack([a, big * a]) for a in (lone.u, lone.v, lone.w))
+    batch = loop_state(*(np.stack([a, big * a]) for a in (lone.u, lone.v, lone.w)), grid)
     with np.errstate(over="ignore", invalid="ignore"):
         near, far = diagnostics_batch(lone.t, *batch, grid, [p, p], [u0, big * u0])
     assert record_bytes(near) == record_bytes(diagnostics_record(lone, p, u0))
@@ -497,8 +552,9 @@ def test_f2_of_a_cell_far_below_the_carrying_state_is_finite(theta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = diagnostics_record(low, p, 1.0)
-        rows = diagnostics_batch(0.375, *(np.stack([getattr(s, name) for s in (high, low)])
-                                          for name in "uvw"), grid, [q, p], [u0, 1.0])
+        batch = loop_state(*(np.stack([getattr(s, name) for s in (high, low)])
+                             for name in "uvw"), grid)
+        rows = diagnostics_batch(0.375, *batch, grid, [q, p], [u0, 1.0])
     assert math.isfinite(rec.F2) and rec.F2 > 0.0
     assert record_bytes(rec) == record_bytes(reference_record(low, p, 1.0))
     assert record_bytes(rows[1]) == record_bytes(dataclasses.replace(rec, t=0.375))
@@ -519,8 +575,9 @@ def test_f1_of_a_cell_far_below_the_mean_is_finite():
         warnings.simplefilter("error")
         ent = relative_entropy(u, grid)
         rec = diagnostics_record(low, p, 1.0)
-        rows = diagnostics_batch(0.375, *(np.stack([getattr(s, name) for s in (high, low)])
-                                          for name in "uvw"), grid, [q, p], [u0, 1.0])
+        batch = loop_state(*(np.stack([getattr(s, name) for s in (high, low)])
+                             for name in "uvw"), grid)
+        rows = diagnostics_batch(0.375, *batch, grid, [q, p], [u0, 1.0])
         expected = reference_record(low, p, 1.0)
     assert math.isfinite(ent) and ent > 0.0 and ent == entropy(u, grid)
     assert math.isfinite(rec.F1) and rec.F1 > ent
@@ -531,17 +588,19 @@ def test_f1_of_a_cell_far_below_the_mean_is_finite():
 
 def test_a_2d_record_stays_within_three_grid_arrays():
     # two scratch arrays shared by every column, and a third only for squares
-    # and F1's 1 + z: three grid arrays, 1.57 MB at 256^2
+    # and F1's 1 + z: three grid arrays, 1.57 MB at 256^2, on the state as the
+    # time loop holds it
     grid = build_grid(2, 1.0, (256, 256))
     rng = np.random.default_rng(4)
     u = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, grid.cells)
     state = state_of(grid, u, 1.0 + 0.1 * rng.uniform(-1.0, 1.0, grid.cells))
     p = ModelParams(chi=0.5, xi1=1.0, xi2=1.0, d=1.0, a=1.0, mu=1.0, theta=1.0, n_dim=2)
-    diagnostics_record(state, p, 1.0)
+    batch = loop_state(*(a[np.newaxis] for a in (state.u, state.v, state.w)), grid)
+    diagnostics_batch(state.t, *batch, grid, [p], [1.0])
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        diagnostics_record(state, p, 1.0)
+        diagnostics_batch(state.t, *batch, grid, [p], [1.0])
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -560,12 +619,12 @@ def test_a_record_costs_about_linear_time_in_its_members():
     logistic = dataclasses.replace(growth_free, a=1.0, mu=1.0)
 
     def fastest_time(n):
-        u, v, w = (rng.uniform(0.5, 1.5, (n,) + grid.cells) for _ in range(3))
+        batch = loop_state(*(rng.uniform(0.5, 1.5, (n,) + grid.cells) for _ in range(3)), grid)
         params = [growth_free, logistic] * (n // 2)
         times = []
         for _ in range(9):
             start = time.perf_counter()
-            diagnostics_batch(0.0, u, v, w, grid, params, [1.0] * n)
+            diagnostics_batch(0.0, *batch, grid, params, [1.0] * n)
             times.append(time.perf_counter() - start)
         return min(times)
 
