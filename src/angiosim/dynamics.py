@@ -50,6 +50,7 @@ import numpy as np
 from .elliptic import (
     EllipticSolveError,
     apply_packed,
+    elliptic_residual,
     grid_axes,
     grid_mean,
     neumann_eigenvalues,
@@ -353,10 +354,11 @@ class _Buffers:
     - diffusion: the transform pair's buffers (elliptic.transform_buffers) for all
       2B rows, from the start of the flat array;
     - potential: the potential's centred u, Laplacian, squares, padded face
-      differences (from the squares on, a stride past them) and the pair's buffers
-      for B rows. The pair reads only the centred u, so its buffers start past it
-      and overlap the Laplacian, the squares and the faces, which are written
-      after it.
+      differences (from the squares on, a stride past them), the pair's buffers
+      for B rows and, in an array of its own, the (B,) relative residuals that the
+      gate takes and the record reads. The pair reads only the centred u, so its
+      buffers start past it and overlap the Laplacian, the squares and the faces,
+      which are written after it.
 
     The flat array holds the largest of these, about 4B grid arrays in 1D and 2D:
     the speeds need 4B in 2D, a stacked pair a little over 4B and the potential a
@@ -382,7 +384,7 @@ class _Buffers:
         self.diffusion = transform_buffers(shape, dim, flat)
         rhs, lap, squares = flat[:3 * n * size].reshape((3,) + potential)
         self.potential = (rhs, lap, squares, flat[2 * n * size:],
-                          transform_buffers(potential, dim, flat[centred:]))
+                          transform_buffers(potential, dim, flat[centred:]), np.empty(n))
         self.flat = flat
 
 
@@ -400,6 +402,7 @@ class Stepper:
     once (row_extrema) and serve four ends: the potential's finite check, the
     caller's end checks (_ended_rows, through extrema), its diagnostics record
     (diagnostics_batch) and, passed back as umax, the next step's reaction bound.
+    The potential's gate writes each member's relative residual into residuals.
     The implicit operators are diagonal in the DCT-II basis: u takes the shared
     multiplier 1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda),
     and the stepper holds them only packed for the transform pair, a row per
@@ -433,6 +436,8 @@ class Stepper:
         self._strides = face_strides((2 * n,) + grid.cells, grid.dim)
         self._buffers = _Buffers((2 * n,) + grid.cells)
         self.extrema = None  # the per-row (max, min) of the uv that step last returned
+        # the gate's residuals of the w that step last returned, or of a step that raised
+        self.residuals = self._buffers.potential[-1]
         # the diffusion multipliers of the stacked (u, v) batch, row by row,
         # kept only packed
         lam = neumann_eigenvalues(grid)
@@ -544,7 +549,8 @@ class Stepper:
 
     def step(self, t: float, uv: np.ndarray, w: np.ndarray, umax=None):
         """Advance every member one dt from time t -> the new (uv, w), whose
-        per-row max and min are then extrema.
+        per-row max and min are then extrema and whose potential residuals are
+        then residuals.
 
         umax, if given, is each member's max of u in uv, as the previous step's
         extrema hold it; it is computed otherwise. Raises StepFailure naming the
@@ -595,7 +601,10 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     kept). A member that stops leaves the batch and the rest carry on.
 
     The batch is held as (uv, w), as Stepper steps it, and each record reads it as
-    held, with the per-row extrema the step took (diagnostics_batch). A SimState
+    held, with the per-row extrema and the potential residuals the step took
+    (diagnostics_batch), at t0 elliptic_residual of each initial member. Only a
+    step that returned feeds a record: one that raised may have left its
+    residuals in the stepper's. A SimState
     is built only for a member's terminal state and, when on_record is given, for
     each record: on_record(b, state) is then called with each recorded SimState,
     the initial one included.
@@ -611,15 +620,15 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     members = list(range(len(initials)))  # the member held in each batch row
     stepper = Stepper(grid, params, cfg)
 
-    def record(t, uv, w, extrema):
-        rows = diagnostics_batch(t, uv, w, extrema, grid, stepper.params,
+    def record(t, uv, w, extrema, residuals):
+        rows = diagnostics_batch(t, uv, w, extrema, residuals, grid, stepper.params,
                                  [u0_means[b] for b in members])
         for b, rec in zip(members, rows):
             records[b].append(rec)
 
-    def leave(ended, t, uv, w, extrema):
-        """Close the trajectories of the ended rows; return the (uv, w) of the rest
-        and their extrema."""
+    def leave(ended, t, uv, w, extrema, residuals):
+        """Close the trajectories of the ended rows; return the (uv, w) of the rest,
+        their extrema and their residuals."""
         nonlocal members, stepper
         for row, (reason, detail) in ended.items():
             b = members[row]
@@ -631,7 +640,7 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         if kept:
             stepper = Stepper(grid, [stepper.params[row] for row in kept], cfg)
         rows = kept + [n + row for row in kept]
-        return uv[rows], w[kept], tuple(e[rows] for e in extrema)
+        return uv[rows], w[kept], tuple(e[rows] for e in extrema), residuals[kept]
 
     n = len(initials)
     uv = np.empty((2 * n,) + grid.cells)
@@ -639,7 +648,8 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     for b, s in enumerate(initials):
         uv[b], uv[n + b], w[b] = s.u, s.v, s.w
     extrema = row_extrema(uv, grid.dim)  # then each step's, which it passes on
-    record(t, uv, w, extrema)
+    residuals = np.array([elliptic_residual(s.u, s.w, grid) for s in initials])  # likewise
+    record(t, uv, w, extrema, residuals)
     if on_record is not None:
         for b, state in enumerate(initials):
             on_record(b, state)
@@ -649,21 +659,21 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
             try:
                 stepped = stepper.step(t, uv, w, extrema[0][:len(w)])
             except StepFailure as exc:
-                uv, w, extrema = leave(
+                uv, w, extrema, residuals = leave(
                     {row: ("step_failure", why) for row, why in exc.reasons.items()},
-                    t, uv, w, extrema)
+                    t, uv, w, extrema, residuals)
         if not members:
             break
         t = t0 + k * cfg.dt  # exact time grid, no float drift
         uv, w = stepped
-        extrema = stepper.extrema
+        extrema, residuals = stepper.extrema, stepper.residuals
         ended = _ended_rows(extrema, t, cfg)
         if ended:
-            uv, w, extrema = leave(ended, t, uv, w, extrema)
+            uv, w, extrema, residuals = leave(ended, t, uv, w, extrema, residuals)
             if not members:
                 break
         if k % cfg.record_every == 0 or k == n_steps:
-            record(t, uv, w, extrema)
+            record(t, uv, w, extrema, residuals)
             if on_record is not None or k == n_steps:
                 for row, b in enumerate(members):
                     state = _member_state(grid, t, uv, w, row)

@@ -45,7 +45,7 @@ class EllipticSolveError(RuntimeError):
 
     def __init__(self, tolerance, residuals, failed):
         self.tolerance = tolerance
-        self.residuals = np.atleast_1d(residuals)
+        self.residuals = np.array(residuals, ndmin=1)  # a copy: the gate's may be work memory
         self.failed = np.atleast_1d(failed)
         self.achieved_residual = float(self.residuals.max())
         worst = np.where(self.failed, self.residuals, -np.inf).argmax()  # argmax picks a nan first
@@ -292,17 +292,18 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
     The second is computed only for members that fail the first.
 
     work, if given, is (centred u, Laplacian, squares, face differences, transform
-    buffers): three arrays shaped like u, a flat array as laplacian_array's faces and
-    the transform pair's buffers (transform_buffers), all of them overwritten. The
-    pair reads only the centred u, so its buffers may share memory with the Laplacian,
-    the squares and the faces, which are written after it. w is always a fresh array."""
+    buffers, residuals): three arrays shaped like u, a flat array as laplacian_array's
+    faces, the transform pair's buffers (transform_buffers) and a (B,) array that
+    receives each member's relative residual, before the gate may raise. All are
+    overwritten, and a None slot makes a fresh one. The pair reads only the centred
+    u, so its buffers may share memory with the Laplacian, the squares and the
+    faces, which are written after it. w is always a fresh array."""
     u = np.asarray(u, dtype=np.float64)
-    rhs, lap, squares, faces, buffers = (None,) * 5 if work is None else work
+    rhs, lap, squares, faces, buffers, res = (None,) * 6 if work is None else work
     b = np.subtract(u, grid_mean(u, grid), out=rhs)
     w = apply_packed(b, _pseudo_inverse(grid), buffers=buffers)
     w -= grid_mean(w, grid)
-    r = _centred_residual(laplacian_array(w, grid.spacing, lap, faces), b, grid)
-    res = _relative_residuals(b, r, grid, squares)
+    r, res = _gate_residuals(b, w, grid, res, (lap, faces, squares))
     passed = res <= tolerance  # a nan residual fails too
     if not passed.all():
         floor = min(BACKWARD_ERROR_FLOOR, 1e-4 * tolerance)
@@ -314,33 +315,20 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
 
 def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> float:
     """Relative residual of -lap w = u - mean(u), u and w shaped like the grid."""
-    return float(_residuals(u_vals, w_vals, grid))
+    return float(_gate_residuals(u_vals - grid_mean(u_vals, grid), w_vals, grid)[1])
 
 
-def _residuals(u: np.ndarray, w: np.ndarray, grid: Grid, work=None) -> np.ndarray:
-    """elliptic_residual per member of shaped or batched arrays. work, if given, is
-    an array shaped like u, which receives the residual, and a flat float array of
-    at least max_k s_k + u.size floats (laplacian_array's faces), which receives the
-    face differences and then, at its start, the centred u."""
-    lap, faces = (None, None) if work is None else work
-    lap = laplacian_array(w, grid.spacing, lap, faces)
-    rhs = None if faces is None else faces[:u.size].reshape(u.shape)
-    rhs = np.subtract(u, grid_mean(u, grid), out=rhs)
-    return _relative_residuals(rhs, _centred_residual(lap, rhs, grid), grid)
-
-
-def _centred_residual(lap_w, rhs, grid) -> np.ndarray:
-    """r = lap w + rhs in lap w's array, rhs being centred, with its round-off mean
-    removed."""
-    lap_w += rhs
-    lap_w -= grid_mean(lap_w, grid)  # zero in exact arithmetic; kills the round-off constant
-    return lap_w
-
-
-def _relative_residuals(rhs, r, grid, squares=None) -> np.ndarray:
-    """|r| / |rhs| per member; squares is optional scratch shaped like r."""
+def _gate_residuals(rhs, w, grid, out=None, work=(None, None, None)) -> tuple:
+    """The potential gate's residual of w for a centred rhs, shaped or batched ->
+    (r, |r| / |rhs| per member, in out if given). r = lap w + rhs, with its round-off
+    mean removed, is in the Laplacian's array. work, if given, is (Laplacian, faces,
+    squares) as solve_neumann_poisson's work holds them."""
+    lap, faces, squares = work
+    r = laplacian_array(w, grid.spacing, lap, faces)
+    r += rhs
+    r -= grid_mean(r, grid)  # zero in exact arithmetic; kills the round-off constant
     (ss, rr), _ = _sums_of_squares([rhs, r], grid_axes(grid), squares)  # ratio is scale-free
-    return np.sqrt(rr / np.maximum(ss, 1e-60))  # rhs ~ 0 guard
+    return r, np.sqrt(rr / np.maximum(ss, 1e-60), out=out)  # rhs ~ 0 guard
 
 
 def _backward_errors(rhs, w, r, grid, squares=None) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Diagnostics: entropies, Lyapunov functionals, decay fits, inequality checks.
 
 diagnostics_batch reads the trajectory columns straight off the time loop's
-state: the stacked (2B, *cells) (u, v) array, w, and the per-row max and min
-that the step took of the first (row_extrema). Its Lyapunov functionals are
+state: the stacked (2B, *cells) (u, v) array, w, the per-row max and min that
+the step took of the first (row_extrema) and the relative residuals its
+potential gate took of w. Its Lyapunov functionals are
     F1 = int u log(u/ubar) + (chi/2) ||grad v||^2              (a = mu = 0)
     F2 = int (u - b - b log(u/b)) + (b chi^2 / 2d) int (v - b)^2   (a, mu > 0)
 with b = (a/mu)^(1/theta) the logistic carrying state. The verification
@@ -25,8 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .elliptic import _residuals, _sums_of_squares, grid_axes
-from .grid import Grid, face_strides, face_views, gradient_arrays, integrate, lp_norm
+from .elliptic import _sums_of_squares, elliptic_residual, grid_axes
+from .grid import Grid, face_views, gradient_arrays, integrate, lp_norm
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -372,10 +373,13 @@ def row_extrema(uv: np.ndarray, dim: int) -> tuple:
     return np.maximum.reduce(uv, axis=axes), np.minimum.reduce(uv, axis=axes)
 
 
-def diagnostics_batch(t, uv, w, extrema, grid: Grid, params, u0_means) -> list[DiagnosticsRecord]:
+def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
+                      u0_means) -> list[DiagnosticsRecord]:
     """The diagnostics row of every member of a batch at time t, from the state
     the time loop holds: uv its C-contiguous (2B, *cells) array of u's rows then
-    v's, w its (B, *cells) potential and extrema uv's per-row (max, min).
+    v's, w its (B, *cells) potential, extrema uv's per-row (max, min) and
+    residuals the (B,) array of each member's elliptic_residual, as the
+    potential's gate took it.
 
     Member b has ModelParams params[b] and initial mean u0_means[b]; see
     diagnostics_record for what each column holds. The minima and the F1/F2
@@ -389,27 +393,20 @@ def diagnostics_batch(t, uv, w, extrema, grid: Grid, params, u0_means) -> list[D
     """
     uv, w = np.ascontiguousarray(uv), np.ascontiguousarray(w)
     n, m, vol = len(params), grid.n_cells, grid.cell_volume
-    u, v, fu, fv = uv[:n], uv[n:], *uv.reshape(2, n, m)
-    # two scratch arrays, and the few floats past them that the residual's padded
-    # face differences need (grid.padded_faces)
-    memory = np.empty(2 * w.size + max(face_strides(w.shape, grid.dim)))
-    scratch = memory[:2 * w.size].reshape((2,) + w.shape)
+    v, fu, fv = uv[n:], *uv.reshape(2, n, m)
+    scratch = np.empty((2,) + w.shape)
     flat = scratch.reshape(2, n, m)
     targets = [(p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0
                for p, u0 in zip(params, u0_means)]
     column = np.array(targets).reshape(n, 1)
     linf = np.abs(np.maximum(extrema[0], -extrema[1])).tolist()  # as max |row|: +0.0, nan unsigned
-    lows, sums = extrema[1].tolist(), _row_sums(uv)
+    lows, sums, residual = extrema[1].tolist(), _row_sums(uv), residuals.tolist()
     l2_dev_u, l2_dev_v = (_l2_rows(np.subtract(f, column, out=flat[0]), vol, flat[1])
                           for f in (fu, fv))
     faces = face_views(scratch[:grid.dim], w.shape)  # an axis's face values per block
     l2_grad_v = _grad_l2_rows(v, grid, faces)
     grad_w = [np.abs(g, out=g).max(axis=grid_axes(grid)).tolist()
               for g in gradient_arrays(w, grid.spacing, faces)]
-    # the potential solve gated these same numbers bit for bit; taking them from
-    # it would change solve_neumann_poisson's return, which perfbench's tracer
-    # unpacks as three values, so that waits for the in-package spans (ROADMAP 1)
-    residual = _residuals(u, w, grid, (scratch[0], memory[w.size:])).tolist()
 
     # F1 on growth-free members, F2 on logistic ones, where u > 0
     f1, f2 = [math.nan] * n, [math.nan] * n
@@ -449,7 +446,7 @@ def diagnostics_batch(t, uv, w, extrema, grid: Grid, params, u0_means) -> list[D
 
 def diagnostics_record(state, p, u0_mean: float) -> DiagnosticsRecord:
     """The diagnostics row of one SimState: diagnostics_batch with one member,
-    its u and v stacked as a (2, *cells) array.
+    its u and v stacked as a (2, *cells) array and its elliptic_residual taken.
 
     Deviation target is the logistic carrying state b = (a/mu)^(1/theta) when
     a, mu > 0, otherwise the (conserved) initial mean. F1 is recorded on
@@ -458,5 +455,6 @@ def diagnostics_record(state, p, u0_mean: float) -> DiagnosticsRecord:
     """
     uv = np.stack((state.u, state.v))
     extrema = row_extrema(uv, state.grid.dim)
-    return diagnostics_batch(state.t, uv, state.w[np.newaxis], extrema, state.grid, [p],
-                             [u0_mean])[0]
+    residual = np.array([elliptic_residual(state.u, state.w, state.grid)])
+    return diagnostics_batch(state.t, uv, state.w[np.newaxis], extrema, residual, state.grid,
+                             [p], [u0_mean])[0]

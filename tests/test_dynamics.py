@@ -520,16 +520,26 @@ def test_ensemble_of_shipped_sweep_matches_standalone_runs():
 
 
 def test_ensemble_isolates_failing_members():
+    # every step is recorded, the steps where members leave too
     probe = parse_config(CONFIGS / "blowup_probe.cfg")
-    cfg = replace(probe.solver, t_end=1.0)
+    cfg = replace(probe.solver, t_end=1.0, record_every=1)
     params = [probe.params,                           # grows past the threshold
               replace(probe.params, chi=20.0),        # dt above its stability bound
-              replace(probe.params, a=1.0, mu=1.0)]   # calm logistic member
+              replace(probe.params, a=1.0, mu=1.0),   # calm logistic member
+              replace(probe.params, d=4.0)]           # misses the potential gate mid-run
     initial = make_initial(probe.grid, probe.initial)
-    batch = run_ensemble([initial] * 3, params, cfg)
+    # the gate's tolerance between the other members' largest residual and the
+    # last one's, whose first step passes
+    every = [run(initial, p, cfg).records[1:] for p in params]
+    others = max(r.elliptic_residual for records in every[:3] for r in records)
+    last = [r.elliptic_residual for r in every[3]]
+    cfg = replace(cfg, elliptic_tolerance=0.5 * (others + max(last)))
+    assert last[0] < cfg.elliptic_tolerance < max(last)
+    batch = run_ensemble([initial] * 4, params, cfg)
     assert [t.termination_reason for t in batch] == \
-        ["blowup_detected", "step_failure", "completed"]
+        ["blowup_detected", "step_failure", "completed", "step_failure"]
     assert "stability bound" in batch[1].failure_detail
+    assert batch[3].failure_detail.startswith("potential solve missed tolerance")
     for p, traj in zip(params, batch):
         assert_same_trajectory(traj, run(initial, p, cfg))
 
@@ -749,8 +759,11 @@ def test_step_gates_the_residual_of_fresh_outputs(monkeypatch, dim, cells, n_mem
     for k in range(3):
         stepped = stepper.step(0.0, *batch)
         uv, w = stepped
-        # the one centring the gate uses is elliptic_residual's own
-        assert gated[-1] == max(elliptic_residual(uv[b], w[b], g) for b in range(n_members))
+        # the one centring the gate uses is elliptic_residual's own, and the
+        # residuals the stepper hands on are the gate's
+        residuals = [elliptic_residual(uv[b], w[b], g) for b in range(n_members)]
+        assert gated[-1] == max(residuals)
+        assert stepper.residuals.tolist() == residuals
         for out in stepped:
             assert out.flags.c_contiguous
             for other in step_buffers(stepper) + list(batch):

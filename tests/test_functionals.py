@@ -391,10 +391,12 @@ def record_bytes(rec):
 
 
 def loop_state(u, v, w, grid):
-    """(uv, w, extrema) of (B, *cells) arrays u, v and w, as the time loop holds
-    them: u's rows then v's in one array, and that array's per-row max and min."""
+    """(uv, w, extrema, residuals) of (B, *cells) arrays u, v and w, as the time
+    loop holds them: u's rows then v's in one array, that array's per-row max and
+    min, and each member's potential residual, as the gate takes it."""
     uv = np.concatenate([u, v])
-    return uv, w, row_extrema(uv, grid.dim)
+    residuals = np.array([elliptic_residual(ub, wb, grid) for ub, wb in zip(u, w)])
+    return uv, w, row_extrema(uv, grid.dim), residuals
 
 
 MEMBER_KINDS = {
@@ -501,7 +503,8 @@ def test_record_minima_and_sup_norms_are_the_row_passes(dim, data):
                                                    label="kind")])
               for _ in range(n)]
     with np.errstate(all="ignore"):
-        rows = diagnostics_batch(0.0, uv, w, row_extrema(uv, dim), grid, params, [1.0] * n)
+        rows = diagnostics_batch(0.0, uv, w, row_extrema(uv, dim), np.zeros(n), grid, params,
+                                 [1.0] * n)
     mins, sups = row_minima_and_sup_norms(uv)
     got_mins = [r.min_u for r in rows] + [r.min_v for r in rows]
     got_sups = [r.linf_u for r in rows] + [r.linf_v for r in rows]
