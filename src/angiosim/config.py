@@ -118,6 +118,12 @@ _SWEEPABLE_PREFIXES = ("params.", "solver.", "init.")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One validated scenario: the preset it was built from, out_dir (the `out`
+    key) where run writes its files, the grid, the model parameters, the solver
+    settings and the initial profiles, and the trajectory column that run fits a
+    decay rate to over fit_window, (t0, t1) or None for the default window
+    (functionals.fit_decay_rate)."""
+
     preset: str
     out_dir: str
     grid: Grid
@@ -130,6 +136,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A parsed sweep: base is the scenario of the file's own keys and axes the
+    (swept key, its values) pairs in declaration order, whose product gives at
+    most max_points points. base_keys holds the file's non-sweep keys as
+    {key: (raw value, line)}, from which each point's scenario is built again
+    with its overrides (scenario_with_overrides), and axis_lines maps each swept
+    key to its axis's line, which a point's error message names."""
+
     base: ScenarioConfig
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     max_points: int = 256

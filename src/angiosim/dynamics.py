@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,6 @@ from .elliptic import (
     EllipticSolveError,
     apply_packed,
     elliptic_residual,
-    grid_axes,
     grid_mean,
     neumann_eigenvalues,
     pack_multiplier,
@@ -60,7 +60,15 @@ from .elliptic import (
     transform_floats,
 )
 from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch, row_extrema
-from .grid import FLOAT_FMT, Grid, divergence_arrays, face_pads, face_strides, padded_faces
+from .grid import (
+    FLOAT_FMT,
+    Grid,
+    divergence_arrays,
+    face_pads,
+    face_strides,
+    laplacian_views,
+    padded_faces,
+)
 
 __all__ = [
     "ModelParams",
@@ -141,6 +149,13 @@ class SimState:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Time-stepping settings shared by every member of a batch: the step dt and
+    the end time t_end; cfl_safety, the fraction of the stability bound a step may
+    use (stable_dt); flux_scheme, "upwind" or "central"; blowup_threshold, the
+    ||u||_inf past which a run ends as blown up; record_every, the steps between
+    diagnostics records; and elliptic_tolerance, the relative residual the
+    potential solve's gate accepts."""
+
     dt: float
     t_end: float
     cfl_safety: float = 0.5
@@ -189,6 +204,10 @@ class InitialSpec:
 
 @dataclass
 class Trajectory:
+    """One member's run: its diagnostics records in time order, the state it
+    ended on, why it ended (completed, blowup_detected or step_failure) and,
+    unless it completed, a one-line failure_detail."""
+
     records: list[DiagnosticsRecord]
     terminal: SimState
     termination_reason: str  # completed | blowup_detected | step_failure
@@ -264,46 +283,82 @@ def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> Sim
     return SimState(0.0, grid, u_vals, v_vals, w)
 
 
-def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, xi2, out=None):
-    """Per grid axis, the transport speeds of a batch's u and v stacked as one
-    (2B, *cells) array, as a padded face array (grid.padded_faces): u's rows,
-    chi grad v - xi1 grad w, then v's rows, -xi2 grad w. Its pads read +0.0 or
-    -0.0. v and w are C-contiguous (B, *cells) arrays and the couplings (B, 1[, 1])
-    columns. out, if given, is (the padded arrays, a (B, *cells) scratch array),
-    and the first receive the speeds; they are fresh arrays otherwise. Every pass
-    runs over the whole batch as one contiguous call: the differences across a pad
-    are garbage, zeroed before they are scaled."""
-    n, half = len(v), v.size
-    shape = (2 * n,) + v.shape[1:]
+def _shared(values, shape):
+    """One value per member as a float when all have the same bits, otherwise as
+    an array of this shape. A small ufunc call takes about half the time with a
+    scalar as with a (B, 1) column, and gives the same bits."""
+    arr = np.array(values, dtype=np.float64)
+    bits = arr.view(np.uint64)
+    return float(arr[0]) if (bits == bits[0]).all() else arr.reshape(shape)
+
+
+# The views that _face_speeds takes of one grid axis's padded face array for a
+# (2B, *cells) batch: the axis's flat stride s; the u rows' faces [s, size/2) and
+# the v rows' [size/2 + s, size), which receive the differences of v and of w; the
+# pads (face_pads); every face above a cell, [s, s + size), flat and as a
+# (2, B, *cells) array; and that array's u and v halves.
+_SpeedViews = namedtuple("SpeedViews", "stride grad_v grad_w pads faces stacked u_rows v_rows")
+
+
+def _speed_views(speeds, shape, dim: int) -> list[_SpeedViews]:
+    """Per grid axis, the _SpeedViews of its padded face array in speeds for a
+    (2B, *cells) batch shape. A stepper builds them once."""
+    size = math.prod(shape)
+    half = size // 2
+    member = (shape[0] // 2,) + shape[1:]
+    views = []
+    for k, (s, a) in enumerate(zip(face_strides(shape, dim), speeds)):
+        stacked = a[s:s + size].reshape((2,) + member)
+        views.append(_SpeedViews(s, a[s:half], a[half + s:size], face_pads(a, shape, dim, k),
+                                a[s:s + size], stacked, stacked[0], stacked[1]))
+    return views
+
+
+def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, minus_xi2, out=None):
+    """Per grid axis, the transport speeds of a batch's u and v on the face above
+    each cell, as a (2, B, *cells) view of a padded face array (grid.padded_faces)
+    whose pads read +0.0 or -0.0: u's rows, chi grad v - xi1 grad w, then v's rows,
+    -xi2 grad w. v and w are C-contiguous (B, *cells) arrays, and the couplings chi,
+    xi1 and minus_xi2 = -xi2 are floats or (B, 1[, 1]) columns. out, if given, is
+    (_speed_views of the padded arrays, a (B, *cells) scratch array), which a
+    stepper builds once; fresh ones are made otherwise. Every pass runs over the
+    whole batch as one contiguous call: the differences across a pad are garbage,
+    zeroed before they are scaled."""
     if out is None:
-        out = (padded_faces(shape, grid.dim), np.empty(v.shape))
-    speeds, scratch = out
+        shape = (2 * len(v),) + v.shape[1:]
+        out = (_speed_views(padded_faces(shape, grid.dim), shape, grid.dim), np.empty(v.shape))
+    views, scratch = out
     fv, fw = v.reshape(-1), w.reshape(-1)
-    for k, (h, s, a) in enumerate(zip(grid.spacing, face_strides(shape, grid.dim), speeds)):
-        np.subtract(fw[s:], fw[:-s], out=a[half + s:2 * half])  # grad w
-        np.subtract(fv[s:], fv[:-s], out=a[s:half])  # chi grad v - xi1 grad w
-        face_pads(a, shape, grid.dim, k)[...] = 0.0
-        a[s:s + 2 * half] /= h
-        a_u, a_v = a[s:s + half].reshape(v.shape), a[s + half:s + 2 * half].reshape(v.shape)
+    for h, (s, grad_v, grad_w, pads, faces, _stacked, a_u, a_v) in zip(grid.spacing, views):
+        np.subtract(fw[s:], fw[:-s], out=grad_w)
+        np.subtract(fv[s:], fv[:-s], out=grad_v)  # chi grad v - xi1 grad w
+        pads.fill(0.0)
+        faces /= h
         a_u *= chi
         a_u -= np.multiply(a_v, xi1, out=scratch)
-        a_v *= -xi2
-    return speeds
+        a_v *= minus_xi2
+    return [view.stacked for view in views]
 
 
-def growth_columns(params) -> np.ndarray:
-    """The (3, B) rows a, mu and theta of a batch's members, for stable_dt."""
-    return np.array([[p.a for p in params], [p.mu for p in params], [p.theta for p in params]])
+def growth_columns(params) -> tuple:
+    """The rows a, mu and theta of a batch's members, for stable_dt: each a (B,)
+    array, or a float when every member shares it."""
+    n = len(params)
+    return tuple(_shared([getattr(p, name) for p in params], (n,)) for name in ("a", "mu", "theta"))
 
 
 def stable_dt(grid: Grid, umax: np.ndarray, speeds, growth, cfg: SolverConfig) -> np.ndarray:
     """Per member: cfl_safety * min(face CFL per axis, reaction bound, factor-source bound).
 
-    umax is each member's max of u, a (B,) array, speeds are the batch's padded
-    face speeds from _face_speeds and growth is growth_columns of the members.
-    Face CFL is h / max|speed| per axis over both transported species; the
-    reaction bound 1/(a + mu max(umax, 0)^theta + 1) keeps the explicit logistic
-    update positive; the factor-source bound is 1. The reaction bound is taken
+    umax is each member's max of u, a (B,) array, speeds are per grid axis the
+    batch's speeds on the face above each cell as a (2, B, *cells) array, as
+    _face_speeds returns them, and growth is growth_columns of the members.
+    Face CFL is h / max|speed| per axis over both transported species, taken as
+    max(max, -min) with one reduction each over a member's u and v rows: max and
+    min are exact, so the bound has the bits of a per-species formula, and where
+    max|speed| is zero or nan the axis sets no bound. The reaction bound
+    1/(a + mu max(umax, 0)^theta + 1) keeps the explicit logistic update positive;
+    the factor-source bound is 1. The reaction bound is taken
     for the whole batch at once. Its power is np.float_power, which calls libm's
     pow as a float64 scalar power does, so the bound has the bits of the formula
     taken member by member. np.power, and ndarray ** with its square and
@@ -314,51 +369,54 @@ def stable_dt(grid: Grid, umax: np.ndarray, speeds, growth, cfg: SolverConfig) -
     through all its faces and its damping at once.
     """
     a, mu, theta = growth
-    n = len(umax)
     bound = np.float_power(np.maximum(umax, 0.0), theta)
     bound *= mu
     bound += a
     bound += 1.0
     np.divide(1.0, bound, out=bound)
     np.fmin(bound, 1.0, out=bound)  # the v-source bound; a nan reaction bound reads 1
-    axes = grid_axes(grid)
-    shape = (2 * n,) + grid.cells
-    size = math.prod(shape)
-    for h, s, speed in zip(grid.spacing, face_strides(shape, grid.dim), speeds):
-        rows = speed[s:s + size].reshape(shape)  # every face once, and the pads
-        # max |speed| as max(max, -min) over a member's u and v rows, with no |speed| array
-        smax = np.maximum(np.maximum.reduce(rows, axis=axes), -np.minimum.reduce(rows, axis=axes))
-        smax = np.maximum(smax[:n], smax[n:])
-        cfl = np.divide(h, smax, out=np.full_like(smax, np.inf), where=smax > 0.0)
-        bound = np.minimum(bound, cfl)
-    return cfg.cfl_safety * bound
+    axes = ((0, 2), (0, 2, 3))[grid.dim - 1]  # the species and the cells of a member
+    for h, stacked in zip(grid.spacing, speeds):
+        smax = np.maximum.reduce(stacked, axis=axes)
+        smin = np.minimum.reduce(stacked, axis=axes)
+        np.negative(smin, out=smin)
+        np.maximum(smax, smin, out=smax)  # max |speed|, with no |speed| array
+        moving = np.greater(smax, 0.0)
+        np.divide(h, smax, out=smax, where=moving)
+        np.minimum(bound, smax, out=bound, where=moving)
+    bound *= cfg.cfl_safety
+    return bound
 
 
 class _Buffers:
     """The work arrays of a step of a batch whose (u, v) state is shaped (2B, *cells),
     built once with its Stepper, reused from step to step and shared by the step's
-    phases. At 2D-256^2 a fresh full-grid temporary is half a megabyte, and a step
-    that makes a dozen of them faults hundreds of pages back in. A step's outputs
-    are never among them.
+    phases, with the views that the step's kernels take of them. At 2D-256^2 a
+    fresh full-grid temporary is half a megabyte, and a step that makes a dozen of
+    them faults hundreds of pages back in; at 1D-128 x 9 a step is mostly the fixed
+    cost of its small calls, and each view built once is one that no step builds.
+    A step's outputs are never among them.
 
     They are one flat float array and the upwind signs:
 
     - speeds: per grid axis k, the stacked face speeds as a padded face array
       (grid.padded_faces) of s_k + 2B grid arrays' floats, the axes' one after the
-      other from the start, and pads, their pads as strided views. Each becomes its
+      other from the start; speed_views, the views that _face_speeds writes
+      (_speed_views), and fluxes, per axis (the padded array, its faces with a cell
+      below, the axis's upwind signs in mask, its pads, s_k) for _fluxes; mask is
+      per axis a view of one bool array. Each speed array becomes its
       axis's flux in place. In 2D the start (net) then takes the second axis's face
       values and the divergence's net flux, once the first axis's speeds are used
       up; once the advection is done, its start (scratch) takes B grid arrays of
       u's reaction and v's source;
-    - mask: per axis, a view of one bool array for its upwind signs;
     - diffusion: the transform pair's buffers (elliptic.transform_buffers) for all
       2B rows, from the start of the flat array;
-    - potential: the potential's centred u, Laplacian, squares, padded face
-      differences (from the squares on, a stride past them), the pair's buffers
-      for B rows and, in an array of its own, the (B,) relative residuals that the
-      gate takes and the record reads. The pair reads only the centred u, so its
-      buffers start past it and overlap the Laplacian, the squares and the faces,
-      which are written after it.
+    - potential: the potential's centred u, Laplacian, squares, the laplacian_views
+      of its padded face differences (from the squares on, a stride past them), the
+      pair's buffers for B rows and, in an array of its own, the (B,) relative
+      residuals that the gate takes and the record reads. The pair reads only the
+      centred u, so its buffers start past it and overlap the Laplacian, the squares
+      and the faces, which are written after it.
 
     The flat array holds the largest of these, about 4B grid arrays in 1D and 2D:
     the speeds need 4B in 2D, a stacked pair a little over 4B and the potential a
@@ -376,14 +434,16 @@ class _Buffers:
                             transform_floats(shape, dim),
                             centred + transform_floats(potential, dim)))
         self.speeds = padded_faces(shape, dim, flat)
-        self.pads = [face_pads(a, shape, dim, k) for k, a in enumerate(self.speeds)]
-        self.net = flat[:rows * size].reshape(shape) if dim > 1 else None
-        self.scratch = flat[:n * size].reshape(potential)
+        self.speed_views = _speed_views(self.speeds, shape, dim)
         signs = np.empty(rows * size, dtype=bool)
         self.mask = [signs[:rows * size - s] for s in strides]
+        self.fluxes = [(a, a[s:rows * size], mask, view.pads, s)
+                       for a, s, mask, view in zip(self.speeds, strides, self.mask, self.speed_views)]
+        self.net = flat[:rows * size].reshape(shape) if dim > 1 else None
+        self.scratch = flat[:n * size].reshape(potential)
         self.diffusion = transform_buffers(shape, dim, flat)
         rhs, lap, squares = flat[:3 * n * size].reshape((3,) + potential)
-        self.potential = (rhs, lap, squares, flat[2 * n * size:],
+        self.potential = (rhs, lap, squares, laplacian_views(flat[2 * n * size:], potential, dim),
                           transform_buffers(potential, dim, flat[centred:]), np.empty(n))
         self.flat = flat
 
@@ -392,16 +452,19 @@ class Stepper:
     """Advances a batch of B members that share a grid and a SolverConfig.
 
     The state is (uv, w): uv one C-contiguous (2B, *cells) array, u's rows then
-    v's, and w a (B, *cells) array. Each member has its own ModelParams, held as
-    (B, 1[, 1]) columns, and the reaction bound's a, mu and theta as (B,) rows.
+    v's, and w a (B, *cells) array. Each member has its own ModelParams. A
+    parameter is held as (B, 1[, 1]) columns, or as (B,) rows for the reaction
+    bound's a, mu and theta (growth_columns), and as a float when every member
+    shares it; either way a member gets the same bits.
     Every per-species phase of a step runs once over all 2B rows of uv: the face
     speeds (one stacked array per axis) and their stability bound, the
     advection, both implicit diffusions and the new state's per-row max and min.
     Face speeds and fluxes live in padded face arrays (grid.padded_faces), so each
     stencil pass is one contiguous call over the batch. The max and min are taken
-    once (row_extrema) and serve four ends: the potential's finite check, the
-    caller's end checks (_ended_rows, through extrema), its diagnostics record
-    (diagnostics_batch) and, passed back as umax, the next step's reaction bound.
+    once, as one (2, 2B) array (row_extrema), and serve four ends: the potential's
+    finite check, one isfinite call over all of them, the caller's end checks
+    (_ended_rows, through extrema), its diagnostics record (diagnostics_batch)
+    and, passed back as umax, the next step's reaction bound.
     The potential's gate writes each member's relative residual into residuals.
     The implicit operators are diagonal in the DCT-II basis: u takes the shared
     multiplier 1/(1 + dt lambda), v the per-member 1/(1 + dt + dt d_b lambda),
@@ -411,8 +474,9 @@ class Stepper:
     over its 2B rows; the potential solve is one more pair of B rows. Every
     operation is row by row, so a member gets the same numbers whatever else is
     in the batch. A stepper serves one batch for its whole life: it builds its
-    parameter columns, multipliers and work arrays (_Buffers) once, and a step
-    allocates only the arrays it returns. When members leave, the caller builds
+    parameters, -xi2 included, its multipliers, its work arrays and the views
+    its kernels take of them (_Buffers) once, and a step allocates only the
+    arrays it returns and a few (B,) ones. When members leave, the caller builds
     a stepper for the rest.
     """
 
@@ -422,18 +486,21 @@ class Stepper:
         self.params = tuple(params)
         n = len(self.params)
         column = (n,) + (1,) * grid.dim
-        names = ("chi", "xi1", "xi2", "a", "mu")
-        cols = [[getattr(p, name) for p in self.params] for name in names]
-        self._cols = np.array(cols).reshape((5,) + column)
-        self._growth_cols = growth_columns(self.params)
-        # members with a logistic term, by exponent: u^theta keeps a scalar
-        # exponent, as for a member on its own
+        chi, xi1, xi2 = (_shared([getattr(p, name) for p in self.params], column)
+                         for name in ("chi", "xi1", "xi2"))
+        self._couplings = (chi, xi1, -xi2)  # as _face_speeds takes them
+        self._growth_rows = growth_columns(self.params)
+        # members with a logistic term, by exponent, with their a and mu: u^theta
+        # keeps a scalar exponent, as for a member on its own
         growth = {}
         for row, p in enumerate(self.params):
             if p.a or p.mu:
                 growth.setdefault(p.theta, []).append(row)
-        self._growth = [(rows, theta) for theta, rows in growth.items()]
-        self._strides = face_strides((2 * n,) + grid.cells, grid.dim)
+        self._growth = [
+            (rows, theta, *(_shared([getattr(self.params[r], name) for r in rows],
+                                    (len(rows),) + column[1:]) for name in ("a", "mu")))
+            for theta, rows in growth.items()]
+        self._upwind = cfg.flux_scheme == "upwind"
         self._buffers = _Buffers((2 * n,) + grid.cells)
         self.extrema = None  # the per-row (max, min) of the uv that step last returned
         # the gate's residuals of the w that step last returned, or of a step that raised
@@ -448,18 +515,17 @@ class Stepper:
         del lam  # before packing, the peak of the build
         self._packed_uv = pack_multiplier(mult_uv, grid.dim)
 
-    def _fluxes(self, uv: np.ndarray, speeds, faces):
+    def _fluxes(self, uv: np.ndarray, faces):
         """Per grid axis, speed * upwind or centred face value of every row of uv,
         formed in place in the axis's padded speed array, whose pads then read +0.0;
         faces[k], a flat float array, receives axis k's face values once the
         previous flux is used up. Each pass runs over every face with a cell on
         both sides, and the pads between rows among them, in one call."""
-        buf = self._buffers
         flat = uv.reshape(-1)
         size = flat.size
-        for a, face, mask, pads, s in zip(speeds, faces, buf.mask, buf.pads, self._strides):
-            flux, face = a[s:size], face[:size - s]
-            if self.cfg.flux_scheme == "upwind":
+        for (a, flux, mask, pads, s), face in zip(self._buffers.fluxes, faces):
+            face = face[:size - s]
+            if self._upwind:
                 np.greater(flux, 0.0, out=mask)
                 np.copyto(face, flat[s:])
                 np.copyto(face, flat[:-s], where=mask)
@@ -467,7 +533,7 @@ class Stepper:
                 np.add(flat[:-s], flat[s:], out=face)
                 face *= 0.5
             flux *= face
-            pads[...] = 0.0
+            pads.fill(0.0)
             yield a
 
     def _reaction(self, u: np.ndarray, out=None):
@@ -475,19 +541,19 @@ class Stepper:
         without growth."""
         if not self._growth:
             return 0.0
-        a, mu = self._cols[3], self._cols[4]
         react = np.empty_like(u) if out is None else out
         if len(self._growth) == 1 and len(self._growth[0][0]) == len(u):
+            (_rows, theta, a, mu), = self._growth
             np.copyto(react, u)
-            react **= self._growth[0][1]  # as u ** theta, with its fast paths
+            react **= theta  # as u ** theta, with its fast paths
             react *= mu
             np.subtract(a, react, out=react)
             react *= u
             return react
         react[...] = 0.0
-        for rows, theta in self._growth:
+        for rows, theta, a, mu in self._growth:
             ur = u[rows]
-            react[rows] = ur * (a[rows] - mu[rows] * ur ** theta)
+            react[rows] = ur * (a - mu * ur ** theta)
         return react
 
     def _transport(self, t: float, uv: np.ndarray, w: np.ndarray, umax) -> np.ndarray:
@@ -502,17 +568,16 @@ class Stepper:
             umax = row_extrema(u, grid.dim)[0]
         # the face speeds' scratch and the first axis's face values go at the start
         # of out, which the advection then overwrites
-        speeds = _face_speeds(grid, uv[n:], w, *self._cols[:3], out=(buf.speeds, out[:n]))
-        bound = stable_dt(grid, umax, speeds, self._growth_cols, cfg)
-        unstable = np.flatnonzero(cfg.dt > bound)
-        if unstable.size:
+        speeds = _face_speeds(grid, uv[n:], w, *self._couplings, out=(buf.speed_views, out[:n]))
+        bound = stable_dt(grid, umax, speeds, self._growth_rows, cfg)
+        if cfg.dt > bound.min():  # the bound is never nan
             raise StepFailure({
                 int(r): f"dt={cfg.dt:.3e} exceeds stability bound {bound[r]:.3e} at t={t:.6g}"
-                for r in unstable
+                for r in np.flatnonzero(cfg.dt > bound)
             })
         # the second axis's face values go where its net flux will
         faces = (out.reshape(-1), buf.flat)
-        divergence_arrays(self._fluxes(uv, speeds, faces), grid.spacing, uv.shape, out, buf.net)
+        divergence_arrays(self._fluxes(uv, faces), grid.spacing, uv.shape, out, buf.net)
         out *= cfg.dt
         np.subtract(uv, out, out=out)  # uv - dt div(flux)
         u_star, v_star = out[:n], out[n:]
@@ -530,13 +595,12 @@ class Stepper:
     def _potential(self, t: float, uv: np.ndarray, extrema) -> np.ndarray:
         """w solved from each member's u, the step from t's; 0 for members gone
         non-finite, which the caller classifies as blown up. extrema are uv's
-        per-row max and min."""
+        per-row max and min as row_extrema takes them."""
         n = len(uv) // 2
-        highs, lows = extrema  # max and min propagate nan and reach any inf
-        finite = np.isfinite(highs) & np.isfinite(lows)
         u = uv[:n]
-        if not finite.all():  # a zero row solves to w = 0
-            finite = finite[:n] & finite[n:]
+        if not np.isfinite(extrema).all():  # max and min propagate nan and reach any inf
+            finite = np.isfinite(extrema).all(axis=0)
+            finite = finite[:n] & finite[n:]  # a zero row solves to w = 0
             u = np.where(finite.reshape((-1,) + (1,) * self.grid.dim), u, 0.0)
         try:  # the face speeds are used up, so their slots are free
             w, _res, _it = solve_neumann_poisson(
@@ -575,7 +639,7 @@ def _ended_rows(extrema, t: float, cfg: SolverConfig) -> dict:
     reason, detail)}."""
     ended = {}
     # max and min propagate nan and reach any inf, so they tell finiteness too
-    highs, lows = (e.tolist() for e in extrema)
+    highs, lows = extrema.tolist()
     n = len(highs) // 2
     finite = math.isfinite
     for row, (umax, umin, vmax, vmin) in enumerate(zip(highs[:n], lows[:n], highs[n:], lows[n:])):
@@ -640,7 +704,7 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         if kept:
             stepper = Stepper(grid, [stepper.params[row] for row in kept], cfg)
         rows = kept + [n + row for row in kept]
-        return uv[rows], w[kept], tuple(e[rows] for e in extrema), residuals[kept]
+        return uv[rows], w[kept], extrema[:, rows], residuals[kept]
 
     n = len(initials)
     uv = np.empty((2 * n,) + grid.cells)

@@ -56,15 +56,10 @@ class EllipticSolveError(RuntimeError):
                 f"(relative residual {self.residuals[row]:.3e})")
 
 
-def grid_axes(grid: Grid) -> tuple[int, ...]:
-    """The trailing axes that hold the cells of a shaped or batched array."""
-    return ((-1,), (-2, -1))[grid.dim - 1]
-
-
 def grid_mean(vals: np.ndarray, grid: Grid) -> np.ndarray:
     """Mean over the grid axes, kept as length-1 axes. The same sum / n as
     ndarray.mean, without its per-call overhead on small arrays."""
-    return np.add.reduce(vals, axis=grid_axes(grid), keepdims=True) / math.prod(grid.cells)
+    return np.add.reduce(vals, axis=grid.axes, keepdims=True) / grid.n_cells
 
 
 def neumann_eigenvalues(grid: Grid) -> np.ndarray:
@@ -291,26 +286,31 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
     eps on the second.
     The second is computed only for members that fail the first.
 
+    The gate first compares the worst member with tolerance and tests the members
+    one by one only when that fails.
+
     work, if given, is (centred u, Laplacian, squares, face differences, transform
-    buffers, residuals): three arrays shaped like u, a flat array as laplacian_array's
-    faces, the transform pair's buffers (transform_buffers) and a (B,) array that
-    receives each member's relative residual, before the gate may raise. All are
-    overwritten, and a None slot makes a fresh one. The pair reads only the centred
-    u, so its buffers may share memory with the Laplacian, the squares and the
-    faces, which are written after it. w is always a fresh array."""
+    buffers, residuals): three arrays shaped like u, laplacian_array's faces (the
+    laplacian_views of a flat array, which a time stepper builds once), the transform
+    pair's buffers (transform_buffers) and a (B,) array that receives each member's
+    relative residual, before the gate may raise. All are overwritten, and a None
+    slot makes a fresh one. The pair reads only the centred u, so its buffers may
+    share memory with the Laplacian, the squares and the faces, which are written
+    after it. w is always a fresh array."""
     u = np.asarray(u, dtype=np.float64)
     rhs, lap, squares, faces, buffers, res = (None,) * 6 if work is None else work
     b = np.subtract(u, grid_mean(u, grid), out=rhs)
     w = apply_packed(b, _pseudo_inverse(grid), buffers=buffers)
     w -= grid_mean(w, grid)
     r, res = _gate_residuals(b, w, grid, res, (lap, faces, squares))
-    passed = res <= tolerance  # a nan residual fails too
-    if not passed.all():
+    worst = res.max()
+    if not worst <= tolerance:  # a nan residual fails too
+        passed = res <= tolerance
         floor = min(BACKWARD_ERROR_FLOOR, 1e-4 * tolerance)
         failed = ~(passed | (_backward_errors(b, w, r, grid, squares) <= floor))
         if failed.any():
             raise EllipticSolveError(tolerance, res, failed)
-    return w, float(res.max()), 1
+    return w, float(worst), 1
 
 
 def elliptic_residual(u_vals: np.ndarray, w_vals: np.ndarray, grid: Grid) -> float:
@@ -327,14 +327,14 @@ def _gate_residuals(rhs, w, grid, out=None, work=(None, None, None)) -> tuple:
     r = laplacian_array(w, grid.spacing, lap, faces)
     r += rhs
     r -= grid_mean(r, grid)  # zero in exact arithmetic; kills the round-off constant
-    (ss, rr), _ = _sums_of_squares([rhs, r], grid_axes(grid), squares)  # ratio is scale-free
+    (ss, rr), _ = _sums_of_squares([rhs, r], grid.axes, squares)  # ratio is scale-free
     return r, np.sqrt(rr / np.maximum(ss, 1e-60), out=out)  # rhs ~ 0 guard
 
 
 def _backward_errors(rhs, w, r, grid, squares=None) -> np.ndarray:
     """|r| / (|lap| |w| + |rhs|) per member, |lap| = sum_k 4/h_k^2 bounding the
     Laplacian's 2-norm; squares is optional scratch shaped like r."""
-    (ss, ww, rr), _ = _sums_of_squares([rhs, w, r], grid_axes(grid), squares)
+    (ss, ww, rr), _ = _sums_of_squares([rhs, w, r], grid.axes, squares)
     norm_lap = sum(4.0 / (h * h) for h in grid.spacing)
     with np.errstate(invalid="ignore"):  # 0/0 on a zero member, which the relative test passes
         return np.sqrt(rr) / (norm_lap * np.sqrt(ww) + np.sqrt(ss))
@@ -343,17 +343,21 @@ def _backward_errors(rhs, w, r, grid, squares=None) -> np.ndarray:
 def _sums_of_squares(arrays, axes, scratch=None):
     """Per-member sums of squares of arrays over axes -> (sums, e), each array
     reducing to the same member shape. Members whose sums overflow (|values| past
-    ~1e154) are summed scaled by 2**-e, which brings their largest |value| over all
-    the arrays into [0.5, 1); the rest keep e = 0 and their bits. scratch, if given,
-    is shaped like every array and holds the squares."""
+    ~1e154), or the sum of whose sums does, are summed scaled by 2**-e, which brings
+    their largest |value| over all the arrays into [0.5, 1); the rest keep e = 0 and
+    their bits. e is the int 0 when no member is scaled, and an int array otherwise.
+    scratch, if given, is shaped like every array and holds the squares."""
     def sumsq(a):
         return np.add.reduce(np.multiply(a, a, out=scratch), axis=axes)
 
     with np.errstate(over="ignore"):
         sums = [sumsq(a) for a in arrays]
-        finite = np.isfinite(sum(sums))
+        total = sums[0]
+        for s in sums[1:]:
+            total = total + s
+    finite = np.isfinite(total)
     if finite.all():
-        return sums, np.zeros(finite.shape, dtype=int)
+        return sums, 0
     _, e = np.frexp(np.max([np.max(np.abs(a), axis=axes) for a in arrays], axis=0))
     e = np.where(finite, 0, e)
     scale = np.ldexp(1.0, -e).reshape(finite.shape + (1,) * len(axes))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .elliptic import _sums_of_squares, elliptic_residual, grid_axes
+from .elliptic import _sums_of_squares, elliptic_residual
 from .grid import Grid, face_views, gradient_arrays, integrate, lp_norm
 
 __all__ = [
@@ -48,6 +48,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """One row of a trajectory, taken of a state at time t; the fields are the
+    columns of trajectory.csv, in order (TRAJECTORY_COLUMNS).
+
+    mass_u, mass_v: int u and int v; linf_u, linf_v: their max norms; l2_u_dev,
+    l2_v_dev: ||u - target||_2 and ||v - target||_2, the target being the logistic
+    carrying state b = (a/mu)^(1/theta) when a, mu > 0 and the initial mean of u
+    otherwise; l2_grad_v: ||grad v||_2 on the faces; linf_grad_w: the largest
+    |grad w| on a face; F1, F2: the Lyapunov functionals (module docstring), nan
+    where they do not apply; elliptic_residual: the potential's relative residual
+    |lap w + u - mean u| / |u - mean u|; min_u, min_v: the smallest cell values.
+    """
+
     t: float
     mass_u: float
     mass_v: float
@@ -73,6 +85,10 @@ TRAJECTORY_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 @dataclass(frozen=True)
 class RateFit:
+    """An exponential fit value ~ exp(intercept - rate t) (fit_decay_rate): its
+    decay rate, log-space intercept and r_squared over the n_samples samples in
+    the (t0, t1) window."""
+
     rate: float
     intercept: float
     r_squared: float
@@ -170,6 +186,9 @@ INEQUALITY_NAMES = ("grad_pairing", "div_pairing", "grad_power")
 
 @dataclass(frozen=True)
 class InequalityCheck:
+    """Both sides of one interpolation inequality, lhs <= rhs up to quadrature
+    error; name is one of INEQUALITY_NAMES."""
+
     name: str
     lhs: float
     rhs: float
@@ -321,19 +340,18 @@ def _entropies(fu: np.ndarray, means, vol: float, scratch=None) -> list[float]:
 def _grad_l2_rows(v: np.ndarray, grid: Grid, faces=None) -> list[float]:
     """L2 norm of the face gradient of each member of a (B, *cells) batch, finite
     wherever the true norm is; faces, if given, receive the gradients (see
-    gradient_arrays)."""
+    gradient_arrays). The axes' sums add in axis order and each sqrt and ldexp is
+    exact or correctly rounded, so one vector call has the bits of a member's
+    scalar formula."""
     n = len(v)
     # per axis, scaled by 2**-e where the squares overflow
     sums, e = _sums_of_squares(
         [g.reshape(n, -1) for g in gradient_arrays(v, grid.spacing, faces)], (-1,))
-    sums = [a.tolist() for a in sums]
-    norms = []
-    for b, e_b in enumerate(e.tolist()):
-        s = 0.0
-        for axis_sums in sums:
-            s += axis_sums[b]
-        norms.append(float(np.ldexp(math.sqrt(s * grid.cell_volume), e_b)))  # inf past the range
-    return norms
+    total = sums[0]
+    for axis_sums in sums[1:]:
+        total = total + axis_sums
+    with np.errstate(over="ignore"):  # inf past the range
+        return np.ldexp(np.sqrt(total * grid.cell_volume), e).tolist()
 
 
 def _l2_rows(arr: np.ndarray, vol: float, squares: np.ndarray) -> list[float]:
@@ -366,11 +384,15 @@ def _equilibrium_sums(fu: np.ndarray, carry: np.ndarray, z, log1p) -> list[float
     return _row_sums(z)
 
 
-def row_extrema(uv: np.ndarray, dim: int) -> tuple:
-    """The per-row max and min of a (rows, *cells) batch with dim cell axes, as
-    (rows,) arrays; they propagate nan and reach any inf."""
-    axes = ((-1,), (-2, -1))[dim - 1]  # grid_axes of a dim-D grid
-    return np.maximum.reduce(uv, axis=axes), np.minimum.reduce(uv, axis=axes)
+def row_extrema(uv: np.ndarray, dim: int) -> np.ndarray:
+    """The per-row max and min of a (rows, *cells) batch with dim cell axes, as one
+    (2, rows) array, so that one ufunc call tests them all; they propagate nan and
+    reach any inf."""
+    axes = ((-1,), (-2, -1))[dim - 1]  # Grid.axes of a dim-D grid
+    extrema = np.empty((2, len(uv)))
+    np.maximum.reduce(uv, axis=axes, out=extrema[0])
+    np.minimum.reduce(uv, axis=axes, out=extrema[1])
+    return extrema
 
 
 def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
@@ -405,7 +427,7 @@ def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
                           for f in (fu, fv))
     faces = face_views(scratch[:grid.dim], w.shape)  # an axis's face values per block
     l2_grad_v = _grad_l2_rows(v, grid, faces)
-    grad_w = [np.abs(g, out=g).max(axis=grid_axes(grid)).tolist()
+    grad_w = [np.abs(g, out=g).max(axis=grid.axes).tolist()
               for g in gradient_arrays(w, grid.spacing, faces)]
 
     # F1 on growth-free members, F2 on logistic ones, where u > 0

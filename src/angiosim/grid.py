@@ -38,6 +38,7 @@ __all__ = [
     "padded_faces",
     "face_pads",
     "face_views",
+    "laplacian_views",
     "laplacian_array",
     "gradient_arrays",
     "divergence_arrays",
@@ -59,6 +60,10 @@ class Grid:
     cells : cell count per axis
     spacing : lengths[k] / cells[k]
     measure : domain volume (product of lengths)
+
+    n_cells and axes, the trailing axes that hold the cells of a shaped or
+    batched array, are worked out on first use and kept: the potential solve
+    reads them at every step.
     """
 
     dim: int
@@ -67,9 +72,13 @@ class Grid:
     spacing: tuple[float, ...]
     measure: float
 
-    @property
+    @functools.cached_property
     def n_cells(self) -> int:
         return math.prod(self.cells)
+
+    @functools.cached_property
+    def axes(self) -> tuple[int, ...]:
+        return ((-1,), (-2, -1))[self.dim - 1]
 
     @property
     def cell_volume(self) -> float:
@@ -185,28 +194,42 @@ def face_pads(faces: np.ndarray, shape, dim: int, k: int) -> np.ndarray:
     return faces[:s + math.prod(shape)].reshape(-1, s)[::shape[len(shape) - dim + k]]
 
 
+def laplacian_views(faces: np.ndarray, shape, dim: int) -> list[tuple]:
+    """Per grid axis k, the views that laplacian_array takes of faces, a flat float
+    array of at least max_k s_k + size floats, for arrays of this shape: (s_k, the
+    face differences, entries [s_k, size) of axis k's padded face array, its pads
+    (face_pads), and its upper and lower faces shaped like the array). A caller that
+    takes many Laplacians of one shape builds them once."""
+    size = math.prod(shape)
+    views = []
+    for k, s in enumerate(face_strides(shape, dim)):
+        d = faces[:s + size]
+        views.append((s, d[s:size], face_pads(d, shape, dim, k),
+                      d[s:].reshape(shape), d[:size].reshape(shape)))
+    return views
+
+
 def laplacian_array(vals: np.ndarray, spacing, out=None, faces=None) -> np.ndarray:
     """Second-order zero-flux Laplacian (3/5-point stencil, mirror ghosts).
-    out, shaped like vals, receives it, and faces, a flat float array of at least
-    max_k s_k + vals.size floats, holds each axis's face differences in turn as a
-    padded face array (padded_faces); both are fresh when not given.
+    out, shaped like vals, receives it, and faces, laplacian_views of a flat float
+    array for vals' shape, holds each axis's face differences in turn as a padded
+    face array (padded_faces); both are fresh when not given.
 
     Per axis it adds each cell's upper face difference and then subtracts its lower
     one, in place, from an out of +0.0. The +0.0 pads make each of these one
     contiguous pass with the bits of skipping a cell's missing face."""
     # telescoped face-difference form; mirror ghosts make boundary fluxes zero
-    dim, size = len(spacing), vals.size
     flat = vals.reshape(-1)
-    strides = face_strides(vals.shape, dim)
     out = np.empty(vals.shape) if out is None else out
-    faces = np.empty(max(strides) + size) if faces is None else faces
-    for k, (s, h) in enumerate(zip(strides, spacing)):
-        d = faces[:s + size]
+    if faces is None:
+        dim = len(spacing)
+        faces = laplacian_views(np.empty(max(face_strides(vals.shape, dim)) + vals.size),
+                                vals.shape, dim)
+    for k, ((s, diff, pads, d_hi, d_lo), h) in enumerate(zip(faces, spacing)):
         # the differences across a pad are garbage, zeroed before they are scaled
-        np.subtract(flat[s:], flat[:-s], out=d[s:size])
-        face_pads(d, vals.shape, dim, k)[...] = 0.0
-        d[s:size] /= h * h
-        d_hi, d_lo = d[s:].reshape(vals.shape), d[:size].reshape(vals.shape)
+        np.subtract(flat[s:], flat[:-s], out=diff)
+        pads.fill(0.0)
+        diff /= h * h
         if k == 0:
             np.add(0.0, d_hi, out=out)
         else:

@@ -5,8 +5,9 @@ before it read the step's per-row extrema, the discrete mass law of u between
 records, a step's transport computed with a fresh array for every
 intermediate, the 2D multiplier packing by fancy indices, the 1D transform
 pair as it ran before 1D grids went through the 2D pair as one row of cells,
-and the face kernels of the step (face speeds, fluxes, divergence and
-Laplacian) as they ran on interior-face arrays before the padded face arrays."""
+the face kernels of the step (face speeds, fluxes, divergence and Laplacian)
+as they ran on interior-face arrays before the padded face arrays, and the
+stability bound member by member and species by species."""
 import functools
 import math
 
@@ -139,6 +140,22 @@ def reaction_bounds(params, umax):
     by member in float64 scalars: min(1, 1 / (a + mu max(umax, 0)^theta + 1))."""
     return np.array([min(1.0, 1.0 / (p.a + p.mu * max(m, 0.0) ** p.theta + 1.0))
                      for p, m in zip(params, umax.tolist())])
+
+
+def stable_dt_bounds(grid, params, umax, speeds, cfl_safety):
+    """Per member, the stability bound as it was taken before one reduction ran
+    over a member's u and v rows, in float64 scalars: the reaction bound
+    (reaction_bounds), then per grid axis and species the row's max |speed| as
+    max(max, -min), the larger of u's and v's, and h / max|speed| where that is
+    positive, else inf; speeds are per axis (2, B, *cells) arrays."""
+    bounds = []
+    for b, bound in enumerate(reaction_bounds(params, umax)):
+        for h, stacked in zip(grid.spacing, speeds):
+            smax = np.maximum(*(np.maximum(row.max(), -row.min())
+                                for row in (stacked[0, b], stacked[1, b])))
+            bound = np.minimum(bound, h / smax if smax > 0.0 else np.inf)
+        bounds.append(cfl_safety * bound)
+    return np.array(bounds)
 
 
 def allocating_transport(grid, params, cfg, u, v, w):
@@ -309,10 +326,11 @@ def laplacian_array(vals, spacing, out=None, faces=None):
     return out
 
 
-def stacked_face_speeds(grid, v, w, chi, xi1, xi2):
+def stacked_face_speeds(grid, v, w, chi, xi1, minus_xi2):
     """Per grid axis, the interior-face speeds of a batch's u and v as one
     (2B, *faces) array: u's rows, chi grad v - xi1 grad w, then v's rows,
-    -xi2 grad w, the couplings (B, 1[, 1]) columns."""
+    -xi2 grad w, the couplings chi, xi1 and minus_xi2 = -xi2 floats or
+    (B, 1[, 1]) columns."""
     n = len(v)
     speeds = []
     for (lo, hi), h in zip(face_slices(grid.dim), grid.spacing):
@@ -324,7 +342,7 @@ def stacked_face_speeds(grid, v, w, chi, xi1, xi2):
         a_u /= h
         a_u *= chi
         a_u -= np.multiply(a_v, xi1)
-        a_v *= -xi2
+        a_v *= minus_xi2
         speeds.append(a)
     return speeds
 

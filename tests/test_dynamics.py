@@ -30,13 +30,19 @@ from angiosim.dynamics import (
 from angiosim.elliptic import (
     apply_packed,
     elliptic_residual,
-    grid_axes,
     neumann_eigenvalues,
     pack_multiplier,
     solve_neumann_poisson,
 )
 from angiosim.functionals import TRAJECTORY_COLUMNS, diagnostics_record, row_extrema
-from angiosim.grid import Field, build_grid, divergence_arrays, face_strides, laplacian_array
+from angiosim.grid import (
+    Field,
+    build_grid,
+    divergence_arrays,
+    face_strides,
+    laplacian_array,
+    laplacian_views,
+)
 import oracles
 from oracles import mass_balance_residual, u_power_integral
 
@@ -67,8 +73,8 @@ def member_bound(state, p, cfg):
     g = state.grid
     u, v, w = one_member(state)
     col = (1,) + (1,) * g.dim
-    speeds = _face_speeds(g, v, w, *(np.full(col, c) for c in (p.chi, p.xi1, p.xi2)))
-    bound = stable_dt(g, u.max(axis=grid_axes(g)), speeds, growth_columns([p]), cfg)
+    speeds = _face_speeds(g, v, w, *(np.full(col, c) for c in (p.chi, p.xi1, -p.xi2)))
+    bound = stable_dt(g, u.max(axis=g.axes), speeds, growth_columns([p]), cfg)
     assert bound.shape == (1,)
     return bound[0]
 
@@ -629,7 +635,7 @@ def separate_diffusions_step(stepper, uv, w):
     cfg, g = stepper.cfg, stepper.grid
     n = len(w)
     u, v = uv[:n], uv[n:]
-    speeds = oracles.stacked_face_speeds(g, v, w, *stepper._cols[:3])
+    speeds = oracles.stacked_face_speeds(g, v, w, *stepper._couplings)
     a_u, a_v = [a[:n] for a in speeds], [a[n:] for a in speeds]
 
     def advect(c, speeds):
@@ -715,11 +721,10 @@ def test_step_transport_matches_the_allocating_oracle(flux_scheme, n_members, di
         # writes them: the face speeds into its padded work arrays, compared on
         # their interior faces, and the reaction into the start of the flat array
         buf = stepper._buffers
-        speeds = _face_speeds(g, uv[n:], w, *stepper._cols[:3],
-                              out=(buf.speeds, np.empty(w.shape)))
+        _face_speeds(g, uv[n:], w, *stepper._couplings, out=(buf.speed_views, np.empty(w.shape)))
         want = oracles.face_speeds(g, now, uv[n:], w)
         assert [oracles.interior(a, uv.shape, g.dim, k).tobytes()
-                for k, a in enumerate(speeds)] == \
+                for k, a in enumerate(buf.speeds)] == \
             [np.concatenate([a_u, a_v]).tobytes() for a_u, a_v in zip(*want)]
         if any(p.a or p.mu for p in now):
             react = stepper._reaction(uv[:n], out=buf.scratch)
@@ -931,7 +936,7 @@ def test_stable_dt_takes_the_member_by_member_reaction_bound_bit_for_bit(thetas)
     levels = [0.0, 0.5, 3.0]
     members = [params(a=levels[b % 3], mu=levels[b // 3 % 3], theta=thetas[b % len(thetas)])
                for b in range(n)]
-    speeds = [np.zeros(s + 2 * n * 8) for s in face_strides((2 * n, 8), 1)]
+    speeds = [np.zeros((2, n, 8))]
     cfg = SolverConfig(dt=1e-3, t_end=1.0, cfl_safety=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         got = stable_dt(g, umax, speeds, growth_columns(members), cfg)
@@ -948,11 +953,60 @@ def test_stable_dt_reaction_bound_is_within_4_ulp_for_any_theta():
     n = 64
     umax = 10.0 ** rng.uniform(-3.0, 3.0, n)
     members = [params(a=0.5, mu=1.5, theta=rng.uniform(0.25, 3.0)) for _ in range(n)]
-    speeds = [np.zeros(s + 2 * n * 8) for s in face_strides((2 * n, 8), 1)]
+    speeds = [np.zeros((2, n, 8))]
     cfg = SolverConfig(dt=1e-3, t_end=1.0, cfl_safety=1.0)
     got = stable_dt(g, umax, speeds, growth_columns(members), cfg)
     want = oracles.reaction_bounds(members, umax)
     assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+
+@st.composite
+def cfl_cases(draw):
+    """(grid, members, umax, per-axis (2, B, *cells) speeds, cfl_safety) of a batch
+    of 1 to 5 members on a 1D or 2D grid: each species row is random at a scale of
+    1, 1e-300 or 1e300, all +0.0 and -0.0, or one value repeated, with about a
+    quarter of its entries replaced by one of +-0.0, nan, +-inf and +-1e+-300."""
+    dim = draw(st.sampled_from([1, 2]), label="dim")
+    cells = tuple(draw(st.integers(4, 12), label=f"cells[{k}]") for k in range(dim))
+    n = draw(st.integers(1, 5), label="members")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = build_grid(dim, (1.0, 0.6)[:dim], cells)
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                         1e300, -1e300, 1e-300, -1e-300])
+    levels = [0.0, 0.5, 3.0]
+    members = [params(a=rng.choice(levels), mu=rng.choice(levels),
+                      theta=rng.choice([0.5, 1.0, 2.0]), n_dim=dim) for _ in range(n)]
+    umax = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    speeds = []
+    for _ in range(dim):
+        stacked = np.empty((2, n) + cells)
+        for row in stacked.reshape(2 * n, -1):
+            kind = rng.integers(3)
+            if kind == 0:
+                row[:] = rng.normal(size=row.shape) * rng.choice([1.0, 1e-300, 1e300])
+            elif kind == 1:
+                row[:] = np.where(rng.random(row.shape) < 0.5, 0.0, -0.0)
+            else:
+                row[:] = rng.choice(specials)
+            hit = rng.random(row.shape) < 0.25
+            row[hit] = rng.choice(specials, size=row.shape)[hit]
+        speeds.append(stacked)
+    return g, members, umax, speeds, draw(st.sampled_from([0.1, 0.5, 1.0]), label="cfl_safety")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cfl_cases())
+def test_stable_dt_cfl_bound_matches_the_member_by_member_oracle(case):
+    # stable_dt takes a member's max and min over its u and v rows in one
+    # reduction each; max and min are exact, and a zero or nan max |speed| sets
+    # no bound, so the bound has the bits of the per-species formula
+    g, members, umax, speeds, safety = case
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, cfl_safety=safety)
+    with np.errstate(invalid="ignore"):
+        got = stable_dt(g, umax, speeds, growth_columns(members), cfg)
+        want = oracles.stable_dt_bounds(g, members, umax, speeds, safety)
+    assert got.shape == (len(members),)
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -993,22 +1047,23 @@ def test_padded_face_kernels_match_the_interior_face_oracles_byte_for_byte(case)
     # they ran on interior-face arrays
     stepper, uv, w = case
     g, n = stepper.grid, len(w)
-    cols = stepper._cols[:3]
+    cols = stepper._couplings
     buf = stepper._buffers
     buf.flat[...] = np.nan
     with np.errstate(all="ignore"):
-        speeds = _face_speeds(g, uv[n:], w, *cols, out=(buf.speeds, np.empty(w.shape)))
+        _face_speeds(g, uv[n:], w, *cols, out=(buf.speed_views, np.empty(w.shape)))
         want = oracles.stacked_face_speeds(g, uv[n:], w, *cols)
         assert [oracles.interior(a, uv.shape, g.dim, k).tobytes()
-                for k, a in enumerate(speeds)] == [a.tobytes() for a in want]
+                for k, a in enumerate(buf.speeds)] == [a.tobytes() for a in want]
         faces = (np.full(uv.size, np.nan), np.full(uv.size, np.nan))
-        div = divergence_arrays(stepper._fluxes(uv, speeds, faces), g.spacing, uv.shape)
+        div = divergence_arrays(stepper._fluxes(uv, faces), g.spacing, uv.shape)
         want = oracles.divergence_arrays(
             oracles.fluxes(uv, want, g.dim, stepper.cfg.flux_scheme), g.spacing, uv.shape)
         assert div.tobytes() == want.tobytes()
         for vals in (uv, w):
             faces = np.full(vals.size + max(face_strides(vals.shape, g.dim)), np.nan)
-            got = laplacian_array(vals, g.spacing, np.full(vals.shape, np.nan), faces)
+            got = laplacian_array(vals, g.spacing, np.full(vals.shape, np.nan),
+                                  laplacian_views(faces, vals.shape, g.dim))
             assert got.tobytes() == oracles.laplacian_array(vals, g.spacing).tobytes()
 
 
