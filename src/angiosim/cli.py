@@ -7,8 +7,9 @@ Subcommands:
     fit <csv>        log-linear decay-rate fit on a trajectory column
 
 Exit codes: 0 ok, 1 usage or config error, 2 blow-up detected, 3 numerical
-failure (invalid initial state, failed initial potential solve, failed step or
-failed verification case).
+failure (invalid initial state, failed initial potential solve, failed step,
+failed verification case, or any failure of the time loop's set-up such as
+running out of memory: one stderr line of run, the point's row in a sweep).
 """
 
 from __future__ import annotations

@@ -239,11 +239,16 @@ _KAPPA_EPS_BOUND = 1e-6
 
 
 def _check_conditioning(grid: Grid, kv) -> None:
-    """Reject, at grid.lengths, a grid no float64 potential solve can serve: a
-    spacing whose 4/h^2 leaves the float range, or a Laplacian condition number
-    kappa = sum_k(4/h_k^2) / lambda1 that is not finite or too large."""
+    """Reject a grid no float64 potential solve can serve: a spacing whose 4/h^2
+    leaves the float range, or a Laplacian condition number kappa = sum_k(4/h_k^2)
+    / lambda1 that is not finite or too large. The error names grid.lengths and
+    grid.cells at the lines that set them, and an unset grid.lengths as the preset's."""
+    named = [f"line {kv[k][1]}: {k} = {kv[k][0]}" for k in ("grid.lengths", "grid.cells")
+             if kv[k][1]]
     raw, ln = kv["grid.lengths"]
-    where = f"line {ln}: grid.lengths = {raw} gives cell spacings {grid.spacing}"
+    if not ln:  # a spacing is a length, whoever set it
+        named.append(f"grid.lengths = {raw} (the {kv['preset'][0]} preset's default)")
+    where = f"{' with '.join(named)} gives cell spacings {grid.spacing}"
     # the Laplacian divides by h * h and its eigenvalues scale as 4 / h^2
     if not all(h * h > 0.0 and 0.0 < 4.0 / (h * h) < math.inf for h in grid.spacing):
         raise ConfigError(f"{where}, outside the float range of 4/h^2 (about 1e-150 < h < 1e150)")

@@ -33,12 +33,6 @@ __all__ = [
     "Grid",
     "Field",
     "build_grid",
-    "face_slices",
-    "face_strides",
-    "padded_faces",
-    "face_pads",
-    "face_views",
-    "laplacian_views",
     "laplacian_array",
     "gradient_arrays",
     "divergence_arrays",

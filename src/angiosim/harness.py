@@ -6,8 +6,9 @@ in this one process: its points step together as batched ensembles, and its
 rows are emitted in axis declaration order.
 
 Exit codes (shared with the CLI): 0 success, 1 usage/config error, 2 blow-up
-detected, 3 numerical failure (invalid initial state, stability violation or
-solver breakdown).
+detected, 3 numerical failure (invalid initial state, stability violation,
+solver breakdown, or running out of memory or any other failure in the time
+loop's set-up): one stderr line of a run, or the error cell of a sweep's row.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import warnings
 import numpy as np
 
 from .config import ScenarioConfig, SweepSpec, scenario_with_overrides
-from .dynamics import Trajectory, make_initial, run, run_ensemble, write_trajectory_csv
+from .dynamics import Trajectory, make_initial, run_ensemble, write_trajectory_csv
 from .elliptic import (
     EllipticSolveError,
     elliptic_residual,
@@ -167,16 +168,16 @@ def _verdict_lines(cfg: ScenarioConfig, traj: Trajectory, rep: ThresholdReport, 
 
 @_QUIET_OVERFLOW
 def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
-    """Run one scenario, write trajectory/thresholds/summary files, map the
-    termination reason onto the exit code."""
+    """Run one scenario as a one-point ensemble, write trajectory/thresholds/summary
+    files, map its termination reason, or the exception that stopped it, onto the
+    exit code; the exception is one stderr line."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        initial = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic_tolerance)
-    except (EllipticSolveError, ValueError) as exc:
-        print(f"numerical failure in the initial state: {exc}", file=sys.stderr)
+    traj = _ensemble_outcomes([cfg], cfg.solver)[0]
+    if isinstance(traj, Exception):
+        at = " in the initial state" if isinstance(traj, (ValueError, EllipticSolveError)) else ""
+        print(f"numerical failure{at}: {_one_line(str(traj))}", file=sys.stderr)
         return EXIT_NUMERICAL
     spec = spectral_info(cfg.grid)
-    traj = run(initial, cfg.params, cfg.solver)
 
     write_trajectory_csv(traj, os.path.join(cfg.out_dir, "trajectory.csv"))
     rep = _build_report(cfg, traj, spec.poincare_cp)
@@ -199,6 +200,10 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     return EXIT_OK
 
 
+def _one_line(text: str) -> str:
+    return text.replace("\n", " ")  # for a run's stderr line and a sweep row's error cell
+
+
 def _sweep_row(overrides: dict, cfg, outcome) -> dict:
     """The CSV row of one sweep point, from its Trajectory or from the
     exception that stopped it (failures stay in-row, never abort the sweep).
@@ -208,14 +213,12 @@ def _sweep_row(overrides: dict, cfg, outcome) -> dict:
     row.update(termination="error", terminal_linf_u=math.nan, terminal_l2_u_dev=math.nan,
                terminal_mass_u=math.nan, fitted_rate=math.nan, fitted_r_squared=math.nan)
     why = str(outcome) if isinstance(outcome, Exception) else outcome.failure_detail
-    row["error"] = why.replace(",", ";").replace("\n", " ")
+    row["error"] = _one_line(why).replace(",", ";")  # one CSV cell
     if isinstance(outcome, Exception):
         return row
     last = outcome.records[-1]
-    row["termination"] = outcome.termination_reason
-    row["terminal_linf_u"] = last.linf_u
-    row["terminal_l2_u_dev"] = last.l2_u_dev
-    row["terminal_mass_u"] = last.mass_u
+    row.update(termination=outcome.termination_reason, terminal_linf_u=last.linf_u,
+               terminal_l2_u_dev=last.l2_u_dev, terminal_mass_u=last.mass_u)
     try:
         fit = _fit_column(outcome.records, cfg.fit_column, cfg.fit_window)
         row["fitted_rate"] = fit.rate
@@ -227,14 +230,16 @@ def _sweep_row(overrides: dict, cfg, outcome) -> dict:
 
 def _ensemble_outcomes(cfgs, solver) -> list:
     """Integrate points that share a grid and a SolverConfig as one ensemble
-    -> per point its Trajectory, or the exception that stopped it."""
+    -> per point its Trajectory, or the exception that stopped it: its initial
+    state's, or the time loop's for every point started, such as a MemoryError
+    in its set-up. A sweep point and run_scenario's one point fail only here."""
     outcomes, initials, started = [], [], []
     for j, cfg in enumerate(cfgs):
         try:
             initials.append(make_initial(cfg.grid, cfg.initial, solver.elliptic_tolerance))
             started.append(j)
             outcomes.append(None)
-        except Exception as exc:  # failures stay in-row, never abort the sweep
+        except Exception as exc:  # failures end in the outcome, never in a traceback
             outcomes.append(exc)
     if started:
         try:
@@ -295,10 +300,6 @@ def run_sweep(spec: SweepSpec, quiet: bool = False) -> int:
 # ---------------------------------------------------------------------------
 # verification battery
 
-def _battery_grids():
-    return (build_grid(1, 1.0, 512), build_grid(2, (1.0, 1.0), (128, 128)))
-
-
 def verify_suite(out_dir: str = "out", quiet: bool = False, broken_tolerance: bool = False) -> int:
     """Run the inequality battery, entropy sandwich, Poincare, and elliptic
     oracles; print pass/fail per case; nonzero exit if anything fails.
@@ -307,8 +308,7 @@ def verify_suite(out_dir: str = "out", quiet: bool = False, broken_tolerance: bo
     failure path itself can be exercised (the battery must then fail loudly).
     """
     os.makedirs(out_dir, exist_ok=True)
-    failures = 0
-    cases = 0
+    failures = cases = 0
 
     def report(name, ok, margin):
         nonlocal failures, cases
@@ -320,7 +320,7 @@ def verify_suite(out_dir: str = "out", quiet: bool = False, broken_tolerance: bo
 
     csv_lines = ["test_id,p,inequality,lhs,rhs,margin,pass"]
     exponents = (1.0, 1.5, 2.0, 3.0)
-    for grid in _battery_grids():
+    for grid in (build_grid(1, 1.0, 512), build_grid(2, (1.0, 1.0), (128, 128))):
         h = grid.max_spacing
         tol = 1e-6 if broken_tolerance else 1.0 + 5.0 * h
         for test_id in range(7):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from angiosim import harness
+from angiosim import dynamics, harness
 from angiosim.cli import main
 from angiosim.config import (
     ConfigError,
@@ -209,6 +209,37 @@ def test_conditioning_bound_on_fine_and_stretched_grids(tmp_path, grid, accepted
         return
     with pytest.raises(ConfigError, match="grid.lengths = .* gives cell spacings .* condition number"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("body, lead", [
+    # only grid.cells set: the lengths are the preset's, not a line 0
+    ("preset = custom\ngrid.cells = 20000000\n",
+     "line 2: grid.cells = 20000000 with grid.lengths = 1.0 (the custom preset's default) "
+     "gives cell spacings (5e-08,), whose Laplacian's condition number"),
+    ("preset = C2_logistic\n\ngrid.cells = 131072\n",
+     "line 3: grid.cells = 131072 with grid.lengths = 1.0 (the C2_logistic preset's default) "
+     "gives cell spacings (7.62939453125e-06,), whose Laplacian's condition number"),
+    ("preset = custom\ngrid.dim = 2\ngrid.cells = 16\ngrid.lengths = 1e2, 1e-2\n",
+     "line 4: grid.lengths = 1e2, 1e-2 with line 3: grid.cells = 16 gives cell spacings "
+     "(6.25, 0.000625), whose Laplacian's condition number"),
+])
+def test_conditioning_error_names_the_grid_keys_the_file_set(tmp_path, body, lead):
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_cfg(tmp_path, body))
+    assert str(info.value).startswith(lead)
+    assert "line 0" not in str(info.value)
+
+
+def test_a_spacing_whose_square_is_subnormal_is_outside_the_float_range(tmp_path):
+    # h = 1e-160: h * h is a positive subnormal, so only 4/h^2 = inf rejects it;
+    # taken for finite, the grid would fail on its condition number instead
+    h = 4e-160 / 4
+    assert 0.0 < h * h < sys.float_info.min and 4.0 / (h * h) == math.inf
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_cfg(tmp_path, "preset = custom\ngrid.lengths = 4e-160\ngrid.cells = 4\n"))
+    assert str(info.value) == (
+        "line 2: grid.lengths = 4e-160 with line 3: grid.cells = 4 gives cell spacings (1e-160,), "
+        "outside the float range of 4/h^2 (about 1e-150 < h < 1e150)")
 
 
 # one out-of-range value per range-checked field, each caught by the model class
@@ -449,6 +480,32 @@ def test_cli_run_initial_u_whose_sum_overflows_exit_code(tmp_path):
     assert proc.stderr.splitlines() == [
         "numerical failure in the initial state: the initial u sums past the float64 range "
         "over its 128 cells; lower init.base"]
+
+
+def test_a_failed_time_loop_set_up_ends_run_and_sweep_alike(tmp_path, capsys, monkeypatch):
+    # a grid too large for the machine's memory fails in the stepper's set-up,
+    # after the initial state: run exits 3 with one stderr line, a sweep keeps
+    # the message in each point's row
+    message = ("Unable to allocate 122. MiB for an array with shape (4000, 4000) "
+               "and data type float64")
+
+    def out_of_memory(self, *args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dynamics.Stepper, "__init__", out_of_memory)
+    assert main(["run", write_cfg(tmp_path, FAST_RUN), "--out", str(tmp_path / "r")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"numerical failure: {message}\n"
+
+    sweep = write_cfg(tmp_path, FAST_SWEEP, name="sweep.cfg")
+    assert main(["sweep", sweep, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+    header, *rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["termination"] == "error"
+        assert cells["error"] == message.replace(",", ";")
 
 
 BLOWUP_RUN = """
@@ -1017,25 +1074,54 @@ def values_for(key):
 ENTRY = st.sampled_from(FLOAT_KEYS + ("solver.dt", "solver.t_end")).flatmap(
     lambda key: st.tuples(st.just(key), values_for(key)))
 
+BASE_GRID = {"grid.cells": [16]}
+# grid.dim, and one or two cell counts and lengths, which need not match it: 1-64
+# cells an axis, 0 and negatives; lengths as values_for draws them, and 4e-160,
+# whose spacing over 4 cells has a subnormal square
+GRID = st.fixed_dictionaries({
+    "grid.dim": st.integers(1, 2) | st.sampled_from([0, -1, 3]),
+    "grid.cells": st.lists(st.integers(1, 64) | st.sampled_from([0, -1, -64]),
+                           min_size=1, max_size=2),
+    "grid.lengths": st.lists(values_for("grid.lengths") | st.just(4e-160),
+                             min_size=1, max_size=2),
+})
 
-@settings(max_examples=40, deadline=None,
+
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(entries=st.lists(ENTRY, min_size=1, max_size=2, unique_by=lambda e: e[0]))
-@example(entries=[("solver.dt", math.nan)])
-@example(entries=[("solver.t_end", math.nan)])
-@example(entries=[("solver.t_end", math.inf)])
-@example(entries=[("params.theta", math.nan)])
-@example(entries=[("solver.blowup_threshold", math.nan)])
-@example(entries=[("params.chi", math.nan)])
-@example(entries=[("params.mu", math.nan)])
-@example(entries=[("params.d", math.inf)])
-@example(entries=[("init.base", math.nan)])
-@example(entries=[("params.chi", 1e308)])  # chi^2 and the floor's powers overflow
-@example(entries=[("params.mu", 3.26e-184)])  # so does (1/mu)^((n+1)/theta)
-def test_every_config_ends_in_a_documented_exit_code(tmp_path, entries, capsys):
-    body = "preset = custom\ngrid.cells = 16\nsolver.t_end = 0.05\nsolver.record_every = 5\n"
-    text = body + "".join(f"{key} = {value!r}\n" for key, value in entries)
+@given(entries=st.lists(ENTRY, min_size=1, max_size=2, unique_by=lambda e: e[0]),
+       grid=st.just(BASE_GRID) | GRID)
+@example(entries=[("solver.dt", math.nan)], grid=BASE_GRID)
+@example(entries=[("solver.t_end", math.nan)], grid=BASE_GRID)
+@example(entries=[("solver.t_end", math.inf)], grid=BASE_GRID)
+@example(entries=[("params.theta", math.nan)], grid=BASE_GRID)
+@example(entries=[("solver.blowup_threshold", math.nan)], grid=BASE_GRID)
+@example(entries=[("params.chi", math.nan)], grid=BASE_GRID)
+@example(entries=[("params.mu", math.nan)], grid=BASE_GRID)
+@example(entries=[("params.d", math.inf)], grid=BASE_GRID)
+@example(entries=[("init.base", math.nan)], grid=BASE_GRID)
+# chi^2 and the floor's powers overflow, and so does (1/mu)^((n+1)/theta)
+@example(entries=[("params.chi", 1e308)], grid=BASE_GRID)
+@example(entries=[("params.mu", 3.26e-184)], grid=BASE_GRID)
+@example(entries=[("params.chi", 1.0)], grid={"grid.dim": 2, "grid.cells": [64, 64],
+                                               "grid.lengths": [1.0, 1.0]})
+@example(entries=[("params.chi", 1.0)], grid={"grid.cells": [4], "grid.lengths": [4e-160]})
+@example(entries=[("params.chi", 1.0)], grid={"grid.dim": 2, "grid.cells": [0, -1]})
+@example(entries=[("params.chi", 1.0)], grid={"grid.dim": 3, "grid.cells": [16]})
+def test_every_config_ends_in_a_documented_exit_code(tmp_path, entries, grid, capsys):
+    # a drawn solver.t_end replaces the base one, which would otherwise be a duplicate key
+    keys = {"solver.t_end": 0.05, "solver.record_every": 5, **grid, **dict(entries)}
+    text = "preset = custom\n"
+    for key, value in keys.items():
+        text += f"{key} = {', '.join(map(repr, value if isinstance(value, list) else [value]))}\n"
     cfg = tmp_path / "case.cfg"
     cfg.write_text(text)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) in (0, 1, 2, 3)
-    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code in (0, 1, 2, 3)
+    assert caught == []  # every failure is told by the exit code and stderr alone
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and "Traceback" not in err
+    assert len(lines) == 1 if code == 1 else len(lines) <= 1

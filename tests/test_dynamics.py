@@ -474,6 +474,23 @@ def test_stepper_zeroes_the_potential_of_a_non_finite_member():
             assert a.tobytes() == b.tobytes()
 
 
+def test_potential_zeroes_a_member_whose_v_alone_is_non_finite():
+    # a step cannot make v alone non-finite (0 * inf face speeds turn u nan too),
+    # so _potential gets a crafted state: member 1's v holds an inf, its u stays finite
+    g = build_grid(1, 1.0, 32)
+    members = [make_initial(g, InitialSpec(profile="random_positive", amplitude=0.3, seed=s))
+               for s in (1, 2, 3)]
+    uv, _w = stacked(members)
+    uv[3 + 1, 5] = np.inf
+    cfg = SolverConfig(dt=1e-3, t_end=1.0)
+    w = Stepper(g, [COUPLED] * 3, cfg)._potential(0.0, uv, row_extrema(uv, g.dim))
+    assert np.isfinite(uv[1]).all() and np.ptp(uv[1]) > 0.0  # its own w would not be 0
+    assert np.all(w[1] == 0.0)
+    for row in (0, 2):
+        alone = solve_neumann_poisson(g, uv[row], cfg.elliptic_tolerance)[0]
+        assert w[row].tobytes() == alone.tobytes()
+
+
 def test_central_scheme_runs_smooth_problems():
     g = build_grid(1, 1.0, 128)
     st = make_initial(g, InitialSpec(amplitude=0.1))
