@@ -93,17 +93,15 @@ def main(argv=None) -> int:
             return verify_suite(out_dir=args.out, quiet=args.quiet,
                                 broken_tolerance=args.debug_broken_tolerance)
 
-        if args.command == "fit":
-            window = None if args.window is None else _parse_window(args.window)
-            return fit_report(args.csv, args.column, window)
-
+        # argparse requires one of the four commands, so this one is fit
+        window = None if args.window is None else _parse_window(args.window)
+        return fit_report(args.csv, args.column, window)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # a missing file, or an --out naming a file
         print(f"cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

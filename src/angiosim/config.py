@@ -32,15 +32,6 @@ class ConfigError(ValueError):
     pass
 
 
-PRESETS = (
-    "C1_no_mitosis",
-    "C2_logistic",
-    "chi_zero_corollary",
-    "R3_theta_gt1",
-    "heat_oracle",
-    "custom",
-)
-
 # preset -> key -> default (string form, same parser as file values)
 _BASE_DEFAULTS = {
     "seed": "0",
@@ -109,6 +100,7 @@ _PRESET_OVERRIDES = {
     },
     "custom": {},
 }
+PRESETS = tuple(_PRESET_OVERRIDES)
 
 _KNOWN_KEYS = {"preset", *_BASE_DEFAULTS}
 

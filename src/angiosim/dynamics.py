@@ -241,12 +241,10 @@ def _profile_values(grid: Grid, profile: str, base: float, amp: float, rng) -> n
             s = L / 8.0
             r2 += ((x - 0.5 * L) / s) ** 2
         vals = base + amp * np.exp(-0.5 * r2)
-    elif profile == "random_positive":
+    else:  # random_positive, the last name InitialSpec accepts
         vals = rng().uniform(-1.0, 1.0, size=grid.cells)
         vals *= amp  # base + amp * draw, in place: the same bits
         vals += base
-    else:  # pragma: no cover - InitialSpec already validated
-        raise ValueError(profile)
     return vals
 
 
@@ -455,7 +453,8 @@ class Stepper:
     v's, and w a (B, *cells) array. Each member has its own ModelParams. A
     parameter is held as (B, 1[, 1]) columns, or as (B,) rows for the reaction
     bound's a, mu and theta (growth_columns), and as a float when every member
-    shares it; either way a member gets the same bits.
+    shares it; either way a member gets the same bits. The logistic term is one
+    _reaction call for every batch: by theta group, and 0.0 when none has growth.
     Every per-species phase of a step runs once over all 2B rows of uv: the face
     speeds (one stacked array per axis) and their stability bound, the
     advection, both implicit diffusions and the new state's per-row max and min.
@@ -536,25 +535,25 @@ class Stepper:
             pads.fill(0.0)
             yield a
 
-    def _reaction(self, u: np.ndarray, out=None):
-        """u (a - mu u^theta) per member, into out if given; exactly 0 for members
-        without growth."""
+    def _reaction(self, u: np.ndarray, dt: float, out: np.ndarray):
+        """dt u (a - mu u^theta) per member into out, shaped like u: exactly 0 for
+        members without growth, and the float 0.0, out unwritten, if none has it."""
         if not self._growth:
             return 0.0
-        react = np.empty_like(u) if out is None else out
         if len(self._growth) == 1 and len(self._growth[0][0]) == len(u):
             (_rows, theta, a, mu), = self._growth
-            np.copyto(react, u)
-            react **= theta  # as u ** theta, with its fast paths
-            react *= mu
-            np.subtract(a, react, out=react)
-            react *= u
-            return react
-        react[...] = 0.0
-        for rows, theta, a, mu in self._growth:
-            ur = u[rows]
-            react[rows] = ur * (a - mu * ur ** theta)
-        return react
+            np.copyto(out, u)
+            out **= theta  # as u ** theta, with its fast paths
+            out *= mu
+            np.subtract(a, out, out=out)
+            out *= u
+        else:
+            out[...] = 0.0
+            for rows, theta, a, mu in self._growth:
+                ur = u[rows]
+                out[rows] = ur * (a - mu * ur ** theta)
+        out *= dt
+        return out
 
     def _transport(self, t: float, uv: np.ndarray, w: np.ndarray, umax) -> np.ndarray:
         """Stability check, explicit advection and reaction, implicit diffusion of
@@ -581,13 +580,9 @@ class Stepper:
         out *= cfg.dt
         np.subtract(uv, out, out=out)  # uv - dt div(flux)
         u_star, v_star = out[:n], out[n:]
-        # the speeds are used up, so their start is free
-        if self._growth:
-            react = self._reaction(u, out=buf.scratch)
-            react *= cfg.dt
-            u_star += react
-        else:
-            u_star += 0.0  # dt times the zero reaction, which turns -0.0 into +0.0
+        # the speeds are used up, so their start is free; a batch without growth
+        # adds 0.0, which turns -0.0 into +0.0
+        u_star += self._reaction(u, cfg.dt, buf.scratch)
         v_star += np.multiply(u, cfg.dt, out=buf.scratch)
         apply_packed(out, self._packed_uv, out=out, buffers=buf.diffusion)
         return out

@@ -136,9 +136,6 @@ class Field:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def shaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.cells)
-
 
 # ---------------------------------------------------------------------------
 # array kernels (shaped arrays in, shaped arrays out). The grid axes are the

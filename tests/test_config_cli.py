@@ -131,6 +131,7 @@ def test_fit_window_pair(tmp_path):
                          ("init.base", "nan")]],
     ("preset = custom\nfit.window_start = -inf\nfit.window_end = 1\n",
      "line 2: fit.window_start must be finite"),
+    ("preset = custom\nsolver.dt =\n", ":2: empty key or value"),
 ])
 def test_config_rejections(tmp_path, body, fragment):
     with pytest.raises(ConfigError, match=fragment.replace("'", ".")):
@@ -140,6 +141,8 @@ def test_config_rejections(tmp_path, body, fragment):
 def test_non_finite_sweep_axis_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="line 2: sweep axis sweep.params.chi"):
         parse_sweep(write_cfg(tmp_path, "preset = custom\nsweep.params.chi = 0.5, nan\n"))
+    with pytest.raises(ConfigError, match="line 2: empty sweep axis sweep.params.chi"):
+        parse_sweep(write_cfg(tmp_path, "preset = custom\nsweep.params.chi = ,\n"))
 
 
 def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
@@ -173,6 +176,10 @@ def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
      "line 3: solver.t_end / dt must be finite, got 1e+300 / 1e-300"),
     # grid checks inside build_grid keep their section's name
     ("preset = custom\ngrid.cells = 2\n", "grid: need at least 4 cells per axis, got (2,)"),
+    ("preset = custom\nsolver.record_every = 2.5\n",
+     "line 2: solver.record_every = '2.5' is not an integer"),
+    ("preset = custom\nseed = -1\n", "line 2: seed must be >= 0, got -1"),
+    ("preset = custom\ngrid.cells = 64, x\n", "line 2: grid.cells = '64, x' is not a comma list"),
 ])
 def test_config_error_names_its_key_once(tmp_path, body, message):
     with pytest.raises(ConfigError) as info:
@@ -449,6 +456,22 @@ def test_cli_run_nonpositive_initial_u_exit_code(tmp_path):
     assert len(lines) == 1 and "strictly positive" in lines[0]
 
 
+@pytest.mark.parametrize("body, message", [
+    ("init.v_profile = constant\ninit.v_base = -1\n", "initial v must be nonnegative (min -1)"),
+    ("init.profile = gaussian_bump\ninit.base = 1e308\ninit.amplitude = 1e308\n",
+     "initial u and v must be finite; base + amplitude overflows float64"),
+    ("init.profile = constant\ninit.base = 1e307\n",
+     "the initial u sums past the float64 range over its 128 cells; lower init.base"),
+], ids=["negative-v", "overflow", "sum-overflow"])
+def test_cli_run_invalid_initial_state_exits_3_in_process(tmp_path, capsys, body, message):
+    # the checks the subprocess tests around this one also reach, run in this process
+    cfg = write_cfg(tmp_path, "preset = custom\n" + body)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure in the initial state: {message}\n"
+
+
 def test_cli_run_non_finite_initial_state_exit_code(tmp_path):
     # base + amplitude overflows to inf at the bump's peak
     cfg = write_cfg(tmp_path, """
@@ -708,6 +731,12 @@ def test_cli_sweep_rows_and_determinism(tmp_path):
         cells = row.split(",")
         assert cells[1] == "completed"
         assert cells[-1] == ""  # error column empty
+
+
+def test_cli_sweep_names_its_row_count_and_file_unless_quiet(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sweep", write_cfg(tmp_path, FAST_SWEEP), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"2 sweep rows -> {out / 'sweep.csv'}\n"
 
 
 def test_cli_sweep_seed_override(tmp_path):
@@ -985,8 +1014,9 @@ def test_a_fit_over_a_nan_column_fails_in_the_summary_and_in_fit(tmp_path, capsy
     assert line == f"fit failed: {summary['fit_error']}"
 
 
-@pytest.mark.parametrize("body", ["t,l2_u_dev\n0,abc\n", "t,l2_u_dev\n0,1\n1,2,3\n", ""],
-                         ids=["non-numeric", "ragged", "empty"])
+@pytest.mark.parametrize("body", ["t,l2_u_dev\n0,abc\n", "t,l2_u_dev\n0,1\n1,2,3\n", "",
+                                  "t,l2_u_dev,F1\n0,1\n1,2\n"],
+                         ids=["non-numeric", "ragged", "empty", "short-rows"])
 def test_cli_fit_unreadable_csv_exits_1_in_one_line(tmp_path, body, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(body)

@@ -126,6 +126,8 @@ def test_model_params_validation():
         params(theta=0.0)
     with pytest.raises(ValueError, match="mu"):
         params(mu=-1.0)
+    with pytest.raises(ValueError, match="n_dim must be a positive integer"):
+        params(n_dim=0)
     # theta in (0, 1) is a legal model, only some threshold formulas need >= 1
     assert params(theta=0.5).theta == 0.5
 
@@ -202,6 +204,24 @@ def test_make_initial_random_positive_seeded():
     assert a.u.min() > 0.0
     with pytest.raises(ValueError, match="profile must be one of"):
         InitialSpec(profile="bumps")
+
+
+def test_each_initial_profile_builds_its_own_values():
+    # random_positive is the last branch of the profile builder, so a name that
+    # no branch before it takes would draw random values: each name must give
+    # its own values, and only random_positive may draw
+    g = build_grid(2, 1.0, (8, 6))
+    values = set()
+    for name in dynamics.INITIAL_PROFILES:
+        draws = []
+
+        def rng():
+            draws.append(name)
+            return np.random.default_rng(0)
+
+        values.add(dynamics._profile_values(g, name, 1.0, 0.3, rng).tobytes())
+        assert bool(draws) == (name == "random_positive"), name
+    assert len(values) == len(dynamics.INITIAL_PROFILES)
 
 
 @pytest.mark.parametrize("u_profile, v_profile", [("random_positive", "random_positive"),
@@ -542,6 +562,14 @@ def test_ensemble_of_shipped_sweep_matches_standalone_runs():
         assert_same_trajectory(traj, run(initial, c.params, c.solver))
 
 
+def test_run_ensemble_rejects_members_on_other_grids_or_start_times():
+    g = build_grid(1, 1.0, 32)
+    first = make_initial(g, InitialSpec())
+    for other in (make_initial(build_grid(1, 1.0, 64), InitialSpec()), replace(first, t=1.0)):
+        with pytest.raises(ValueError, match="must share a grid and a start time"):
+            run_ensemble([first, other], [COUPLED] * 2, SolverConfig(dt=0.001, t_end=0.01))
+
+
 def test_ensemble_isolates_failing_members():
     # every step is recorded, the steps where members leave too
     probe = parse_config(CONFIGS / "blowup_probe.cfg")
@@ -670,7 +698,7 @@ def separate_diffusions_step(stepper, uv, w):
 
     lam = neumann_eigenvalues(g)
     d = np.array([p.d for p in stepper.params]).reshape((-1,) + (1,) * g.dim)
-    u_star = u - cfg.dt * advect(u, a_u) + cfg.dt * stepper._reaction(u)
+    u_star = u - cfg.dt * advect(u, a_u) + stepper._reaction(u, cfg.dt, np.empty_like(u))
     v_star = v - cfg.dt * advect(v, a_v) + cfg.dt * u
     u_new = apply_packed(u_star, pack_multiplier(1.0 / (1.0 + cfg.dt * lam), g.dim))
     v_new = apply_packed(v_star, pack_multiplier(1.0 / (1.0 + cfg.dt + cfg.dt * d * lam), g.dim))
@@ -743,9 +771,13 @@ def test_step_transport_matches_the_allocating_oracle(flux_scheme, n_members, di
         assert [oracles.interior(a, uv.shape, g.dim, k).tobytes()
                 for k, a in enumerate(buf.speeds)] == \
             [np.concatenate([a_u, a_v]).tobytes() for a_u, a_v in zip(*want)]
-        if any(p.a or p.mu for p in now):
-            react = stepper._reaction(uv[:n], out=buf.scratch)
-            assert react.tobytes() == oracles.reaction(now, uv[:n]).tobytes()
+        # one theta for every row (n_members = 1), by group otherwise, and a batch
+        # without growth, which adds the float 0.0
+        react = stepper._reaction(uv[:n], cfg.dt, buf.scratch)
+        assert react.tobytes() == (cfg.dt * oracles.reaction(now, uv[:n])).tobytes()
+        growth_free = Stepper(g, [replace(p, a=0.0, mu=0.0) for p in now], cfg)
+        react = growth_free._reaction(uv[:n], cfg.dt, buf.scratch)
+        assert type(react) is float and react == 0.0 and math.copysign(1.0, react) == 1.0
         batch = stepped
 
 

@@ -244,6 +244,8 @@ def test_fit_decay_rate_rejects_nonpositive_and_short_windows():
         fit_decay_rate(list(zip(t[:5], vals[:5])), (0.0, 1.0))
     with pytest.raises(ValueError, match="bad fit window"):
         fit_decay_rate(list(zip(t, np.exp(-t))), (1.0, 0.0))
+    with pytest.raises(ValueError, match=r"series must be \(t, value\) pairs"):
+        fit_decay_rate([(0, 1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +265,8 @@ def test_cosine_family_sampling_matches_analytic_1d():
     assert np.allclose(hess[0, 0],
                        -np.pi**2 * np.cos(np.pi * x)
                        + 2.25 * np.pi**2 * np.cos(3 * np.pi * x), atol=1e-11)
+    with pytest.raises(ValueError, match="grid/function dimension mismatch"):
+        f.sample(build_grid(2, 1.0, (8, 8)))
 
 
 def test_cosine_family_sampling_2d_hessian_symmetry():
