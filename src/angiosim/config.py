@@ -5,6 +5,11 @@ subsections (params.chi, solver.dt, grid.cells). Unknown keys, type errors,
 and preset-constraint violations are reported with the offending key and line
 number. Presets fill every key a file leaves unset; explicit keys override
 preset defaults but still face the preset's constraints.
+
+Config files are read as UTF-8 whatever the locale. This module is also the
+one home of the value format: _fmt writes a swept value into a point's config
+text and every cell of an output file, a float in round-trip form
+(FLOAT_FMT).
 """
 from __future__ import annotations
 
@@ -12,12 +17,15 @@ import contextlib
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dynamics import InitialSpec, ModelParams, SolverConfig
 from .elliptic import spectral_info
 from .functionals import TRAJECTORY_COLUMNS
-from .grid import FLOAT_FMT, Grid, build_grid
+from .grid import Grid, build_grid
 
 __all__ = [
+    "FLOAT_FMT",
     "ConfigError",
     "ScenarioConfig",
     "SweepSpec",
@@ -26,6 +34,19 @@ __all__ = [
     "parse_sweep",
     "scenario_with_overrides",
 ]
+
+
+FLOAT_FMT = "%.17g"  # round-trips float64 exactly
+
+
+def _fmt(v) -> str:
+    """One value as config or output text: a bool as yes/no, a float in
+    round-trip form, anything else as str."""
+    if isinstance(v, (bool, np.bool_)):
+        return "yes" if v else "no"
+    if isinstance(v, float):
+        return FLOAT_FMT % v
+    return str(v)
 
 
 class ConfigError(ValueError):
@@ -147,9 +168,9 @@ def _read_kv(path, overrides=None):
     overrides {key: value} then replace or add keys (line number 0)."""
     table = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for ln, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -168,11 +189,11 @@ def _read_kv(path, overrides=None):
 
 def _with_overrides(table, overrides, lines=None):
     """table with overrides {key: value} replacing or adding keys, at the line
-    lines {key: line number} gives them (0 when it gives none). A float is
-    written in round-trip form, so a swept 5.0 reads as the integer 5 too."""
+    lines {key: line number} gives them (0 when it gives none). Each value is
+    written by _fmt, a float in round-trip form, so a swept 5.0 reads as the
+    integer 5 too."""
     lines = lines or {}
-    return {**table, **{key: (FLOAT_FMT % value if isinstance(value, float) else str(value),
-                              lines.get(key, 0)) for key, value in overrides.items()}}
+    return {**table, **{key: (_fmt(value), lines.get(key, 0)) for key, value in overrides.items()}}
 
 
 def _want_float(kv, key):

@@ -59,9 +59,8 @@ from .elliptic import (
     transform_buffers,
     transform_floats,
 )
-from .functionals import TRAJECTORY_COLUMNS, DiagnosticsRecord, diagnostics_batch, row_extrema
+from .functionals import DiagnosticsRecord, diagnostics_batch, row_extrema
 from .grid import (
-    FLOAT_FMT,
     Grid,
     divergence_arrays,
     face_pads,
@@ -82,7 +81,6 @@ __all__ = [
     "stable_dt",
     "run",
     "run_ensemble",
-    "write_trajectory_csv",
 ]
 
 INITIAL_PROFILES = ("constant", "cosine_bump", "gaussian_bump", "random_positive")
@@ -312,19 +310,16 @@ def _speed_views(speeds, shape, dim: int) -> list[_SpeedViews]:
     return views
 
 
-def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, minus_xi2, out=None):
+def _face_speeds(grid: Grid, v: np.ndarray, w: np.ndarray, chi, xi1, minus_xi2, out):
     """Per grid axis, the transport speeds of a batch's u and v on the face above
     each cell, as a (2, B, *cells) view of a padded face array (grid.padded_faces)
     whose pads read +0.0 or -0.0: u's rows, chi grad v - xi1 grad w, then v's rows,
     -xi2 grad w. v and w are C-contiguous (B, *cells) arrays, and the couplings chi,
-    xi1 and minus_xi2 = -xi2 are floats or (B, 1[, 1]) columns. out, if given, is
+    xi1 and minus_xi2 = -xi2 are floats or (B, 1[, 1]) columns. out is
     (_speed_views of the padded arrays, a (B, *cells) scratch array), which a
-    stepper builds once; fresh ones are made otherwise. Every pass runs over the
-    whole batch as one contiguous call: the differences across a pad are garbage,
-    zeroed before they are scaled."""
-    if out is None:
-        shape = (2 * len(v),) + v.shape[1:]
-        out = (_speed_views(padded_faces(shape, grid.dim), shape, grid.dim), np.empty(v.shape))
+    stepper builds once. Every pass runs over the whole batch as one contiguous
+    call: the differences across a pad are garbage, zeroed before they are
+    scaled."""
     views, scratch = out
     fv, fw = v.reshape(-1), w.reshape(-1)
     for h, (s, grad_v, grad_w, pads, faces, _stacked, a_u, a_v) in zip(grid.spacing, views):
@@ -749,11 +744,3 @@ def run(initial: SimState, p: ModelParams, cfg: SolverConfig, on_record=None) ->
     recorded SimState."""
     hook = None if on_record is None else (lambda _b, state: on_record(state))
     return run_ensemble([initial], [p], cfg, hook)[0]
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for rec in traj.records:
-        lines.append(",".join(FLOAT_FMT % v for v in rec.csv_values()))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FLOAT_FMT",
     "Grid",
     "Field",
     "build_grid",
@@ -39,8 +38,6 @@ __all__ = [
     "integrate",
     "lp_norm",
 ]
-
-FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Scenario driver, sweep driver, verification battery, and rate-fit tool.
 
 Everything here is deterministic for a fixed config and seed: output files
-carry no timestamps, floats serialize at 17 significant digits. A sweep runs
-in this one process: its points step together as batched ensembles, and its
-rows are emitted in axis declaration order.
+carry no timestamps, and each value in them is written by config._fmt, a float
+at 17 significant digits. This is the one module that writes output files, all
+of them through _write: UTF-8, lines ended by a single \n. A sweep runs in this
+one process: its points step together as batched ensembles, and its rows are
+emitted in axis declaration order.
 
 Exit codes (shared with the CLI): 0 success, 1 usage/config error, 2 blow-up
 detected, 3 numerical failure (invalid initial state, stability violation,
@@ -20,8 +22,8 @@ import warnings
 
 import numpy as np
 
-from .config import ScenarioConfig, SweepSpec, scenario_with_overrides
-from .dynamics import Trajectory, make_initial, run_ensemble, write_trajectory_csv
+from .config import ScenarioConfig, SweepSpec, _fmt, scenario_with_overrides
+from .dynamics import Trajectory, make_initial, run_ensemble
 from .elliptic import (
     EllipticSolveError,
     elliptic_residual,
@@ -29,14 +31,16 @@ from .elliptic import (
     spectral_info,
 )
 from .functionals import (
+    TRAJECTORY_COLUMNS,
     entropy_sandwich_check,
     fit_decay_rate,
     grad_l2,
     relative_entropy,
     verify_interpolation_inequalities,
 )
-from .grid import FLOAT_FMT, build_grid, integrate, lp_norm
+from .grid import build_grid, integrate, lp_norm
 from .thresholds import (
+    REPORT_FIELDS,
     ThresholdReport,
     _measured_sups,
     compute_m1,
@@ -45,8 +49,6 @@ from .thresholds import (
     empirical_mu_threshold,
     lambda_of_z,
     m1c_value,
-    report_csv,
-    report_text,
     sigma_rate,
     structural_M0,
     structural_gradw_bound,
@@ -70,12 +72,16 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 _ENSEMBLE_CELLS = 256 * 256
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "yes" if v else "no"
-    if isinstance(v, float):
-        return FLOAT_FMT % v
-    return str(v)
+def _write(path, lines) -> None:
+    """Write an output file: lines, each ended by one \n, as UTF-8. Every
+    output file is written here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _row(cells) -> str:
+    """One CSV line: cells written by _fmt, joined by commas."""
+    return ",".join(_fmt(c) for c in cells)
 
 
 def _fit_column(recs, column: str, window):
@@ -179,19 +185,19 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
         return EXIT_NUMERICAL
     spec = spectral_info(cfg.grid)
 
-    write_trajectory_csv(traj, os.path.join(cfg.out_dir, "trajectory.csv"))
+    out = cfg.out_dir
+    _write(os.path.join(out, "trajectory.csv"),
+           [_row(TRAJECTORY_COLUMNS)] + [_row(rec.csv_values()) for rec in traj.records])
     rep = _build_report(cfg, traj, spec.poincare_cp)
-    with open(os.path.join(cfg.out_dir, "thresholds.txt"), "w", newline="") as fh:
-        fh.write(report_text(rep))
-    with open(os.path.join(cfg.out_dir, "thresholds.csv"), "w", newline="") as fh:
-        fh.write(report_csv(rep))
+    values = [getattr(rep, k) for k in REPORT_FIELDS]
+    _write(os.path.join(out, "thresholds.txt"),
+           [f"{k} = {_fmt(v)}" for k, v in zip(REPORT_FIELDS, values)])
+    _write(os.path.join(out, "thresholds.csv"), [_row(REPORT_FIELDS), _row(values)])
 
-    lines = _verdict_lines(cfg, traj, rep, spec.poincare_cp)
-    text = "\n".join(f"{k} = {_fmt(v)}" for k, v in lines) + "\n"
-    with open(os.path.join(cfg.out_dir, "summary.txt"), "w", newline="") as fh:
-        fh.write(text)
+    lines = [f"{k} = {_fmt(v)}" for k, v in _verdict_lines(cfg, traj, rep, spec.poincare_cp)]
+    _write(os.path.join(out, "summary.txt"), lines)
     if not quiet:
-        print(text, end="")
+        print("\n".join(lines))
 
     if traj.termination_reason == "blowup_detected":
         return EXIT_BLOWUP
@@ -286,12 +292,8 @@ def run_sweep(spec: SweepSpec, quiet: bool = False) -> int:
         "termination", "terminal_linf_u", "terminal_l2_u_dev", "terminal_mass_u",
         "fitted_rate", "fitted_r_squared", "error",
     ]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
     path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, [_row(columns)] + [_row(row[c] for c in columns) for row in rows])
     if not quiet:
         print(f"{len(rows)} sweep rows -> {path}")
     return EXIT_OK
@@ -316,7 +318,7 @@ def verify_suite(out_dir: str = "out", quiet: bool = False, broken_tolerance: bo
         if not ok:
             failures += 1
         if not quiet or not ok:
-            print(f"{'PASS' if ok else 'FAIL'} {name} margin={FLOAT_FMT % margin}")
+            print(f"{'PASS' if ok else 'FAIL'} {name} margin={_fmt(margin)}")
 
     csv_lines = ["test_id,p,inequality,lhs,rhs,margin,pass"]
     exponents = (1.0, 1.5, 2.0, 3.0)
@@ -330,13 +332,9 @@ def verify_suite(out_dir: str = "out", quiet: bool = False, broken_tolerance: bo
                     margin = chk.rhs * tol - chk.lhs
                     ok = chk.lhs <= chk.rhs * tol
                     csv_lines.append(
-                        f"{test_id},{FLOAT_FMT % p_exp},{chk.name},"
-                        f"{FLOAT_FMT % chk.lhs},{FLOAT_FMT % chk.rhs},"
-                        f"{FLOAT_FMT % margin},{int(ok)}"
-                    )
+                        _row((test_id, p_exp, chk.name, chk.lhs, chk.rhs, margin, int(ok))))
                     report(f"{grid.dim}d id={test_id} p={p_exp:g} {chk.name}", ok, margin)
-    with open(os.path.join(out_dir, "inequalities.csv"), "w", newline="") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
+    _write(os.path.join(out_dir, "inequalities.csv"), csv_lines)
 
     # entropy sandwich on random positive fields (unit-measure grids)
     rng = np.random.default_rng(20240817)
@@ -401,7 +399,7 @@ def fit_report(csv_path: str, column: str, window: tuple[float, float] | None = 
     """Fit an exponential rate to one trajectory CSV column, over window or,
     when it is None, over the default window run and sweep use."""
     try:
-        with open(csv_path) as fh, warnings.catch_warnings():
+        with open(csv_path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)

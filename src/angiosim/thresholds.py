@@ -21,8 +21,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import FLOAT_FMT
-
 __all__ = [
     "ThresholdReport",
     "compute_m1",
@@ -35,8 +33,6 @@ __all__ = [
     "condition_presets",
     "mitosis_regime_floor",
     "m1c_value",
-    "report_text",
-    "report_csv",
 ]
 
 
@@ -67,16 +63,6 @@ class ThresholdReport:
 
 
 REPORT_FIELDS = tuple(f.name for f in fields(ThresholdReport))
-
-
-def report_text(rep: ThresholdReport) -> str:
-    return "\n".join(f"{k} = {FLOAT_FMT % getattr(rep, k)}" for k in REPORT_FIELDS) + "\n"
-
-
-def report_csv(rep: ThresholdReport) -> str:
-    header = ",".join(REPORT_FIELDS)
-    row = ",".join(FLOAT_FMT % getattr(rep, k) for k in REPORT_FIELDS)
-    return header + "\n" + row + "\n"
 
 
 def compute_m1(u0_mass: float, p, omega_measure: float) -> float:

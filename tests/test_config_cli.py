@@ -356,12 +356,35 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN)
     out = tmp_path / "res"
     assert main(["run", cfg, "--out", str(out)]) == 0
-    for name in ("trajectory.csv", "thresholds.txt", "thresholds.csv", "summary.txt"):
+    names = ("trajectory.csv", "thresholds.txt", "thresholds.csv", "summary.txt")
+    for name in names:
         assert (out / name).is_file()
     stdout = capsys.readouterr().out
     assert "termination = completed" in stdout
+    assert stdout == (out / "summary.txt").read_bytes().decode()
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,mass_u,mass_v,")
+    # every output file ends in exactly one newline and holds no carriage return
+    assert main(["sweep", write_cfg(tmp_path, FAST_SWEEP, "s.cfg"), "--out", str(tmp_path / "s"),
+                 "--quiet"]) == 0
+    assert main(["verify", "--out", str(tmp_path / "v"), "--quiet"]) == 0
+    for path in [out / name for name in names] + [tmp_path / "s" / "sweep.csv",
+                                                  tmp_path / "v" / "inequalities.csv"]:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n"), path.name
+        assert b"\r" not in data, path.name
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_config_that_is_not_utf8_exits_1_in_one_line(tmp_path, command, capsys):
+    # a latin-1 byte in a comment: the file is read as UTF-8 under any locale
+    axis = b"sweep.params.chi = 0.25, 0.5\n" if command == "sweep" else b""
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"preset = C2_logistic\n# caf\xe9\n" + axis)
+    assert main([command, str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}: ")
+    assert "0xe9" in err and err.count("\n") == 1
 
 
 def test_cli_run_quiet_silences_stdout(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angiosim import dynamics, elliptic
+from angiosim import dynamics, elliptic, harness
 from angiosim.config import parse_config, parse_sweep, scenario_with_overrides
 from angiosim.dynamics import (
     InitialSpec,
@@ -20,12 +20,12 @@ from angiosim.dynamics import (
     Stepper,
     _ended_rows,
     _face_speeds,
+    _speed_views,
     growth_columns,
     make_initial,
     run,
     run_ensemble,
     stable_dt,
-    write_trajectory_csv,
 )
 from angiosim.elliptic import (
     apply_packed,
@@ -42,6 +42,7 @@ from angiosim.grid import (
     face_strides,
     laplacian_array,
     laplacian_views,
+    padded_faces,
 )
 import oracles
 from oracles import mass_balance_residual, u_power_integral
@@ -69,11 +70,14 @@ def one_member(state):
 
 
 def member_bound(state, p, cfg):
-    """stable_dt of a one-member batch holding state."""
+    """stable_dt of a one-member batch holding state, its face speeds written
+    into views built the way a stepper's _Buffers builds them."""
     g = state.grid
     u, v, w = one_member(state)
     col = (1,) + (1,) * g.dim
-    speeds = _face_speeds(g, v, w, *(np.full(col, c) for c in (p.chi, p.xi1, -p.xi2)))
+    shape = (2,) + g.cells
+    out = (_speed_views(padded_faces(shape, g.dim), shape, g.dim), np.empty(v.shape))
+    speeds = _face_speeds(g, v, w, *(np.full(col, c) for c in (p.chi, p.xi1, -p.xi2)), out=out)
     bound = stable_dt(g, u.max(axis=g.axes), speeds, growth_columns([p]), cfg)
     assert bound.shape == (1,)
     return bound[0]
@@ -530,12 +534,17 @@ def test_elliptic_consistency_along_trajectory():
 
 
 def test_trajectory_csv_layout(tmp_path):
-    g = build_grid(1, 1.0, 64)
-    st = make_initial(g, InitialSpec(amplitude=0.2))
-    traj = run(st, OFF, SolverConfig(dt=0.01, t_end=0.1, record_every=2))
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().splitlines()
+    # trajectory.csv as run_scenario writes it, against a run of the same state
+    path = tmp_path / "off.cfg"
+    path.write_text("preset = custom\ngrid.cells = 64\nparams.chi = 0.0\nparams.xi1 = 0.0\n"
+                    "params.xi2 = 0.0\ninit.amplitude = 0.2\nsolver.dt = 0.01\n"
+                    "solver.t_end = 0.1\nsolver.record_every = 2\n")
+    cfg = parse_config(str(path), {"out": str(tmp_path / "res")})
+    assert cfg.params == OFF
+    assert harness.run_scenario(cfg, quiet=True) == 0
+    st = make_initial(cfg.grid, cfg.initial, cfg.solver.elliptic_tolerance)
+    traj = run(st, OFF, cfg.solver)
+    lines = (tmp_path / "res" / "trajectory.csv").read_text().splitlines()
     assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
     assert len(lines) == 1 + len(traj.records)
     first = dict(zip(TRAJECTORY_COLUMNS, lines[1].split(",")))

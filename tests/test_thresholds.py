@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from angiosim import harness, thresholds
+from angiosim.config import parse_config
 from angiosim.dynamics import ModelParams
 from angiosim.thresholds import (
     REPORT_FIELDS,
@@ -16,8 +17,6 @@ from angiosim.thresholds import (
     lambda_of_z,
     m1c_value,
     mitosis_regime_floor,
-    report_csv,
-    report_text,
     sigma_rate,
     structural_M0,
     structural_gradw_bound,
@@ -367,9 +366,19 @@ def test_regime_respects_xi0(monkeypatch):
 # ---------------------------------------------------------------------------
 # report serialization
 
-def test_report_text_round_trip():
+def written_report(tmp_path, monkeypatch, rep):
+    """thresholds.txt and thresholds.csv as run_scenario writes them for a run
+    whose report is rep."""
+    monkeypatch.setattr(harness, "_build_report", lambda *_: rep)
+    path = tmp_path / "case.cfg"
+    path.write_text("preset = custom\ngrid.cells = 16\nsolver.t_end = 0.02\n")
+    assert harness.run_scenario(parse_config(str(path), {"out": str(tmp_path)}), quiet=True) == 0
+    return [(tmp_path / name).read_bytes().decode() for name in ("thresholds.txt", "thresholds.csv")]
+
+
+def test_report_text_round_trip(tmp_path, monkeypatch):
     rep = ThresholdReport(m1=4.0, sigma=0.5, b=1.0)
-    text = report_text(rep)
+    text = written_report(tmp_path, monkeypatch, rep)[0]
     lines = text.strip().split("\n")
     assert len(lines) == len(REPORT_FIELDS)
     parsed = {}
@@ -381,9 +390,9 @@ def test_report_text_round_trip():
     assert math.isnan(parsed["M0"])
 
 
-def test_report_csv_layout():
+def test_report_csv_layout(tmp_path, monkeypatch):
     rep = ThresholdReport(mu_threshold=0.391140859906180190)
-    header, row, trailing = report_csv(rep).split("\n")
+    header, row, trailing = written_report(tmp_path, monkeypatch, rep)[1].split("\n")
     assert trailing == ""
     assert header == ",".join(REPORT_FIELDS)
     cells = row.split(",")
