@@ -58,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the built-in verification battery")
     p_verify.add_argument("--out", default="out")
     p_verify.add_argument("--quiet", action="store_true")
-    p_verify.add_argument(
-        "--debug-broken-tolerance",
-        action="store_true",
-        help="replace the fidelity tolerance with an unattainable one; "
-        "the battery must then fail (self-test of the checker)",
-    )
 
     p_fit = sub.add_parser("fit", help="fit a decay rate to a trajectory CSV column")
     p_fit.add_argument("csv")
@@ -90,8 +84,7 @@ def main(argv=None) -> int:
             return run_sweep(parse_sweep(args.config, overrides), quiet=args.quiet)
 
         if args.command == "verify":
-            return verify_suite(out_dir=args.out, quiet=args.quiet,
-                                broken_tolerance=args.debug_broken_tolerance)
+            return verify_suite(out_dir=args.out, quiet=args.quiet)
 
         # argparse requires one of the four commands, so this one is fit
         window = None if args.window is None else _parse_window(args.window)

@@ -368,7 +368,7 @@ def _build_scenario(kv, path) -> ScenarioConfig:
 def _check_preset_constraints(cfg: ScenarioConfig) -> None:
     p = cfg.params
     preset = cfg.preset
-    if preset == "C1_no_mitosis" and (p.a != 0.0 or p.mu != 0.0):
+    if preset == "C1_no_mitosis" and not p.growth_free:
         raise ConfigError(
             "preset C1_no_mitosis requires params.a = 0 and params.mu = 0 "
             "(growth-free convergence scenario)"

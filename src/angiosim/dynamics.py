@@ -93,8 +93,12 @@ class ModelParams:
     a/mu/theta: logistic growth, n_dim: dimension entering structural bounds.
 
     The analysis regime needs xi1, xi2 > 0; zero values are permitted for
-    oracle runs and flagged off_regime. The numbers are held as numpy float64, so
-    formulas on them read inf past the float range where Python floats raise.
+    oracle runs and flagged off_regime. The paper's convergence results split by
+    growth regime, and every part of the package reads the split from here:
+    growth_free (a = mu = 0, convergence to the initial mean of u), logistic
+    (a, mu > 0, convergence to carrying_state, b = (a/mu)^(1/theta)) or neither.
+    The numbers are held as numpy float64, so formulas on them read inf past the
+    float range where Python floats raise.
     """
 
     chi: float
@@ -122,6 +126,19 @@ class ModelParams:
     @property
     def off_regime(self) -> bool:
         return self.xi1 == 0.0 or self.xi2 == 0.0
+
+    @property
+    def growth_free(self) -> bool:
+        return bool(self.a == 0.0 and self.mu == 0.0)
+
+    @property
+    def logistic(self) -> bool:
+        return bool(self.a > 0.0 and self.mu > 0.0)
+
+    @property
+    def carrying_state(self) -> float:
+        """b = (a/mu)^(1/theta) of a logistic member, nan otherwise."""
+        return (self.a / self.mu) ** (1.0 / self.theta) if self.logistic else math.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +263,8 @@ def _profile_values(grid: Grid, profile: str, base: float, amp: float, rng) -> n
     return vals
 
 
-def make_initial(grid: Grid, spec: InitialSpec, tolerance: float = 1e-10) -> SimState:
+def make_initial(grid: Grid, spec: InitialSpec,
+                 tolerance: float = SolverConfig.elliptic_tolerance) -> SimState:
     """Build the t=0 state: u > 0, v >= 0, w solved from u.
 
     Random profiles draw from one Generator seeded with spec.seed, u before v.
@@ -488,7 +506,7 @@ class Stepper:
         # keeps a scalar exponent, as for a member on its own
         growth = {}
         for row, p in enumerate(self.params):
-            if p.a or p.mu:
+            if not p.growth_free:
                 growth.setdefault(p.theta, []).append(row)
         self._growth = [
             (rows, theta, *(_shared([getattr(self.params[r], name) for r in rows],

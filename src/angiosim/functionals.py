@@ -418,8 +418,7 @@ def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
     v, fu, fv = uv[n:], *uv.reshape(2, n, m)
     scratch = np.empty((2,) + w.shape)
     flat = scratch.reshape(2, n, m)
-    targets = [(p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0
-               for p, u0 in zip(params, u0_means)]
+    targets = [p.carrying_state if p.logistic else u0 for p, u0 in zip(params, u0_means)]
     column = np.array(targets).reshape(n, 1)
     linf = np.abs(np.maximum(extrema[0], -extrema[1])).tolist()  # as max |row|: +0.0, nan unsigned
     lows, sums, residual = extrema[1].tolist(), _row_sums(uv), residuals.tolist()
@@ -432,14 +431,14 @@ def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
 
     # F1 on growth-free members, F2 on logistic ones, where u > 0
     f1, f2 = [math.nan] * n, [math.nan] * n
-    f1_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.a == 0.0 and p.mu == 0.0]
+    f1_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.growth_free]
     if f1_rows:
         ents = _entropies(_rows(fu, f1_rows, n), [sums[b] / m for b in f1_rows], vol,
                           flat[:, :len(f1_rows)])
         for b, e in zip(f1_rows, ents):
             # numpy's power, the same libm pow as Python's, reads inf where Python's raises
             f1[b] = e + 0.5 * params[b].chi * np.float64(l2_grad_v[b]) ** 2
-    f2_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.a > 0.0 and p.mu > 0.0]
+    f2_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.logistic]
     if f2_rows:
         k = len(f2_rows)
         carry = _rows(column, f2_rows, n)

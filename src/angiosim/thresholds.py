@@ -4,10 +4,10 @@ The structural formulas reproduce the boundedness/convergence conditions of
 the model exactly as stated. The paper proves them for generic positive
 constants it never gives values for: the multipliers K1, K2 of the sup-norm
 bounds and the regime thresholds xi0, mu0. They are fixed at 1 here, as the
-module constants K1, K2, XI0 and MU0. Empirical checks read measured
-quantities off a trajectory (sup-norms of v and grad w) and evaluate the same
-expressions, so a report pairs each structural value with the run it was
-checked against.
+module constants K1, K2, XI0 and MU0. Empirical checks take the sups a run
+measured, A and B below, as float64 numbers (a square past the float range
+reads inf) and evaluate the same expressions, so a report pairs each
+structural value with the run it was checked against.
 
 Notation used by the report fields: m1 = L1 mass ceiling, M0 = sup-norm bound
 for v, b = (a/mu)^(1/theta) logistic carrying state, A/B = measured sup v /
@@ -150,24 +150,15 @@ def lambda_of_z(p, cp: float, z: float) -> float:
     return num / (2.0 * p.d ** 2 * p.a ** ((p.theta - 2.0) / p.theta))
 
 
-def _measured_sups(traj) -> tuple[float, float]:
-    """(sup ||v||_inf, sup ||grad w||_inf) as float64, overflow-safe like ModelParams."""
-    if not traj.records:
-        raise ValueError("empty trajectory")
-    A = max(r.linf_v for r in traj.records)
-    B = max(r.linf_grad_w for r in traj.records)
-    return np.float64(A), np.float64(B)
-
-
-def empirical_mu_threshold(traj, p, cp: float) -> float:
-    """Damping threshold lambda(M0^2)^(theta/2) with M0 = measured sup_t ||v||_inf."""
-    if p.a <= 0.0 or p.mu <= 0.0 or p.theta < 1.0:
+def empirical_mu_threshold(p, cp: float, A: float) -> float:
+    """Damping threshold lambda(A^2)^(theta/2) with A = measured sup_t ||v||_inf."""
+    if not p.logistic or p.theta < 1.0:
         raise ValueError("mu threshold needs a > 0, mu > 0, theta >= 1")
-    A, _ = _measured_sups(traj)
+    A = np.float64(A)
     return lambda_of_z(p, cp, A * A) ** (p.theta / 2.0)
 
 
-def empirical_d0_check(traj, p) -> tuple[float, float]:
+def empirical_d0_check(p, A: float, B: float) -> tuple[float, float]:
     """(check_value, epsilon1) of the growth-free dissipation check, from the
     measured sups A = sup||v||, B = sup|grad w|.
 
@@ -175,11 +166,11 @@ def empirical_d0_check(traj, p) -> tuple[float, float]:
     chi = 0 gives 0 for every d. epsilon1 is the dissipation weight, 0 unless
     check_value > 0.
     """
-    if p.a != 0.0 or p.mu != 0.0:
+    if not p.growth_free:
         raise ValueError("d0 check applies to growth-free runs (a = mu = 0)")
     if p.xi1 <= 0.0:
         raise ValueError("d0 check needs xi1 > 0")
-    A, B = _measured_sups(traj)
+    A, B = np.float64(A), np.float64(B)
     core = p.d - (2.0 + A * p.xi2) ** 2 * p.chi / (4.0 * p.xi1) - B ** 2 * p.xi2 ** 2 / 4.0
     check_value = core * p.chi
     if check_value > 0.0:
@@ -189,17 +180,19 @@ def empirical_d0_check(traj, p) -> tuple[float, float]:
     return check_value, eps1
 
 
-def sigma_rate(p, cp: float, M0_measured: float) -> float:
+def sigma_rate(p, cp: float, A: float) -> float:
     """Entropy decay rate floor min{1, b^theta (mu - bracket)} for logistic runs.
 
-    bracket = ((1 + cp^2 xi2^2 M0^2 / d) chi^2 / d + cp^2 xi1^2) / (2 b^(theta-2)).
-    Errors when the floor is nonpositive (damping below the regime).
+    bracket = ((1 + cp^2 xi2^2 A^2 / d) chi^2 / d + cp^2 xi1^2) / (2 b^(theta-2)),
+    A the measured sup_t ||v||_inf. Errors when the floor is nonpositive
+    (damping below the regime).
     """
-    if p.a <= 0.0 or p.mu <= 0.0 or p.theta < 1.0:
+    if not p.logistic or p.theta < 1.0:
         raise ValueError("sigma_rate needs a > 0, mu > 0, theta >= 1")
-    b = (p.a / p.mu) ** (1.0 / p.theta)
+    b = p.carrying_state
+    A = np.float64(A)
     bracket = p.mu - (
-        (1.0 + cp ** 2 * p.xi2 ** 2 * M0_measured ** 2 / p.d) * p.chi ** 2 / p.d
+        (1.0 + cp ** 2 * p.xi2 ** 2 * A ** 2 / p.d) * p.chi ** 2 / p.d
         + cp ** 2 * p.xi1 ** 2
     ) / (2.0 * b ** (p.theta - 2.0))
     if bracket <= 0.0:

@@ -278,7 +278,9 @@ def test_criterion_10_growth_free_convergence(c1_run):
     traj = c1_run.traj
     p = c1_run.extras["params"]
     u0_mean = c1_run.extras["u0_mean"]
-    check_value, _eps1 = empirical_d0_check(traj, p)
+    A = max(r.linf_v for r in traj.records)
+    B = max(r.linf_grad_w for r in traj.records)
+    check_value, _eps1 = empirical_d0_check(p, A, B)
     f1 = [(r.t, r.F1) for r in traj.records if r.t >= 1.0 and not math.isnan(r.F1)]
     slack = 1e-8 * f1[0][1]
     monotone = all(later <= earlier + slack
@@ -297,10 +299,10 @@ def test_criterion_11_logistic_convergence(c2_run):
     traj = c2_run.traj
     p = c2_run.extras["params"]
     cp = c2_run.extras["cp"]
-    b = (p.a / p.mu) ** (1.0 / p.theta)
-    mu_thr = empirical_mu_threshold(traj, p, cp)
-    margin_ok = p.mu >= 1.5 * mu_thr
+    b = p.carrying_state
     A = max(r.linf_v for r in traj.records)
+    mu_thr = empirical_mu_threshold(p, cp, A)
+    margin_ok = p.mu >= 1.5 * mu_thr
     sigma = sigma_rate(p, cp, A)
     u_dev = float(np.max(np.abs(traj.terminal.u - b)))
     v_dev = float(np.max(np.abs(traj.terminal.v - b)))

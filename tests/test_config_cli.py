@@ -16,6 +16,7 @@ from angiosim.config import (
     parse_sweep,
     scenario_with_overrides,
 )
+from angiosim.functionals import InequalityCheck
 
 FAST_RUN = """
     preset = custom
@@ -62,6 +63,9 @@ def test_minimal_custom_config_gets_defaults(tmp_path):
     assert cfg.initial.profile == "cosine_bump"
     assert cfg.fit_column == "l2_u_dev"
     assert cfg.fit_window is None
+    # the preset table's defaults are the dataclasses' own
+    assert cfg.solver == dynamics.SolverConfig(dt=0.005, t_end=10.0)
+    assert cfg.initial == dynamics.InitialSpec()
 
 
 def test_overrides_apply_before_validation(tmp_path):
@@ -673,6 +677,38 @@ def test_cli_run_theta_below_one_reports_nan_thresholds(tmp_path, capsys):
     assert summary["sigma"] == "nan"
 
 
+DAMPING_ONLY_RUN = """
+    preset = custom
+    params.a = 0
+    params.mu = 1
+    params.theta = 2
+    grid.cells = 64
+    solver.t_end = 1
+"""
+
+
+def test_cli_run_damping_without_growth_reports_neither_regime(tmp_path, capsys):
+    # a = 0 < mu is neither growth-free nor logistic: no F1, F2, carrying state
+    # or empirical threshold applies, while the mass ceiling does
+    cfg = write_cfg(tmp_path, DAMPING_ONLY_RUN)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+    cols = header.split(",")
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert (cells[cols.index("F1")], cells[cols.index("F2")]) == ("nan", "nan")
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "o" / "thresholds.txt").read_text().splitlines())
+    for name in ("b", "lambda_of_z", "mu_threshold", "sigma", "d0_check_value"):
+        assert report[name] == "nan", name
+    summary = dict(line.split(" = ", 1)
+                   for line in (tmp_path / "o" / "summary.txt").read_text().splitlines())
+    assert summary["mass_ceiling_ok"] == "yes"
+    assert "b" not in summary and "d0_check" not in summary
+
+
 def test_cli_run_reports_an_overflowing_gradient_bound_as_inf(tmp_path, capsys):
     # M0 is about 1e100, so M0^(2n+2) overflows; the bound read nan when it
     # multiplied that by the convex box's zero domain term
@@ -941,9 +977,11 @@ def test_cli_verify_passes_and_writes_csv(tmp_path, capsys):
     assert len(ineq) >= 51  # at least 50 recorded inequality cases
 
 
-def test_cli_verify_broken_tolerance_fails(tmp_path, capsys):
-    code = main(["verify", "--out", str(tmp_path / "vb"), "--quiet",
-                 "--debug-broken-tolerance"])
+def test_cli_verify_broken_tolerance_fails(tmp_path, capsys, monkeypatch):
+    # one violated inequality fails the battery loudly
+    monkeypatch.setattr(harness, "verify_interpolation_inequalities",
+                        lambda *_: [InequalityCheck("forced", 2.0, 1.0)])
+    code = main(["verify", "--out", str(tmp_path / "vb"), "--quiet"])
     assert code == 3
     assert "FAILED" in capsys.readouterr().out
 

@@ -142,6 +142,17 @@ def test_off_regime_flag():
     assert not params().off_regime
 
 
+@pytest.mark.parametrize("a, mu", [(0.0, 0.0), (0.0, 2.0), (8.0, 0.0), (8.0, 2.0)])
+def test_growth_regime_of_each_sign_pattern(a, mu):
+    p = params(a=a, mu=mu, theta=2.0)
+    assert p.growth_free is (a == 0.0 and mu == 0.0)
+    assert p.logistic is (a > 0.0 and mu > 0.0)
+    if p.logistic:
+        assert p.carrying_state == 2.0  # (8 / 2)^(1/2)
+    else:
+        assert math.isnan(p.carrying_state)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="dt"):
         SolverConfig(dt=0.0, t_end=1.0)

@@ -25,7 +25,6 @@ from angiosim.grid import (
     integrate,
     laplacian_array,
     lp_norm,
-    build_grid as bg,
 )
 import oracles
 

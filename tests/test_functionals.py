@@ -15,7 +15,6 @@ from angiosim.functionals import (
     TRAJECTORY_COLUMNS,
     CosineTestFunction,
     DiagnosticsRecord,
-    InequalityCheck,
     diagnostics_batch,
     diagnostics_record,
     entropy_sandwich_check,

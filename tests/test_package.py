@@ -35,7 +35,34 @@ def test_package_exports_are_the_modules_all_lists():
     assert public == declared
 
 
-TRACED_CLI = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def unused_imports(path):
+    """Each name the module at path imports and never reads, as "file:line name";
+    a star import or a __future__ feature binds no name to read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            read.update(ast.literal_eval(node.value))  # a name exported is a name used
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted((ROOT / "src" / "angiosim").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 15
+    assert [entry for path in paths for entry in unused_imports(path)] == []
+
+
+TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
 
 
 def traced_targets():

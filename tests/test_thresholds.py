@@ -28,12 +28,6 @@ def params(**kw):
     return ModelParams(**base)
 
 
-def fake_traj(linf_v, linf_grad_w):
-    recs = [SimpleNamespace(linf_v=a, linf_grad_w=b)
-            for a, b in zip(np.atleast_1d(linf_v), np.atleast_1d(linf_grad_w))]
-    return SimpleNamespace(records=recs)
-
-
 # ---------------------------------------------------------------------------
 # generic constants
 
@@ -205,76 +199,77 @@ def test_lambda_of_z_needs_growth():
 
 
 # ---------------------------------------------------------------------------
-# empirical checks off a (fake) trajectory
+# empirical checks of measured sups
 
 def test_mu_threshold_zero_without_couplings():
     p = params(a=1.0, mu=1.0, theta=1.0)
-    assert empirical_mu_threshold(fake_traj([1.0], [0.0]), p, 0.5) == 0.0
+    assert empirical_mu_threshold(p, 0.5, 1.0) == 0.0
 
 
 def test_mu_threshold_pinned():
     # chi = d = 1, xi = 0, theta = 2: lambda = 1/2 regardless of A, threshold = 1/2
     p = params(chi=1.0, d=1.0, a=1.0, mu=1.0, theta=2.0)
-    got = empirical_mu_threshold(fake_traj([2.0, 1.5], [0.0, 0.0]), p, 0.5)
+    got = empirical_mu_threshold(p, 0.5, 2.0)
     assert got == pytest.approx(0.5, rel=1e-14)
     # adding xi2 = 1 with sup A = 2: lambda = (1 + .25*4)/2 = 1
     p2 = params(chi=1.0, xi2=1.0, d=1.0, a=1.0, mu=1.0, theta=2.0)
-    got2 = empirical_mu_threshold(fake_traj([2.0, 1.5], [0.0, 0.0]), p2, 0.5)
+    got2 = empirical_mu_threshold(p2, 0.5, 2.0)
     assert got2 == pytest.approx(1.0, rel=1e-14)
 
 
 def test_mu_threshold_uses_running_sup():
+    # the report measures A as the largest linf_v of the run, not its last
     p = params(xi2=1.0, d=1.0, a=1.0, mu=1.0, theta=2.0)
-    lo = empirical_mu_threshold(fake_traj([1.0, 2.0], [0.0, 0.0]), p, 0.5)
-    hi = empirical_mu_threshold(fake_traj([1.0, 3.0], [0.0, 0.0]), p, 0.5)
-    assert hi > lo
+    cfg = SimpleNamespace(params=p, grid=SimpleNamespace(measure=1.0))
+
+    def report(linf_v):
+        recs = [SimpleNamespace(mass_u=1.0, linf_v=x, linf_grad_w=0.0) for x in linf_v]
+        return harness._build_report(cfg, SimpleNamespace(records=recs), 0.5)
+    lo, hi = report([1.0, 2.0, 1.5]), report([1.0, 3.0, 1.5])
+    assert (lo.empirical_A, hi.empirical_A) == (2.0, 3.0)
+    assert hi.mu_threshold > lo.mu_threshold == empirical_mu_threshold(p, 0.5, 2.0)
 
 
 def test_mu_threshold_preconditions():
-    tr = fake_traj([1.0], [0.0])
     with pytest.raises(ValueError, match="theta >= 1"):
-        empirical_mu_threshold(tr, params(a=1.0, mu=1.0, theta=0.5), 0.5)
+        empirical_mu_threshold(params(a=1.0, mu=1.0, theta=0.5), 0.5, 1.0)
     with pytest.raises(ValueError):
-        empirical_mu_threshold(tr, params(a=0.0, mu=1.0), 0.5)
-    with pytest.raises(ValueError, match="empty"):
-        empirical_mu_threshold(SimpleNamespace(records=[]), params(a=1.0, mu=1.0), 0.5)
+        empirical_mu_threshold(params(a=0.0, mu=1.0), 0.5, 1.0)
 
 
 def test_d0_check_pinned():
     # d = 1, chi = 0.1, xi1 = xi2 = 1, A = 1, B = 0.5:
     # core = 1 - 0.225 - 0.0625 = 0.7125, check = 0.07125, eps1 = 0.35625/0.775
     p = params(chi=0.1, xi1=1.0, xi2=1.0, d=1.0)
-    value, eps1 = empirical_d0_check(fake_traj([1.0, 0.8], [0.5, 0.25]), p)
+    value, eps1 = empirical_d0_check(p, 1.0, 0.5)
     assert value == pytest.approx(0.07125, rel=1e-13)
     assert eps1 == pytest.approx(0.35625 / 0.775, rel=1e-13)
 
 
 def test_d0_check_chi_zero_always_passes():
-    value, eps1 = empirical_d0_check(fake_traj([5.0], [5.0]), params(chi=0.0, xi1=1.0, xi2=1.0))
+    value, eps1 = empirical_d0_check(params(chi=0.0, xi1=1.0, xi2=1.0), 5.0, 5.0)
     assert value == 0.0  # on the pass boundary, check_value >= 0
     assert eps1 == 0.0
 
 
 def test_d0_check_fails_for_thin_diffusion():
     p = params(chi=1.0, xi1=0.5, xi2=0.0, d=0.2)
-    value, eps1 = empirical_d0_check(fake_traj([1.0], [2.0]), p)
+    value, eps1 = empirical_d0_check(p, 1.0, 2.0)
     assert value == pytest.approx(-1.8, rel=1e-13)
     assert eps1 == 0.0
 
 
 def test_d0_check_improves_with_d():
-    tr = fake_traj([1.0], [1.0])
-    lo, _ = empirical_d0_check(tr, params(chi=0.5, xi1=1.0, d=1.0))
-    hi, _ = empirical_d0_check(tr, params(chi=0.5, xi1=1.0, d=2.0))
+    lo, _ = empirical_d0_check(params(chi=0.5, xi1=1.0, d=1.0), 1.0, 1.0)
+    hi, _ = empirical_d0_check(params(chi=0.5, xi1=1.0, d=2.0), 1.0, 1.0)
     assert hi > lo
 
 
 def test_d0_check_preconditions():
-    tr = fake_traj([1.0], [1.0])
     with pytest.raises(ValueError, match="growth-free"):
-        empirical_d0_check(tr, params(a=1.0, xi1=1.0))
+        empirical_d0_check(params(a=1.0, xi1=1.0), 1.0, 1.0)
     with pytest.raises(ValueError, match="xi1"):
-        empirical_d0_check(tr, params(chi=1.0, xi1=0.0))
+        empirical_d0_check(params(chi=1.0, xi1=0.0), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +351,18 @@ def test_bounds_past_the_float_range_read_inf():
         assert compute_m1(1.0, params(mu=1e-300, theta=0.01, a=1.0), 1.0) == math.inf
 
 
+def test_empirical_checks_of_sups_past_1e154_read_inf():
+    # a Python float sup whose square overflows: each formula holds it as
+    # float64, so the square reads inf where Python's float power raised
+    logistic = params(chi=0.5, xi2=0.5, a=1.0, mu=1.0, theta=1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="damping below the decay regime"):
+            sigma_rate(logistic, 0.3, 1e200)
+        assert empirical_mu_threshold(logistic, 0.3, 1e200) == math.inf
+        growth_free = params(chi=0.5, xi1=1.0, xi2=0.5)
+        assert empirical_d0_check(growth_free, 1e200, 1e200) == (-math.inf, 0.0)
+
+
 def test_regime_respects_xi0(monkeypatch):
     p = params(chi=1.0, xi1=1.5, mu=0.0, theta=1.0)
     assert condition_presets(p) == "R1"
@@ -418,5 +425,4 @@ def test_formulas_are_deterministic():
     m0a = structural_M0(p)
     m0b = structural_M0(p)
     assert m0a == m0b
-    tr = fake_traj([1.3, 1.7], [0.4, 0.2])
-    assert empirical_mu_threshold(tr, p, 0.31) == empirical_mu_threshold(tr, p, 0.31)
+    assert empirical_mu_threshold(p, 0.31, 1.7) == empirical_mu_threshold(p, 0.31, 1.7)
