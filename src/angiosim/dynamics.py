@@ -267,10 +267,16 @@ def make_initial(grid: Grid, spec: InitialSpec,
                  tolerance: float = SolverConfig.elliptic_tolerance) -> SimState:
     """Build the t=0 state: u > 0, v >= 0, w solved from u.
 
-    Random profiles draw from one Generator seeded with spec.seed, u before v.
-    It is built on the first draw, so a run without one never imports
-    numpy.random (about 5 MB and 10 ms of start-up)."""
-    rng = functools.cache(lambda: np.random.default_rng(spec.seed))
+    Random profiles draw from one pcg64.Generator seeded with spec.seed, u before
+    v: the values of numpy's default_rng(spec.seed), without numpy's random module
+    and the 5 MB it imports. pcg64 is imported and the Generator built on the first
+    draw, so a run without one never loads it."""
+
+    @functools.cache
+    def rng():
+        from .pcg64 import Generator
+        return Generator(spec.seed)
+
     u_vals = _profile_values(grid, spec.profile, spec.base, spec.amplitude, rng)
     v_vals = _profile_values(
         grid,

@@ -1094,8 +1094,9 @@ def test_cli_fit_unreadable_csv_exits_1_in_one_line(tmp_path, body, capsys):
 
 def test_runs_and_sweeps_leave_scipy_unloaded(tmp_path):
     # every transform goes through numpy.fft, in 1D and 2D alike; scipy.fft
-    # would itself load concurrent.futures. numpy.random loads only for a
-    # random profile's draw.
+    # would itself load concurrent.futures. A random profile's draw loads
+    # angiosim.pcg64 and no run or sweep loads numpy.random: only verify's
+    # battery, which draws normals, does.
     cosine = "init.profile = cosine_bump"
     run_cfg = write_cfg(tmp_path, FAST_RUN, "run.cfg")
     cosine_cfg = write_cfg(tmp_path, FAST_RUN.replace("init.profile = random_positive", cosine),
@@ -1116,7 +1117,7 @@ def test_runs_and_sweeps_leave_scipy_unloaded(tmp_path):
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
                           or m in ("concurrent.futures", "multiprocessing"))
         def drawn():
-            return "numpy.random" in sys.modules
+            return "numpy.random" in sys.modules, "angiosim.pcg64" in sys.modules
         from angiosim.cli import main
         print(unwanted(), drawn())
         print(main(["run", {cosine_cfg!r}, "--out", {out!r} + "/r1", "--quiet"]))
@@ -1126,12 +1127,12 @@ def test_runs_and_sweeps_leave_scipy_unloaded(tmp_path):
         print(main(["run", {run_cfg!r}, "--out", {out!r} + "/r3", "--quiet"]))
         print(drawn())
         print(main(["verify", "--out", {out!r} + "/v", "--quiet"]))
-        print(unwanted())
+        print(unwanted(), drawn())
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[] False", "0", "0", "0", "[] False", "0", "True",
-                                        "0", "[]"]
+    assert proc.stdout.splitlines() == ["[] (False, False)", "0", "0", "0", "[] (False, False)",
+                                        "0", "(False, True)", "0", "[] (True, True)"]
 
 
 def test_console_script_usage_error():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angiosim import dynamics, elliptic, harness
+from angiosim import dynamics, elliptic, harness, pcg64
 from angiosim.config import parse_config, parse_sweep, scenario_with_overrides
 from angiosim.dynamics import (
     InitialSpec,
@@ -243,8 +243,8 @@ def test_each_initial_profile_builds_its_own_values():
                                                    ("cosine_bump", "random_positive"),
                                                    ("random_positive", "cosine_bump")])
 def test_make_initial_draws_u_then_v_from_one_generator(u_profile, v_profile):
-    # the Generator is built on the first draw, and the stream stays the one
-    # a Generator built up front gives: u's draw first, then v's
+    # the generator is built on the first draw, and the stream stays the one
+    # numpy's Generator built up front gives: u's draw first, then v's
     g = build_grid(2, 1.0, (8, 6))
     spec = InitialSpec(profile=u_profile, v_profile=v_profile, base=1.0, amplitude=0.3,
                        v_base=2.0, v_amplitude=0.5, seed=7)
@@ -939,7 +939,7 @@ def test_a_2d_run_holds_no_transform_workspace():
     # initial state and the batch, the stepper's multipliers and work arrays, the
     # potential's multiplier and twiddle table, and a step's returned arrays peak
     # at 10.92 MB; transform buffers held beside the work arrays add 1.57 MB
-    np.random.default_rng(0)  # numpy.random's import is not the run's
+    pcg64.Generator(0)  # the generator module's import is not the run's
     elliptic._pseudo_inverse.cache_clear()
     elliptic._makhoul_plan_2d.cache_clear()
     g = build_grid(2, 1.0, (256, 256))

@@ -5,6 +5,10 @@ import functools
 import importlib
 import pathlib
 import pkgutil
+import re
+import shutil
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -108,3 +112,21 @@ def test_every_traced_name_resolves_and_a_step_calls_each_once(monkeypatch):
     uv[:, :8] = 1.5
     stepper.step(0.0, uv, np.zeros((2, 16)))
     assert calls == {name: 1 for name in names}
+
+
+def test_ab_reports_every_metric_and_exits_1_when_outputs_differ(tmp_path):
+    # the change tree runs the same code on a sweep config with another chi,
+    # so its outputs differ from the base's
+    change = tmp_path / "change"
+    for sub in ("src", "configs"):
+        shutil.copytree(ROOT / sub, change / sub, ignore=shutil.ignore_patterns("__pycache__"))
+    cfg = change / "configs" / "sweep_chi_mu.cfg"
+    cfg.write_text(cfg.read_text().replace("chi = 0.25,", "chi = 0.3,"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(change),
+                           "--workload", "sweep", "--pairs", "2"], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines[2:6]] == ["wall_s", "setup_s", "steps_per_s",
+                                                        "peak_rss_mb"]
+    assert all(re.search(r" [012]/2( +gain)?$", line) for line in lines[2:6])
+    assert lines[6:] == ["outputs differ from the base's first run: change: full, change: setup"]
