@@ -55,6 +55,8 @@ from .elliptic import (
     grid_mean,
     neumann_eigenvalues,
     pack_multiplier,
+    potential_floats,
+    potential_work,
     solve_neumann_poisson,
     transform_buffers,
     transform_floats,
@@ -65,7 +67,6 @@ from .grid import (
     divergence_arrays,
     face_pads,
     face_strides,
-    laplacian_views,
     padded_faces,
 )
 
@@ -429,11 +430,10 @@ class _Buffers:
     - diffusion: the transform pair's buffers (elliptic.transform_buffers) for all
       2B rows, from the start of the flat array;
     - potential: the potential's centred u, Laplacian, squares, the laplacian_views
-      of its padded face differences (from the squares on, a stride past them), the
-      pair's buffers for B rows and, in an array of its own, the (B,) relative
-      residuals that the gate takes and the record reads. The pair reads only the
-      centred u, so its buffers start past it and overlap the Laplacian, the squares
-      and the faces, which are written after it.
+      of its padded face differences and the pair's buffers for B rows, as
+      elliptic.potential_work carves them from the start of the flat array, and, in
+      an array of its own, the (B,) relative residuals that the gate takes and the
+      record reads.
 
     The flat array holds the largest of these, about 4B grid arrays in 1D and 2D:
     the speeds need 4B in 2D, a stacked pair a little over 4B and the potential a
@@ -445,11 +445,9 @@ class _Buffers:
         dim, n = len(cells), rows // 2
         size = math.prod(cells)
         strides = face_strides(shape, dim)
-        centred = n * size + n * size % 2  # 16-byte aligned for the pair past it
         potential = (n,) + cells
-        flat = np.empty(max(dim * rows * size + sum(strides), 3 * n * size + max(strides),
-                            transform_floats(shape, dim),
-                            centred + transform_floats(potential, dim)))
+        flat = np.empty(max(dim * rows * size + sum(strides), transform_floats(shape, dim),
+                            potential_floats(potential, dim)))
         self.speeds = padded_faces(shape, dim, flat)
         self.speed_views = _speed_views(self.speeds, shape, dim)
         signs = np.empty(rows * size, dtype=bool)
@@ -459,9 +457,7 @@ class _Buffers:
         self.net = flat[:rows * size].reshape(shape) if dim > 1 else None
         self.scratch = flat[:n * size].reshape(potential)
         self.diffusion = transform_buffers(shape, dim, flat)
-        rhs, lap, squares = flat[:3 * n * size].reshape((3,) + potential)
-        self.potential = (rhs, lap, squares, laplacian_views(flat[2 * n * size:], potential, dim),
-                          transform_buffers(potential, dim, flat[centred:]), np.empty(n))
+        self.potential = potential_work(potential, dim, flat) + (np.empty(n),)
         self.flat = flat
 
 
@@ -494,8 +490,10 @@ class Stepper:
     in the batch. A stepper serves one batch for its whole life: it builds its
     parameters, -xi2 included, its multipliers, its work arrays and the views
     its kernels take of them (_Buffers) once, and a step allocates only the
-    arrays it returns and a few (B,) ones. When members leave, the caller builds
-    a stepper for the rest.
+    arrays it returns and a few (B,) ones. run_ensemble builds it only once its
+    batch holds the initial states' values and it has dropped the states, so no
+    initial state is held beside the stepper's arrays; when members leave, it drops
+    the stepper before it builds one for the rest.
     """
 
     def __init__(self, grid: Grid, params, cfg: SolverConfig):
@@ -524,13 +522,18 @@ class Stepper:
         # the gate's residuals of the w that step last returned, or of a step that raised
         self.residuals = self._buffers.potential[-1]
         # the diffusion multipliers of the stacked (u, v) batch, row by row,
-        # kept only packed
+        # 1/(1 + dt lambda) and 1/(1 + dt + dt d lambda) formed in place with the
+        # bits of those formulas, and kept only packed
         lam = neumann_eigenvalues(grid)
         d = np.array([p.d for p in self.params]).reshape(column)
         mult_uv = np.empty((2 * n,) + grid.cells)
-        mult_uv[:n] = 1.0 / (1.0 + cfg.dt * lam)
-        mult_uv[n:] = 1.0 / (1.0 + cfg.dt + cfg.dt * d * lam)
+        u_rows, v_rows = mult_uv[:n], mult_uv[n:]
+        np.multiply(cfg.dt, lam, out=u_rows)
+        u_rows += 1.0
+        np.multiply(cfg.dt * d, lam, out=v_rows)
+        v_rows += 1.0 + cfg.dt
         del lam  # before packing, the peak of the build
+        np.divide(1.0, mult_uv, out=mult_uv)
         self._packed_uv = pack_multiplier(mult_uv, grid.dim)
 
     def _fluxes(self, uv: np.ndarray, faces):
@@ -686,21 +689,27 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     is built only for a member's terminal state and, when on_record is given, for
     each record: on_record(b, state) is then called with each recorded SimState,
     the initial one included.
+
+    Once the batch is filled and the first record taken, the time loop drops its
+    references to initials, and only then builds its stepper: a caller that holds
+    neither the list nor its states frees them there. The list itself is left as
+    it was given. When members leave, the stepper for the rest is built after the
+    old one is dropped.
     """
     grid, t0 = initials[0].grid, initials[0].t
     if any(s.grid != grid or s.t != t0 for s in initials):
         raise ValueError("ensemble members must share a grid and a start time")
+    params = tuple(params)
     n_steps = max(1, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-9))
     t = t0
     u0_means = [float(s.u.mean()) for s in initials]
     records: list[list[DiagnosticsRecord]] = [[] for _ in initials]
     trajectories: list[Trajectory | None] = [None] * len(initials)
     members = list(range(len(initials)))  # the member held in each batch row
-    stepper = Stepper(grid, params, cfg)
 
     def record(t, uv, w, extrema, residuals):
-        rows = diagnostics_batch(t, uv, w, extrema, residuals, grid, stepper.params,
-                                 [u0_means[b] for b in members])
+        rows = diagnostics_batch(t, uv, w, extrema, residuals, grid,
+                                 [params[b] for b in members], [u0_means[b] for b in members])
         for b, rec in zip(members, rows):
             records[b].append(rec)
 
@@ -715,30 +724,35 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         n = len(members)
         kept = [row for row in range(n) if row not in ended]
         members = [members[row] for row in kept]
+        stepper = None  # before its successor's arrays are made
         if kept:
-            stepper = Stepper(grid, [stepper.params[row] for row in kept], cfg)
+            stepper = Stepper(grid, [params[b] for b in members], cfg)
         rows = kept + [n + row for row in kept]
         return uv[rows], w[kept], extrema[:, rows], residuals[kept]
 
     n = len(initials)
     uv = np.empty((2 * n,) + grid.cells)
     w = np.empty((n,) + grid.cells)
-    for b, s in enumerate(initials):
-        uv[b], uv[n + b], w[b] = s.u, s.v, s.w
+    for b in range(n):  # no loop variable keeps a state
+        uv[b], uv[n + b], w[b] = initials[b].u, initials[b].v, initials[b].w
     extrema = row_extrema(uv, grid.dim)  # then each step's, which it passes on
     residuals = np.array([elliptic_residual(s.u, s.w, grid) for s in initials])  # likewise
     record(t, uv, w, extrema, residuals)
     if on_record is not None:
-        for b, state in enumerate(initials):
-            on_record(b, state)
+        for b in range(n):
+            on_record(b, initials[b])
+    del initials  # the batch holds their values
+    stepper = Stepper(grid, params, cfg)
     for k in range(1, n_steps + 1):
         stepped = None
         while members and stepped is None:
             try:
                 stepped = stepper.step(t, uv, w, extrema[0][:len(w)])
             except StepFailure as exc:
+                failed = exc.reasons  # left outside the handler, whose traceback holds the stepper
+            if stepped is None:
                 uv, w, extrema, residuals = leave(
-                    {row: ("step_failure", why) for row, why in exc.reasons.items()},
+                    {row: ("step_failure", why) for row, why in failed.items()},
                     t, uv, w, extrema, residuals)
         if not members:
             break

@@ -11,10 +11,12 @@ The transform pair is one numpy.fft family: a real FFT pair with Makhoul's even/
 reordering of every grid axis (J. Makhoul, IEEE TASSP 28, 1980) over the last two axes
 (_apply_2d), running a whole batch in one call; a 1D grid runs as one row of cells.
 A multiplier enters it packed once (pack_multiplier) into the real and imaginary parts
-of the twiddled half spectrum, shared by the batch or with a row per member. The pair
-works in buffers sized for the batch that its caller passes (transform_buffers): a time
-stepper carves them out of work arrays that are idle while the pair runs, and a caller
-without any gets fresh ones that die with the call.
+of the twiddled half spectrum, shared by the batch or with a row per member, and on
+half its rows, since the other half are the same numbers with their halves swapped.
+The pair works in buffers sized for the batch that its caller passes
+(transform_buffers): a time stepper carves them out of work arrays that are idle while
+the pair runs, and a potential solve without any carves them and its own work arrays
+out of one fresh flat array (potential_work) that dies with the call.
 numpy.fft imports in milliseconds and scipy.fft in about a third of a second, which
 would be most of a run's or a sweep's start-up.
 """
@@ -24,7 +26,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .grid import Grid, laplacian_array
+from .grid import Grid, face_strides, laplacian_array, laplacian_views
 
 __all__ = [
     "EllipticSolveError",
@@ -72,9 +74,10 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
 def pack_multiplier(multiplier: np.ndarray, dim: int) -> tuple:
     """A per-mode multiplier, shaped like the grid or (B, *cells) with a row per member,
     in the form the transform pair applies: (p, q) on the float view of the twiddled
-    half spectrum (see _pack_2d and _apply_2d). A 1D multiplier is packed as a grid of
-    one row of cells, whose p interleaves M(k) and M(-k) and whose q has no rows.
-    The arrays are read-only."""
+    half spectrum, for the rows k1 = 0..n1 // 2 and 1..n1 // 2 only, which are about
+    one grid array's floats between them (see _pack_2d and _apply_2d). A 1D
+    multiplier is packed as a grid of one row of cells, whose p interleaves M(k) and
+    M(-k) and whose q has no rows. The arrays are read-only."""
     packed = _pack_2d(multiplier[..., None, :] if dim == 1 else multiplier)
     for arr in packed:
         arr.flags.writeable = False
@@ -103,21 +106,21 @@ def apply_packed(vals: np.ndarray, packed: tuple, out=None, buffers=None) -> np.
 def _pair_shapes(shape, dim):
     """The transform pair's array shapes for arrays of this shape on a grid of n1 x n2
     cells, n1 = 1 in 1D (a length-1 axis is inserted before the last): the reordered
-    input (..., n1, n2), the half spectrum (..., n1, n2 // 2 + 1) and the q term
-    (..., n1 - 1, n2 // 2 + 1, 2), and the floats of the reordered input's region,
-    which also holds the q term, rounded up to keep the spectrum 16-byte aligned."""
+    input (..., n1, n2), the half spectrum (..., n1, n2 // 2 + 1) and the butterfly's
+    terms (..., n1 - 1, n2 // 2 + 1, 2), and the floats of the reordered input's region,
+    which also holds the terms, rounded up to keep the spectrum 16-byte aligned."""
     if dim == 1:
         shape = shape[:-1] + (1, shape[-1])
     half = shape[-1] // 2 + 1
     spectrum = shape[:-1] + (half,)
-    q_term = shape[:-2] + (shape[-2] - 1, half, 2)
-    region = max(math.prod(shape), math.prod(q_term))
-    return shape, spectrum, q_term, region + region % 2
+    terms = shape[:-2] + (shape[-2] - 1, half, 2)
+    region = max(math.prod(shape), math.prod(terms))
+    return shape, spectrum, terms, region + region % 2
 
 
 def transform_floats(shape, dim: int) -> int:
     """The floats of the flat memory that transform_buffers carves for this shape."""
-    _shape, spectrum, _q_term, region = _pair_shapes(shape, dim)
+    _shape, spectrum, _terms, region = _pair_shapes(shape, dim)
     return region + 2 * math.prod(spectrum)
 
 
@@ -126,27 +129,44 @@ def transform_buffers(shape, dim: int, memory=None) -> tuple:
     shape, whole batch at once, for a grid of n1 x n2 cells, n1 = 1 in 1D (a length-1
     axis is inserted before the last): the reordered input, which also receives the
     inverse, shaped (..., n1, n2); the half spectrum, (..., n1, n2 // 2 + 1), and its
-    float view, (..., n1, n2 // 2 + 1, 2); and the q term, (..., n1 - 1, n2 // 2 + 1,
-    2), empty in 1D (see _apply_2d). The q term shares the reordered input's memory,
-    which is idle between the forward and the inverse FFT, so the input's region holds
-    max(n1 n2, 2 (n1 - 1) (n2 // 2 + 1)) floats a row. With memory, a flat float array
-    of at least transform_floats(shape, dim) floats that starts 16-byte aligned, they
-    are carved out of it, the spectrum after the input's region. Otherwise the
-    input's region and the spectrum are fresh, one array each: a single
-    megabyte-sized array, freed at 256 x 256, would raise malloc's mmap threshold past
-    a grid array's size and leave the later ones of a run on its heap, for 0.3 MB
-    more peak RSS."""
-    shape, spectrum, q_term, region = _pair_shapes(shape, dim)
+    float view, (..., n1, n2 // 2 + 1, 2); and the butterfly's terms, (..., n1 - 1,
+    n2 // 2 + 1, 2), empty in 1D (see _apply_2d). The terms share the reordered
+    input's memory, which is idle between the forward and the inverse FFT, so the
+    input's region holds max(n1 n2, 2 (n1 - 1) (n2 // 2 + 1)) floats a row. They are
+    carved out of memory, a flat float array of at least transform_floats(shape, dim)
+    floats that starts 16-byte aligned, the spectrum after the input's region, or out
+    of one fresh such array."""
     if memory is None:
-        v = np.empty(region)
-        z = np.empty(spectrum, np.complex128)
-        zf = z.view(np.float64).reshape(spectrum + (2,))
-    else:
-        v = memory[:region]
-        zf = memory[region:region + 2 * math.prod(spectrum)].reshape(spectrum + (2,))
-        z = zf.view(np.complex128)[..., 0]
-    return (v[:math.prod(shape)].reshape(shape), z, zf,
-            v[:math.prod(q_term)].reshape(q_term))
+        memory = np.empty(transform_floats(shape, dim))
+    shape, spectrum, terms, region = _pair_shapes(shape, dim)
+    v = memory[:region]
+    zf = memory[region:region + 2 * math.prod(spectrum)].reshape(spectrum + (2,))
+    return (v[:math.prod(shape)].reshape(shape), zf.view(np.complex128)[..., 0], zf,
+            v[:math.prod(terms)].reshape(terms))
+
+
+def potential_floats(shape, dim: int) -> int:
+    """The floats of the flat memory that potential_work carves for this shape."""
+    size = math.prod(shape)
+    return max(3 * size + max(face_strides(shape, dim)),
+               size + size % 2 + transform_floats(shape, dim))
+
+
+def potential_work(shape, dim: int, memory=None) -> tuple:
+    """The work arrays of solve_neumann_poisson for u of this shape, the residuals
+    aside: (centred u, Laplacian, squares, face differences, transform buffers),
+    carved out of memory, a flat float array of at least potential_floats(shape, dim)
+    floats that starts 16-byte aligned, or out of one fresh such array. The centred
+    u, the Laplacian and the squares come first, one after the other, and the face
+    differences (laplacian_views) start at the squares, which are written after the
+    Laplacian is taken. The pair reads only the centred u, so its buffers start past
+    it, with 16-byte alignment, and overlap the rest, which is written after it."""
+    size = math.prod(shape)
+    if memory is None:
+        memory = np.empty(potential_floats(shape, dim))
+    rhs, lap, squares = memory[:3 * size].reshape((3,) + tuple(shape))
+    return (rhs, lap, squares, laplacian_views(memory[2 * size:], shape, dim),
+            transform_buffers(shape, dim, memory[size + size % 2:]))
 
 
 def _reorder_slices(n: int):
@@ -175,30 +195,34 @@ def _makhoul_plan_2d(n1: int, n2: int):
 
 
 def _pack_2d(m: np.ndarray):
-    """(p, q) of a 2D multiplier, shaped (..., n1, n2 // 2 + 1, 2) and (..., n1 - 1,
-    n2 // 2 + 1, 2): on row k1 >= 1, with indices mod n,
+    """(p, q) of a 2D multiplier on half its rows, shaped (..., n1 // 2 + 1,
+    n2 // 2 + 1, 2) and (..., n1 // 2, n2 // 2 + 1, 2) for the rows k1 = 0..n1 // 2
+    and 1..n1 // 2: on row k1 >= 1, with indices mod n,
     p = ((M(k1,k2) + M(-k1,-k2))/2, (M(-k1,k2) + M(k1,-k2))/2) and
     q = ((M(-k1,-k2) - M(k1,k2))/2, (M(k1,-k2) - M(-k1,k2))/2);
-    on row 0, p = (M(0,k2), M(0,-k2)) and there is no q row.
-    Every term is a strided view of m, since -k mod n runs n - 1 down to 1 for k >= 1,
-    and the sums are written straight into p and q: M(k1,-k2) is first gathered into
-    p's second half, which the last sum then overwrites row by row."""
+    on row 0, p = (M(0,k2), M(0,-k2)) and there is no q row. Row n1 - k1 of either
+    is row k1 with its two halves swapped, bit for bit, since its sums and
+    differences take the same two operands, so it is not kept (see _apply_2d).
+    Every term is a strided view of m, since -k mod n runs n - 1 down to 1 for
+    k >= 1, and the sums are written straight into p and q: M(k1,-k2) is column 0
+    for k2 = 0 and m[..., n2 - 1:n2 - half:-1] for the others, so the two column
+    ranges are packed one after the other."""
     n1, n2 = m.shape[-2:]
-    half = n2 // 2 + 1
-    p = np.empty(m.shape[:-1] + (half, 2))
-    q = np.empty(m.shape[:-2] + (n1 - 1, half, 2))
-    at = m[..., :half]                    # M(k1, k2)
-    at_neg2 = p[..., 1]                   # M(k1, -k2)
-    at_neg2[..., 0] = m[..., 0]
-    at_neg2[..., 1:] = m[..., n2 - 1:n2 - half:-1]
-    # rows k1 >= 1 of M(-k1, .) are rows n1 - 1 down to 1
-    np.subtract(at_neg2[..., :0:-1, :], at[..., 1:, :], out=q[..., 0])
-    np.subtract(at_neg2[..., 1:, :], at[..., :0:-1, :], out=q[..., 1])
-    q /= 2
-    np.add(at[..., 1:, :], at_neg2[..., :0:-1, :], out=p[..., 1:, :, 0])
-    np.add(at[..., :0:-1, :], at_neg2[..., 1:, :], out=at_neg2[..., 1:, :])
+    half, rows = n2 // 2 + 1, n1 // 2
+    p = np.empty(m.shape[:-2] + (rows + 1, half, 2))
+    q = np.empty(m.shape[:-2] + (rows, half, 2))
+    lo, hi = slice(1, rows + 1), slice(n1 - 1, n1 - 1 - rows, -1)  # rows k1 and -k1
+    for at2, neg2 in ((slice(0, 1), slice(0, 1)), (slice(1, half), slice(n2 - 1, n2 - half, -1))):
+        at, at_neg1 = m[..., lo, at2], m[..., hi, at2]        # M(k1, k2), M(-k1, k2)
+        at_neg2, at_neg = m[..., lo, neg2], m[..., hi, neg2]  # M(k1, -k2), M(-k1, -k2)
+        np.add(at, at_neg, out=p[..., 1:, at2, 0])
+        np.add(at_neg1, at_neg2, out=p[..., 1:, at2, 1])
+        np.subtract(at_neg, at, out=q[..., at2, 0])
+        np.subtract(at_neg2, at_neg1, out=q[..., at2, 1])
+        p[..., 0, at2, 0] = m[..., 0, at2]
+        p[..., 0, at2, 1] = m[..., 0, neg2]
     p[..., 1:, :, :] /= 2
-    p[..., 0, :, 0] = at[..., 0, :]
+    q /= 2
     return p, q
 
 
@@ -217,13 +241,27 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
     scales Re Z by M(0,k2) and Im Z by M(0,-k2). No normalisation constants enter.
     One row, n1 = 1, is row 0 alone, the 1D transform: its column FFTs are the
     identity and its q term is empty, so both are skipped.
+
+    p and q hold the rows j = 0..n1 // 2 and 1..n1 // 2 only (_pack_2d), so the rows
+    j and n1 - j, 1 <= j < n1 - j, are one butterfly: with swap exchanging the two
+    halves of the float view and T(j) = swap(Z(n1-j)),
+    Z_out(j) = p(j) Z(j) + q(j) T(j) and swap(Z_out(n1-j)) = p(j) T(j) + q(j) Z(j),
+    the bits of the products with the rows' own p and q, since swapping commutes
+    with every product and sum. Row n1 / 2 of an even n1 pairs with itself and takes
+    the first form alone. T(j), j = 1..n1 // 2, is i conj(Z(n1-j)); the second form's
+    p term is written to t's other rows and its q term to Z's rows above n1 // 2,
+    whose values T holds by then, and their sum is copied back swapped, two strided
+    copies. Each product and sum takes its operands in the order of the row's own
+    form, Z before p and the p term before the q term.
+
     The whole batch runs at once in the caller's buffers (transform_buffers): v, the
-    reordered input, z its half spectrum, zf z's float view and t the q term, which
-    is written after the forward FFT has read v and read before the inverse one
-    writes it, so the two may share memory. p and q are shared or hold
+    reordered input, z its half spectrum, zf z's float view and t the butterfly's
+    terms, which are written after the forward FFT has read v and read before the
+    inverse one writes it, so the two may share memory. p and q are shared or hold
     a row per member, and broadcasting applies either. vals is read whole before out
     is written. The FFTs write in place (out=), and the reorderings are strided slice
-    copies, which cost tens of times less than a fancy index.
+    copies, which cost tens of times less than a fancy index. Every product runs
+    over rows that are contiguous along the last axis, as p and q are.
     """
     n1, n2 = vals.shape[-2:]
     quadrants, up = _makhoul_plan_2d(n1, n2)
@@ -236,12 +274,22 @@ def _apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
     z *= up
     np.conjugate(z, out=z)
     if n1 > 1:
-        tc = t.view(np.complex128)[..., 0]
-        np.conjugate(z[..., :0:-1, :], out=tc)  # i conj(Z') = (Im Z', Re Z'), rows 1..n1-1
+        rows = n1 // 2
+        pairs = n1 - 1 - rows  # the rows j with j < n1 - j
+        swapped, second = t[..., :rows, :, :], t[..., rows:, :, :]
+        tc = swapped.view(np.complex128)[..., 0]
+        np.conjugate(z[..., n1 - 1:n1 - 1 - rows:-1, :], out=tc)  # T(j), j = 1..n1 // 2
         tc *= 1j
-        t *= q
-        zf *= p
-        zf[..., 1:, :, :] += t
+        upper = zf[..., rows + 1:, :, :]  # rows n1 - j, j = pairs down to 1
+        np.multiply(swapped[..., :pairs, :, :], p[..., 1:pairs + 1, :, :], out=second)
+        np.multiply(zf[..., 1:pairs + 1, :, :], q[..., :pairs, :, :], out=upper)
+        second += upper  # swap(Z_out(n1 - j)), j = 1..pairs
+        upper[..., ::-1, :, 0] = second[..., 1]
+        upper[..., ::-1, :, 1] = second[..., 0]
+        lower = zf[..., :rows + 1, :, :]
+        lower *= p
+        swapped *= q
+        lower[..., 1:, :, :] += swapped
         z *= up
         np.fft.ifft(z, axis=-2, out=z)
     else:
@@ -293,12 +341,20 @@ def solve_neumann_poisson(grid: Grid, u: np.ndarray, tolerance: float, work=None
     buffers, residuals): three arrays shaped like u, laplacian_array's faces (the
     laplacian_views of a flat array, which a time stepper builds once), the transform
     pair's buffers (transform_buffers) and a (B,) array that receives each member's
-    relative residual, before the gate may raise. All are overwritten, and a None
-    slot makes a fresh one. The pair reads only the centred u, so its buffers may
-    share memory with the Laplacian, the squares and the faces, which are written
-    after it. w is always a fresh array."""
+    relative residual, before the gate may raise. All are overwritten. The pair reads
+    only the centred u, so its buffers may share memory with the Laplacian, the
+    squares and the faces, which are written after it. Without work, as in
+    make_initial, all but the residuals are carved out of one fresh flat array
+    (potential_work). glibc raises its mmap threshold to the size of a large array
+    it frees, and a 2D 256 x 256 run (perfbench's run-2d) peaks 0.45 MB lower in RSS
+    after this one 1.6 MB array than after six fresh arrays of up to 0.5 MB each
+    (39.24 against 39.69 MB, tools/ab.py, 10 pairs on a 2-core x86-64 VM); with the
+    threshold pinned (MALLOC_MMAP_THRESHOLD_) the two read the same. w is always a
+    fresh array."""
     u = np.asarray(u, dtype=np.float64)
-    rhs, lap, squares, faces, buffers, res = (None,) * 6 if work is None else work
+    if work is None:
+        work = potential_work(u.shape, grid.dim) + (None,)
+    rhs, lap, squares, faces, buffers, res = work
     b = np.subtract(u, grid_mean(u, grid), out=rhs)
     w = apply_packed(b, _pseudo_inverse(grid), buffers=buffers)
     w -= grid_mean(w, grid)

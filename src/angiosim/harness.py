@@ -233,11 +233,21 @@ def _sweep_row(overrides: dict, cfg, outcome) -> dict:
     return row
 
 
+def _emptied(items: list) -> list:
+    """A new list of items' entries, items left empty, so that only the new list
+    keeps them."""
+    moved = items[:]
+    items.clear()
+    return moved
+
+
 def _ensemble_outcomes(cfgs, solver) -> list:
     """Integrate points that share a grid and a SolverConfig as one ensemble
     -> per point its Trajectory, or the exception that stopped it: its initial
     state's, or the time loop's for every point started, such as a MemoryError
-    in its set-up. A sweep point and run_scenario's one point fail only here."""
+    in its set-up. A sweep point and run_scenario's one point fail only here.
+    The initial states are handed over in a list that nothing here keeps, so the
+    time loop frees them before it builds its stepper."""
     outcomes, initials, started = [], [], []
     for j, cfg in enumerate(cfgs):
         try:
@@ -248,7 +258,7 @@ def _ensemble_outcomes(cfgs, solver) -> list:
             outcomes.append(exc)
     if started:
         try:
-            trajs = run_ensemble(initials, [cfgs[j].params for j in started], solver)
+            trajs = run_ensemble(_emptied(initials), [cfgs[j].params for j in started], solver)
         except Exception as exc:
             trajs = [exc] * len(started)
         for j, traj in zip(started, trajs):

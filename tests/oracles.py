@@ -3,8 +3,10 @@ gradient norm and the Lyapunov functionals of one SimState in plain numpy, a
 record's minima and sup norms as its own min and |.| max passes took them
 before it read the step's per-row extrema, the discrete mass law of u between
 records, a step's transport computed with a fresh array for every
-intermediate, the 2D multiplier packing by fancy indices, the 1D transform
-pair as it ran before 1D grids went through the 2D pair as one row of cells,
+intermediate, the 2D multiplier packing by fancy indices, the 2D transform
+pair as it ran on every row of that packing, before it took the rows j and
+n1 - j as one butterfly, the 1D transform pair as it ran before 1D grids went
+through the 2D pair as one row of cells,
 the face kernels of the step (face speeds, fluxes, divergence and Laplacian)
 as they ran on interior-face arrays before the padded face arrays, and the
 stability bound member by member and species by species."""
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from angiosim.elliptic import apply_packed, neumann_eigenvalues, pack_multiplier
+from angiosim.elliptic import _makhoul_plan_2d, apply_packed, neumann_eigenvalues, pack_multiplier
 from angiosim.grid import face_slices, face_strides, gradient_arrays, padded_faces
 
 
@@ -212,6 +214,34 @@ def pack_2d(m):
     p[..., 0, :, 1] = at_neg2[..., 0, :]
     q = np.stack(((at_neg - at) / 2, (at_neg2 - at_neg1) / 2), axis=-1)[..., 1:, :, :]
     return p, np.ascontiguousarray(q)
+
+
+def apply_2d(vals: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """apply_packed over the last two axes with pack_2d's (p, q), every row of them,
+    in fresh arrays: the output's Z is p (Re Z, Im Z) + q (Im Z', Re Z') on rows
+    1..n1 - 1, Z'(k1, .) = Z(n1 - k1, .), and p (Re Z, Im Z) on row 0 (see
+    elliptic._apply_2d)."""
+    n1, n2 = vals.shape[-2:]
+    quadrants, up = _makhoul_plan_2d(n1, n2)
+    v = np.empty(vals.shape)
+    for reordered, original in quadrants:
+        v[reordered] = vals[original]
+    z = np.fft.fft(np.fft.rfft(v), axis=-2)
+    z = np.conjugate(np.conjugate(z) * up)
+    zf = z.view(np.float64).reshape(z.shape + (2,))
+    t = np.empty(z.shape[:-2] + (n1 - 1,) + z.shape[-1:] + (2,))
+    tc = t.view(np.complex128)[..., 0]
+    np.conjugate(z[..., :0:-1, :], out=tc)  # i conj(Z') = (Im Z', Re Z')
+    tc *= 1j
+    t *= q
+    zf *= p
+    zf[..., 1:, :, :] += t
+    z *= up
+    v = np.fft.irfft(np.fft.ifft(z, axis=-2), n2)
+    out = np.empty(vals.shape)
+    for reordered, original in quadrants:
+        out[original] = v[reordered]
+    return out
 
 
 @functools.lru_cache(maxsize=8)

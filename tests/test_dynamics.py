@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -912,9 +913,9 @@ def test_a_2d_step_allocates_only_the_arrays_it_returns():
 
 
 def test_a_2d_stepper_holds_only_its_multipliers_and_work_arrays():
-    # at 256^2 u's and v's packed multipliers are 2.11 MB, the flat work array
-    # 2.11 MB and the upwind signs 0.13 MB, and the stepper holds no other
-    # grid-sized array
+    # at 256^2 u's and v's packed multipliers are 1.06 MB, half their rows, the
+    # flat work array 2.11 MB and the upwind signs 0.13 MB, and the stepper holds
+    # no other grid-sized array
     g = build_grid(2, 1.0, (256, 256))
     members = [params(a=1.0, mu=1.0, n_dim=2)]
     Stepper(g, members, SolverConfig(dt=1e-5, t_end=1.0))  # warms the plan caches
@@ -927,10 +928,10 @@ def test_a_2d_stepper_holds_only_its_multipliers_and_work_arrays():
         tracemalloc.stop()
     buf = stepper._buffers
     assert sum(a.nbytes for a in stepper._packed_uv) + buf.flat.nbytes + buf.mask[0].nbytes \
-        <= held <= 4.45e6
-    # the multipliers are built in one (2, *cells) array (1.05 MB) and packed
-    # straight into their arrays: building costs that array and numpy's own
-    # ufunc buffers, not a copy per packed term
+        <= held <= 3.40e6
+    # the multipliers are formed in place in one (2, *cells) array (1.05 MB) and
+    # packed straight from strided views of it into their arrays: building costs
+    # that array and numpy's own ufunc buffers, not a copy per packed term
     assert peak <= held + 1.5e6
 
 
@@ -938,7 +939,7 @@ def test_a_2d_run_holds_no_transform_workspace():
     # a one-member 256^2 run over two steps, every array it makes counted: the
     # initial state and the batch, the stepper's multipliers and work arrays, the
     # potential's multiplier and twiddle table, and a step's returned arrays peak
-    # at 10.92 MB; transform buffers held beside the work arrays add 1.57 MB
+    # at 9.36 MB; transform buffers held beside the work arrays add 1.57 MB
     pcg64.Generator(0)  # the generator module's import is not the run's
     elliptic._pseudo_inverse.cache_clear()
     elliptic._makhoul_plan_2d.cache_clear()
@@ -953,7 +954,74 @@ def test_a_2d_run_holds_no_transform_workspace():
     finally:
         tracemalloc.stop()
     assert traj.termination_reason == "completed" and len(traj.records) == 2
-    assert peak <= 11.03e6
+    assert peak <= 9.46e6
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_scenario_frees_its_initial_states_before_a_stepper_is_built(tmp_path, monkeypatch,
+                                                                       command):
+    # run_scenario and run_sweep hand their initial states to the time loop, which
+    # copies them into its batch and drops them before it builds the stepper; the
+    # sweep's chi = 12 point blows up at the first step, so a second stepper is
+    # built for the point left
+    path = tmp_path / "rand2d.cfg"
+    path.write_text("preset = C2_logistic\ngrid.dim = 2\ngrid.cells = 32, 24\n"
+                    "init.profile = random_positive\ninit.amplitude = 0.05\n"
+                    "solver.blowup_threshold = 1.08\nsolver.t_end = 0.02\n"
+                    + ("sweep.params.chi = 0.5, 12\n" if command == "sweep" else ""))
+    refs, alive = [], []
+
+    def tracked_initial(*args):
+        state = make_initial(*args)
+        refs.append(weakref.ref(state))
+        return state
+
+    class Watched(Stepper):
+        def __init__(self, *args):
+            alive.append([ref() is not None for ref in refs])
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "make_initial", tracked_initial)
+    monkeypatch.setattr(dynamics, "Stepper", Watched)
+    overrides = {"out": str(tmp_path / "res")}
+    if command == "run":
+        assert harness.run_scenario(parse_config(str(path), overrides), quiet=True) == 0
+        assert alive == [[False]]
+    else:
+        assert harness.run_sweep(parse_sweep(str(path), overrides), quiet=True) == 0
+        assert alive == [[False, False]] * 2
+        rows = (tmp_path / "res" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["completed", "blowup_detected"]
+
+
+def test_a_member_leaving_frees_the_old_stepper_before_the_new_one_is_built(monkeypatch):
+    # a 2D 64^2 pair whose growing member passes the blow-up threshold at the first
+    # step: the stepper for the member left is built once the pair's is dropped, so
+    # its build peaks below the pair's; building it beside the pair's peaks 0.4 MB
+    # higher, above the pair's build
+    g = build_grid(2, 1.0, (64, 64))
+    initials = [make_initial(g, InitialSpec(amplitude=0.05))] * 2
+    members = [params(n_dim=2), params(a=100.0, mu=1.0, n_dim=2)]
+    cfg = SolverConfig(dt=1e-3, t_end=5e-3, blowup_threshold=1.08)
+    run_ensemble(initials, members, cfg)  # warms the plan caches
+    peaks = []
+
+    class Measured(Stepper):
+        def __init__(self, *args):
+            tracemalloc.reset_peak()
+            super().__init__(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(dynamics, "Stepper", Measured)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trajs = run_ensemble(initials, members, cfg)
+    finally:
+        tracemalloc.stop()
+    assert [traj.termination_reason for traj in trajs] == ["completed", "blowup_detected"]
+    assert len(trajs[1].records) == 1 and len(peaks) == 2
+    assert peaks[1] < peaks[0]
 
 
 def test_a_1d_step_reuses_its_transform_buffers(monkeypatch):

@@ -458,8 +458,8 @@ def test_apply_packed_in_place_matches_the_allocating_call(cells):
 def test_apply_packed_with_caller_buffers_matches_the_fresh_buffer_call(cells, n_members):
     # the buffers hold NaN before each call, so a value read before it is written
     # would show; they are also carved from a longer flat array, as a stepper passes
-    # them, sized for the whole batch, with the q term in the reordered input's
-    # memory; and each row of the batched call has the bytes of its lone call, with
+    # them, sized for the whole batch, with the butterfly's terms in the reordered
+    # input's memory; and each row of the batched call has the bytes of its lone call, with
     # a shared multiplier and with a row per member
     rng = np.random.default_rng(sum(cells) + n_members)
     shape = (n_members,) + cells
@@ -468,7 +468,7 @@ def test_apply_packed_with_caller_buffers_matches_the_fresh_buffer_call(cells, n
     memory = np.empty(elliptic.transform_floats(shape, len(cells)) + 6)[2:]
     carved = elliptic.transform_buffers(shape, len(cells), memory)
     assert all(np.shares_memory(a, memory) for a in carved if a.size)
-    assert (len(cells) == 1) == (carved[3].size == 0)  # 1D has no q term
+    assert (len(cells) == 1) == (carved[3].size == 0)  # 1D has no butterfly
     for buffers in (fresh, carved):
         v, z, zf, t = buffers
         assert np.shares_memory(z, zf) and not np.shares_memory(z, v)
@@ -491,12 +491,42 @@ def test_apply_packed_with_caller_buffers_matches_the_fresh_buffer_call(cells, n
 
 @pytest.mark.parametrize("shape", MAKHOUL_SHAPES_2D[:-1] + [(4, 4), (5, 4), (33, 17)])
 def test_2d_packing_matches_the_fancy_index_oracle(shape):
+    # the packing keeps p's rows 0..n1 // 2 and q's rows 1..n1 // 2, since row
+    # n1 - k of either is row k with its halves swapped, bit for bit; the oracle
+    # gathers every row, and its q starts at row 1
     rng = np.random.default_rng(sum(shape))
+    rows = shape[0] // 2
     for mult in (rng.uniform(0.1, 2.0, shape), rng.uniform(0.1, 2.0, (3,) + shape)):
-        got, want = pack_multiplier(mult, 2), oracles.pack_2d(mult)
-        for a, b in zip(got, want, strict=True):
-            assert a.shape == b.shape and a.flags.c_contiguous and not a.flags.writeable
-            assert a.tobytes() == b.tobytes()
+        (p, q), (oracle_p, oracle_q) = pack_multiplier(mult, 2), oracles.pack_2d(mult)
+        for got, want in ((p, oracle_p[..., :rows + 1, :, :]), (q, oracle_q[..., :rows, :, :])):
+            assert got.shape == want.shape and got.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        for k in range(1, shape[0]):
+            assert oracle_p[..., -k, :, :].tobytes() == oracle_p[..., k, :, ::-1].tobytes()
+            assert oracle_q[..., -k, :, :].tobytes() == oracle_q[..., k - 1, :, ::-1].tobytes()
+
+
+@pytest.mark.parametrize("shape", MAKHOUL_SHAPES_2D + [(33, 24), (64, 64)])
+def test_2d_butterfly_has_the_bytes_of_the_pair_on_every_row(shape):
+    # the pair takes the packed rows j and n1 - j as one butterfly, with a middle
+    # row paired with itself only for an even n1; with shared and per-member
+    # multipliers, fresh, carved and in-place calls each give the bytes of the pair
+    # on every row of the fancy-index packing
+    rng = np.random.default_rng(sum(shape) + 1)
+    batch = (3,) + shape
+    x = np.stack([rng.standard_normal(shape), np.where(rng.random(shape) < 0.5, 0.0, -0.0),
+                  np.full(shape, rng.standard_normal())])
+    memory = np.empty(elliptic.transform_floats(batch, 2) + 6)[2:]
+    carved = elliptic.transform_buffers(batch, 2, memory)
+    for mult in (rng.uniform(0.1, 2.0, shape), rng.uniform(0.1, 2.0, batch)):
+        packed = pack_multiplier(mult, 2)
+        want = oracles.apply_2d(x, *oracles.pack_2d(mult))
+        for a in carved:
+            a[...] = np.nan
+        y = x.copy()
+        for got in (apply_packed(x, packed), apply_packed(x, packed, buffers=carved),
+                    apply_packed(y, packed, out=y)):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -5,12 +5,15 @@
 
 BASE and CHANGE are source trees, each with src/ and configs/; a commit's tree
 comes from `git archive REV | tar -x -C DIR`. Both are copied to paths of equal
-length (peak RSS moves with the length of the paths a run opens) and compiled
-to bytecode. Each pair then runs both sides, alternating which goes first. A
-side's run is perfbench's: the workload's one-step probe config, then its full
-config, each in a fresh interpreter running angiosim's command line from the
-copy's src/ with the inherited environment, and peak RSS from wait4. The
-configs come from perfbench/workloads.py.
+length (peak RSS moves with the length of the paths a run opens). Each pair
+then runs both sides, alternating which goes first. A side's run is
+perfbench's: the workload's one-step probe config, then its full config, each
+in a fresh interpreter running angiosim's command line from the copy's src/
+with the inherited environment, and peak RSS from wait4. The package is
+imported as perfbench's children import it: a warm-up child imports it once,
+and no bytecode is compiled ahead, so under PYTHONDONTWRITEBYTECODE=1 every
+child compiles it again, as every perfbench child does. The configs come from
+perfbench/workloads.py.
 
 Per metric it prints each side's median and interquartile range, and in how
 many of the N pairs the change was better (ties count for neither). "gain"
@@ -19,37 +22,38 @@ is better by more than the base's IQR. The exit status is 1 if any output file
 differs from the base's first run, in either tree.
 
 Noise floor: the parent tree against itself, 10 pairs, on a shared 2-core
-x86-64 virtual machine (Intel Xeon 2.0 GHz, Python 3.11.7, numpy 2.4.6).
+x86-64 virtual machine (Intel Xeon 2.0 GHz, Python 3.11.7, numpy 2.4.6), with
+PYTHONDONTWRITEBYTECODE=1 set.
 
     $ python3 tools/ab.py PARENT PARENT --workload run-2d --pairs 10
     workload run-2d, seed 0, 10 pairs, 30 steps x 1 point(s)
     metric       unit        base median [IQR]      change median [IQR] change/base   wins
-    wall_s       s             0.4779 [0.0546]             0.46 [0.066]      0.9626   5/10
-    setup_s      s             0.2648 [0.0355]          0.2735 [0.0218]      1.0327   5/10
-    steps_per_s  1/s              129.5 [18.6]               152 [29.4]      1.1736   8/10
-    peak_rss_mb  MB             46.75 [0.0205]           46.74 [0.0459]      0.9999   4/10
+    wall_s       s             0.4182 [0.0862]          0.4066 [0.0681]      0.9721   7/10
+    setup_s      s             0.2406 [0.0594]          0.2419 [0.0692]      1.0056   5/10
+    steps_per_s  1/s              148.1 [58.8]             175.8 [10.3]      1.1869   7/10
+    peak_rss_mb  MB              41.8 [0.0635]           41.83 [0.0605]      1.0007   3/10
     outputs: byte-identical in every run of both trees
 
     $ python3 tools/ab.py PARENT PARENT --workload sweep --pairs 10
     workload sweep, seed 0, 10 pairs, 1000 steps x 9 point(s)
     metric       unit        base median [IQR]      change median [IQR] change/base   wins
-    wall_s       s             0.4835 [0.0482]          0.4866 [0.0858]      1.0065   3/10
-    setup_s      s             0.2357 [0.0423]          0.2331 [0.0198]      0.9890   5/10
-    steps_per_s  1/s      3.667e+04 [3.42e+03]     3.398e+04 [7.67e+03]      0.9267   3/10
-    peak_rss_mb  MB             30.28 [0.0938]            30.27 [0.116]      0.9995   8/10
+    wall_s       s               0.406 [0.111]          0.3784 [0.0838]      0.9320   8/10
+    setup_s      s             0.1599 [0.0301]          0.1671 [0.0407]      1.0445   7/10
+    steps_per_s  1/s      3.943e+04 [1.45e+04]     4.037e+04 [1.02e+04]      1.0238   7/10
+    peak_rss_mb  MB             31.55 [0.0723]            31.54 [0.084]      0.9998   5/10
     outputs: byte-identical in every run of both trees
 
 Every ratio is inside its BENCHMARK.json bound (0.25 for the times, 0.05 for
-peak RSS), but steps_per_s moved 17% with no change and won 8 of 10: a time
-difference inside these IQRs, or won in fewer than nine of ten pairs, is not a
-gain. peak_rss_mb here reads up to 1.3 MB below perfbench's own runs of the
-same tree (the copies live under a fresh directory in TMPDIR), so compare only
-numbers from one tool.
+peak RSS), but steps_per_s moved 19% with no change: a time difference inside
+these IQRs, or won in fewer than nine of ten pairs, is not a gain. peak_rss_mb
+reads what perfbench/run.py reads for the same tree (41.8 and 31.5 MB here).
+With bytecode compiled into the copies, as this tool once did, the same tree
+read 0.9 MB lower on run-2d (40.86 MB) and 1.3 MB lower on sweep (30.26 MB),
+over 6 pairs each.
 """
 from __future__ import annotations
 
 import argparse
-import compileall
 import hashlib
 import math
 import os
@@ -84,11 +88,11 @@ class Side:
             self.cfg[kind] = os.path.join(self.tree, f"{kind}.cfg")
             with open(self.cfg[kind], "w") as fh:
                 fh.write(config_text(workload, self.tree, seed, steps))
-        if not compileall.compile_dir(os.path.join(self.tree, "src"), quiet=1):
-            sys.exit(f"ab: {source}/src does not compile")
         self.samples = {name: [] for name, _, _ in METRICS}
         self.digests = {}
-        self._spawn([sys.executable, "-c", "import angiosim.cli"])  # fills the page cache
+        # perfbench's warm-up: fills the page cache, and writes bytecode only where
+        # the environment lets every child do so
+        self._spawn([sys.executable, "-c", "import angiosim.cli"])
 
     def _spawn(self, argv: list[str]) -> tuple[float, float]:
         """Wall seconds and peak RSS (MB) of one child; exits if it fails."""
