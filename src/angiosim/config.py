@@ -6,6 +6,12 @@ and preset-constraint violations are reported with the offending key and line
 number. Presets fill every key a file leaves unset; explicit keys override
 preset defaults but still face the preset's constraints.
 
+_KEYS is the one place a key is declared: the section it belongs to, the
+field it fills, its parser and its default, which is read from the dataclass
+that holds the field wherever one does (SolverConfig, InitialSpec,
+ScenarioConfig.fit_column). A sweep may vary a key that the table gives a
+numeric parser in the params, solver or init section.
+
 Config files are read as UTF-8 whatever the locale. This module is also the
 one home of the value format: _fmt writes a swept value into a point's config
 text and every cell of an output file, a float in round-trip form
@@ -14,8 +20,10 @@ text and every cell of an output file, a float in round-trip form
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,16 +32,8 @@ from .elliptic import spectral_info
 from .functionals import TRAJECTORY_COLUMNS
 from .grid import Grid, build_grid
 
-__all__ = [
-    "FLOAT_FMT",
-    "ConfigError",
-    "ScenarioConfig",
-    "SweepSpec",
-    "PRESETS",
-    "parse_config",
-    "parse_sweep",
-    "scenario_with_overrides",
-]
+__all__ = ["FLOAT_FMT", "ConfigError", "ScenarioConfig", "SweepSpec", "PRESETS", "parse_config",
+           "parse_sweep", "scenario_with_overrides"]
 
 
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
@@ -54,37 +54,6 @@ class ConfigError(ValueError):
 
 
 # preset -> key -> default (string form, same parser as file values)
-_BASE_DEFAULTS = {
-    "seed": "0",
-    "out": "out",
-    "grid.dim": "1",
-    "grid.lengths": "1.0",
-    "grid.cells": "128",
-    "params.chi": "0.5",
-    "params.xi1": "1.0",
-    "params.xi2": "1.0",
-    "params.d": "1.0",
-    "params.a": "0.0",
-    "params.mu": "0.0",
-    "params.theta": "1.0",
-    "solver.dt": "0.005",
-    "solver.t_end": "10.0",
-    "solver.cfl_safety": "0.5",
-    "solver.flux_scheme": "upwind",
-    "solver.blowup_threshold": "1e6",
-    "solver.record_every": "10",
-    "solver.elliptic_tolerance": "1e-10",
-    "init.profile": "cosine_bump",
-    "init.base": "1.0",
-    "init.amplitude": "0.2",
-    "init.v_profile": "same",
-    "init.v_base": "same",
-    "init.v_amplitude": "same",
-    "fit.column": "l2_u_dev",
-    "fit.window_start": "auto",
-    "fit.window_end": "auto",
-}
-
 _PRESET_OVERRIDES = {
     "C1_no_mitosis": {
         "params.chi": "0.5", "params.xi1": "1.0", "params.xi2": "1.0",
@@ -122,11 +91,6 @@ _PRESET_OVERRIDES = {
     "custom": {},
 }
 PRESETS = tuple(_PRESET_OVERRIDES)
-
-_KNOWN_KEYS = {"preset", *_BASE_DEFAULTS}
-
-# keys a sweep may vary (numeric scenario knobs)
-_SWEEPABLE_PREFIXES = ("params.", "solver.", "init.")
 
 
 @dataclass(frozen=True)
@@ -196,6 +160,28 @@ def _with_overrides(table, overrides, lines=None):
     return {**table, **{key: (_fmt(value), lines.get(key, 0)) for key, value in overrides.items()}}
 
 
+# Each parser takes kv {key: (raw value, line)} and a key, and returns the key's
+# value or raises a ConfigError that names the key and its line.
+
+def _text(kv, key):
+    return kv[key][0]
+
+
+def _want_preset(kv, key):
+    preset, ln = kv[key]
+    if preset not in PRESETS:
+        raise ConfigError(f"line {ln}: unknown preset {preset!r}; choose from {PRESETS}")
+    return preset
+
+
+def _want_column(kv, key):
+    column, ln = kv[key]
+    if column not in TRAJECTORY_COLUMNS:
+        raise ConfigError(f"line {ln}: {key} = {column!r} is not a trajectory "
+                          f"column; choose from {TRAJECTORY_COLUMNS}")
+    return column
+
+
 def _want_float(kv, key):
     """A finite float; its range is the model classes' check."""
     raw, ln = kv[key]
@@ -227,12 +213,85 @@ def _want_list(kv, key, cast):
         raise ConfigError(f"line {ln}: {key} = {raw!r} is not a comma list") from None
 
 
+def _unless(word, parse):
+    """A parser that reads word as None and anything else as parse does."""
+    def parse_unless(kv, key):
+        return None if kv[key][0] == word else parse(kv, key)
+    return parse_unless
+
+
+_want_seed = functools.partial(_want_int, minimum=0)
+_want_floats, _want_ints = (functools.partial(_want_list, cast=c) for c in (float, int))
+_same_or_text, _same_or_float = _unless("same", _text), _unless("same", _want_float)
+_auto_or_float = _unless("auto", _want_float)  # auto: fit_decay_rate's default window
+
+
+class _Key(NamedTuple):
+    section: str  # scenario, grid, params, solver, seed, init or fit_window
+    field: str  # the name the section's builder takes the value by
+    parse: object  # a parser above
+    default: str | None  # its text, None for the required preset
+
+
+def _declare(key, section, name, parse, default):
+    """A table row; a dataclass as default gives its field's default ("same" for None)."""
+    if isinstance(default, type):
+        value = default.__dataclass_fields__[name].default
+        default = "same" if value is None else str(value)
+    return key, _Key(section, name, parse, default)
+
+
+# The one place a key is declared: key -> (section, field, parser, default).
+# _build_scenario builds each section from its keys in this order.
+_KEYS = dict([
+    _declare("preset", "scenario", "preset", _want_preset, None),
+    _declare("out", "scenario", "out_dir", _text, "out"),
+    _declare("grid.dim", "grid", "dim", _want_int, "1"),
+    _declare("grid.lengths", "grid", "lengths", _want_floats, "1.0"),
+    _declare("grid.cells", "grid", "cells", _want_ints, "128"),
+    _declare("params.chi", "params", "chi", _want_float, "0.5"),
+    _declare("params.xi1", "params", "xi1", _want_float, "1.0"),
+    _declare("params.xi2", "params", "xi2", _want_float, "1.0"),
+    _declare("params.d", "params", "d", _want_float, "1.0"),
+    _declare("params.a", "params", "a", _want_float, "0.0"),
+    _declare("params.mu", "params", "mu", _want_float, "0.0"),
+    _declare("params.theta", "params", "theta", _want_float, "1.0"),
+    _declare("solver.dt", "solver", "dt", _want_float, "0.005"),
+    _declare("solver.t_end", "solver", "t_end", _want_float, "10.0"),
+    _declare("solver.cfl_safety", "solver", "cfl_safety", _want_float, SolverConfig),
+    _declare("solver.flux_scheme", "solver", "flux_scheme", _text, SolverConfig),
+    _declare("solver.blowup_threshold", "solver", "blowup_threshold", _want_float, SolverConfig),
+    _declare("solver.record_every", "solver", "record_every", _want_int, SolverConfig),
+    _declare("solver.elliptic_tolerance", "solver", "elliptic_tolerance", _want_float,
+             SolverConfig),
+    _declare("seed", "seed", "seed", _want_seed, InitialSpec),
+    _declare("init.profile", "init", "profile", _text, InitialSpec),
+    _declare("init.base", "init", "base", _want_float, InitialSpec),
+    _declare("init.amplitude", "init", "amplitude", _want_float, InitialSpec),
+    _declare("init.v_profile", "init", "v_profile", _same_or_text, InitialSpec),
+    _declare("init.v_base", "init", "v_base", _same_or_float, InitialSpec),
+    _declare("init.v_amplitude", "init", "v_amplitude", _same_or_float, InitialSpec),
+    _declare("fit.column", "scenario", "fit_column", _want_column, ScenarioConfig),
+    _declare("fit.window_start", "fit_window", "start", _auto_or_float, "auto"),
+    _declare("fit.window_end", "fit_window", "end", _auto_or_float, "auto"),
+])
+
+# the keys a sweep may vary: the numeric knobs of the model, solver and profiles
+_SWEEPABLE = {key for key, k in _KEYS.items() if k.section in ("params", "solver", "init")
+              and k.parse in (_want_float, _want_int, _same_or_float)}
+
+
+def _section(kv, section):
+    """{field: value} of a section's keys, parsed in table order."""
+    return {k.field: k.parse(kv, key) for key, k in _KEYS.items() if k.section == section}
+
+
 @contextlib.contextmanager
 def _reported_as(section, kv):
     """Re-raise a ValueError of the model's own checks as a ConfigError. A message
     that opens with a field name reads as the key section.name at that key's line;
-    any other is put under section. A ConfigError from a _want_* reader already
-    names its key's line and passes unchanged."""
+    any other is put under section. A ConfigError from a parser already names its
+    key's line and passes unchanged."""
     try:
         yield
     except ConfigError:
@@ -276,125 +335,67 @@ def _check_conditioning(grid: Grid, kv) -> None:
 def _build_scenario(kv, path) -> ScenarioConfig:
     if "preset" not in kv:
         raise ConfigError(f"{path}: missing required key 'preset' (one of {PRESETS})")
-    preset, preset_ln = kv["preset"]
-    if preset not in PRESETS:
-        raise ConfigError(
-            f"line {preset_ln}: unknown preset {preset!r}; choose from {PRESETS}"
-        )
+    preset = _want_preset(kv, "preset")
 
     for key, (_raw, ln) in kv.items():
-        if key != "preset" and key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
 
-    merged = dict(_BASE_DEFAULTS)
-    merged.update(_PRESET_OVERRIDES[preset])
-    filled = {k: (v, 0) for k, v in merged.items()}
-    filled.update(kv)
-    kv = filled
+    kv = {**{key: (k.default, 0) for key, k in _KEYS.items()},
+          **{key: (raw, 0) for key, raw in _PRESET_OVERRIDES[preset].items()}, **kv}
 
     with _reported_as("grid", kv):
-        grid = build_grid(_want_int(kv, "grid.dim"), _want_list(kv, "grid.lengths", float),
-                          _want_list(kv, "grid.cells", int))
+        grid = build_grid(**_section(kv, "grid"))
     _check_conditioning(grid, kv)
 
     with _reported_as("params", kv):
-        params = ModelParams(
-            chi=_want_float(kv, "params.chi"),
-            xi1=_want_float(kv, "params.xi1"),
-            xi2=_want_float(kv, "params.xi2"),
-            d=_want_float(kv, "params.d"),
-            a=_want_float(kv, "params.a"),
-            mu=_want_float(kv, "params.mu"),
-            theta=_want_float(kv, "params.theta"),
-            n_dim=grid.dim,
-        )
+        params = ModelParams(**_section(kv, "params"), n_dim=grid.dim)
 
     with _reported_as("solver", kv):
-        solver = SolverConfig(
-            dt=_want_float(kv, "solver.dt"),
-            t_end=_want_float(kv, "solver.t_end"),
-            cfl_safety=_want_float(kv, "solver.cfl_safety"),
-            flux_scheme=kv["solver.flux_scheme"][0],
-            blowup_threshold=_want_float(kv, "solver.blowup_threshold"),
-            record_every=_want_int(kv, "solver.record_every"),
-            elliptic_tolerance=_want_float(kv, "solver.elliptic_tolerance"),
-        )
-
-    seed = _want_int(kv, "seed", minimum=0)
+        solver = SolverConfig(**_section(kv, "solver"))
 
     with _reported_as("init", kv):
-        initial = InitialSpec(
-            profile=kv["init.profile"][0],
-            base=_want_float(kv, "init.base"),
-            amplitude=_want_float(kv, "init.amplitude"),
-            seed=seed,
-            v_profile=(None if kv["init.v_profile"][0] == "same" else kv["init.v_profile"][0]),
-            v_base=(None if kv["init.v_base"][0] == "same" else _want_float(kv, "init.v_base")),
-            v_amplitude=(None if kv["init.v_amplitude"][0] == "same" else _want_float(kv, "init.v_amplitude")),
-        )
+        initial = InitialSpec(**_section(kv, "seed"), **_section(kv, "init"))
 
-    fit_column, fit_ln = kv["fit.column"]
-    if fit_column not in TRAJECTORY_COLUMNS:
-        raise ConfigError(f"line {fit_ln}: fit.column = {fit_column!r} is not a trajectory "
-                          f"column; choose from {TRAJECTORY_COLUMNS}")
+    scenario = _section(kv, "scenario")  # preset, out_dir, fit_column
 
-    ws_raw = kv["fit.window_start"][0]
-    we_raw = kv["fit.window_end"][0]
-    if (ws_raw == "auto") != (we_raw == "auto"):
-        raise ConfigError("fit.window_start and fit.window_end must be set together")
-    fit_window = None
-    if ws_raw != "auto":
-        fit_window = (
-            _want_float(kv, "fit.window_start"),
-            _want_float(kv, "fit.window_end"),
-        )
-        if not fit_window[0] < fit_window[1]:
-            raise ConfigError(f"fit window must satisfy start < end, got {fit_window}")
+    (start, start_ln), (end, end_ln) = kv["fit.window_start"], kv["fit.window_end"]
+    if (start == "auto") != (end == "auto"):
+        raise ConfigError(f"line {end_ln if start == 'auto' else start_ln}: "
+                          "fit.window_start and fit.window_end must be set together")
+    fit_window = None if start == "auto" else tuple(_section(kv, "fit_window").values())
+    if fit_window and not fit_window[0] < fit_window[1]:
+        raise ConfigError(f"line {end_ln}: fit window must satisfy start < end, got {fit_window}")
 
-    cfg = ScenarioConfig(
-        preset=preset,
-        out_dir=kv["out"][0],
-        grid=grid,
-        params=params,
-        solver=solver,
-        initial=initial,
-        fit_column=fit_column,
-        fit_window=fit_window,
-    )
-    _check_preset_constraints(cfg)
+    cfg = ScenarioConfig(**scenario, grid=grid, params=params, solver=solver, initial=initial,
+                         fit_window=fit_window)
+    _check_preset_constraints(cfg, kv)
     return cfg
 
 
-def _check_preset_constraints(cfg: ScenarioConfig) -> None:
+def _check_preset_constraints(cfg: ScenarioConfig, kv) -> None:
+    """Reject the parameters a preset's scenario excludes, at the line of the
+    first key at fault."""
     p = cfg.params
-    preset = cfg.preset
-    if preset == "C1_no_mitosis" and not p.growth_free:
-        raise ConfigError(
-            "preset C1_no_mitosis requires params.a = 0 and params.mu = 0 "
-            "(growth-free convergence scenario)"
-        )
-    if preset == "C2_logistic":
-        if p.a <= 0.0:
-            raise ConfigError(
-                "preset C2_logistic requires params.a > 0: the carrying state "
-                "b = (a/mu)^(1/theta) degenerates to 0 at a = 0"
-            )
-        if p.mu <= 0.0:
-            raise ConfigError("preset C2_logistic requires params.mu > 0")
-        if p.theta < 1.0:
-            raise ConfigError("preset C2_logistic requires params.theta >= 1")
-    if preset == "chi_zero_corollary" and p.chi != 0.0:
-        raise ConfigError("preset chi_zero_corollary requires params.chi = 0")
-    if preset == "R3_theta_gt1":
-        if p.theta <= 1.0:
-            raise ConfigError("preset R3_theta_gt1 requires params.theta > 1")
-        if p.mu <= 0.0:
-            raise ConfigError("preset R3_theta_gt1 requires params.mu > 0")
-    if preset == "heat_oracle" and (p.chi or p.xi1 or p.xi2 or p.a or p.mu):
-        raise ConfigError(
-            "preset heat_oracle requires chi = xi1 = xi2 = a = mu = 0 "
-            "(pure diffusion oracle)"
-        )
+    heat = "chi = xi1 = xi2 = a = mu = 0 (pure diffusion oracle)"
+    # preset -> (key, whether its value breaks the rule, the rule) in check order
+    rules = {
+        "C1_no_mitosis": [("params.a" if p.a else "params.mu", not p.growth_free,
+                           "params.a = 0 and params.mu = 0 (growth-free convergence scenario)")],
+        "C2_logistic": [
+            ("params.a", p.a <= 0.0, "params.a > 0: the carrying state "
+             "b = (a/mu)^(1/theta) degenerates to 0 at a = 0"),
+            ("params.mu", p.mu <= 0.0, "params.mu > 0"),
+            ("params.theta", p.theta < 1.0, "params.theta >= 1")],
+        "chi_zero_corollary": [("params.chi", p.chi != 0.0, "params.chi = 0")],
+        "R3_theta_gt1": [("params.theta", p.theta <= 1.0, "params.theta > 1"),
+                         ("params.mu", p.mu <= 0.0, "params.mu > 0")],
+        "heat_oracle": [(f"params.{name}", getattr(p, name) != 0.0, heat)
+                        for name in ("chi", "xi1", "xi2", "a", "mu")],
+    }
+    for key, broken, rule in rules.get(cfg.preset, ()):
+        if broken:
+            raise ConfigError(f"line {kv[key][1]}: preset {cfg.preset} requires {rule}")
 
 
 def parse_config(path, overrides=None) -> ScenarioConfig:
@@ -403,9 +404,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     kv = _read_kv(path, overrides)
     sweep_keys = [k for k in kv if k.startswith("sweep.")]
     if sweep_keys:
-        raise ConfigError(
-            f"{path}: sweep keys {sweep_keys} present; use the 'sweep' subcommand"
-        )
+        raise ConfigError(f"{path}: sweep keys {sweep_keys} present; use the 'sweep' subcommand")
     return _build_scenario(kv, path)
 
 
@@ -427,8 +426,8 @@ def parse_sweep(path, overrides=None) -> SweepSpec:
             _want_int(kv, key, minimum=1)
         elif target == "max_points":
             max_points = _want_int(kv, key, minimum=1)
-        elif target.startswith(_SWEEPABLE_PREFIXES) and target in _KNOWN_KEYS:
-            values = _want_list(kv, key, float)
+        elif target in _SWEEPABLE:
+            values = _want_floats(kv, key)
             if not values:
                 raise ConfigError(f"line {ln}: empty sweep axis {key}")
             if not all(map(math.isfinite, values)):
@@ -441,9 +440,7 @@ def parse_sweep(path, overrides=None) -> SweepSpec:
         raise ConfigError(f"{path}: no sweep axes (add e.g. sweep.params.chi = 0.1, 0.5)")
     n_points = math.prod(len(vals) for _, vals in axes)
     if n_points > max_points:
-        raise ConfigError(
-            f"{path}: sweep has {n_points} points, above the cap {max_points}"
-        )
+        raise ConfigError(f"{path}: sweep has {n_points} points, above the cap {max_points}")
     base = _build_scenario(dict(scenario_kv), path)
     return SweepSpec(base, tuple(axes), max_points, dict(scenario_kv), axis_lines)
 

@@ -1,4 +1,7 @@
+import contextlib
+import itertools
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from angiosim import dynamics, harness
+from angiosim import config, dynamics, harness
 from angiosim.cli import main
 from angiosim.config import (
     ConfigError,
@@ -16,7 +19,7 @@ from angiosim.config import (
     parse_sweep,
     scenario_with_overrides,
 )
-from angiosim.functionals import InequalityCheck
+from angiosim.functionals import TRAJECTORY_COLUMNS, InequalityCheck
 
 FAST_RUN = """
     preset = custom
@@ -112,6 +115,22 @@ def test_fit_window_pair(tmp_path):
     assert cfg.fit_window == (2.0, 8.0)
 
 
+def test_the_readme_key_table_is_the_config_table():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    # {key: default text}, in README's order
+    documented = dict(tuple(cell.strip().strip("`") for cell in row.split("|")[1:3]) for row in rows)
+    assert list(documented) == list(config._KEYS)
+    for key, k in config._KEYS.items():
+        if k.default is None:  # the preset
+            assert documented[key] == "required"
+        else:
+            as_documented = k.parse({key: (documented[key], 0)}, key)
+            assert as_documented == k.parse({key: (k.default, 0)}, key), key
+
+
 @pytest.mark.parametrize("body, fragment", [
     ("", "missing required key 'preset'"),
     ("preset = bogus\n", "unknown preset"),
@@ -184,6 +203,36 @@ def test_cli_run_infinite_t_end_exits_1_in_one_line(tmp_path):
      "line 2: solver.record_every = '2.5' is not an integer"),
     ("preset = custom\nseed = -1\n", "line 2: seed must be >= 0, got -1"),
     ("preset = custom\ngrid.cells = 64, x\n", "line 2: grid.cells = '64, x' is not a comma list"),
+    # a window set by one key alone is at fault at that key's line, and an
+    # empty window at fit.window_end's
+    ("preset = custom\n\nfit.window_start = 1.0\n",
+     "line 3: fit.window_start and fit.window_end must be set together"),
+    ("preset = custom\nfit.window_end = 1.0\n",
+     "line 2: fit.window_start and fit.window_end must be set together"),
+    ("preset = custom\nfit.window_end = 1.0\nfit.window_start = 2.0\n",
+     "line 2: fit window must satisfy start < end, got (2.0, 1.0)"),
+    # a preset's constraint names the first key that breaks it
+    ("preset = C1_no_mitosis\nparams.a = 1.0\n",
+     "line 2: preset C1_no_mitosis requires params.a = 0 and params.mu = 0 "
+     "(growth-free convergence scenario)"),
+    ("preset = C1_no_mitosis\n\nparams.mu = 1.0\n",
+     "line 3: preset C1_no_mitosis requires params.a = 0 and params.mu = 0 "
+     "(growth-free convergence scenario)"),
+    ("preset = C2_logistic\nparams.a = 0.0\n",
+     "line 2: preset C2_logistic requires params.a > 0: the carrying state "
+     "b = (a/mu)^(1/theta) degenerates to 0 at a = 0"),
+    ("preset = C2_logistic\nparams.mu = 0\n",
+     "line 2: preset C2_logistic requires params.mu > 0"),
+    ("preset = C2_logistic\nparams.theta = 0.5\n",
+     "line 2: preset C2_logistic requires params.theta >= 1"),
+    ("preset = chi_zero_corollary\nparams.chi = 0.5\n",
+     "line 2: preset chi_zero_corollary requires params.chi = 0"),
+    ("preset = R3_theta_gt1\nparams.theta = 1.0\n",
+     "line 2: preset R3_theta_gt1 requires params.theta > 1"),
+    ("preset = R3_theta_gt1\nparams.mu = 0.0\n",
+     "line 2: preset R3_theta_gt1 requires params.mu > 0"),
+    ("preset = heat_oracle\nparams.a = 1\n\nparams.xi2 = 0.5\n",
+     "line 4: preset heat_oracle requires chi = xi1 = xi2 = a = mu = 0 (pure diffusion oracle)"),
 ])
 def test_config_error_names_its_key_once(tmp_path, body, message):
     with pytest.raises(ConfigError) as info:
@@ -282,6 +331,13 @@ def test_each_range_checked_field_names_its_own_key_and_line(tmp_path, key, valu
     assert str(info.value) == f"line 2: {key} {rule}"
 
 
+def test_a_swept_value_a_preset_rejects_names_its_axis_line(tmp_path):
+    spec = parse_sweep(write_cfg(tmp_path, "preset = C2_logistic\n\nsweep.params.a = 0, 1\n"))
+    with pytest.raises(ConfigError) as info:
+        scenario_with_overrides(spec.base_keys, {"params.a": 0.0}, lines=spec.axis_lines)
+    assert str(info.value).startswith("line 3: preset C2_logistic requires params.a > 0")
+
+
 def test_sweep_over_an_integer_key(tmp_path):
     spec = parse_sweep(write_cfg(tmp_path, "preset = custom\nsweep.solver.record_every = 1, 5\n"))
     assert [scenario_with_overrides(spec.base_keys, {"solver.record_every": v}).solver.record_every
@@ -326,8 +382,16 @@ def test_sweep_axes_and_defaults(tmp_path):
 
 
 def test_sweep_rejects_unsweepable_key(tmp_path):
-    with pytest.raises(ConfigError, match="not a sweepable key"):
-        parse_sweep(write_cfg(tmp_path, "preset = custom\nsweep.out = a, b\n"))
+    # only a numeric key of params, solver or init can be swept: a sweep over
+    # init.profile was accepted, with an error in every row, and one over
+    # solver.flux_scheme said its values were not a comma list
+    for key, values in [("out", "a, b"), ("seed", "1, 2"), ("init.profile", "1, 2"),
+                        ("solver.flux_scheme", "upwind, central"),
+                        ("init.v_profile", "constant, same"), ("fit.column", "t, mass_u")]:
+        body = f"preset = custom\ngrid.cells = 16\nsweep.{key} = {values}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_sweep(write_cfg(tmp_path, body))
+        assert str(info.value) == f"line 3: {key!r} is not a sweepable key"
 
 
 def test_sweep_requires_axes(tmp_path):
@@ -1145,69 +1209,82 @@ def test_console_script_usage_error():
 # ---------------------------------------------------------------------------
 # every config the parser accepts ends in a documented exit code
 
-FLOAT_KEYS = ("params.chi", "params.xi1", "params.xi2", "params.d", "params.a",
-              "params.mu", "params.theta", "solver.cfl_safety", "solver.blowup_threshold",
-              "solver.elliptic_tolerance", "init.base", "init.amplitude",
-              "init.v_base", "init.v_amplitude")
 SPECIAL = [0.0, -1.0, math.nan, math.inf, -math.inf]
+FLOATS = st.floats(-10.0, 10.0) | st.sampled_from(SPECIAL + [1e308])
+WORDS = st.sampled_from(config.PRESETS + dynamics.FLUX_SCHEMES + dynamics.INITIAL_PROFILES
+                        + ("same", "auto", "bogus"))
+# one strategy per parser of the config table: in-range values, 0, negatives,
+# 1e308, the non-finite values and words of the wrong key
+DRAWS = {
+    config._text: WORDS,
+    config._want_preset: st.sampled_from(config.PRESETS + ("bogus",)),
+    config._want_column: st.sampled_from(TRAJECTORY_COLUMNS + ("bogus",)),
+    config._want_float: FLOATS,
+    config._want_int: st.sampled_from([1, 2]) | st.integers(-1, 64),
+    config._want_seed: st.integers(-1, 2**70),
+    # one or two lengths, and 4e-160, whose spacing over 4 cells has a subnormal square
+    config._want_floats: st.lists(FLOATS | st.just(4e-160), min_size=1, max_size=2),
+    # one or two cell counts: 1-64 an axis, 0 and negatives
+    config._want_ints: st.lists(st.integers(1, 64) | st.sampled_from([0, -1, -64]),
+                                min_size=1, max_size=2),
+    config._same_or_text: st.just("same") | WORDS,
+    config._same_or_float: st.just("same") | FLOATS,
+    config._auto_or_float: st.just("auto") | FLOATS,
+}
+# no run takes more than 100 steps of the base dt = 0.005 (t_end <= 0.5) nor a smaller dt
+BY_KEY = {"solver.t_end": st.floats(1e-3, 0.5) | st.sampled_from(SPECIAL),
+          "solver.dt": st.floats(0.005, 1e308) | st.sampled_from(SPECIAL)}
+# dt and t_end are always set, since a preset's own pair may take 10,000 steps
+BASE = {"preset": "custom", "grid.cells": [16], "solver.dt": 0.005, "solver.t_end": 0.05,
+        "solver.record_every": 5}
+ENTRY = st.sampled_from(list(config._KEYS)).flatmap(lambda key: st.tuples(
+    st.just(key), BY_KEY[key] if key in BY_KEY else DRAWS[config._KEYS[key].parse]))
 
 
-def values_for(key):
-    """Finite in-range numbers, 0, negatives, 1e308 and the non-finite values,
-    bounded so that no run takes more than 100 steps of the base dt = 0.005
-    (t_end <= 0.5) nor a smaller dt."""
-    if key == "solver.t_end":
-        return st.floats(1e-3, 0.5) | st.sampled_from(SPECIAL)
-    if key == "solver.dt":
-        return st.floats(0.005, 1e308) | st.sampled_from(SPECIAL)
-    return st.floats(-10.0, 10.0) | st.sampled_from(SPECIAL + [1e308])
+def test_the_fuzz_has_a_strategy_for_every_parser():
+    assert {k.parse for k in config._KEYS.values()} <= DRAWS.keys()
 
 
-ENTRY = st.sampled_from(FLOAT_KEYS + ("solver.dt", "solver.t_end")).flatmap(
-    lambda key: st.tuples(st.just(key), values_for(key)))
-
-BASE_GRID = {"grid.cells": [16]}
-# grid.dim, and one or two cell counts and lengths, which need not match it: 1-64
-# cells an axis, 0 and negatives; lengths as values_for draws them, and 4e-160,
-# whose spacing over 4 cells has a subnormal square
-GRID = st.fixed_dictionaries({
-    "grid.dim": st.integers(1, 2) | st.sampled_from([0, -1, 3]),
-    "grid.cells": st.lists(st.integers(1, 64) | st.sampled_from([0, -1, -64]),
-                           min_size=1, max_size=2),
-    "grid.lengths": st.lists(values_for("grid.lengths") | st.just(4e-160),
-                             min_size=1, max_size=2),
-})
+def config_line(key, value):
+    if isinstance(value, list):
+        return f"{key} = {', '.join(map(repr, value))}\n"
+    return f"{key} = {value if isinstance(value, str) else repr(value)}\n"
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(entries=st.lists(ENTRY, min_size=1, max_size=2, unique_by=lambda e: e[0]),
-       grid=st.just(BASE_GRID) | GRID)
-@example(entries=[("solver.dt", math.nan)], grid=BASE_GRID)
-@example(entries=[("solver.t_end", math.nan)], grid=BASE_GRID)
-@example(entries=[("solver.t_end", math.inf)], grid=BASE_GRID)
-@example(entries=[("params.theta", math.nan)], grid=BASE_GRID)
-@example(entries=[("solver.blowup_threshold", math.nan)], grid=BASE_GRID)
-@example(entries=[("params.chi", math.nan)], grid=BASE_GRID)
-@example(entries=[("params.mu", math.nan)], grid=BASE_GRID)
-@example(entries=[("params.d", math.inf)], grid=BASE_GRID)
-@example(entries=[("init.base", math.nan)], grid=BASE_GRID)
+@given(entries=st.lists(ENTRY, min_size=1, max_size=3, unique_by=lambda e: e[0]))
+@example(entries=[("solver.dt", math.nan)])
+@example(entries=[("solver.t_end", math.nan)])
+@example(entries=[("solver.t_end", math.inf)])
+@example(entries=[("params.theta", math.nan)])
+@example(entries=[("solver.blowup_threshold", math.nan)])
+@example(entries=[("params.chi", math.nan)])
+@example(entries=[("params.mu", math.nan)])
+@example(entries=[("params.d", math.inf)])
+@example(entries=[("init.base", math.nan)])
 # chi^2 and the floor's powers overflow, and so does (1/mu)^((n+1)/theta)
-@example(entries=[("params.chi", 1e308)], grid=BASE_GRID)
-@example(entries=[("params.mu", 3.26e-184)], grid=BASE_GRID)
-@example(entries=[("params.chi", 1.0)], grid={"grid.dim": 2, "grid.cells": [64, 64],
-                                               "grid.lengths": [1.0, 1.0]})
-@example(entries=[("params.chi", 1.0)], grid={"grid.cells": [4], "grid.lengths": [4e-160]})
-@example(entries=[("params.chi", 1.0)], grid={"grid.dim": 2, "grid.cells": [0, -1]})
-@example(entries=[("params.chi", 1.0)], grid={"grid.dim": 3, "grid.cells": [16]})
-def test_every_config_ends_in_a_documented_exit_code(tmp_path, entries, grid, capsys):
-    # a drawn solver.t_end replaces the base one, which would otherwise be a duplicate key
-    keys = {"solver.t_end": 0.05, "solver.record_every": 5, **grid, **dict(entries)}
-    text = "preset = custom\n"
-    for key, value in keys.items():
-        text += f"{key} = {', '.join(map(repr, value if isinstance(value, list) else [value]))}\n"
+@example(entries=[("params.chi", 1e308)])
+@example(entries=[("params.mu", 3.26e-184)])
+@example(entries=[("params.chi", 1.0), ("grid.dim", 2), ("grid.cells", [64, 64]),
+                  ("grid.lengths", [1.0, 1.0])])
+@example(entries=[("grid.cells", [4]), ("grid.lengths", [4e-160])])
+@example(entries=[("grid.dim", 2), ("grid.cells", [0, -1])])
+@example(entries=[("grid.dim", 3)])
+@example(entries=[("solver.record_every", 0)])
+@example(entries=[("seed", -1)])
+@example(entries=[("fit.window_start", 1.0)])
+@example(entries=[("fit.column", "bogus")])
+@example(entries=[("init.profile", "random_positive"), ("grid.dim", 2)])
+@example(entries=[("preset", "heat_oracle")])
+def test_every_config_ends_in_a_documented_exit_code(tmp_path, entries, capsys):
+    # a drawn key replaces the base one, which would otherwise be a duplicate key
+    text = "".join(config_line(key, value) for key, value in {**BASE, **dict(entries)}.items())
     cfg = tmp_path / "case.cfg"
     cfg.write_text(text)
+    with contextlib.suppress(ConfigError):
+        solver = parse_config(str(cfg)).solver
+        assert solver.t_end / solver.dt <= 100
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
