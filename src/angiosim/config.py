@@ -380,7 +380,7 @@ def _check_preset_constraints(cfg: ScenarioConfig, kv) -> None:
     heat = "chi = xi1 = xi2 = a = mu = 0 (pure diffusion oracle)"
     # preset -> (key, whether its value breaks the rule, the rule) in check order
     rules = {
-        "C1_no_mitosis": [("params.a" if p.a else "params.mu", not p.growth_free,
+        "C1_no_mitosis": [("params.a" if p.a else "params.mu", p.growth.name != "growth-free",
                            "params.a = 0 and params.mu = 0 (growth-free convergence scenario)")],
         "C2_logistic": [
             ("params.a", p.a <= 0.0, "params.a > 0: the carrying state "

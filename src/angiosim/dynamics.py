@@ -71,6 +71,7 @@ from .grid import (
 )
 
 __all__ = [
+    "GROWTH",
     "ModelParams",
     "SimState",
     "SolverConfig",
@@ -88,6 +89,19 @@ INITIAL_PROFILES = ("constant", "cosine_bump", "gaussian_bump", "random_positive
 FLUX_SCHEMES = ("upwind", "central")
 
 
+# The paper's growth regimes by (a > 0, mu > 0); ModelParams.growth is a member's
+# row: target(p, u0_mean), what l2_u_dev and l2_v_dev measure u and v against; the
+# Lyapunov functional recorded; whether u reacts; whether the mass ceiling m1 holds;
+# and whether an exponential rate is claimed (damping alone takes u to 0 like t^(-1/theta)).
+Growth = namedtuple("Growth", "name target functional reacts mass_ceiling claims_rate")
+GROWTH = {
+    (False, False): Growth("growth-free", lambda p, u0_mean: u0_mean, "F1", False, True, True),
+    (True, True): Growth("logistic", lambda p, u0_mean: p.carrying_state, "F2", True, True, True),
+    (False, True): Growth("damping-only", lambda p, u0_mean: 0.0, None, True, True, False),
+    (True, False): Growth("growing", lambda p, u0_mean: u0_mean, None, True, False, True),
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """chi: attraction, xi1/xi2: repulsion couplings, d: factor diffusivity,
@@ -95,11 +109,9 @@ class ModelParams:
 
     The analysis regime needs xi1, xi2 > 0; zero values are permitted for
     oracle runs and flagged off_regime. The paper's convergence results split by
-    growth regime, and every part of the package reads the split from here:
-    growth_free (a = mu = 0, convergence to the initial mean of u), logistic
-    (a, mu > 0, convergence to carrying_state, b = (a/mu)^(1/theta)) or neither.
-    The numbers are held as numpy float64, so formulas on them read inf past the
-    float range where Python floats raise.
+    growth regime: growth is the member's row of GROWTH, which every part of the
+    package reads. The numbers are held as numpy float64, so formulas on them
+    read inf past the float range where Python floats raise.
     """
 
     chi: float
@@ -129,17 +141,15 @@ class ModelParams:
         return self.xi1 == 0.0 or self.xi2 == 0.0
 
     @property
-    def growth_free(self) -> bool:
-        return bool(self.a == 0.0 and self.mu == 0.0)
-
-    @property
-    def logistic(self) -> bool:
-        return bool(self.a > 0.0 and self.mu > 0.0)
+    def growth(self) -> Growth:
+        return GROWTH[bool(self.a > 0.0), bool(self.mu > 0.0)]
 
     @property
     def carrying_state(self) -> float:
         """b = (a/mu)^(1/theta) of a logistic member, nan otherwise."""
-        return (self.a / self.mu) ** (1.0 / self.theta) if self.logistic else math.nan
+        if self.growth.name != "logistic":
+            return math.nan
+        return (self.a / self.mu) ** (1.0 / self.theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,11 +516,11 @@ class Stepper:
                          for name in ("chi", "xi1", "xi2"))
         self._couplings = (chi, xi1, -xi2)  # as _face_speeds takes them
         self._growth_rows = growth_columns(self.params)
-        # members with a logistic term, by exponent, with their a and mu: u^theta
+        # members with a reaction term, by exponent, with their a and mu: u^theta
         # keeps a scalar exponent, as for a member on its own
         growth = {}
         for row, p in enumerate(self.params):
-            if not p.growth_free:
+            if p.growth.reacts:
                 growth.setdefault(p.theta, []).append(row)
         self._growth = [
             (rows, theta, *(_shared([getattr(self.params[r], name) for r in rows],

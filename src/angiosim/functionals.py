@@ -3,9 +3,10 @@
 diagnostics_batch reads the trajectory columns straight off the time loop's
 state: the stacked (2B, *cells) (u, v) array, w, the per-row max and min that
 the step took of the first (row_extrema) and the relative residuals its
-potential gate took of w. Its Lyapunov functionals are
-    F1 = int u log(u/ubar) + (chi/2) ||grad v||^2              (a = mu = 0)
-    F2 = int (u - b - b log(u/b)) + (b chi^2 / 2d) int (v - b)^2   (a, mu > 0)
+potential gate took of w. Its Lyapunov functionals, each recorded in the growth
+regime (dynamics.GROWTH) named beside it, are
+    F1 = int u log(u/ubar) + (chi/2) ||grad v||^2              (growth-free)
+    F2 = int (u - b - b log(u/b)) + (b chi^2 / 2d) int (v - b)^2   (logistic)
 with b = (a/mu)^(1/theta) the logistic carrying state. The verification
 battery's functionals (relative_entropy, entropy_sandwich_check, grad_l2 and
 the interpolation inequalities) take arrays shaped like grid.cells, and the
@@ -52,11 +53,12 @@ class DiagnosticsRecord:
     columns of trajectory.csv, in order (TRAJECTORY_COLUMNS).
 
     mass_u, mass_v: int u and int v; linf_u, linf_v: their max norms; l2_u_dev,
-    l2_v_dev: ||u - target||_2 and ||v - target||_2, the target being the logistic
-    carrying state b = (a/mu)^(1/theta) when a, mu > 0 and the initial mean of u
-    otherwise; l2_grad_v: ||grad v||_2 on the faces; linf_grad_w: the largest
-    |grad w| on a face; F1, F2: the Lyapunov functionals (module docstring), nan
-    where they do not apply; elliptic_residual: the potential's relative residual
+    l2_v_dev: ||u - target||_2 and ||v - target||_2, the target being the growth
+    regime's (dynamics.GROWTH): b = (a/mu)^(1/theta) on logistic runs, 0 on
+    damping-only ones and the initial mean of u otherwise; l2_grad_v:
+    ||grad v||_2 on the faces; linf_grad_w: the largest |grad w| on a face; F1,
+    F2: the Lyapunov functionals (module docstring), nan where they do not apply;
+    elliptic_residual: the potential's relative residual
     |lap w + u - mean u| / |u - mean u|; min_u, min_v: the smallest cell values.
     """
 
@@ -404,7 +406,7 @@ def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
     potential's gate took it.
 
     Member b has ModelParams params[b] and initial mean u0_means[b]; see
-    diagnostics_record for what each column holds. The minima and the F1/F2
+    DiagnosticsRecord for what each column holds. The minima and the F1/F2
     positivity test read extrema, and the sup norms are |max(max, -min)|, with
     the bits of max |row|. Every reduction sums one member's C-contiguous row in
     the order a lone member's flat values sum, so each row is byte-identical to
@@ -418,7 +420,7 @@ def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
     v, fu, fv = uv[n:], *uv.reshape(2, n, m)
     scratch = np.empty((2,) + w.shape)
     flat = scratch.reshape(2, n, m)
-    targets = [p.carrying_state if p.logistic else u0 for p, u0 in zip(params, u0_means)]
+    targets = [p.growth.target(p, u0) for p, u0 in zip(params, u0_means)]
     column = np.array(targets).reshape(n, 1)
     linf = np.abs(np.maximum(extrema[0], -extrema[1])).tolist()  # as max |row|: +0.0, nan unsigned
     lows, sums, residual = extrema[1].tolist(), _row_sums(uv), residuals.tolist()
@@ -429,16 +431,16 @@ def diagnostics_batch(t, uv, w, extrema, residuals, grid: Grid, params,
     grad_w = [np.abs(g, out=g).max(axis=grid.axes).tolist()
               for g in gradient_arrays(w, grid.spacing, faces)]
 
-    # F1 on growth-free members, F2 on logistic ones, where u > 0
+    # each member's functional, where u > 0
     f1, f2 = [math.nan] * n, [math.nan] * n
-    f1_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.growth_free]
+    f1_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.growth.functional == "F1"]
     if f1_rows:
         ents = _entropies(_rows(fu, f1_rows, n), [sums[b] / m for b in f1_rows], vol,
                           flat[:, :len(f1_rows)])
         for b, e in zip(f1_rows, ents):
             # numpy's power, the same libm pow as Python's, reads inf where Python's raises
             f1[b] = e + 0.5 * params[b].chi * np.float64(l2_grad_v[b]) ** 2
-    f2_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.logistic]
+    f2_rows = [b for b, p in enumerate(params) if lows[b] > 0.0 and p.growth.functional == "F2"]
     if f2_rows:
         k = len(f2_rows)
         carry = _rows(column, f2_rows, n)
@@ -469,10 +471,9 @@ def diagnostics_record(state, p, u0_mean: float) -> DiagnosticsRecord:
     """The diagnostics row of one SimState: diagnostics_batch with one member,
     its u and v stacked as a (2, *cells) array and its elliptic_residual taken.
 
-    Deviation target is the logistic carrying state b = (a/mu)^(1/theta) when
-    a, mu > 0, otherwise the (conserved) initial mean. F1 is recorded on
-    growth-free runs, F2 on logistic runs; either is nan when its positivity
-    precondition fails (possible under the central flux scheme).
+    The deviation target and the functional are p's growth regime's (see
+    DiagnosticsRecord); F1 or F2 is nan when its positivity precondition fails
+    (possible under the central flux scheme).
     """
     uv = np.stack((state.u, state.v))
     extrema = row_extrema(uv, state.grid.dim)

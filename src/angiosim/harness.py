@@ -89,41 +89,21 @@ def _fit_column(recs, column: str, window):
     return fit_decay_rate([(r.t, getattr(r, column)) for r in recs], window)
 
 
-def _build_report(cfg: ScenarioConfig, traj: Trajectory, cp: float) -> ThresholdReport:
+def _report(cfg: ScenarioConfig, traj: Trajectory, cp: float):
+    """(ThresholdReport, summary lines as (key, value) pairs) of a run: the
+    structural bounds and the measured sups, A = sup ||v||_inf and B =
+    sup |grad w|, then what the growth regime (dynamics.GROWTH) adds, and the fit."""
     p, recs = cfg.params, traj.records
-    vals = {}
-    vals["m1"] = compute_m1(recs[0].mass_u, p, cfg.grid.measure)
+    vals = {"m1": compute_m1(recs[0].mass_u, p, cfg.grid.measure)}
     if p.xi2 > 0.0:
         vals["M0"] = structural_M0(p)
         try:
-            m1c, m_mu = m1c_value(p, vals["M0"])
-            vals["M1c"] = m1c
-            if not math.isnan(m_mu):
-                vals["M_mu"] = m_mu
+            vals["M1c"], vals["M_mu"] = m1c_value(p, vals["M0"])
             vals["gradw_bound"] = structural_gradw_bound(p, vals["M0"])
         except ValueError:
             pass  # no gradient-bound branch applies; fields stay nan
-
-    A = np.float64(max(r.linf_v for r in recs))
-    B = np.float64(max(r.linf_grad_w for r in recs))
-    vals["empirical_A"], vals["empirical_B"] = A, B
-
-    if p.growth_free and p.xi1 > 0.0:
-        vals["d0_check_value"], vals["epsilon1"] = empirical_d0_check(p, A, B)
-    if p.logistic:
-        vals["b"] = p.carrying_state
-        vals["lambda_of_z"] = lambda_of_z(p, cp, A * A)
-        try:  # both need theta >= 1; sigma also needs mu above its bracket
-            vals["mu_threshold"] = empirical_mu_threshold(p, cp, A)
-            vals["sigma"] = sigma_rate(p, cp, A)
-        except ValueError:
-            pass
-    return ThresholdReport(**vals)
-
-
-def _verdict_lines(cfg: ScenarioConfig, traj: Trajectory, rep: ThresholdReport, cp: float):
-    p = cfg.params
-    recs = traj.records
+    A = vals["empirical_A"] = np.float64(max(r.linf_v for r in recs))
+    B = vals["empirical_B"] = np.float64(max(r.linf_grad_w for r in recs))
     lines = [
         ("preset", cfg.preset),
         ("regime", condition_presets(p) if not p.off_regime else "off_regime"),
@@ -137,38 +117,46 @@ def _verdict_lines(cfg: ScenarioConfig, traj: Trajectory, rep: ThresholdReport, 
     ]
     if traj.failure_detail:
         lines.append(("failure_detail", traj.failure_detail))
-
-    if p.mu > 0.0 or p.a == 0.0:
-        ceiling_ok = max(r.mass_u for r in recs) <= rep.m1 * (1.0 + 1e-9) + 1e-12
+    if p.growth.mass_ceiling:
+        ceiling_ok = max(r.mass_u for r in recs) <= vals["m1"] * (1.0 + 1e-9) + 1e-12
         lines.append(("mass_ceiling_ok", ceiling_ok))
 
-    if p.growth_free:
-        if not math.isnan(rep.d0_check_value):
-            lines.append(("d0_check", "pass" if rep.d0_check_value >= 0.0 else "fail"))
-            lines.append(("d0_check_value", rep.d0_check_value))
-            lines.append(("epsilon1", rep.epsilon1))
+    # the regime's own report values and summary lines
+    if p.growth.name == "growth-free":
+        if p.xi1 > 0.0:
+            check, eps1 = vals["d0_check_value"], vals["epsilon1"] = empirical_d0_check(p, A, B)
+            if not math.isnan(check):
+                lines += [("d0_check", "pass" if check >= 0.0 else "fail"),
+                          ("d0_check_value", check), ("epsilon1", eps1)]
         f1 = [(r.t, r.F1) for r in recs if r.t >= 1.0 and not math.isnan(r.F1)]
         if len(f1) >= 2:
             slack = 1e-8 * f1[0][1]
             mono = all(b[1] <= a[1] + slack for a, b in zip(f1, f1[1:]))
             lines.append(("f1_monotone_after_t1", mono))
-
-    if p.logistic:
-        lines.append(("b", rep.b))
-        lines.append(("mu_threshold", rep.mu_threshold))
-        lines.append(("mu_above_threshold", p.mu >= rep.mu_threshold))
-        lines.append(("sigma", rep.sigma))
+    elif p.growth.name == "logistic":
+        vals["b"], vals["lambda_of_z"] = p.carrying_state, lambda_of_z(p, cp, A * A)
+        try:  # both need theta >= 1; sigma also needs mu above its bracket
+            vals["mu_threshold"] = empirical_mu_threshold(p, cp, A)
+            vals["sigma"] = sigma_rate(p, cp, A)
+        except ValueError:
+            pass
+        threshold = vals.get("mu_threshold", math.nan)
+        lines += [("b", vals["b"]), ("mu_threshold", threshold)]
+        if not math.isnan(threshold):  # no verdict against an undefined threshold
+            lines.append(("mu_above_threshold", p.mu >= threshold))
+        lines.append(("sigma", vals.get("sigma", math.nan)))
+    if not p.growth.claims_rate:
+        lines.append(("exponential_rate", "not claimed: u decays to 0 like t^(-1/theta)"))
 
     try:
         fit = _fit_column(recs, cfg.fit_column, cfg.fit_window)
     except ValueError as exc:
         lines.append(("fit_error", str(exc)))
-        return lines
-    lines.append(("fitted_column", cfg.fit_column))
-    lines.append(("fitted_window", f"{_fmt(fit.window[0])}:{_fmt(fit.window[1])}"))
-    lines.append(("fitted_rate", fit.rate))
-    lines.append(("fitted_r_squared", fit.r_squared))
-    return lines
+    else:
+        lines += [("fitted_column", cfg.fit_column),
+                  ("fitted_window", f"{_fmt(fit.window[0])}:{_fmt(fit.window[1])}"),
+                  ("fitted_rate", fit.rate), ("fitted_r_squared", fit.r_squared)]
+    return ThresholdReport(**vals), lines
 
 
 @_QUIET_OVERFLOW
@@ -187,13 +175,13 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     out = cfg.out_dir
     _write(os.path.join(out, "trajectory.csv"),
            [_row(TRAJECTORY_COLUMNS)] + [_row(rec.csv_values()) for rec in traj.records])
-    rep = _build_report(cfg, traj, spec.poincare_cp)
+    rep, verdict = _report(cfg, traj, spec.poincare_cp)
     values = [getattr(rep, k) for k in REPORT_FIELDS]
     _write(os.path.join(out, "thresholds.txt"),
            [f"{k} = {_fmt(v)}" for k, v in zip(REPORT_FIELDS, values)])
     _write(os.path.join(out, "thresholds.csv"), [_row(REPORT_FIELDS), _row(values)])
 
-    lines = [f"{k} = {_fmt(v)}" for k, v in _verdict_lines(cfg, traj, rep, spec.poincare_cp)]
+    lines = [f"{k} = {_fmt(v)}" for k, v in verdict]
     _write(os.path.join(out, "summary.txt"), lines)
     if not quiet:
         print("\n".join(lines))

@@ -152,7 +152,7 @@ def lambda_of_z(p, cp: float, z: float) -> float:
 
 def empirical_mu_threshold(p, cp: float, A: float) -> float:
     """Damping threshold lambda(A^2)^(theta/2) with A = measured sup_t ||v||_inf."""
-    if not p.logistic or p.theta < 1.0:
+    if p.growth.name != "logistic" or p.theta < 1.0:
         raise ValueError("mu threshold needs a > 0, mu > 0, theta >= 1")
     A = np.float64(A)
     return lambda_of_z(p, cp, A * A) ** (p.theta / 2.0)
@@ -166,7 +166,7 @@ def empirical_d0_check(p, A: float, B: float) -> tuple[float, float]:
     chi = 0 gives 0 for every d. epsilon1 is the dissipation weight, 0 unless
     check_value > 0.
     """
-    if not p.growth_free:
+    if p.growth.name != "growth-free":
         raise ValueError("d0 check applies to growth-free runs (a = mu = 0)")
     if p.xi1 <= 0.0:
         raise ValueError("d0 check needs xi1 > 0")
@@ -187,7 +187,7 @@ def sigma_rate(p, cp: float, A: float) -> float:
     A the measured sup_t ||v||_inf. Errors when the floor is nonpositive
     (damping below the regime).
     """
-    if not p.logistic or p.theta < 1.0:
+    if p.growth.name != "logistic" or p.theta < 1.0:
         raise ValueError("sigma_rate needs a > 0, mu > 0, theta >= 1")
     b = p.carrying_state
     A = np.float64(A)

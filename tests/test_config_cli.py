@@ -737,7 +737,7 @@ def test_cli_run_theta_below_one_reports_nan_thresholds(tmp_path, capsys):
     summary = dict(line.split(" = ", 1)
                    for line in (tmp_path / "o" / "summary.txt").read_text().splitlines())
     assert summary["mu_threshold"] == "nan"
-    assert summary["mu_above_threshold"] == "no"
+    assert "mu_above_threshold" not in summary  # no verdict against an undefined threshold
     assert summary["sigma"] == "nan"
 
 
@@ -753,7 +753,8 @@ DAMPING_ONLY_RUN = """
 
 def test_cli_run_damping_without_growth_reports_neither_regime(tmp_path, capsys):
     # a = 0 < mu is neither growth-free nor logistic: no F1, F2, carrying state
-    # or empirical threshold applies, while the mass ceiling does
+    # or empirical threshold applies, while the mass ceiling does; u and v are
+    # measured against 0, and u decays, at no exponential rate the summary claims
     cfg = write_cfg(tmp_path, DAMPING_ONLY_RUN)
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
@@ -771,6 +772,11 @@ def test_cli_run_damping_without_growth_reports_neither_regime(tmp_path, capsys)
                    for line in (tmp_path / "o" / "summary.txt").read_text().splitlines())
     assert summary["mass_ceiling_ok"] == "yes"
     assert "b" not in summary and "d0_check" not in summary
+    assert summary["exponential_rate"] == "not claimed: u decays to 0 like t^(-1/theta)"
+    assert float(summary["fitted_rate"]) > 0.0
+    first, last = (dict(zip(cols, row.split(","))) for row in (rows[0], rows[-1]))
+    for name in ("u", "v"):  # the deviation from 0 is the L2 norm, which falls
+        assert float(first[f"l2_{name}_dev"]) > float(last[f"l2_{name}_dev"])
 
 
 def test_cli_run_reports_an_overflowing_gradient_bound_as_inf(tmp_path, capsys):

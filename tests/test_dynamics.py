@@ -143,15 +143,34 @@ def test_off_regime_flag():
     assert not params().off_regime
 
 
-@pytest.mark.parametrize("a, mu", [(0.0, 0.0), (0.0, 2.0), (8.0, 0.0), (8.0, 2.0)])
-def test_growth_regime_of_each_sign_pattern(a, mu):
+# each growth regime's row of GROWTH: deviation target of a member whose u has
+# initial mean 0.75 ("b": its carrying state), functional, whether u reacts,
+# whether the mass ceiling holds, whether an exponential rate is claimed
+GROWTH_ROWS = {
+    "growth-free": (0.75, "F1", False, True, True),
+    "logistic": ("b", "F2", True, True, True),
+    "damping-only": (0.0, None, True, True, False),
+    "growing": (0.75, None, True, False, True),
+}
+
+
+@pytest.mark.parametrize("a, mu, regime", [
+    pytest.param(a, mu, regime, id=f"{a}-{mu}") for a, mu, regime in [
+        (0.0, 0.0, "growth-free"), (0.0, 2.0, "damping-only"), (8.0, 0.0, "growing"),
+        (8.0, 2.0, "logistic"), (-0.0, 0.0, "growth-free"), (1e-300, 0.0, "growing"),
+        (0.0, 1e-300, "damping-only"), (1e-300, 1e-300, "logistic")]])
+def test_growth_regime_of_each_sign_pattern(a, mu, regime):
     p = params(a=a, mu=mu, theta=2.0)
-    assert p.growth_free is (a == 0.0 and mu == 0.0)
-    assert p.logistic is (a > 0.0 and mu > 0.0)
-    if p.logistic:
-        assert p.carrying_state == 2.0  # (8 / 2)^(1/2)
+    target, *row = GROWTH_ROWS[regime]
+    assert p.growth.name == regime
+    assert [p.growth.functional, p.growth.reacts, p.growth.mass_ceiling,
+            p.growth.claims_rate] == row
+    if regime == "logistic":
+        assert p.carrying_state == math.sqrt(a / mu)  # 2 or 1
+        target = p.carrying_state
     else:
         assert math.isnan(p.carrying_state)
+    assert p.growth.target(p, 0.75) == target
 
 
 def test_solver_config_validation():

@@ -363,7 +363,10 @@ def reference_record(state, p, u0_mean):
     """A lone member's record, column by column from plain-numpy formulas."""
     grid, vol = state.grid, state.grid.cell_volume
     u, v = state.u.ravel(), state.v.ravel()
-    target = (p.a / p.mu) ** (1.0 / p.theta) if p.a > 0.0 and p.mu > 0.0 else u0_mean
+    if p.a > 0.0 and p.mu > 0.0:
+        target = (p.a / p.mu) ** (1.0 / p.theta)
+    else:  # damping alone takes u to 0; otherwise u keeps its mean or grows
+        target = 0.0 if p.mu > 0.0 else u0_mean
     min_u = float(state.u.min())
     f1 = f2 = math.nan
     if min_u > 0.0 and p.a == 0.0 and p.mu == 0.0:
@@ -406,8 +409,8 @@ MEMBER_KINDS = {
     "growth_free": dict(a=0.0, mu=0.0, theta=1.0),       # F1
     "logistic_theta1": dict(a=1.0, mu=2.0, theta=1.0),   # F2
     "logistic_theta2": dict(a=1.5, mu=0.5, theta=2.0),   # F2
-    "growth_only": dict(a=1.0, mu=0.0, theta=1.0),       # neither
-    "damping_only": dict(a=0.0, mu=1.0, theta=1.5),      # neither
+    "growth_only": dict(a=1.0, mu=0.0, theta=1.0),       # growing: neither
+    "damping_only": dict(a=0.0, mu=1.0, theta=1.5),      # neither, measured against 0
 }
 
 
@@ -449,10 +452,15 @@ def test_diagnostics_batch_of_every_member_kind(dim, cells):
     nonpositive = [False] * (len(kinds) - 2) + [True] * 2
     members = [random_member(grid, kind, nonpos, seed)
                for seed, (kind, nonpos) in enumerate(zip(kinds, nonpositive))]
+    # one batch holds all four growth regimes
+    assert {p.growth.name for _, p, _ in members} == {
+        "growth-free", "logistic", "damping-only", "growing"}
     rows = assert_batch_matches_lone_members(grid, members)
-    for rec, kind, nonpos in zip(rows, kinds, nonpositive):
+    for rec, (state, _, _), kind, nonpos in zip(rows, members, kinds, nonpositive):
         assert math.isnan(rec.F1) != (kind == "growth_free" and not nonpos)
         assert math.isnan(rec.F2) != (kind.startswith("logistic") and not nonpos)
+        if kind == "damping_only":
+            assert rec.l2_u_dev == float(np.sum(state.u ** 2) * grid.cell_volume) ** 0.5
 
 
 @settings(max_examples=100, deadline=None)

@@ -217,14 +217,24 @@ def test_mu_threshold_pinned():
     assert got2 == pytest.approx(1.0, rel=1e-14)
 
 
+def run_report(p, records, cp=0.5):
+    """harness._report of a completed run with params p, whose records are given
+    as dicts of the columns that differ from a flat state's."""
+    cfg = SimpleNamespace(preset="custom", params=p, grid=SimpleNamespace(measure=1.0),
+                          fit_column="l2_u_dev", fit_window=None)
+    flat = dict(mass_u=1.0, linf_u=1.0, linf_v=1.0, linf_grad_w=0.0, min_u=1.0, min_v=1.0,
+                elliptic_residual=0.0, F1=math.nan, l2_u_dev=1.0)
+    recs = [SimpleNamespace(**{"t": float(k), **flat, **rec}) for k, rec in enumerate(records)]
+    traj = SimpleNamespace(records=recs, termination_reason="completed", failure_detail="")
+    return harness._report(cfg, traj, cp)
+
+
 def test_mu_threshold_uses_running_sup():
     # the report measures A as the largest linf_v of the run, not its last
     p = params(xi2=1.0, d=1.0, a=1.0, mu=1.0, theta=2.0)
-    cfg = SimpleNamespace(params=p, grid=SimpleNamespace(measure=1.0))
 
     def report(linf_v):
-        recs = [SimpleNamespace(mass_u=1.0, linf_v=x, linf_grad_w=0.0) for x in linf_v]
-        return harness._build_report(cfg, SimpleNamespace(records=recs), 0.5)
+        return run_report(p, [{"linf_v": x} for x in linf_v])[0]
     lo, hi = report([1.0, 2.0, 1.5]), report([1.0, 3.0, 1.5])
     assert (lo.empirical_A, hi.empirical_A) == (2.0, 3.0)
     assert hi.mu_threshold > lo.mu_threshold == empirical_mu_threshold(p, 0.5, 2.0)
@@ -376,7 +386,8 @@ def test_regime_respects_xi0(monkeypatch):
 def written_report(tmp_path, monkeypatch, rep):
     """thresholds.txt and thresholds.csv as run_scenario writes them for a run
     whose report is rep."""
-    monkeypatch.setattr(harness, "_build_report", lambda *_: rep)
+    report = harness._report
+    monkeypatch.setattr(harness, "_report", lambda *args: (rep, report(*args)[1]))
     path = tmp_path / "case.cfg"
     path.write_text("preset = custom\ngrid.cells = 16\nsolver.t_end = 0.02\n")
     assert harness.run_scenario(parse_config(str(path), {"out": str(tmp_path)}), quiet=True) == 0
@@ -408,16 +419,34 @@ def test_report_csv_layout(tmp_path, monkeypatch):
     assert got == 0.391140859906180190  # %.17g round-trips doubles exactly
 
 
-def test_d0check_pass_boundary():
+def test_d0check_pass_boundary(monkeypatch):
     # the summary's verdict is the one home of the rule check_value >= 0
-    cfg = SimpleNamespace(preset="C1_no_mitosis", params=params(chi=0.5, xi1=1.0, xi2=1.0),
-                          fit_column="l2_u_dev", fit_window=None)
-    rec = SimpleNamespace(t=0.0, linf_u=1.0, min_u=1.0, min_v=1.0, elliptic_residual=0.0,
-                          mass_u=1.0, F1=math.nan, l2_u_dev=1.0)
-    traj = SimpleNamespace(records=[rec], termination_reason="completed", failure_detail="")
+    p = params(chi=0.5, xi1=1.0, xi2=1.0)
     for value, verdict in ((0.0, "pass"), (-1e-300, "fail")):
-        rep = ThresholdReport(m1=1.0, d0_check_value=value, epsilon1=0.0)
-        assert ("d0_check", verdict) in harness._verdict_lines(cfg, traj, rep, 0.3)
+        monkeypatch.setattr(harness, "empirical_d0_check", lambda *_: (value, 0.0))
+        rep, lines = run_report(p, [{}])
+        assert rep.d0_check_value == value
+        assert ("d0_check", verdict) in lines
+
+
+@pytest.mark.parametrize("a, mu, regime_lines", [
+    (0.0, 0.0, ["mass_ceiling_ok", "d0_check", "d0_check_value", "epsilon1",
+                "f1_monotone_after_t1"]),
+    (1.0, 1.0, ["mass_ceiling_ok", "b", "mu_threshold", "mu_above_threshold", "sigma"]),
+    (0.0, 1.0, ["mass_ceiling_ok", "exponential_rate"]),
+    (1.0, 0.0, []),
+])
+def test_each_growth_regime_gets_its_summary_lines(a, mu, regime_lines):
+    # between the lines every run gets and the fit: the mass ceiling where the
+    # regime has one, then the regime's own lines, in this order
+    p = params(chi=0.5, xi1=1.0, xi2=1.0, a=a, mu=mu, theta=2.0)
+    records = [{"F1": 2.0 - 0.1 * k, "l2_u_dev": math.exp(-k)} for k in range(12)]
+    rep, lines = run_report(p, records)
+    keys = [key for key, _ in lines]
+    start = keys.index("max_elliptic_residual") + 1
+    assert keys[start:keys.index("fitted_column")] == regime_lines
+    assert math.isnan(rep.b) != (p.growth.name == "logistic")
+    assert math.isnan(rep.d0_check_value) != (p.growth.name == "growth-free")
 
 
 def test_formulas_are_deterministic():
