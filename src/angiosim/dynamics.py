@@ -155,8 +155,10 @@ class ModelParams:
 @dataclass(frozen=True, eq=False)
 class SimState:
     """Snapshot at time t: u, v, w as read-only float64 copies of the given
-    arrays, each shaped like grid.cells. Invariants maintained by the upwind
-    stepper: u > 0, v >= 0, int w = 0 and w solves the potential equation for u."""
+    arrays, each shaped like grid.cells, so a caller may go on changing its own.
+    Only make_initial's states hold their arrays uncopied (_adopt), since nothing
+    else references them. Invariants maintained by the upwind stepper: u > 0,
+    v >= 0, int w = 0 and w solves the potential equation for u."""
 
     t: float
     grid: Grid
@@ -166,11 +168,25 @@ class SimState:
 
     def __post_init__(self):
         for name in "uvw":
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if arr.shape != self.grid.cells:
-                raise ValueError(f"{name} has shape {arr.shape}, not the grid's {self.grid.cells}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            self._hold(name, np.array(getattr(self, name), dtype=np.float64))
+
+    def _hold(self, name: str, arr: np.ndarray):
+        if arr.shape != self.grid.cells:
+            raise ValueError(f"{name} has shape {arr.shape}, not the grid's {self.grid.cells}")
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _adopt(cls, t: float, grid: Grid, u: np.ndarray, v: np.ndarray,
+               w: np.ndarray) -> "SimState":
+        """A state that holds u, v and w themselves, made read-only: fresh float64
+        arrays that nothing else references."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "t", t)
+        object.__setattr__(state, "grid", grid)
+        for name, arr in zip("uvw", (u, v, w)):
+            state._hold(name, arr)
+        return state
 
 
 @dataclass(frozen=True)
@@ -251,26 +267,30 @@ class StepFailure(RuntimeError):
 
 def _profile_values(grid: Grid, profile: str, base: float, amp: float, rng) -> np.ndarray:
     """A profile's cell values, shaped like the grid; rng() returns the Generator
-    that random profiles draw from, and only they call it. Only the bumps build the
-    cell coordinates."""
+    that random profiles draw from, and only they call it. The result is a fresh
+    array that nothing else references.
+
+    A bump is the product (cosine) or the sum (Gaussian's r^2) of one factor per
+    axis, taken on grid.axis_centers and broadcast against each other, and then
+    scaled in place: the result is the one grid-sized array it makes. Each cell
+    gets the bits of the same formula on full coordinate grids
+    (grid.cell_coordinates) started from 1 (cosine) or 0 (Gaussian), since
+    1.0 * c is c and 0.0 + t is t."""
     if profile == "constant":
-        vals = np.full(grid.cells, base)
-    elif profile == "cosine_bump":
-        vals = np.full(grid.cells, base)
-        bump = np.ones(grid.cells)
-        for x, L in zip(grid.cell_coordinates(), grid.lengths):
-            bump = bump * np.cos(math.pi * x / L)
-        vals += amp * bump
-    elif profile == "gaussian_bump":
-        r2 = np.zeros(grid.cells)
-        for x, L in zip(grid.cell_coordinates(), grid.lengths):
-            s = L / 8.0
-            r2 += ((x - 0.5 * L) / s) ** 2
-        vals = base + amp * np.exp(-0.5 * r2)
-    else:  # random_positive, the last name InitialSpec accepts
+        return np.full(grid.cells, base)
+    if profile == "random_positive":
         vals = rng().uniform(-1.0, 1.0, size=grid.cells)
-        vals *= amp  # base + amp * draw, in place: the same bits
-        vals += base
+    else:  # cosine_bump or gaussian_bump, the other names InitialSpec accepts
+        axes = [(grid.axis_centers(k).reshape((-1,) + (1,) * (grid.dim - 1 - k)), L)
+                for k, L in enumerate(grid.lengths)]
+        if profile == "cosine_bump":
+            vals = functools.reduce(np.multiply, [np.cos(math.pi * x / L) for x, L in axes])
+        else:
+            vals = functools.reduce(np.add, [((x - 0.5 * L) / (L / 8.0)) ** 2 for x, L in axes])
+            vals *= -0.5  # exp(-0.5 r2), in place
+            np.exp(vals, out=vals)
+    vals *= amp  # base + amp * (draw or bump), in place: the same bits
+    vals += base
     return vals
 
 
@@ -281,7 +301,11 @@ def make_initial(grid: Grid, spec: InitialSpec,
     Random profiles draw from one pcg64.Generator seeded with spec.seed, u before
     v: the values of numpy's default_rng(spec.seed), without numpy's random module
     and the 5 MB it imports. pcg64 is imported and the Generator built on the first
-    draw, so a run without one never loads it."""
+    draw, so a run without one never loads it.
+
+    The state holds the u and v that _profile_values built and the w of the
+    potential solve, all fresh, as they are: SimState._adopt makes them read-only
+    and copies none."""
 
     @functools.cache
     def rng():
@@ -311,7 +335,7 @@ def make_initial(grid: Grid, spec: InitialSpec,
         raise ValueError(f"the initial u sums past the float64 range over its {grid.n_cells} "
                          "cells; lower init.base")
     w, _res, _it = solve_neumann_poisson(grid, u_vals, tolerance)
-    return SimState(0.0, grid, u_vals, v_vals, w)
+    return SimState._adopt(0.0, grid, u_vals, v_vals, w)
 
 
 def _shared(values, shape):
@@ -663,7 +687,8 @@ def _ended_rows(extrema, t: float, cfg: SolverConfig) -> dict:
     """Rows of a (2B, *cells) (u, v) state, given its per-row max and min
     (row_extrema), whose member blew up (non-finite u or v, or ||u||_inf above
     threshold) or, under upwinding, lost positivity -> {member row: (termination
-    reason, detail)}."""
+    reason, detail)}. A positivity detail names the minimum of each species that
+    lost it: u at or below 0, v below 0."""
     ended = {}
     # max and min propagate nan and reach any inf, so they tell finiteness too
     highs, lows = extrema.tolist()
@@ -676,7 +701,9 @@ def _ended_rows(extrema, t: float, cfg: SolverConfig) -> dict:
             ended[row] = ("blowup_detected",
                           f"||u||_inf beyond {cfg.blowup_threshold:g} at t={t:.6g}")
         elif cfg.flux_scheme == "upwind" and (umin <= 0.0 or vmin < 0.0):
-            ended[row] = ("step_failure", f"positivity lost at t={t:.6g} (min u {umin:.3e})")
+            lost = ", ".join(f"min {name} {low:.3e}" for name, low, gone in
+                             (("u", umin, umin <= 0.0), ("v", vmin, vmin < 0.0)) if gone)
+            ended[row] = ("step_failure", f"positivity lost at t={t:.6g} ({lost})")
     return ended
 
 
@@ -703,8 +730,10 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
     Once the batch is filled and the first record taken, the time loop drops its
     references to initials, and only then builds its stepper: a caller that holds
     neither the list nor its states frees them there. The list itself is left as
-    it was given. When members leave, the stepper for the rest is built after the
-    old one is dropped.
+    it was given. When members leave, the old stepper is dropped at once, and the
+    next step builds one for the rest. Once the last step has returned, the
+    stepper is dropped too, so the last record, the terminal SimStates and the
+    Trajectory objects are made without its arrays.
     """
     grid, t0 = initials[0].grid, initials[0].t
     if any(s.grid != grid or s.t != t0 for s in initials):
@@ -727,6 +756,7 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         """Close the trajectories of the ended rows; return the (uv, w) of the rest,
         their extrema and their residuals."""
         nonlocal members, stepper
+        stepper = None  # the next step builds the stepper for the rest, if any
         for row, (reason, detail) in ended.items():
             b = members[row]
             trajectories[b] = Trajectory(
@@ -734,9 +764,6 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         n = len(members)
         kept = [row for row in range(n) if row not in ended]
         members = [members[row] for row in kept]
-        stepper = None  # before its successor's arrays are made
-        if kept:
-            stepper = Stepper(grid, [params[b] for b in members], cfg)
         rows = kept + [n + row for row in kept]
         return uv[rows], w[kept], extrema[:, rows], residuals[kept]
 
@@ -752,10 +779,12 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         for b in range(n):
             on_record(b, initials[b])
     del initials  # the batch holds their values
-    stepper = Stepper(grid, params, cfg)
+    stepper = None
     for k in range(1, n_steps + 1):
         stepped = None
         while members and stepped is None:
+            if stepper is None:  # the first, or the one for the members left
+                stepper = Stepper(grid, [params[b] for b in members], cfg)
             try:
                 stepped = stepper.step(t, uv, w, extrema[0][:len(w)])
             except StepFailure as exc:
@@ -769,6 +798,8 @@ def run_ensemble(initials, params, cfg: SolverConfig, on_record=None) -> list[Tr
         t = t0 + k * cfg.dt  # exact time grid, no float drift
         uv, w = stepped
         extrema, residuals = stepper.extrema, stepper.residuals
+        if k == n_steps:
+            stepper = None  # the last record and the terminal states are made without it
         ended = _ended_rows(extrema, t, cfg)
         if ended:
             uv, w, extrema, residuals = leave(ended, t, uv, w, extrema, residuals)

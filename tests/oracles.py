@@ -8,8 +8,9 @@ pair as it ran on every row of that packing, before it took the rows j and
 n1 - j as one butterfly, the 1D transform pair as it ran before 1D grids went
 through the 2D pair as one row of cells,
 the face kernels of the step (face speeds, fluxes, divergence and Laplacian)
-as they ran on interior-face arrays before the padded face arrays, and the
-stability bound member by member and species by species."""
+as they ran on interior-face arrays before the padded face arrays, the
+stability bound member by member and species by species, and the cosine and
+Gaussian initial bumps on full coordinate grids."""
 import functools
 import math
 
@@ -390,3 +391,21 @@ def fluxes(uv, speeds, dim, flux_scheme):
             face *= 0.5
         a *= face
         yield a
+
+
+def bump_profile(grid, profile, base, amp):
+    """A cosine_bump or gaussian_bump profile's cell values as make_initial built
+    them on the grid's full coordinate arrays (cell_coordinates), the cosine
+    product started from np.ones and the Gaussian's r^2 from np.zeros."""
+    if profile == "cosine_bump":
+        vals = np.full(grid.cells, base)
+        bump = np.ones(grid.cells)
+        for x, L in zip(grid.cell_coordinates(), grid.lengths):
+            bump = bump * np.cos(math.pi * x / L)
+        vals += amp * bump
+        return vals
+    r2 = np.zeros(grid.cells)
+    for x, L in zip(grid.cell_coordinates(), grid.lengths):
+        s = L / 8.0
+        r2 += ((x - 0.5 * L) / s) ** 2
+    return base + amp * np.exp(-0.5 * r2)

@@ -28,28 +28,39 @@ PYTHONDONTWRITEBYTECODE=1 set.
     $ python3 tools/ab.py PARENT PARENT --workload run-2d --pairs 10
     workload run-2d, seed 0, 10 pairs, 30 steps x 1 point(s)
     metric       unit        base median [IQR]      change median [IQR] change/base   wins
-    wall_s       s             0.4182 [0.0862]          0.4066 [0.0681]      0.9721   7/10
-    setup_s      s             0.2406 [0.0594]          0.2419 [0.0692]      1.0056   5/10
-    steps_per_s  1/s              148.1 [58.8]             175.8 [10.3]      1.1869   7/10
-    peak_rss_mb  MB              41.8 [0.0635]           41.83 [0.0605]      1.0007   3/10
+    wall_s       s             0.4381 [0.0364]          0.4692 [0.0591]      1.0709   3/10
+    setup_s      s             0.2639 [0.0328]          0.261 [0.00464]      0.9890   6/10
+    steps_per_s  1/s              172.5 [43.5]             144.5 [39.8]      0.8374   3/10
+    peak_rss_mb  MB              39.1 [0.0879]           39.09 [0.0967]      0.9997   6/10
     outputs: byte-identical in every run of both trees
 
     $ python3 tools/ab.py PARENT PARENT --workload sweep --pairs 10
     workload sweep, seed 0, 10 pairs, 1000 steps x 9 point(s)
     metric       unit        base median [IQR]      change median [IQR] change/base   wins
-    wall_s       s               0.406 [0.111]          0.3784 [0.0838]      0.9320   8/10
-    setup_s      s             0.1599 [0.0301]          0.1671 [0.0407]      1.0445   7/10
-    steps_per_s  1/s      3.943e+04 [1.45e+04]     4.037e+04 [1.02e+04]      1.0238   7/10
-    peak_rss_mb  MB             31.55 [0.0723]            31.54 [0.084]      0.9998   5/10
+    wall_s       s             0.4042 [0.0104]           0.4279 [0.137]      1.0587   4/10
+    setup_s      s             0.1717 [0.0316]           0.171 [0.0667]      0.9957   5/10
+    steps_per_s  1/s      3.836e+04 [2.93e+03]      3.72e+04 [1.31e+04]      0.9696   5/10
+    peak_rss_mb  MB             31.27 [0.0732]            31.28 [0.114]      1.0001   4/10
     outputs: byte-identical in every run of both trees
 
 Every ratio is inside its BENCHMARK.json bound (0.25 for the times, 0.05 for
-peak RSS), but steps_per_s moved 19% with no change: a time difference inside
-these IQRs, or won in fewer than nine of ten pairs, is not a gain. peak_rss_mb
-reads what perfbench/run.py reads for the same tree (41.8 and 31.5 MB here).
-With bytecode compiled into the copies, as this tool once did, the same tree
-read 0.9 MB lower on run-2d (40.86 MB) and 1.3 MB lower on sweep (30.26 MB),
-over 6 pairs each.
+peak RSS), but steps_per_s moved 16% with no change: a time difference inside
+these IQRs, or won in fewer than nine of ten pairs, is not a gain. A claim
+clears this floor when it is won in nine pairs of ten by more than the base's
+IQR, as in building each initial grid array once and dropping the stepper
+before the last record:
+
+    $ python3 tools/ab.py PARENT CHANGE --workload run-2d --pairs 10
+    peak_rss_mb  MB              39.11 [0.109]            38.39 [0.041]      0.9816  10/10  gain
+
+peak_rss_mb reads about what perfbench/run.py reads for the same tree (39.1
+and 31.3 MB here; 38.5 and 31.3 MB from perfbench/run.py, whose runs open
+other paths). Without PYTHONDONTWRITEBYTECODE, the warm-up child writes
+bytecode into the copies, no child compiles, and the same tree reads about
+1.1 MB lower on sweep (30.2 MB). A small peak RSS shift can hang on that:
+the change above read sweep 0.25 MB higher here (31.34 to 31.59, 0/10), but
+0.06 MB higher with bytecode written ahead (6 pairs) and 0.06 MB higher under
+perfbench/run.py. Quote perfbench/run.py beside a peak RSS figure from here.
 """
 from __future__ import annotations
 
