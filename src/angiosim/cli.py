@@ -10,11 +10,18 @@ Exit codes: 0 ok, 1 usage or config error, 2 blow-up detected, 3 numerical
 failure (invalid initial state, failed initial potential solve, failed step,
 failed verification case, or any failure of the time loop's set-up such as
 running out of memory: one stderr line of run, the point's row in a sweep).
+
+At exit the process freezes the cycle collector (gc.freeze, registered with
+atexit by main), so the interpreter's two closing collections skip the objects
+numpy and angiosim leave tracked; every output file is closed before main
+returns, and objects left in reference cycles are not finalized at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from .config import ConfigError, parse_config, parse_sweep
@@ -69,6 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one handler per process, however often main is called
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage errors exit 2, the blow-up code here

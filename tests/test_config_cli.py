@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 import math
 import os
@@ -1203,6 +1204,37 @@ def test_runs_and_sweeps_leave_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[] (False, False)", "0", "0", "0", "[] (False, False)",
                                         "0", "(False, True)", "0", "[] (True, True)"]
+
+
+def test_the_cli_freezes_the_collector_at_exit_and_only_there(tmp_path):
+    # main registers gc.freeze with atexit, so the interpreter's closing
+    # collections skip what the imports left tracked. atexit runs the last
+    # registered first: main's handler, then `between`, then the first observer.
+    # `between` leaves new tracked objects, which a second gc.freeze (a handler
+    # left by the first call) would add to the count the first observer reads
+    cfg = write_cfg(tmp_path, FAST_RUN)
+    out = str(tmp_path)
+    script = textwrap.dedent(f"""
+        import atexit, gc
+        frozen = []
+        atexit.register(lambda: print(frozen[0] > 0, gc.get_freeze_count() == frozen[0]))
+        from angiosim.cli import main
+        print(main(["run", {cfg!r}, "--out", {out!r} + "/s1", "--quiet"]))
+        def between():
+            frozen.append(gc.get_freeze_count())
+            frozen.append([[] for _ in range(100)])
+        atexit.register(between)
+        print(main(["run", {cfg!r}, "--out", {out!r} + "/s2", "--quiet"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "0", "True True"]
+    # in this process: the calls themselves freeze nothing and leave the collector on
+    enabled = gc.isenabled()
+    for k in (1, 2):
+        assert main(["run", cfg, "--out", str(tmp_path / f"in{k}"), "--quiet"]) == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() == enabled
 
 
 def test_console_script_usage_error():

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import functools
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
@@ -66,6 +67,20 @@ def test_no_module_imports_a_name_it_never_uses():
     assert [entry for path in paths for entry in unused_imports(path)] == []
 
 
+def test_every_file_the_package_opens_is_closed_by_a_with_block():
+    # the CLI freezes the cycle collector at exit, so a file object left in a
+    # reference cycle then would be neither flushed nor closed
+    unmanaged = []
+    for path in sorted((ROOT / "src" / "angiosim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        managed = {id(item.context_expr) for node in ast.walk(tree)
+                   if isinstance(node, ast.With) for item in node.items}
+        unmanaged += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+                      and id(node) not in managed]
+    assert unmanaged == []
+
+
 TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
 
 
@@ -123,9 +138,12 @@ def test_ab_reports_every_metric_and_exits_1_when_outputs_differ(tmp_path):
     cfg = change / "configs" / "sweep_chi_mu.cfg"
     cfg.write_text(cfg.read_text().replace("chi = 0.25,", "chi = 0.3,"))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(change),
-                           "--workload", "sweep", "--pairs", "2"], capture_output=True, text=True)
+                           "--workload", "sweep", "--pairs", "2"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
+    # the header says how the children import the package, which moves setup_s and RSS
+    assert lines[0].endswith(", children compile the package (PYTHONDONTWRITEBYTECODE set)")
     assert [line.split()[0] for line in lines[2:6]] == ["wall_s", "setup_s", "steps_per_s",
                                                         "peak_rss_mb"]
     assert all(re.search(r" [012]/2( +gain)?$", line) for line in lines[2:6])

@@ -15,18 +15,22 @@ and no bytecode is compiled ahead, so under PYTHONDONTWRITEBYTECODE=1 every
 child compiles it again, as every perfbench child does. The configs come from
 perfbench/workloads.py.
 
-Per metric it prints each side's median and interquartile range, and in how
-many of the N pairs the change was better (ties count for neither). "gain"
-marks a metric where the change won at least nine pairs in ten and its median
-is better by more than the base's IQR. The exit status is 1 if any output file
-differs from the base's first run, in either tree.
+Its header line names the workload, the seed and the pairs, and says whether
+the children compile the package (PYTHONDONTWRITEBYTECODE set) or use cached
+bytecode: compiling costs about 27 ms of setup_s and about 1.3 MB of sweep's
+peak_rss_mb on the machine below, so a set-up or memory figure means little
+without it. Per metric it prints each side's median and interquartile range,
+and in how many of the N pairs the change was better (ties count for neither).
+"gain" marks a metric where the change won at least nine pairs in ten and its
+median is better by more than the base's IQR. The exit status is 1 if any
+output file differs from the base's first run, in either tree.
 
 Noise floor: the parent tree against itself, 10 pairs, on a shared 2-core
 x86-64 virtual machine (Intel Xeon 2.0 GHz, Python 3.11.7, numpy 2.4.6), with
 PYTHONDONTWRITEBYTECODE=1 set.
 
     $ python3 tools/ab.py PARENT PARENT --workload run-2d --pairs 10
-    workload run-2d, seed 0, 10 pairs, 30 steps x 1 point(s)
+    workload run-2d, seed 0, 10 pairs, 30 steps x 1 point(s), children compile the package (PYTHONDONTWRITEBYTECODE set)
     metric       unit        base median [IQR]      change median [IQR] change/base   wins
     wall_s       s             0.4381 [0.0364]          0.4692 [0.0591]      1.0709   3/10
     setup_s      s             0.2639 [0.0328]          0.261 [0.00464]      0.9890   6/10
@@ -35,7 +39,7 @@ PYTHONDONTWRITEBYTECODE=1 set.
     outputs: byte-identical in every run of both trees
 
     $ python3 tools/ab.py PARENT PARENT --workload sweep --pairs 10
-    workload sweep, seed 0, 10 pairs, 1000 steps x 9 point(s)
+    workload sweep, seed 0, 10 pairs, 1000 steps x 9 point(s), children compile the package (PYTHONDONTWRITEBYTECODE set)
     metric       unit        base median [IQR]      change median [IQR] change/base   wins
     wall_s       s             0.4042 [0.0104]           0.4279 [0.137]      1.0587   4/10
     setup_s      s             0.1717 [0.0316]           0.171 [0.0667]      0.9957   5/10
@@ -52,6 +56,16 @@ before the last record:
 
     $ python3 tools/ab.py PARENT CHANGE --workload run-2d --pairs 10
     peak_rss_mb  MB              39.11 [0.109]            38.39 [0.041]      0.9816  10/10  gain
+
+Pairs alone do not make a gain. Freezing the cycle collector at exit, so that
+the interpreter's two closing collections (10 ms after a sweep) walk nothing,
+won this run's pairs but not by the base's IQR, which the host's drift set:
+
+    $ python3 tools/ab.py PARENT CHANGE --workload sweep --pairs 20
+    setup_s      s              0.2126 [0.063]          0.1847 [0.0595]      0.8690  19/20
+
+Over fourteen such runs of 12 to 30 pairs on seeds 0 and 5 it won 225 of
+284 pairs, and no run both won nine pairs in ten and cleared the IQR.
 
 peak_rss_mb reads about what perfbench/run.py reads for the same tree (39.1
 and 31.3 MB here; 38.5 and 31.3 MB from perfbench/run.py, whose runs open
@@ -194,8 +208,10 @@ def main() -> int:
                 side.measure()
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    compiled = ("children compile the package (PYTHONDONTWRITEBYTECODE set)"
+                if os.environ.get("PYTHONDONTWRITEBYTECODE") else "children use cached bytecode")
     print(f"workload {wl.name}, seed {args.seed}, {args.pairs} pairs, "
-          f"{wl.steps} steps x {wl.points} point(s)")
+          f"{wl.steps} steps x {wl.points} point(s), {compiled}")
     print("\n".join(report(base, change, args.pairs)))
     differ = sorted({f"{side.name}: {kind}" for side in (base, change)
                      for kind, digests in side.digests.items()
